@@ -4,6 +4,7 @@ oracle for cross-checking."""
 
 from .errors import (
     CapExceededError,
+    ContractError,
     NegativeValuationError,
     NonExactDivisionError,
     VariableMismatchError,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
+    "ContractError",
     "FiniteField",
     "GGGRCharacter",
     "GreenTable",

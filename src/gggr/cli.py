@@ -10,8 +10,7 @@ Five subcommands cover the pipeline end to end:
 
 Exit codes: 0 pass, 1 verification/oracle failure, 2 usage error, 3 size cap
 exceeded.  Output is byte-deterministic for fixed flags; stdout carries data
-and stderr diagnostics.  The only environment knob is GGGR_JOBS (worker-count
-override for `verify`).
+and stderr diagnostics.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ContractError
 from .green import green_table
 from .grouporders import check_eps
 from .kawanaka import (
@@ -37,7 +35,7 @@ from .kawanaka import (
 )
 from .oracle import is_prime_power, oracle_report
 from .partitions import Partition, partitions_of
-from .polyring import LaurentPoly, RationalPoly, poly_from_json, pretty
+from .polyring import poly_from_json, poly_to_json, pretty
 
 GREEN_CAP = 6
 
@@ -122,13 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n", type=_arg_n, default=None, help="group rank (default: |mu|)"
     )
     p.add_argument("--eps", type=_arg_eps, default=1)
-    p.add_argument("--big", action="store_true", help="raise the size cap to 6")
+    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
     common(p)
 
     p = sub.add_parser("endo", help="dump all endomorphism-dimension polynomials")
     p.add_argument("--n", type=_arg_n, required=True)
     p.add_argument("--eps", type=_arg_eps, default=1)
-    p.add_argument("--big", action="store_true", help="raise the size cap to 6")
+    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
     common(p)
 
     p = sub.add_parser("verify", help="run the main-theorem verification")
@@ -141,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="Q,Q,...",
         help="prime powers for integrality spot checks (default 2,3,4,5)",
     )
-    p.add_argument("--big", action="store_true", help="raise the size cap to 6")
+    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
     common(p)
 
     p = sub.add_parser("oracle", help="brute-force group cross-check")
@@ -270,11 +268,11 @@ _RENDER = {
 
 
 def _symbolic_cap(n: int, eps: int, big: bool, what: str) -> None:
-    cap = VERIFY_CAP_BIG if big else VERIFY_CAP[eps]
+    cap = VERIFY_CAP_BIG if big else VERIFY_CAP
     if n > cap:
         raise CapExceededError(
             f"{what} capped at n = {cap}"
-            + ("" if big else " (pass --big for n = 6)")
+            + ("" if big else f" (pass --big for n <= {VERIFY_CAP_BIG})")
         )
 
 
@@ -300,7 +298,7 @@ def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
             results.append(
                 {
                     "mu": mu.to_json(),
-                    "poly": _poly_json(poly),
+                    "poly": poly_to_json(poly),
                     "degree": poly.degree,
                     "monic": poly.is_monic(),
                 }
@@ -319,12 +317,6 @@ def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
     raise AssertionError(f"unknown command {args.command}")
 
 
-def _poly_json(poly: RationalPoly | LaurentPoly) -> dict:
-    from .polyring import poly_to_json
-
-    return poly_to_json(poly)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -338,6 +330,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"gggr: cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except ContractError as exc:
+        print(f"gggr: check failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"gggr: {exc}", file=sys.stderr)
         return 2

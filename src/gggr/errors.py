@@ -9,7 +9,13 @@ class VariableMismatchError(ValueError):
     """Two polynomials over different formal variables were combined."""
 
 
-class NonExactDivisionError(ArithmeticError):
+class ContractError(ArithmeticError):
+    """A mathematical identity the pipeline relies on failed: a value that
+    must be integral, polynomial or monic was not.  Verification reports it
+    as a failed record, never as a traceback or a usage error."""
+
+
+class NonExactDivisionError(ContractError):
     """A division that must be exact left a nonzero remainder."""
 
 

@@ -17,10 +17,38 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .grouporders import class_size, group_order, torus_order
+from .errors import ContractError
+from .grouporders import (
+    check_eps,
+    class_size_coeffs,
+    group_order_coeffs,
+    torus_order_coeffs,
+)
+from .intpoly import IntPoly, bilinear, mul, scale, signed, trim
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import LaurentPoly, RationalPoly, reciprocal_shift, substitute_signed
-from .symfunc import x_poly
+from .polyring import LaurentPoly, RationalPoly, poly_to_json, substitute_signed
+from .symfunc import x_matrix
+
+
+@lru_cache(maxsize=None)
+def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """Q_rho^la(t) for every rho, la |- n as integer coefficients in t, rows
+    rho and columns la in canonical order, read off the X table by reversing
+    each X_rho^la within degree n_stat(la)."""
+    parts = partitions_of(n)
+    rows = []
+    for rho, x_row in zip(parts, x_matrix(n)):
+        row = []
+        for la, x in zip(parts, x_row):
+            top = n_stat(la)
+            if len(x) > top + 1:
+                raise ContractError(
+                    f"Green polynomial Q_{tuple(rho)}^{tuple(la)} has negative powers:"
+                    f" deg X = {len(x) - 1} > n(la) = {top}"
+                )
+            row.append(trim((0,) * (top + 1 - len(x)) + x[::-1]))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def green_poly(rho: Partition, la: Partition) -> LaurentPoly:
@@ -30,10 +58,9 @@ def green_poly(rho: Partition, la: Partition) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _green(rho: tuple[int, ...], la: tuple[int, ...]) -> LaurentPoly:
-    la_p = Partition(la)
-    q = reciprocal_shift(x_poly(Partition(rho), la_p), n_stat(la_p))
-    assert q.is_polynomial(), "Green polynomial acquired negative powers"
-    return q
+    parts = partitions_of(sum(rho))
+    entry = green_matrix(sum(rho))[parts.index(rho)][parts.index(la)]
+    return LaurentPoly(RationalPoly(entry, "t"))
 
 
 @dataclass(frozen=True)
@@ -57,19 +84,13 @@ class GreenTable:
                 poly = self.entries[(rho, la)]
                 if eps is not None:
                     poly = substitute_signed(poly, eps)
-                cols.append({"lambda": la.to_json(), "poly": _poly_json(poly)})
+                cols.append({"lambda": la.to_json(), "poly": poly_to_json(poly)})
             rows.append({"rho": rho.to_json(), "cols": cols})
         out = {"n": self.n}
         if eps is not None:
             out["eps"] = eps
         out["rows"] = rows
         return out
-
-
-def _poly_json(poly) -> dict:
-    from .polyring import poly_to_json
-
-    return poly_to_json(poly)
 
 
 @lru_cache(maxsize=None)
@@ -96,30 +117,23 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
         sum_la |class la| Q_rho^la(eps q) Q_pi^la(eps q)
             = delta_{rho,pi} * |W_rho| * |G| / |T_rho|
 
-    verified as a polynomial identity in q (cross-multiplied by |T_rho|)."""
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    verified as a polynomial identity in q (cross-multiplied by |T_rho|).
+    The left sides for all pairs are one matrix product
+    Qᵀ · diag(|class la|) · Q over Z[q]."""
+    check_eps(eps)
     parts = partitions_of(n)
-    table = green_table(n)
-    grp = group_order(n, eps)
-    sizes = {la: class_size(la, eps) for la in parts}
-    specialized = {
-        (rho, la): substitute_signed(table.poly(rho, la), eps)
-        for rho in parts
-        for la in parts
-    }
-    for rho in parts:
-        t_rho = torus_order(rho, eps)
-        for pi in parts:
-            acc = LaurentPoly.const(0, "q")
-            for la in parts:
-                acc = acc + sizes[la] * specialized[(rho, la)] * specialized[(pi, la)]
-            lhs = (acc * t_rho).as_poly()
-            rhs = (
-                weyl_centralizer_order(rho) * grp
-                if pi == rho
-                else RationalPoly((), "q")
-            )
+    table = green_matrix(n)
+    by_la = [[signed(table[i][j], eps) for i in range(len(parts))] for j in range(len(parts))]
+    sizes = [class_size_coeffs(tuple(la), eps) for la in parts]
+    sums = bilinear(by_la, sizes, by_la)
+    grp = group_order_coeffs(n, eps)
+    for i, rho in enumerate(parts):
+        t_rho = torus_order_coeffs(tuple(rho), eps)
+        for j, pi in enumerate(parts):
+            lhs = mul(sums[i][j], t_rho)
+            rhs = scale(grp, weyl_centralizer_order(rho)) if i == j else ()
             if lhs != rhs:
-                return OrthogonalityResult(False, (rho, pi, lhs, rhs))
+                return OrthogonalityResult(
+                    False, (rho, pi, RationalPoly(lhs, "q"), RationalPoly(rhs, "q"))
+                )
     return OrthogonalityResult(True)

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ContractError, NonExactDivisionError
+from .intpoly import IntPoly, divmod_monic
 from .partitions import Partition, conjugate, multiplicities, n_stat
-from .polyring import LaurentPoly, RationalPoly, exact_div
+from .polyring import RationalPoly
 
 
 def check_eps(eps: int) -> int:
@@ -39,31 +41,47 @@ class GroupKind:
         return f"{'GL' if self.eps == 1 else 'GU'}{self.n}"
 
 
+def _times_binomials(shift: int, exps, eps: int) -> IntPoly:
+    """q^shift * prod_{k in exps} (q^k - eps^k), integer coefficients."""
+    out = [0] * shift + [1]
+    for k in exps:
+        c = eps**k
+        nxt = [0] * k + out
+        for i, a in enumerate(out):
+            nxt[i] -= c * a
+        out = nxt
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def group_order_coeffs(n: int, eps: int) -> IntPoly:
+    return _times_binomials(n * (n - 1) // 2, range(1, n + 1), eps)
+
+
 def group_order(n: int, eps: int) -> RationalPoly:
     """|GL_n(q)| or |GU_n(q)| as a monic degree-n^2 polynomial in q."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    out = RationalPoly.monomial(n * (n - 1) // 2, 1, "q")
-    for i in range(1, n + 1):
-        out = out * (RationalPoly.monomial(i, 1, "q") - eps**i)
-    return out
+    return RationalPoly(group_order_coeffs(n, eps), "q")
+
+
+@lru_cache(maxsize=None)
+def torus_order_coeffs(rho: tuple[int, ...], eps: int) -> IntPoly:
+    return _times_binomials(0, rho, eps)
 
 
 def torus_order(rho: Partition, eps: int) -> RationalPoly:
     """|T_rho(q)| = prod_i (q^{rho_i} - eps^{rho_i}): the order of the maximal
     torus labelled by rho, monic of degree n."""
     check_eps(eps)
-    out = RationalPoly.const(1, "q")
-    for part in rho:
-        out = out * (RationalPoly.monomial(part, 1, "q") - eps**part)
-    return out
+    return RationalPoly(torus_order_coeffs(tuple(rho), eps), "q")
 
 
 def e_poly(la: Partition) -> RationalPoly:
     """e_la(t) = prod_i (1 - t^{la_i}); |T_rho| = q^n * e_rho(1/(eps*q)) up to
-    the eps-substitution, which is how the torus order enters the character
-    formula."""
+    the eps-substitution (the torus order as it appears in the literature's
+    form of the character formula)."""
     out = RationalPoly.const(1, "t")
     for part in la:
         out = out * (1 - RationalPoly.monomial(part, 1, "t"))
@@ -80,31 +98,43 @@ def sgn_eps(la: Partition, eps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _centralizer(la: tuple[int, ...], eps: int) -> RationalPoly:
+def _centralizer(la: tuple[int, ...], eps: int) -> IntPoly:
     la_p = Partition(la)
-    top = sum(c * c for c in conjugate(la_p))
-    acc = LaurentPoly.monomial(top, 1, "q")
-    for mult in multiplicities(la_p).values():
-        for k in range(1, mult + 1):
-            acc = acc * (1 - LaurentPoly.monomial(-k, eps**k, "q"))
-    out = acc.as_poly()
-    assert out.is_monic(), "centralizer order polynomial must come out monic"
-    return out
+    mults = multiplicities(la_p).values()
+    shift = sum(c * c for c in conjugate(la_p)) - sum(m * (m + 1) // 2 for m in mults)
+    if shift < 0:
+        raise ContractError(
+            f"centralizer order for {la} has a negative power q^{shift}"
+        )
+    return _times_binomials(shift, [k for m in mults for k in range(1, m + 1)], eps)
 
 
 def unipotent_centralizer_order(la: Partition, eps: int) -> RationalPoly:
     """Order of the centralizer of a unipotent element of Jordan type la:
 
         q^{sum (la'_j)^2} * prod_i prod_{k=1}^{m_i} (1 - (eps q)^{-k})
+          = q^{sum (la'_j)^2 - sum_i m_i (m_i + 1) / 2}
+            * prod_i prod_{k=1}^{m_i} (q^k - eps^k),
 
-    cleared of negative powers; monic of degree n + 2*n_stat(la)."""
+    monic of degree n + 2*n_stat(la)."""
     check_eps(eps)
-    return _centralizer(tuple(la), eps)
+    return RationalPoly(_centralizer(tuple(la), eps), "q")
+
+
+@lru_cache(maxsize=None)
+def class_size_coeffs(la: tuple[int, ...], eps: int) -> IntPoly:
+    """|G| / |centralizer|, an exact division by a monic polynomial."""
+    grp = group_order_coeffs(sum(la), eps)
+    quot, rem = divmod_monic(grp, _centralizer(la, eps))
+    if rem:
+        raise NonExactDivisionError(f"class size for {la} left remainder {rem}")
+    return quot
 
 
 def class_size(la: Partition, eps: int) -> RationalPoly:
     """|G| / |centralizer|, an exact polynomial division."""
-    return exact_div(group_order(la.n, eps), unipotent_centralizer_order(la, eps))
+    check_eps(eps)
+    return RationalPoly(class_size_coeffs(tuple(la), eps), "q")
 
 
 def centralizer_dim(la: Partition) -> int:

@@ -6,8 +6,10 @@ GU_n(q) (eps = -1), the generalised Gelfand-Graev character gamma_mu takes
 the value, on the unipotent class of type la,
 
     gamma_mu(la) = eps^{n_stat(mu)} * sum_{rho |- n}  1/|W_rho|
-                    * sgn_eps(rho) * q^n e_rho(1/(eps q))
+                    * sgn_eps(rho) * |T_rho(q)|
                     * X_rho^mu(eps q) * Q_rho^la(eps q)
+
+(|T_rho(q)| = q^n e_rho(1/(eps q)) is the order of the maximal torus)
 
 and vanishes off unipotent classes.  The self-intersection number
 
@@ -22,47 +24,86 @@ n + 2*n_stat(mu), the centralizer dimension of the class.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Optional
 
-from .errors import CapExceededError, NonExactDivisionError
-from .green import green_table
+from .errors import CapExceededError, ContractError, NonExactDivisionError
+from .green import green_matrix
 from .grouporders import (
     centralizer_dim,
     check_eps,
-    class_size,
-    e_poly,
-    group_order,
+    class_size_coeffs,
+    group_order_coeffs,
     sgn_eps,
+    torus_order_coeffs,
 )
+from .intpoly import IntPoly, bilinear, divmod_monic, evaluate, scale, signed
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import (
-    LaurentPoly,
-    RationalPoly,
-    exact_div,
-    poly_to_json,
-    reciprocal_shift,
-    substitute_signed,
-)
-from .symfunc import x_poly
+from .polyring import LaurentPoly, RationalPoly, poly_to_json
+from .symfunc import x_matrix
 
-#: Symbolic verification caps used by the command-line driver: the unitary
-#: family costs roughly a factor of one more n, so its default is one lower.
-VERIFY_CAP = {1: 5, -1: 4}
-VERIFY_CAP_BIG = 6
+#: Symbolic verification caps used by the command-line driver, the same for
+#: both families (their cost is equal to within measurement noise).  A
+#: `verify` run at VERIFY_CAP takes ~0.5 s, one at VERIFY_CAP_BIG ~4 s.
+VERIFY_CAP = 8
+VERIFY_CAP_BIG = 10
 
 #: Prime powers at which integer-valuedness is spot-checked.
 DEFAULT_SAMPLES = (2, 3, 4, 5)
 
 
+@lru_cache(maxsize=None)
+def _gamma_matrix(n: int, eps: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """n! * gamma_mu(la) for every mu, la |- n, rows mu and columns la in
+    canonical order.  With the 1/|W_rho| weights cleared by n!, the sum over
+    rho is one matrix product over Z[q]:
+
+        n! * eps^{n(mu)} * gamma_mu(la)
+            = sum_rho X_rho^mu(eps q) * w_rho(q) * Q_rho^la(eps q),
+        w_rho = sgn_eps(rho) * (n! / |W_rho|) * |T_rho(q)|."""
+    parts = partitions_of(n)
+    nfact = factorial(n)
+    xs = [[signed(x, eps) for x in row] for row in x_matrix(n)]
+    qs = [[signed(g, eps) for g in row] for row in green_matrix(n)]
+    weights = [
+        scale(
+            torus_order_coeffs(tuple(rho), eps),
+            sgn_eps(rho, eps) * (nfact // weyl_centralizer_order(rho)),
+        )
+        for rho in parts
+    ]
+    sums = bilinear(xs, weights, qs)
+    return tuple(
+        tuple(scale(g, eps ** (n_stat(mu) % 2)) for g in row)
+        for mu, row in zip(parts, sums)
+    )
+
+
+@lru_cache(maxsize=None)
+def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
+    """n! * gamma_mu(la) for every la, each checked to give an integer
+    gamma_mu(la) at the sample prime powers."""
+    n = sum(mu)
+    parts = partitions_of(n)
+    row = _gamma_matrix(n, eps)[parts.index(mu)]
+    nfact = factorial(n)
+    for la, g in zip(parts, row):
+        for q0 in DEFAULT_SAMPLES:
+            v = evaluate(g, q0)
+            if v % nfact:
+                raise ContractError(
+                    f"gamma_{mu}({tuple(la)}) is not integral at q = {q0}:"
+                    f" {Fraction(v, nfact)}"
+                )
+    return row
+
+
 def gggr_value(mu: Partition, la: Partition, eps: int) -> LaurentPoly:
     """gamma_mu evaluated on the unipotent class of type la, as an exact
-    polynomial in q (the assertion that no negative powers survive is part
-    of the contract)."""
+    polynomial in q."""
     check_eps(eps)
     if mu.n != la.n:
         raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
@@ -71,27 +112,9 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> LaurentPoly:
-    mu, la = Partition(mu_t), Partition(la_t)
-    n = mu.n
-    table = green_table(n)
-    acc = LaurentPoly.const(0, "q")
-    q_n = LaurentPoly.monomial(n, 1, "q")
-    for rho in partitions_of(n):
-        weight = Fraction(sgn_eps(rho, eps), weyl_centralizer_order(rho))
-        torus = q_n * reciprocal_shift(substitute_signed(e_poly(rho), eps), 0)
-        x_at = substitute_signed(x_poly(rho, mu), eps)
-        q_at = substitute_signed(table.poly(rho, la), eps)
-        acc = acc + weight * torus * x_at * q_at
-    value = eps ** (n_stat(mu) % 2) * acc
-    assert value.is_polynomial(), (
-        f"gamma_{mu_t}({la_t}) came out with negative powers of q"
-    )
-    for q0 in DEFAULT_SAMPLES:
-        v = value(q0)
-        assert v.denominator == 1, (
-            f"gamma_{mu_t}({la_t}) is not integral at q = {q0}: {v}"
-        )
-    return value
+    n = sum(mu_t)
+    g = _gamma_row(mu_t, eps)[partitions_of(n).index(la_t)]
+    return LaurentPoly(RationalPoly([Fraction(c, factorial(n)) for c in g], "q"))
 
 
 @dataclass(frozen=True)
@@ -131,13 +154,19 @@ def endo_dim(mu: Partition, eps: int) -> RationalPoly:
 
 @lru_cache(maxsize=None)
 def _endo_dim(mu_t: tuple[int, ...], eps: int) -> RationalPoly:
-    mu = Partition(mu_t)
-    n = mu.n
-    acc = LaurentPoly.const(0, "q")
-    for la in partitions_of(n):
-        gamma = gggr_value(mu, la, eps)
-        acc = acc + class_size(la, eps) * gamma * gamma
-    return exact_div(acc.as_poly(), group_order(n, eps))
+    n = sum(mu_t)
+    row = [[g] for g in _gamma_row(mu_t, eps)]
+    sizes = [class_size_coeffs(tuple(la), eps) for la in partitions_of(n)]
+    # sum_la |class la| * (n! gamma_mu(la))^2 = (n!)^2 |G| <gamma_mu, gamma_mu>
+    numerator = bilinear(row, sizes, row)[0][0]
+    quot, rem = divmod_monic(numerator, group_order_coeffs(n, eps))
+    if rem:
+        raise NonExactDivisionError(
+            f"sum_la |class la| gamma_{mu_t}(la)^2 is not divisible by |G|:"
+            f" remainder {RationalPoly(rem, 'q')!r}"
+        )
+    square = factorial(n) ** 2
+    return RationalPoly([Fraction(c, square) for c in quot], "q")
 
 
 @dataclass(frozen=True)
@@ -192,13 +221,11 @@ class VerificationReport:
         }
 
 
-def _mu_result(args: tuple[int, ...]) -> MuResult:
-    mu_t, eps, samples = args
-    mu = Partition(mu_t)
+def _mu_result(mu: Partition, eps: int, samples: tuple[int, ...]) -> MuResult:
     target = centralizer_dim(mu)
     try:
         poly = endo_dim(mu, eps)
-    except NonExactDivisionError:
+    except ContractError:
         return MuResult(mu, None, None, target, False, False, False)
     samples_ok = all(
         (v := poly(q0)).denominator == 1 and v > 0 for q0 in samples
@@ -208,47 +235,23 @@ def _mu_result(args: tuple[int, ...]) -> MuResult:
     )
 
 
-def default_jobs() -> int:
-    """Worker count for the verification sweep; overridable only through the
-    GGGR_JOBS environment variable."""
-    raw = os.environ.get("GGGR_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"GGGR_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ValueError(f"GGGR_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
 def verify_theorem(
     n: int,
     eps: int,
     q_samples: tuple[int, ...] = DEFAULT_SAMPLES,
     cap: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> VerificationReport:
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
     n + 2*n_stat(mu), and takes positive integer values at the sample prime
-    powers.  Work is independent per mu and can fan out over processes; the
-    report order is the canonical partition order regardless."""
+    powers.  The report lists mu in canonical partition order."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    limit = cap if cap is not None else VERIFY_CAP[eps]
+    limit = cap if cap is not None else VERIFY_CAP
     if n > limit:
         raise CapExceededError(
             f"verify_theorem at n = {n}, eps = {eps:+d} exceeds cap {limit}"
         )
-    mus = partitions_of(n)
-    tasks = [(tuple(mu), eps, tuple(q_samples)) for mu in mus]
-    jobs = default_jobs() if jobs is None else jobs
-    if jobs > 1 and len(tasks) > 1:
-        # Warm the shared table before forking so children inherit it.
-        green_table(n)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(_mu_result, tasks))
-    else:
-        results = tuple(_mu_result(t) for t in tasks)
+    results = tuple(_mu_result(mu, eps, tuple(q_samples)) for mu in partitions_of(n))
     return VerificationReport(n, eps, results)

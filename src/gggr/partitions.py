@@ -58,7 +58,12 @@ def partitions_of(n: int, cap: int = DEFAULT_CAP) -> list[Partition]:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > cap:
         raise CapExceededError(f"partitions_of({n}) exceeds cap {cap}")
-    return list(_partitions_iter(n, n))
+    return list(_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(_partitions_iter(n, n))
 
 
 def _partitions_iter(n: int, largest: int) -> Iterator[Partition]:

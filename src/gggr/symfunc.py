@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapExceededError
+from .intpoly import IntPoly, bilinear, trim
 from .partitions import Partition, multiplicities, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly, exact_div
 
@@ -208,18 +209,28 @@ def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> RationalPoly:
     return RationalPoly(coeffs, "t")
 
 
+@lru_cache(maxsize=None)
+def x_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """X_rho^la(t) for every rho, la |- n as integer coefficients, rows rho
+    and columns la in canonical order: the character table, transposed,
+    times the Kostka-Foulkes matrix."""
+    parts = partitions_of(n)
+    chi = [[trim((mn_character(mu, rho),)) for rho in parts] for mu in parts]
+    kostka = [
+        [tuple(c.numerator for c in kostka_foulkes(mu, la).coeffs) for la in parts]
+        for mu in parts
+    ]
+    return tuple(map(tuple, bilinear(chi, [(1,)] * len(parts), kostka)))
+
+
 def x_poly(rho: Partition, la: Partition) -> RationalPoly:
     """X_rho^la(t) = sum_mu chi^mu(rho) K_{mu,la}(t): the coefficient of the
     Hall-Littlewood P_la in the power sum p_rho.  Monic of degree n_stat(la);
     at t = 1 it degenerates to the permutation-character value."""
     if rho.n != la.n:
         raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
-    out = RationalPoly((), "t")
-    for mu in partitions_of(rho.n):
-        chi = mn_character(mu, rho)
-        if chi:
-            out = out + chi * kostka_foulkes(mu, la)
-    return out
+    parts = partitions_of(rho.n)
+    return RationalPoly(x_matrix(rho.n)[parts.index(rho)][parts.index(la)], "t")
 
 
 # ---------------------------------------------------------------------------

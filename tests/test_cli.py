@@ -105,10 +105,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_cap_violations_exit_3(capsys):
-    code, _, err = run(capsys, "verify", "--n", "6")
+    code, _, err = run(capsys, "verify", "--n", "9")
     assert code == 3 and "cap" in err
-    assert run(capsys, "verify", "--n", "7", "--big")[0] == 3
-    assert run(capsys, "verify", "--n", "5", "--eps", "-1")[0] == 3
+    assert run(capsys, "verify", "--n", "11", "--big")[0] == 3
+    assert run(capsys, "verify", "--n", "9", "--eps", "-1")[0] == 3
     assert run(capsys, "green", "--n", "7")[0] == 3
     assert run(capsys, "oracle", "--n", "3", "--q", "9")[0] == 3
 
@@ -132,6 +132,6 @@ def test_output_to_file(tmp_path, capsys):
 
 
 def test_diagnostics_go_to_stderr(capsys):
-    code, out, err = run(capsys, "verify", "--n", "6")
+    code, out, err = run(capsys, "verify", "--n", "9")
     assert out == ""
     assert "cap" in err

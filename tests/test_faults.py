@@ -1,0 +1,148 @@
+"""Fault injection: a perturbed table makes the check that guards it fail.
+Verification reports the failure as FAIL records and the command exits 1,
+with no traceback, also under ``python -O`` (the checks are not asserts)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gggr.green as green
+import gggr.grouporders as grouporders
+import gggr.kawanaka as kawanaka
+import gggr.symfunc as symfunc
+from gggr.cli import main
+from gggr.errors import ContractError, NonExactDivisionError
+from gggr.kawanaka import gggr_value, verify_theorem
+from gggr.partitions import Partition
+
+P = Partition
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CACHES = (
+    green.green_matrix,
+    green._green,
+    green.green_table,
+    grouporders._centralizer,
+    grouporders.class_size_coeffs,
+    kawanaka._gamma_matrix,
+    kawanaka._gamma_row,
+    kawanaka._gggr_value,
+    kawanaka._endo_dim,
+)
+
+
+GREEN_MATRIX = green.green_matrix
+
+
+def perturbed_green(n):
+    """The Green table with 1 added to the constant term of Q_(n)^(n)."""
+    table = [list(row) for row in GREEN_MATRIX(n)]
+    entry = table[0][0]
+    table[0][0] = (entry[0] + 1,) + entry[1:]
+    return tuple(map(tuple, table))
+
+
+@pytest.fixture
+def inject(monkeypatch):
+    """Patch a table in place; every cache that could hold a value computed
+    from it is cleared before and after the test."""
+    for cache in CACHES:
+        cache.cache_clear()
+    yield monkeypatch.setattr
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def all_fail(report):
+    return not report.passed and all(
+        not r.passed and r.poly is None for r in report.results
+    )
+
+
+def test_green_coefficient_fails_gamma_integrality(inject):
+    inject(kawanaka, "green_matrix", perturbed_green)
+    with pytest.raises(ContractError, match=r"gamma_\(3,\)\(\(3,\)\) is not integral at q = 2"):
+        gggr_value(P((3,)), P((3,)), 1)
+    assert all_fail(verify_theorem(3, 1))
+    assert all_fail(verify_theorem(3, -1))
+
+
+def test_green_coefficient_fails_verify_command(inject, capsys):
+    inject(kawanaka, "green_matrix", perturbed_green)
+    assert main(["verify", "--n", "3", "--format", "pretty"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL mu=(3):" in out and out.endswith("RESULT: FAIL\n")
+    assert err == ""
+    assert main(["gggr", "--mu", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "check failed" in err and "not integral" in err
+
+
+def test_green_coefficient_fails_orthogonality(inject):
+    inject(green, "green_matrix", perturbed_green)
+    result = green.verify_orthogonality(3, -1)
+    assert not result.ok
+    rho, pi, lhs, rhs = result.witness
+    assert (rho, pi) == (P((3,)), P((3,))) and lhs != rhs
+
+
+def test_class_size_fails_exact_division(inject):
+    def perturbed_sizes(la, eps):
+        size = grouporders.class_size_coeffs(la, eps)
+        return (size[0] + 1,) + size[1:] if la == (3,) else size
+
+    inject(kawanaka, "class_size_coeffs", perturbed_sizes)
+    with pytest.raises(NonExactDivisionError, match="not divisible by |G|"):
+        kawanaka.endo_dim(P((3,)), 1)
+    report = verify_theorem(3, 1)
+    assert not report.passed
+    assert report.results[0].poly is None and not report.results[0].passed
+
+
+def test_green_negative_power_is_typed(inject):
+    # X_rho^la of degree above n(la) would give Q_rho^la a negative power
+    def x_too_long(n):
+        return tuple(tuple(x + (1,) for x in row) for row in symfunc.x_matrix(n))
+
+    inject(green, "x_matrix", x_too_long)
+    with pytest.raises(ContractError, match="negative powers"):
+        green.green_matrix(3)
+    assert all_fail(verify_theorem(3, 1))
+
+
+def test_centralizer_negative_power_is_typed(inject):
+    # the transpose taken as the identity undercounts sum (la'_j)^2
+    inject(grouporders, "conjugate", lambda la: la)
+    with pytest.raises(ContractError, match="negative power"):
+        grouporders.unipotent_centralizer_order(P((1, 1, 1)), 1)
+    report = verify_theorem(3, 1)
+    assert not report.passed
+    assert report.results[-1].poly is None
+
+
+def test_checks_survive_python_O():
+    script = (
+        "import sys\n"
+        "import gggr.green, gggr.kawanaka\n"
+        "from gggr.cli import main\n"
+        "if sys.flags.optimize != 1: sys.exit(5)\n"
+        "def bad(n):\n"
+        "    t = [list(r) for r in gggr.green.green_matrix(n)]\n"
+        "    t[0][0] = (t[0][0][0] + 1,) + t[0][0][1:]\n"
+        "    return tuple(map(tuple, t))\n"
+        "gggr.kawanaka.green_matrix = bad\n"
+        "sys.exit(main(['verify', '--n', '4', '--eps', '-1', '--format', 'csv']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    rows = done.stdout.splitlines()
+    assert rows[0] == "mu,degree,monic,pass"
+    assert len(rows) == 6 and all(row.endswith(",False") for row in rows[1:])

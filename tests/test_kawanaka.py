@@ -2,21 +2,23 @@
 polynomials built from them."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from gggr.errors import CapExceededError
-from gggr.grouporders import centralizer_dim, group_order
+from gggr.green import green_poly
+from gggr.grouporders import centralizer_dim, e_poly, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
-    default_jobs,
     endo_dim,
     gggr_character,
     gggr_value,
     verify_theorem,
 )
-from gggr.partitions import Partition, n_stat, partitions_of
-from gggr.polyring import RationalPoly
+from gggr.partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
+from gggr.polyring import LaurentPoly, RationalPoly, reciprocal_shift, substitute_signed
+from gggr.symfunc import x_poly
 
 P = Partition
 q = RationalPoly.gen("q")
@@ -131,34 +133,40 @@ def test_verify_report():
 
 def test_verify_cap():
     with pytest.raises(CapExceededError):
-        verify_theorem(6, 1)
+        verify_theorem(9, 1)
     with pytest.raises(CapExceededError):
-        verify_theorem(5, -1)
+        verify_theorem(9, -1)
     with pytest.raises(CapExceededError):
-        verify_theorem(7, 1, cap=6)
+        verify_theorem(11, 1, cap=10)
 
 
 def test_verify_custom_samples():
+    assert len(DEFAULT_SAMPLES) >= 4
     report = verify_theorem(2, 1, q_samples=(2, 3, 4, 5, 7, 8, 9))
     assert report.passed
 
 
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("GGGR_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("GGGR_JOBS", "0")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.setenv("GGGR_JOBS", "two")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.delenv("GGGR_JOBS")
-    assert default_jobs() == 1
-    assert len(DEFAULT_SAMPLES) >= 4
+def reference_gamma(mu, la, eps):
+    """gamma_mu(la) as the per-rho sum of Fraction-weighted Laurent products
+    that the batched integer kernel replaces, the torus order taken the long
+    way round, as q^n * e_rho(1/(eps q))."""
+    n = mu.n
+    acc = LaurentPoly.const(0, "q")
+    q_n = LaurentPoly.monomial(n, 1, "q")
+    for rho in partitions_of(n):
+        weight = Fraction(sgn_eps(rho, eps), weyl_centralizer_order(rho))
+        torus = q_n * reciprocal_shift(substitute_signed(e_poly(rho), eps), 0)
+        x_at = substitute_signed(x_poly(rho, mu), eps)
+        q_at = substitute_signed(green_poly(rho, la), eps)
+        acc = acc + weight * torus * x_at * q_at
+    return eps ** (n_stat(mu) % 2) * acc
 
 
-def test_verify_parallel_path_matches_serial():
-    serial = verify_theorem(3, 1, jobs=1)
-    parallel = verify_theorem(3, 1, jobs=2)
-    assert serial == parallel
-    assert parallel.passed
+def test_batched_gamma_matches_per_rho_sum():
+    for n in range(1, 6):
+        for eps in (1, -1):
+            for mu in partitions_of(n):
+                for la in partitions_of(n):
+                    assert gggr_value(mu, la, eps) == reference_gamma(mu, la, eps), (
+                        mu, la, eps,
+                    )
