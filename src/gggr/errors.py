@@ -11,8 +11,9 @@ class VariableMismatchError(ValueError):
 
 class ContractError(ArithmeticError):
     """A mathematical identity the pipeline relies on failed: a value that
-    must be integral, polynomial or monic was not.  Verification reports it
-    as a failed record, never as a traceback or a usage error."""
+    must be integral or polynomial was not, or a division that must be exact
+    left a remainder.  Verification reports it as a failed record, never as
+    a traceback or a usage error."""
 
 
 class NonExactDivisionError(ContractError):

@@ -123,7 +123,7 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
     check_eps(eps)
     parts = partitions_of(n)
     table = green_matrix(n)
-    by_la = [[signed(table[i][j], eps) for i in range(len(parts))] for j in range(len(parts))]
+    by_la = [[signed(row[j], eps) for row in table] for j in range(len(parts))]
     sizes = [class_size_coeffs(tuple(la), eps) for la in parts]
     sums = bilinear(by_la, sizes, by_la)
     grp = group_order_coeffs(n, eps)

@@ -131,6 +131,12 @@ def test_verify_report():
     assert json.loads(blob)["n"] == 3
 
 
+def test_verify_at_the_default_cap():
+    for eps in (1, -1):
+        report = verify_theorem(8, eps)
+        assert report.passed and len(report.results) == 22
+
+
 def test_verify_cap():
     with pytest.raises(CapExceededError):
         verify_theorem(9, 1)
