@@ -5,7 +5,6 @@ oracle for cross-checking."""
 from .errors import (
     CapExceededError,
     ContractError,
-    NegativeValuationError,
     NonExactDivisionError,
     VariableMismatchError,
 )
@@ -36,7 +35,7 @@ from .oracle import (
     regular_rep_inner,
 )
 from .partitions import Partition, n_stat, partitions_of
-from .polyring import LaurentPoly, RationalPoly, poly_from_json, poly_to_json, pretty
+from .polyring import RationalPoly, poly_from_json, poly_to_json, pretty
 from .symfunc import (
     character_table,
     hall_littlewood_expand,
@@ -54,8 +53,6 @@ __all__ = [
     "GGGRCharacter",
     "GreenTable",
     "GroupKind",
-    "LaurentPoly",
-    "NegativeValuationError",
     "NonExactDivisionError",
     "OracleGroup",
     "Partition",

@@ -18,7 +18,3 @@ class ContractError(ArithmeticError):
 
 class NonExactDivisionError(ContractError):
     """A division that must be exact left a nonzero remainder."""
-
-
-class NegativeValuationError(ZeroDivisionError):
-    """A Laurent polynomial with negative valuation was evaluated at zero."""

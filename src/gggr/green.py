@@ -26,7 +26,7 @@ from .grouporders import (
 )
 from .intpoly import IntPoly, bilinear, mul, scale, signed, trim
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import LaurentPoly, RationalPoly, poly_to_json, substitute_signed
+from .polyring import RationalPoly, poly_to_json, substitute_signed
 from .symfunc import x_matrix
 
 
@@ -51,16 +51,16 @@ def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     return tuple(rows)
 
 
-def green_poly(rho: Partition, la: Partition) -> LaurentPoly:
+def green_poly(rho: Partition, la: Partition) -> RationalPoly:
     """Q_rho^la(t); constant term 1, degree at most n_stat(la)."""
     return _green(tuple(rho), tuple(la))
 
 
 @lru_cache(maxsize=None)
-def _green(rho: tuple[int, ...], la: tuple[int, ...]) -> LaurentPoly:
+def _green(rho: tuple[int, ...], la: tuple[int, ...]) -> RationalPoly:
     parts = partitions_of(sum(rho))
     entry = green_matrix(sum(rho))[parts.index(rho)][parts.index(la)]
-    return LaurentPoly(RationalPoly(entry, "t"))
+    return RationalPoly(entry, "t")
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,9 @@ class GreenTable:
 
     n: int
     order: tuple[Partition, ...]
-    entries: dict[tuple[Partition, Partition], LaurentPoly]
+    entries: dict[tuple[Partition, Partition], RationalPoly]
 
-    def poly(self, rho: Partition, la: Partition) -> LaurentPoly:
+    def poly(self, rho: Partition, la: Partition) -> RationalPoly:
         return self.entries[(rho, la)]
 
     def to_json(self, eps: Optional[int] = None) -> dict:

@@ -42,7 +42,7 @@ from .grouporders import (
 )
 from .intpoly import IntPoly, bilinear, divmod_monic, evaluate, scale, signed
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import LaurentPoly, RationalPoly, poly_to_json
+from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
 
 #: Symbolic verification caps used by the command-line driver, the same for
@@ -101,7 +101,7 @@ def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
     return row
 
 
-def gggr_value(mu: Partition, la: Partition, eps: int) -> LaurentPoly:
+def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
     """gamma_mu evaluated on the unipotent class of type la, as an exact
     polynomial in q."""
     check_eps(eps)
@@ -111,10 +111,10 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> LaurentPoly:
+def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> RationalPoly:
     n = sum(mu_t)
     g = _gamma_row(mu_t, eps)[partitions_of(n).index(la_t)]
-    return LaurentPoly(RationalPoly([Fraction(c, factorial(n)) for c in g], "q"))
+    return RationalPoly([Fraction(c, factorial(n)) for c in g], "q")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class GGGRCharacter:
 
     mu: Partition
     eps: int
-    values: dict[Partition, LaurentPoly]
+    values: dict[Partition, RationalPoly]
 
     def to_json(self) -> dict:
         return {

@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ContractError
 from .grouporders import check_eps
-from .partitions import Partition
+from .partitions import Partition, conjugate, partitions_of
 
 #: Ambient enumeration budget: the oracle iterates over every matrix of the
 #: ambient space, so q0^(n^2) (GL) or (q0^2)^(n^2) (GU) must stay below this.
@@ -103,7 +103,7 @@ class FiniteField:
             f = tuple(tail) + (1,)
             if self._is_irreducible(f):
                 return f
-        raise AssertionError("no irreducible polynomial found")
+        raise ContractError(f"no irreducible polynomial of degree {self.e} over F_{self.p}")
 
     def _decode(self, code: int) -> tuple[int, ...]:
         digits = []
@@ -139,13 +139,10 @@ class FiniteField:
                     rem = prod
                 rem += [0] * (e - len(rem))
                 self.mul[a][b] = self._encode(rem[:e])
-        self.neg = [self.mul[a][self._encode_const(p - 1)] for a in range(q)]
+        self.neg = [self.mul[a][p - 1] for a in range(q)]  # p - 1 encodes -1
         self.inv = [0] * q
         for a in range(1, q):
             self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
-
-    def _encode_const(self, c: int) -> int:
-        return c % self.p
 
     def _verify_axioms(self) -> None:
         q = self.q
@@ -153,22 +150,22 @@ class FiniteField:
         add, mul = self.add, self.mul
         for a in rng:
             if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
-                raise AssertionError("identity axiom failed")
+                raise ContractError(f"F_{q}: identity axiom failed")
             if add[a][self.neg[a]] != 0:
-                raise AssertionError("negation axiom failed")
+                raise ContractError(f"F_{q}: negation axiom failed")
             if a and mul[a][self.inv[a]] != 1:
-                raise AssertionError("inverse axiom failed")
+                raise ContractError(f"F_{q}: inverse axiom failed")
         for a in rng:
             for b in rng:
                 if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise AssertionError("commutativity failed")
+                    raise ContractError(f"F_{q}: commutativity failed")
                 for c in rng:
                     if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise AssertionError("additive associativity failed")
+                        raise ContractError(f"F_{q}: additive associativity failed")
                     if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise AssertionError("multiplicative associativity failed")
+                        raise ContractError(f"F_{q}: multiplicative associativity failed")
                     if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise AssertionError("distributivity failed")
+                        raise ContractError(f"F_{q}: distributivity failed")
 
     def power(self, a: int, k: int) -> int:
         out = 1
@@ -189,7 +186,8 @@ class FiniteField:
         for _ in range(self.e):
             acc = self.add[acc][cur]
             cur = self.frobenius(cur)
-        assert acc < self.p, "trace left the prime field"
+        if acc >= self.p:
+            raise ContractError(f"trace of {a} in F_{self.q} left the prime field: {acc}")
         return acc
 
 
@@ -320,6 +318,8 @@ class OracleGroup:
     def _split_classes(self) -> None:
         F = self.field
         inverses = {g: mat_inv(F, g) for g in self.elements}
+        if None in inverses.values():
+            raise ContractError(f"{self.name}: an enumerated element is singular")
         class_of: dict[Mat, int] = {}
         classes: list[ConjClass] = []
         for g in self.elements:
@@ -349,22 +349,23 @@ class OracleGroup:
         if ranks[-1] != 0:
             return None
         col_counts = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
-        cols = Partition(tuple(c for c in col_counts if c > 0))
-        from .partitions import conjugate
-
-        return conjugate(cols)
+        return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
 
     def unipotent_classes(self) -> dict[Partition, ConjClass]:
         out = {}
         for cls in self.classes():
             if cls.jordan is not None:
-                assert cls.jordan not in out, "duplicate unipotent type"
+                if cls.jordan in out:
+                    raise ContractError(
+                        f"{self.name}: two unipotent classes of Jordan type {tuple(cls.jordan)}"
+                    )
                 out[cls.jordan] = cls
         return out
 
 
-def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
-    """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap."""
+def _ambient_size(n: int, eps: int, q0: int) -> int:
+    """The size of the field that the entries of GL_n(q0) or GU_n(q0) live
+    in, once the arguments and the enumeration cap are checked."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -375,6 +376,12 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
         raise CapExceededError(
             f"enumerating {ambient_q}^{n * n} ambient matrices exceeds cap {ENUMERATION_CAP}"
         )
+    return ambient_q
+
+
+def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
+    """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap."""
+    ambient_q = _ambient_size(n, eps, q0)
     F = finite_field(ambient_q)
     identity = mat_identity(n)
     elements = []
@@ -405,7 +412,8 @@ class CycloScalar:
 
     def __init__(self, p: int, coords):
         coords = [Fraction(c) for c in coords]
-        assert len(coords) == p
+        if len(coords) != p:
+            raise ContractError(f"{len(coords)} coordinates for an element of Q(zeta_{p})")
         last = coords[-1]
         if last:
             coords = [c - last for c in coords]
@@ -456,7 +464,7 @@ class CycloScalar:
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"not rational: {self.coords}")
+            raise ContractError(f"not rational: {self.coords}")
         return self.coords[0]
 
     def __eq__(self, other) -> bool:
@@ -495,6 +503,18 @@ def _gl_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloScal
     return out
 
 
+def check_unitary_oracle(n: int, q0: int) -> None:
+    """The unitary Gelfand-Graev oracle works in GU_2(q0) with q0 prime, where
+    the trace-zero line is one-dimensional over the prime field; any other
+    unitary configuration raises CapExceededError."""
+    if n != 2:
+        raise CapExceededError("unitary Gelfand-Graev oracle only supports n = 2")
+    if is_prime_power(q0) != (q0, 1):
+        raise CapExceededError(
+            "unitary Gelfand-Graev oracle needs a prime defining field"
+        )
+
+
 def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloScalar]:
     """A maximal unipotent subgroup of GU_2(q0) with a nontrivial character.
 
@@ -505,13 +525,8 @@ def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloSca
     into GU_2, and put the character on the trace-zero line.  Requires q0
     prime so that line is one-dimensional over the prime field.
     """
+    check_unitary_oracle(G.n, G.q0)
     F, q0 = G.field, G.q0
-    if G.n != 2:
-        raise CapExceededError("unitary Gelfand-Graev oracle only supports n = 2")
-    if F.p != q0:
-        raise CapExceededError(
-            "unitary Gelfand-Graev oracle needs a prime defining field"
-        )
     p = q0
     add, mul, neg = F.add, F.mul, F.neg
 
@@ -521,34 +536,40 @@ def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloSca
     def herm(u, v):  # conjugate-linear in the first argument
         return add[mul[bar(u[0])][v[0]]][mul[bar(u[1])][v[1]]]
 
-    # isotropic e, then f with h(e, f) = 1 and h(f, f) = 0
-    e = next(
-        v
-        for v in itertools.product(range(F.q), repeat=2)
-        if v != (0, 0) and herm(v, v) == 0
-    )
-    f0 = next(v for v in itertools.product(range(F.q), repeat=2) if herm(e, v) != 0)
-    s = F.inv[herm(e, f0)]
-    f1 = (mul[s][f0[0]], mul[s][f0[1]])
-    beta = herm(f1, f1)
-    mu_shift = next(
-        m for m in range(F.q) if add[m][bar(m)] == neg[beta]
-    )
+    # isotropic e, then f with h(e, f) = 1 and h(f, f) = 0, and the trace-zero
+    # line delta0 * F_p
+    try:
+        e = next(
+            v
+            for v in itertools.product(range(F.q), repeat=2)
+            if v != (0, 0) and herm(v, v) == 0
+        )
+        f0 = next(v for v in itertools.product(range(F.q), repeat=2) if herm(e, v) != 0)
+        s = F.inv[herm(e, f0)]
+        f1 = (mul[s][f0[0]], mul[s][f0[1]])
+        beta = herm(f1, f1)
+        mu_shift = next(
+            m for m in range(F.q) if add[m][bar(m)] == neg[beta]
+        )
+        delta0 = next(x for x in range(1, F.q) if add[x][bar(x)] == 0)
+    except StopIteration:
+        raise ContractError(
+            f"{G.name}: no hyperbolic pair or trace-zero element in F_{F.q}"
+        ) from None
     f = (add[f1[0]][mul[mu_shift][e[0]]], add[f1[1]][mul[mu_shift][e[1]]])
-    assert herm(e, e) == 0 and herm(f, f) == 0 and herm(e, f) == 1
     P: Mat = ((e[0], f[0]), (e[1], f[1]))
     P_inv = mat_inv(F, P)
-    assert P_inv is not None
+    if (herm(e, e), herm(f, f), herm(e, f)) != (0, 0, 1) or P_inv is None:
+        raise ContractError(f"{G.name}: {e}, {f} is not a hyperbolic basis")
 
-    # the trace-zero line delta0 * F_p
-    delta0 = next(x for x in range(1, F.q) if add[x][bar(x)] == 0)
     membership = set(G.elements)
     out: dict[Mat, CycloScalar] = {}
     for a in range(p):  # prime-subfield elements are encoded as 0..p-1
         x = mul[delta0][a]
         u_j: Mat = ((1, x), (0, 1))
         u = mat_mul(F, mat_mul(F, P, u_j), P_inv)
-        assert u in membership, "constructed root element escaped GU_2"
+        if u not in membership:
+            raise ContractError(f"{G.name}: constructed root element {u} escaped GU_2")
         expo = selector * a % p
         out[u] = CycloScalar.root_power(p, expo)
     return out
@@ -580,6 +601,8 @@ def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
     class_of = G.class_index()
     per_class: dict[int, CycloScalar] = {}
     for u, val in U.items():
+        if u not in class_of:
+            raise ContractError(f"{G.name}: Whittaker element {u} is not in the group")
         idx = class_of[u]
         per_class[idx] = per_class.get(idx, CycloScalar.zero(p)) + val
     total = Fraction(0)
@@ -591,7 +614,8 @@ def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
         norm = (chi * chi.conj()).to_rational()
         total += Fraction(size) * norm
     inner = total / order
-    assert inner.denominator == 1, f"inner product not integral: {inner}"
+    if inner.denominator != 1:
+        raise ContractError(f"{G.name}: Gelfand-Graev inner product not integral: {inner}")
     return int(inner)
 
 
@@ -600,7 +624,8 @@ def regular_rep_inner(G: OracleGroup) -> int:
     character (|G| at the identity, 0 elsewhere)."""
     order = G.order
     inner = Fraction(order * order, order)
-    assert inner.denominator == 1
+    if inner.denominator != 1:
+        raise ContractError(f"{G.name}: regular inner product not integral: {inner}")
     return int(inner)
 
 
@@ -615,8 +640,10 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
     Gelfand-Graev inner products against endo_dim specializations."""
     from .grouporders import class_size, group_order
     from .kawanaka import endo_dim
-    from .partitions import partitions_of
 
+    _ambient_size(n, eps, q0)
+    if eps == -1:  # refuse before the enumeration, not after it
+        check_unitary_oracle(n, q0)
     G = enumerate_group(n, eps, q0)
     checks = []
 

@@ -1,8 +1,11 @@
-"""Exact univariate polynomial and Laurent-polynomial arithmetic.
+"""Exact univariate polynomial arithmetic: the package's one public
+polynomial type.
 
-Everything downstream (Green polynomials, character values, order formulas)
-is computed in these rings with `fractions.Fraction` coefficients — no floats
-anywhere.  Two formal variables appear in practice:
+Everything the package returns (Green polynomials, character values, order
+formulas, endomorphism dimensions) is a `RationalPoly` with
+`fractions.Fraction` coefficients — no floats anywhere, and no negative
+powers: every such quantity is a genuine polynomial.  Two formal variables
+appear in practice:
 
 * ``t`` — the Hall–Littlewood / Green polynomial variable,
 * ``q`` — the field-size variable of the finite groups of Lie type.
@@ -15,9 +18,9 @@ is the only sanctioned bridge between the two.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .errors import NegativeValuationError, NonExactDivisionError, VariableMismatchError
+from .errors import NonExactDivisionError, VariableMismatchError
 
 Scalar = Union[int, Fraction]
 
@@ -58,7 +61,7 @@ class RationalPoly:
     @classmethod
     def monomial(cls, k: int, c: Scalar = 1, var: str = "t") -> "RationalPoly":
         if k < 0:
-            raise ValueError("monomial exponent must be >= 0 (use LaurentPoly)")
+            raise ValueError(f"monomial exponent must be >= 0, got {k}")
         return cls((0,) * k + (Fraction(c),), var)
 
     # -- structure ----------------------------------------------------
@@ -81,9 +84,6 @@ class RationalPoly:
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -199,193 +199,49 @@ def exact_div(f: RationalPoly, g: RationalPoly) -> RationalPoly:
     return q
 
 
-class LaurentPoly:
-    """A Laurent polynomial c_v x^v + ... stored as (RationalPoly, valuation).
-
-    Normal form: the underlying polynomial has a nonzero constant term (the
-    valuation soaks up every factor of x), and the zero element is stored with
-    valuation 0.
-    """
-
-    __slots__ = ("poly", "val")
-
-    def __init__(self, poly: RationalPoly, val: int = 0):
-        if poly.is_zero():
-            poly, val = RationalPoly((), poly.var), 0
-        else:
-            shift = next(i for i, c in enumerate(poly.coeffs) if c != 0)
-            if shift:
-                poly = RationalPoly(poly.coeffs[shift:], poly.var)
-                val += shift
-        self.poly = poly
-        self.val = val
-
-    @classmethod
-    def const(cls, c: Scalar, var: str = "t") -> "LaurentPoly":
-        return cls(RationalPoly.const(c, var))
-
-    @classmethod
-    def monomial(cls, k: int, c: Scalar = 1, var: str = "t") -> "LaurentPoly":
-        return cls(RationalPoly.const(c, var), k)
-
-    @property
-    def var(self) -> str:
-        return self.poly.var
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    @property
-    def valuation(self) -> int:
-        """Lowest exponent with nonzero coefficient (0 for the zero element)."""
-        return self.val
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree + self.val
-
-    def coeff(self, k: int) -> Fraction:
-        return self.poly.coeff(k - self.val)
-
-    def leading(self) -> Fraction:
-        return self.poly.leading()
-
-    def is_monic(self) -> bool:
-        return self.poly.is_monic()
-
-    def is_polynomial(self) -> bool:
-        """True when no genuinely negative power survives."""
-        return self.is_zero() or self.val >= 0
-
-    def as_poly(self) -> RationalPoly:
-        """Forget the Laurent structure; requires valuation >= 0."""
-        if not self.is_polynomial():
-            raise ValueError(f"valuation {self.val} < 0: not a polynomial")
-        return RationalPoly((0,) * self.val + tuple(self.poly.coeffs), self.var)
-
-    def _coerce(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, RationalPoly):
-            return LaurentPoly(other)
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other, self.var)
-        return NotImplemented
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        v = min(self.val, other.val)
-        a = RationalPoly((0,) * (self.val - v) + tuple(self.poly.coeffs), self.var)
-        b = RationalPoly((0,) * (other.val - v) + tuple(other.poly.coeffs), other.var)
-        return LaurentPoly(a + b, v)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(-self.poly, self.val)
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentPoly(self.poly * other.poly, self.val + other.val)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            other = self._coerce(other)
-        return (
-            isinstance(other, LaurentPoly)
-            and self.var == other.var
-            and self.val == other.val
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.val, self.poly))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({pretty(self)!r})"
-
-    def __call__(self, x: Scalar) -> Fraction:
-        if self.val < 0 and x == 0:
-            raise NegativeValuationError(
-                f"cannot evaluate valuation-{self.val} Laurent polynomial at 0"
-            )
-        base = self.poly(x)
-        if self.val >= 0:
-            return base * Fraction(x) ** self.val
-        return base / Fraction(x) ** (-self.val)
-
-
-def substitute_signed(f: Union[RationalPoly, LaurentPoly], eps: int) -> LaurentPoly:
+def substitute_signed(f: RationalPoly, eps: int) -> RationalPoly:
     """Substitute t -> eps*q (eps = +1 or -1): the coefficient of t^d picks up
     a factor eps^d and the variable tag flips from 't' to 'q'."""
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    if isinstance(f, RationalPoly):
-        f = LaurentPoly(f)
     if f.var != "t":
         raise VariableMismatchError(f"substitute_signed expects variable 't', got '{f.var}'")
-    coeffs = [c * eps ** ((f.val + i) % 2) for i, c in enumerate(f.poly.coeffs)]
-    return LaurentPoly(RationalPoly(coeffs, "q"), f.val)
-
-
-def reciprocal_shift(f: Union[RationalPoly, LaurentPoly], d: int) -> LaurentPoly:
-    """x^d * f(1/x): the term c*x^k becomes c*x^(d-k).  Same variable tag."""
-    if isinstance(f, RationalPoly):
-        f = LaurentPoly(f)
-    if f.is_zero():
-        return f
-    coeffs = tuple(reversed(f.poly.coeffs))
-    return LaurentPoly(RationalPoly(coeffs, f.var), d - f.degree)
+    return RationalPoly((c * eps ** (k % 2) for k, c in enumerate(f.coeffs)), "q")
 
 
 # -- serialization ----------------------------------------------------
 
 
-def poly_to_json(f: Union[RationalPoly, LaurentPoly]) -> dict:
-    """Wire format: {"var": ..., "val": valuation, "coeffs": [[num, den], ...]}
-    with coefficients lowest-degree first as decimal strings."""
-    if isinstance(f, RationalPoly):
-        f = LaurentPoly(f)
+def poly_to_json(f: RationalPoly) -> dict:
+    """Wire format: {"var": ..., "val": v, "coeffs": [[num, den], ...]} where v
+    is the lowest exponent with a nonzero coefficient (0 for the zero
+    polynomial) and the coefficients run from x^v upwards as decimal strings."""
+    val = next((k for k, c in enumerate(f.coeffs) if c), 0)
     return {
         "var": f.var,
-        "val": f.val,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in f.poly.coeffs],
+        "val": val,
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in f.coeffs[val:]],
     }
 
 
-def poly_from_json(data: dict) -> LaurentPoly:
+def poly_from_json(data: dict) -> RationalPoly:
+    val = int(data["val"])
+    if val < 0:
+        raise ValueError(f"negative valuation {val}: not a polynomial")
     coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-    return LaurentPoly(RationalPoly(coeffs, data["var"]), int(data["val"]))
+    return RationalPoly([0] * val + coeffs, data["var"])
 
 
-def pretty(f: Union[RationalPoly, LaurentPoly], var: str | None = None) -> str:
+def pretty(f: RationalPoly, var: str | None = None) -> str:
     """Render highest-degree first, e.g. 'q^5 - q^4 + 2q^2 - 1'."""
-    if isinstance(f, RationalPoly):
-        f = LaurentPoly(f)
     if f.is_zero():
         return "0"
     var = var or f.var
     pieces: list[tuple[str, str]] = []
-    for i in range(len(f.poly.coeffs) - 1, -1, -1):
-        c = f.poly.coeffs[i]
+    for k in range(f.degree, -1, -1):
+        c = f.coeffs[k]
         if c == 0:
             continue
-        k = i + f.val
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:

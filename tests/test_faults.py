@@ -1,7 +1,10 @@
 """Fault injection: a perturbed table makes the check that guards it fail.
-Verification reports the failure as FAIL records and the command exits 1,
-with no traceback, also under ``python -O`` (the checks are not asserts)."""
+Verification reports the failure as FAIL records, and the command exits 1
+with a one-line message and no traceback, also under ``python -O`` (the
+package has no asserts)."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import pytest
 import gggr.green as green
 import gggr.grouporders as grouporders
 import gggr.kawanaka as kawanaka
+import gggr.oracle as oracle
 import gggr.symfunc as symfunc
 from gggr.cli import main
 from gggr.errors import ContractError, NonExactDivisionError
@@ -123,12 +127,66 @@ def test_centralizer_negative_power_is_typed(inject):
     assert report.results[-1].poly is None
 
 
+def corrupt_f4(field):
+    """x + (x + 1) = x in place of 1 in the addition table of F_4 (elements
+    0, 1, x, x + 1 encoded as 0..3), so the trace x + x^2 of x reads x."""
+    field.add[2][3] = 2
+
+
+@pytest.fixture
+def field_f4():
+    """The cached F_4, to be corrupted in place; the cache is cleared after."""
+    oracle.finite_field.cache_clear()
+    yield oracle.finite_field(4)
+    oracle.finite_field.cache_clear()
+
+
+def test_field_entry_fails_oracle_trace(field_f4, capsys):
+    corrupt_f4(field_f4)
+    with pytest.raises(ContractError, match="left the prime field"):
+        oracle.oracle_report(2, 1, 4)
+    assert main(["oracle", "--n", "2", "--q", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "gggr: check failed: trace of 2 in F_4 left the prime field: 2\n"
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0, table, a, b, value, message",
+    [
+        (2, 1, 4, "add", 0, 0, 1, "Whittaker element ((1, 0), (0, 1)) is not in the group"),
+        (2, -1, 2, "add", 1, 1, 1, "an enumerated element is singular"),
+        (2, -1, 2, "add", 0, 1, 2, "no hyperbolic pair or trace-zero element"),
+        (2, -1, 2, "add", 2, 3, 0, "is not a hyperbolic basis"),
+    ],
+)
+def test_field_entry_fails_oracle_construction(
+    field_f4, capsys, n, eps, q0, table, a, b, value, message
+):
+    # each corruption breaks one step of the class split or of building the
+    # Whittaker data, which must fail as a check, not as some other exception
+    getattr(field_f4, table)[a][b] = value
+    assert main(["oracle", "--n", str(n), "--q", str(q0), "--eps", f"{eps:+d}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gggr: check failed: ") and err.count("\n") == 1
+    assert message in err
+
+
+def run_optimized(script):
+    """Run a script under ``python -O`` on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "import sys\n"
+         "if sys.flags.optimize != 1: sys.exit(5)\n" + script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_checks_survive_python_O():
     script = (
-        "import sys\n"
         "import gggr.green, gggr.kawanaka\n"
         "from gggr.cli import main\n"
-        "if sys.flags.optimize != 1: sys.exit(5)\n"
         "def bad(n):\n"
         "    t = [list(r) for r in gggr.green.green_matrix(n)]\n"
         "    t[0][0] = (t[0][0][0] + 1,) + t[0][0][1:]\n"
@@ -136,13 +194,33 @@ def test_checks_survive_python_O():
         "gggr.kawanaka.green_matrix = bad\n"
         "sys.exit(main(['verify', '--n', '4', '--eps', '-1', '--format', 'csv']))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stderr == ""
     rows = done.stdout.splitlines()
     assert rows[0] == "mu,degree,monic,pass"
     assert len(rows) == 6 and all(row.endswith(",False") for row in rows[1:])
+
+
+def test_oracle_checks_survive_python_O():
+    script = inspect.getsource(corrupt_f4) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "corrupt_f4(gggr.oracle.finite_field(4))\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '4']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "gggr: check failed: trace of 2 in F_4 left the prime field: 2\n"
+
+
+def test_package_has_no_assert_statements():
+    # an assert vanishes under python -O; checks raise typed errors instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "gggr").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

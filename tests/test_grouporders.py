@@ -13,7 +13,7 @@ from gggr.grouporders import (
     unipotent_centralizer_order,
 )
 from gggr.partitions import Partition, n_stat, partitions_of
-from gggr.polyring import RationalPoly, reciprocal_shift, substitute_signed
+from gggr.polyring import RationalPoly, substitute_signed
 
 P = Partition
 q = RationalPoly.gen("q")
@@ -64,13 +64,15 @@ def test_torus_order_is_product_form():
 
 
 def test_torus_order_via_e_poly():
-    # q^n * e_rho at (eps*q)^{-1} reproduces the product formula
+    # q^n * e_rho at (eps*q)^{-1} reproduces the product formula; with
+    # deg e_rho = n that is e_rho(eps q) with its coefficients reversed
     for n in range(1, 7):
         for eps in (1, -1):
             for rho in partitions_of(n):
                 e_at = substitute_signed(e_poly(rho), eps)
-                alt = (RationalPoly.gen("q") ** n) * reciprocal_shift(e_at, 0)
-                assert alt.as_poly() == torus_order(rho, eps)
+                assert e_at.degree == n
+                alt = RationalPoly(e_at.coeffs[::-1], "q")
+                assert alt == torus_order(rho, eps)
 
 
 def test_torus_orders_multiply_up():

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from gggr.errors import CapExceededError
+import gggr.oracle as oracle
+from gggr.cli import main
+from gggr.errors import CapExceededError, ContractError
 from gggr.grouporders import class_size, group_order
 from gggr.kawanaka import endo_dim
 from gggr.oracle import (
@@ -164,7 +166,7 @@ class TestCycloScalar:
     def test_rationality(self):
         z = CycloScalar.root_power(3, 1)
         assert not z.is_rational()
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):
             z.to_rational()
         assert (z + z.conj() + CycloScalar.rational(3, 1)) == CycloScalar.zero(3)
 
@@ -191,6 +193,24 @@ def test_gu_oracle_needs_prime_field():
     G = enumerate_group(2, -1, 4)
     with pytest.raises(CapExceededError):
         gelfand_graev_inner(G)
+
+
+def test_unsupported_unitary_oracle_fails_before_enumerating(monkeypatch, capsys):
+    def no_enumeration(n, eps, q0):
+        raise RuntimeError(f"enumerated ({n}, {eps}, {q0})")
+
+    monkeypatch.setattr(oracle, "enumerate_group", no_enumeration)
+    with pytest.raises(CapExceededError, match="only supports n = 2"):
+        oracle_report(3, -1, 2)
+    with pytest.raises(CapExceededError, match="needs a prime defining field"):
+        oracle_report(2, -1, 4)
+    assert main(["oracle", "--n", "3", "--q", "2", "--eps", "-1"]) == 3
+    assert "only supports n = 2" in capsys.readouterr().err
+    # supported configurations, and invalid ones, still go the usual way
+    with pytest.raises(RuntimeError, match="enumerated"):
+        oracle_report(2, -1, 3)
+    with pytest.raises(ValueError, match="q0 must be one of"):
+        oracle_report(2, -1, 6)
 
 
 def test_regular_rep_inner():

@@ -1,5 +1,5 @@
-"""Exact polynomial arithmetic: ring axioms on random inputs, the Laurent
-normal form, and the two substitutions everything downstream leans on."""
+"""Exact polynomial arithmetic: ring axioms on random inputs, the signed
+substitution everything downstream leans on, and the JSON wire format."""
 
 import json
 import random
@@ -7,20 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from gggr.errors import (
-    NegativeValuationError,
-    NonExactDivisionError,
-    VariableMismatchError,
-)
+from gggr.errors import NonExactDivisionError, VariableMismatchError
 from gggr.polyring import (
-    LaurentPoly,
     RationalPoly,
     div_rem,
     exact_div,
     poly_from_json,
     poly_to_json,
     pretty,
-    reciprocal_shift,
     substitute_signed,
 )
 
@@ -110,39 +104,14 @@ def test_exact_div():
         exact_div(t**2, t - 1)
 
 
-def test_laurent_normal_form():
-    t = RationalPoly.gen("t")
-    f = LaurentPoly(t**2 + t, -3)  # t^-2 + t^-1
-    assert f.val == -2
-    assert f.degree == -1
-    z = LaurentPoly(RationalPoly.zero("t"), 5)
-    assert z.is_zero() and z.val == 0
-
-
-def test_laurent_arithmetic():
-    t = RationalPoly.gen("t")
-    a = LaurentPoly(t + 1, -1)  # t^-1 + 1
-    b = LaurentPoly(t - 1, 0)
-    assert (a * b).coeff(-1) == -1
-    assert (a * b).coeff(1) == 1
-    assert a + (-a) == LaurentPoly(RationalPoly.zero("t"), 0)
-    # evaluation refuses 0 when a genuine pole is present
-    with pytest.raises(NegativeValuationError):
-        a(0)
-    assert a(2) == Fraction(3, 2)
-
-
 def test_substitute_signed():
     t = RationalPoly.gen("t")
     # eps = +1 just renames the variable
     f = substitute_signed(t**2 - t + 3, 1)
-    assert f.as_poly() == RationalPoly([3, -1, 1], "q")
+    assert f == RationalPoly([3, -1, 1], "q")
     # eps = -1 flips odd-degree coefficients: t -> -q
     g = substitute_signed(t**2 - t + 3, -1)
-    assert g.as_poly() == RationalPoly([3, 1, 1], "q")
-    # Laurent input: t^-1 + t picks up signs on both odd exponents
-    h = substitute_signed(LaurentPoly(RationalPoly([1, 0, 1], "t"), -1), -1)
-    assert h.coeff(-1) == -1 and h.coeff(1) == -1
+    assert g == RationalPoly([3, 1, 1], "q")
 
 
 def test_substitute_signed_agrees_with_evaluation():
@@ -154,25 +123,33 @@ def test_substitute_signed_agrees_with_evaluation():
             assert substitute_signed(f, 1)(q0) == f(q0)
 
 
-def test_reciprocal_shift():
-    t = RationalPoly.gen("t")
-    # x^2 * f(1/x) for f = t^2 - t + 2 gives 2t^2 - t + 1
-    f = reciprocal_shift(t**2 - t + 2, 2)
-    assert f.as_poly() == RationalPoly([1, -1, 2], "t")
-    # monic stays monic-with-constant-term-1 flipped
-    g = reciprocal_shift(t**3 + 1, 3)
-    assert g.as_poly() == RationalPoly([1, 0, 0, 1], "t")
-    # shift smaller than the degree leaves a genuine Laurent tail
-    h = reciprocal_shift(t**2 + t, 1)
-    assert h.val == -1
-
-
 def test_json_round_trip():
+    # "val" is the lowest exponent with a nonzero coefficient
     rng = random.Random(31337)
-    for _ in range(30):
-        f = LaurentPoly(rand_poly(rng, var="q"), rng.randrange(-3, 4))
-        blob = json.dumps(poly_to_json(f))
-        assert poly_from_json(json.loads(blob)) == f
+    for _ in range(60):
+        f = rand_poly(rng, var="q") * RationalPoly.monomial(rng.randrange(4), 1, "q")
+        data = json.loads(json.dumps(poly_to_json(f)))
+        low = next((k for k, c in enumerate(f.coeffs) if c), 0)
+        assert data["val"] == low
+        assert len(data["coeffs"]) == len(f.coeffs) - low
+        assert poly_from_json(data) == f
+
+
+def test_json_valuation():
+    q = RationalPoly.gen("q")
+    assert poly_to_json(q**3 - q**2) == {
+        "var": "q",
+        "val": 2,
+        "coeffs": [["-1", "1"], ["1", "1"]],
+    }
+    zero = {"var": "q", "val": 0, "coeffs": []}
+    assert poly_to_json(RationalPoly.zero("q")) == zero
+    assert poly_from_json(zero) == RationalPoly.zero("q")
+
+
+def test_json_rejects_negative_valuation():
+    with pytest.raises(ValueError, match="negative valuation"):
+        poly_from_json({"var": "q", "val": -1, "coeffs": [["1", "1"]]})
 
 
 def test_json_shape():
@@ -192,4 +169,4 @@ def test_pretty():
     assert pretty(RationalPoly.const(-3, "q")) == "-3"
     assert pretty(q + 1) == "q + 1"
     assert pretty(-q) == "-q"
-    assert pretty(LaurentPoly(q + 2, -1)) == "1 + 2q^-1"
+    assert pretty(q**2 + 2 * q) == "q^2 + 2q"
