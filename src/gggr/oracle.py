@@ -7,6 +7,15 @@ classes, read off Jordan types, and compute Gelfand-Graev inner products in
 exact cyclotomic arithmetic.  Nothing here touches the symbolic pipeline
 except the final comparisons.
 
+GL_n is enumerated row by row (each row outside the span of the rows before
+it) and GU_n column by column (each column a unit vector orthogonal to the
+columns before it), both in the lexicographic order of the ambient matrix
+space.  A generating set is then found and checked by closure: the elements
+must be exactly the products of generators.  Each conjugacy class is the orbit
+of its first element under conjugation by the generators (the standard orbit
+algorithm; Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+2005, section 4.1).
+
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
 Hermitian form.
@@ -24,8 +33,10 @@ from .errors import CapExceededError, ContractError
 from .grouporders import check_eps
 from .partitions import Partition, conjugate, partitions_of
 
-#: Ambient enumeration budget: the oracle iterates over every matrix of the
-#: ambient space, so q0^(n^2) (GL) or (q0^2)^(n^2) (GU) must stay below this.
+#: Enumeration budget on the size of the ambient matrix space: q0^(n^2) (GL)
+#: or (q0^2)^(n^2) (GU) must not exceed it.  The enumeration does not visit
+#: that space, so this bounds |G| only loosely: GL_3(5), with 1 488 000
+#: elements, passes it.
 ENUMERATION_CAP = 10**7
 
 #: Field sizes the oracle accepts as defining fields.
@@ -263,15 +274,6 @@ def mat_rank(F: FiniteField, A: Mat) -> int:
     return rank
 
 
-def conj_transpose(F: FiniteField, A: Mat, q0: int) -> Mat:
-    """Transpose composed with the entrywise q0-power (the bar involution of
-    F_{q0^2} over F_{q0})."""
-    n = len(A)
-    return tuple(
-        tuple(F.power(A[j][i], q0) for j in range(n)) for i in range(n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Group enumeration and conjugacy classes
 # ---------------------------------------------------------------------------
@@ -315,20 +317,69 @@ class OracleGroup:
             self._split_classes()
         return self._class_of
 
+    def _outside(self, h: Mat) -> ContractError:
+        return ContractError(f"{self.name}: the product {h} is not an enumerated element")
+
+    def _generator_tables(self, index: dict[Mat, int]) -> list[tuple[dict, dict]]:
+        """A generating set, found and checked by closure.  Walk the elements
+        in order; each one not yet reached from the identity by right
+        multiplication becomes a generator, and the closure is recomputed.
+        Every product must be an enumerated element.  Each generator s is
+        returned as two tables over all vectors: v -> v*s on rows and
+        c -> s^-1*c on columns."""
+        F, n, elements = self.field, self.n, self.elements
+        start = index.get(mat_identity(n))
+        if start is None:
+            raise ContractError(f"{self.name}: the identity is not an enumerated element")
+        vectors = list(itertools.product(range(F.q), repeat=n))
+        tables: list[tuple[dict, dict]] = []
+        reached = bytearray(len(elements))
+        for i, s in enumerate(elements):
+            if reached[i]:
+                continue
+            s_inv = mat_inv(F, s)
+            if s_inv is None:
+                raise ContractError(f"{self.name}: an enumerated element is singular")
+            # row 0 of (v; ...; v)*s is v*s; column 0 of s^-1*(c ... c) is s^-1*c
+            right = {v: mat_mul(F, (v,) * n, s)[0] for v in vectors}
+            left = {c: next(zip(*mat_mul(F, s_inv, tuple(zip(*(c,) * n))))) for c in vectors}
+            tables.append((right, left))
+            reached = bytearray(len(elements))
+            reached[start] = 1
+            frontier = [elements[start]]
+            for g in frontier:
+                for times_s, _ in tables:
+                    h = tuple(map(times_s.__getitem__, g))
+                    j = index.get(h)
+                    if j is None:
+                        raise self._outside(h)
+                    if not reached[j]:
+                        reached[j] = 1
+                        frontier.append(h)
+        return tables
+
     def _split_classes(self) -> None:
-        F = self.field
-        inverses = {g: mat_inv(F, g) for g in self.elements}
-        if None in inverses.values():
-            raise ContractError(f"{self.name}: an enumerated element is singular")
+        """Each class is the breadth-first orbit of its first element under
+        h -> s^-1*h*s for s in the generating set."""
+        index = {g: i for i, g in enumerate(self.elements)}
+        tables = self._generator_tables(index)
         class_of: dict[Mat, int] = {}
         classes: list[ConjClass] = []
         for g in self.elements:
             if g in class_of:
                 continue
-            orbit = {mat_mul(F, mat_mul(F, x, g), inverses[x]) for x in self.elements}
             idx = len(classes)
-            for m in orbit:
-                class_of[m] = idx
+            class_of[g] = idx
+            orbit = [g]
+            for h in orbit:
+                for right, left in tables:
+                    # columns of h through s^-1, then rows of s^-1*h through s
+                    c = tuple(map(right.__getitem__, zip(*map(left.__getitem__, zip(*h)))))
+                    if c not in class_of:
+                        if c not in index:
+                            raise self._outside(c)
+                        class_of[c] = idx
+                        orbit.append(c)
             classes.append(ConjClass(g, len(orbit), self.jordan_type(g)))
         self._class_of = class_of
         self._classes = classes
@@ -379,22 +430,65 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     return ambient_q
 
 
+def _gl_elements(F: FiniteField, n: int) -> list[Mat]:
+    """GL_n(F) row by row: row k is any vector outside the span of rows
+    0..k-1.  Rows run through the vectors in lexicographic order, so the
+    matrices come out in the lexicographic order of their entries."""
+    add, mul, q = F.add, F.mul, F.q
+    vectors = list(itertools.product(range(q), repeat=n))
+    out: list[Mat] = []
+
+    def extend(rows: Mat, span: set) -> None:
+        for v in vectors:
+            if v in span:
+                continue
+            if len(rows) == n - 1:
+                out.append(rows + (v,))
+                continue
+            multiples = [tuple(mul[c][x] for x in v) for c in range(q)]
+            wider = {tuple(add[a][b] for a, b in zip(w, m)) for w in span for m in multiples}
+            extend(rows + (v,), wider)
+
+    extend((), {(0,) * n})
+    return out
+
+
+def _gu_elements(F: FiniteField, n: int, q0: int) -> list[Mat]:
+    """GU_n(q0) column by column: column k is a unit vector orthogonal to
+    columns 0..k-1 for the identity Hermitian form.  Together these are the
+    entries of g*g = 1, each summed in the order mat_mul sums it.  Sorted
+    into the lexicographic order of the entries."""
+    add, mul = F.add, F.mul
+    bar = [F.power(a, q0) for a in range(F.q)]
+
+    def herm(u: tuple, v: tuple) -> int:  # conjugate-linear in u
+        acc = 0
+        for x, y in zip(u, v):
+            acc = add[acc][mul[bar[x]][y]]
+        return acc
+
+    units = [v for v in itertools.product(range(F.q), repeat=n) if herm(v, v) == 1]
+    out: list[Mat] = []
+
+    def extend(cols: tuple) -> None:
+        for v in units:
+            if any(herm(c, v) or herm(v, c) for c in cols):
+                continue
+            if len(cols) == n - 1:
+                out.append(tuple(zip(*cols, v)))
+            else:
+                extend(cols + (v,))
+
+    extend(())
+    out.sort()
+    return out
+
+
 def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
-    """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap."""
-    ambient_q = _ambient_size(n, eps, q0)
-    F = finite_field(ambient_q)
-    identity = mat_identity(n)
-    elements = []
-    if eps == 1:
-        for flat in itertools.product(range(q0), repeat=n * n):
-            g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if mat_rank(F, g) == n:
-                elements.append(g)
-    else:
-        for flat in itertools.product(range(ambient_q), repeat=n * n):
-            g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if mat_mul(F, conj_transpose(F, g, q0), g) == identity:
-                elements.append(g)
+    """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap,
+    in the lexicographic order of their entries."""
+    F = finite_field(_ambient_size(n, eps, q0))
+    elements = _gl_elements(F, n) if eps == 1 else _gu_elements(F, n, q0)
     return OracleGroup(n, eps, q0, F, elements)
 
 
@@ -620,10 +714,16 @@ def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
 
 
 def regular_rep_inner(G: OracleGroup) -> int:
-    """<chi_reg, chi_reg> = |G|, computed literally from the regular
-    character (|G| at the identity, 0 elsewhere)."""
+    """<chi_reg, chi_reg> = (1/|G|) sum_classes size * chi_reg^2 over the
+    class split, where the regular character chi_reg is |G| on the class of
+    the identity and 0 on every other class."""
     order = G.order
-    inner = Fraction(order * order, order)
+    identity = G.class_index()[mat_identity(G.n)]
+    total = sum(
+        cls.size * (order if idx == identity else 0) ** 2
+        for idx, cls in enumerate(G.classes())
+    )
+    inner = Fraction(total, order)
     if inner.denominator != 1:
         raise ContractError(f"{G.name}: regular inner product not integral: {inner}")
     return int(inner)

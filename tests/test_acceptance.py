@@ -100,14 +100,15 @@ def test_criterion_6_x_degree_law():
 
 def test_criterion_7_brute_force_oracle_equivalence():
     started = time.time()
-    for (n, q0, eps) in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, -1)]:
+    groups = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, -1), (3, 3, 1), (4, 2, 1), (2, 5, -1)]
+    for (n, q0, eps) in groups:
         report = oracle_report(n, eps, q0)
         assert report["pass"], report
         failing = [c for c in report["checks"] if not c["ok"]]
         assert not failing
     elapsed = time.time() - started
     assert elapsed < 300, f"took {elapsed:.1f}s"
-    print(f"criterion 7: PASS (4 enumerated groups, {elapsed:.2f}s)")
+    print(f"criterion 7: PASS ({len(groups)} enumerated groups, {elapsed:.2f}s)")
 
 
 def test_criterion_8_class_size_sum():

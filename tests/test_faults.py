@@ -4,8 +4,10 @@ with a one-line message and no traceback, also under ``python -O`` (the
 package has no asserts)."""
 
 import ast
+import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,22 +143,28 @@ def field_f4():
     oracle.finite_field.cache_clear()
 
 
+#: What the corrupted F_4 of ``corrupt_f4`` trips first in GL2(4): the
+#: enumeration is no longer a group, so the closure check of the generating set
+#: fails before the trace is ever taken.
+GL2_F4_OUTSIDE = "GL2(F4): the product ((2, 2), (2, 2)) is not an enumerated element"
+
+
 def test_field_entry_fails_oracle_trace(field_f4, capsys):
     corrupt_f4(field_f4)
-    with pytest.raises(ContractError, match="left the prime field"):
+    with pytest.raises(ContractError, match=re.escape(GL2_F4_OUTSIDE)):
         oracle.oracle_report(2, 1, 4)
     assert main(["oracle", "--n", "2", "--q", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "gggr: check failed: trace of 2 in F_4 left the prime field: 2\n"
+    assert err == f"gggr: check failed: {GL2_F4_OUTSIDE}\n"
 
 
 @pytest.mark.parametrize(
     "n, eps, q0, table, a, b, value, message",
     [
-        (2, 1, 4, "add", 0, 0, 1, "Whittaker element ((1, 0), (0, 1)) is not in the group"),
+        (2, 1, 4, "add", 0, 0, 1, "GL2(F4): an enumerated element is singular"),
         (2, -1, 2, "add", 1, 1, 1, "an enumerated element is singular"),
-        (2, -1, 2, "add", 0, 1, 2, "no hyperbolic pair or trace-zero element"),
+        (2, -1, 2, "add", 0, 1, 2, "GU2(F2): the identity is not an enumerated element"),
         (2, -1, 2, "add", 2, 3, 0, "is not a hyperbolic basis"),
     ],
 )
@@ -171,6 +179,84 @@ def test_field_entry_fails_oracle_construction(
     assert out == ""
     assert err.startswith("gggr: check failed: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0, table, a, b, value, message",
+    [
+        (2, 1, 4, "add", 2, 3, 2, "^trace of 2 in F_4 left the prime field: 2$"),
+        (2, -1, 2, "add", 0, 1, 2, "no hyperbolic pair or trace-zero element in F_4"),
+    ],
+)
+def test_field_entry_fails_whittaker_construction(
+    field_f4, n, eps, q0, table, a, b, value, message
+):
+    # the group is enumerated and split before the field is corrupted, so the
+    # corruption reaches the Whittaker data, which must fail as a check
+    G = oracle.enumerate_group(n, eps, q0)
+    G.classes()
+    getattr(field_f4, table)[a][b] = value
+    with pytest.raises(ContractError, match=message):
+        oracle.gelfand_graev_inner(G)
+
+
+def test_whittaker_element_outside_the_split_fails():
+    G = oracle.enumerate_group(2, 1, 4)
+    del G.class_index()[oracle.mat_identity(2)]
+    with pytest.raises(
+        ContractError, match=re.escape("Whittaker element ((1, 0), (0, 1)) is not in the group")
+    ):
+        oracle.gelfand_graev_inner(G)
+
+
+def drop_element(enumerate_group, which):
+    """``enumerate_group`` with one element left out of every group: the
+    identity, or else the last element."""
+
+    def enumerate_without(n, eps, q0):
+        G = enumerate_group(n, eps, q0)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        del G.elements[G.elements.index(identity) if which == "identity" else -1]
+        return G
+
+    return enumerate_without
+
+
+def dropped_message(which):
+    if which == "identity":
+        return "gggr: check failed: GL2(F3): the identity is not an enumerated element\n"
+    last = oracle.enumerate_group(2, 1, 3).elements[-1]
+    return f"gggr: check failed: GL2(F3): the product {last} is not an enumerated element\n"
+
+
+@pytest.mark.parametrize("which", ["identity", "last"])
+def test_missing_element_fails_oracle_closure(monkeypatch, capsys, which):
+    # the generating set is checked by closure: every product of generators
+    # must be enumerated, starting from the identity
+    message = dropped_message(which)
+    monkeypatch.setattr(oracle, "enumerate_group", drop_element(oracle.enumerate_group, which))
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
+
+
+def test_conjugate_outside_the_group_fails(monkeypatch):
+    # conjugating by a matrix that is not unitary leaves GU2(3)
+    monkeypatch.setattr(oracle, "mat_inv", lambda F, A: ((1, 1), (0, 1)))
+    G = oracle.enumerate_group(2, -1, 3)
+    with pytest.raises(ContractError, match="is not an enumerated element"):
+        G.classes()
+
+
+def test_identity_class_of_size_two_fails_regular_rep_inner():
+    G = oracle.enumerate_group(2, 1, 3)
+    classes = G.classes()
+    idx = G.class_index()[oracle.mat_identity(2)]
+    classes[idx] = dataclasses.replace(classes[idx], size=2)
+    # oracle_report compares it with endo_dim((1, 1)) at q0 = 3, which is |G|
+    assert kawanaka.endo_dim(P((1, 1)), 1)(3) == G.order == 48
+    assert oracle.regular_rep_inner(G) == 96
 
 
 def run_optimized(script):
@@ -212,7 +298,21 @@ def test_oracle_checks_survive_python_O():
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
-    assert done.stderr == "gggr: check failed: trace of 2 in F_4 left the prime field: 2\n"
+    assert done.stderr == f"gggr: check failed: {GL2_F4_OUTSIDE}\n"
+
+
+@pytest.mark.parametrize("which", ["identity", "last"])
+def test_oracle_closure_survives_python_O(which):
+    script = inspect.getsource(drop_element) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        f"gggr.oracle.enumerate_group = drop_element(gggr.oracle.enumerate_group, {which!r})\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == dropped_message(which)
 
 
 def test_package_has_no_assert_statements():

@@ -2,6 +2,7 @@
 Jordan types, cyclotomic arithmetic, and the induced-character inner
 products, cross-checked against the symbolic layer."""
 
+import itertools
 import random
 
 import pytest
@@ -148,6 +149,61 @@ def test_enumeration_caps():
         enumerate_group(2, 1, 6)
     with pytest.raises(ValueError):
         enumerate_group(0, 1, 2)
+
+
+def reference_ambient_scan(n, eps, q0):
+    """Every matrix of the ambient space in lexicographic order, kept if it
+    is invertible (GL) or satisfies g*g = 1 (GU)."""
+    ambient_q = q0 if eps == 1 else q0 * q0
+    F = finite_field(ambient_q)
+    identity = mat_identity(n)
+    out = []
+    for flat in itertools.product(range(ambient_q), repeat=n * n):
+        g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if eps == 1:
+            keep = mat_rank(F, g) == n
+        else:
+            g_star = tuple(tuple(F.power(g[j][i], q0) for j in range(n)) for i in range(n))
+            keep = mat_mul(F, g_star, g) == identity
+        if keep:
+            out.append(g)
+    return out
+
+
+def reference_split(G):
+    """Classes as (rep, size, Jordan type) and the class of each element:
+    the class of the first unclassified element is its set of conjugates
+    x g x^-1 over every element x."""
+    F = G.field
+    inverses = {g: mat_inv(F, g) for g in G.elements}
+    class_of, classes = {}, []
+    for g in G.elements:
+        if g in class_of:
+            continue
+        orbit = {mat_mul(F, mat_mul(F, x, g), inverses[x]) for x in G.elements}
+        for m in orbit:
+            class_of[m] = len(classes)
+        classes.append((g, len(orbit), G.jordan_type(g)))
+    return classes, class_of
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0",
+    [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 2), (3, 1, 3),
+     (2, -1, 2), (2, -1, 3), (2, -1, 4)],
+)
+def test_enumeration_matches_ambient_scan(n, eps, q0):
+    assert enumerate_group(n, eps, q0).elements == reference_ambient_scan(n, eps, q0)
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0", [(2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 3), (2, -1, 4)]
+)
+def test_class_split_matches_conjugation_by_every_element(n, eps, q0):
+    G = enumerate_group(n, eps, q0)
+    classes, class_of = reference_split(G)
+    assert [(c.rep, c.size, c.jordan) for c in G.classes()] == classes
+    assert G.class_index() == class_of
 
 
 class TestCycloScalar:
