@@ -109,8 +109,13 @@ def test_cap_violations_exit_3(capsys):
     assert code == 3 and "cap" in err
     assert run(capsys, "verify", "--n", "11", "--big")[0] == 3
     assert run(capsys, "verify", "--n", "9", "--eps", "-1")[0] == 3
-    assert run(capsys, "green", "--n", "7")[0] == 3
+    assert run(capsys, "green", "--n", "9")[0] == 3
     assert run(capsys, "oracle", "--n", "3", "--q", "9")[0] == 3
+
+
+def test_green_runs_at_the_cap(capsys):
+    code, out, _ = run(capsys, "green", "--n", "8", "--eps", "-1", "--format", "csv")
+    assert code == 0 and out.count("\n") == 1 + 22 * 22  # p(8) = 22
 
 
 def test_help_exits_0(capsys):

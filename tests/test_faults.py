@@ -6,6 +6,7 @@ package has no asserts)."""
 import ast
 import dataclasses
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -259,6 +260,89 @@ def test_identity_class_of_size_two_fails_regular_rep_inner():
     assert oracle.regular_rep_inner(G) == 96
 
 
+# -- the Hall-Littlewood factorisation ----------------------------------------
+
+
+HL_CACHES = (symfunc._hl_factor, symfunc._monomial_count)
+
+
+@pytest.fixture
+def hl_inject(monkeypatch):
+    """Like ``inject``, for the caches of the Hall-Littlewood route."""
+    for cache in HL_CACHES:
+        cache.cache_clear()
+    yield monkeypatch.setattr
+    for cache in HL_CACHES:
+        cache.cache_clear()
+
+
+def hl_fails(n, message):
+    """Every p_rho with rho |- n fails with a ContractError carrying message;
+    a ZeroDivisionError or a bare ArithmeticError is not a ContractError."""
+    for rho in symfunc.partitions_of(n):
+        with pytest.raises(ContractError) as info:
+            symfunc.hall_littlewood_expand(rho)
+        assert str(info.value) == message
+
+
+def test_monomial_count_off_by_one_fails_gram_divisibility(hl_inject):
+    count = symfunc._monomial_count
+    hl_inject(
+        symfunc,
+        "_monomial_count",
+        lambda rho, mu: count(rho, mu) + (tuple(rho) == tuple(mu) == (3, 1)),
+    )
+    hl_fails(4, "n! * G is not divisible by 4! = 24")
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [(4, "n! * G is not divisible by 4! = 24"), (16, "z_rho of (2, 2) does not divide 4!")],
+)
+def test_changed_z_rho_fails(hl_inject, z, message):
+    z_rho = symfunc.weyl_centralizer_order
+    assert z_rho(P((2, 2))) == 8
+    hl_inject(symfunc, "weyl_centralizer_order", lambda rho: z if rho == (2, 2) else z_rho(rho))
+    hl_fails(4, message)
+
+
+def test_perturbed_b_fails_pivot_check(hl_inject):
+    b = symfunc._b
+    hl_inject(symfunc, "_b", lambda la: (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la))
+    hl_fails(4, "the pivot of (2, 1, 1) is not b_la(t)")
+
+
+BILINEAR = symfunc.bilinear
+
+
+def perturbed_gram(mu, la, delta):
+    """``bilinear`` with delta added, times n!, to G[mu][la] and G[la][mu]."""
+
+    def bilinear(a, w, b):
+        out = BILINEAR(a, w, b)
+        parts = symfunc.partitions_of(sum(mu))
+        fact = math.factorial(sum(mu))
+        for i, j in ((parts.index(mu), parts.index(la)), (parts.index(la), parts.index(mu))):
+            out[i][j] = symfunc._sub_products(out[i][j], [((-fact,), delta)])
+        return out
+
+    return bilinear
+
+
+def test_gram_entry_fails_exact_division(hl_inject):
+    # b_(2,2)(t) = (1 - t)(1 - t^2) does not divide the entry plus 1
+    hl_inject(symfunc, "bilinear", perturbed_gram(P((2, 1, 1)), P((2, 2)), (1,)))
+    hl_fails(4, "G[(2, 1, 1)][(2, 2)] less the known terms is not divisible by b_la(t)")
+
+
+def test_gram_entry_fails_dominance(hl_inject):
+    # (3, 3) and (4, 1, 1) are incomparable; adding b_(4,1,1)(t) to their
+    # entry makes W[(4, 1, 1)][(3, 3)] = 1 with every division exact
+    la = P((4, 1, 1))
+    hl_inject(symfunc, "bilinear", perturbed_gram(P((3, 3)), la, symfunc._b(la)))
+    hl_fails(6, "P_(4, 1, 1) has a monomial (3, 3) it does not dominate")
+
+
 def run_optimized(script):
     """Run a script under ``python -O`` on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -315,12 +399,60 @@ def test_oracle_closure_survives_python_O(which):
     assert done.stderr == dropped_message(which)
 
 
-def test_package_has_no_assert_statements():
-    # an assert vanishes under python -O; checks raise typed errors instead
-    found = [
-        f"{path.name}:{node.lineno}"
+def test_hall_littlewood_checks_survive_python_O():
+    script = (
+        "import gggr.symfunc as s\n"
+        "from gggr.errors import ContractError\n"
+        "b = s._b\n"
+        "s._b = lambda la: (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la)\n"
+        "try:\n"
+        "    s.hall_littlewood_expand(s.Partition((4,)))\n"
+        "except ContractError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(1)\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    assert done.stdout == "the pivot of (2, 1, 1) is not b_la(t)\n"
+
+
+def untyped_checks(tree):
+    """(line, kind) of each assert, which vanishes under python -O, and of
+    each raised bare ArithmeticError or AssertionError, which verification
+    cannot tell from a failed check; checks raise ContractError instead."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ArithmeticError", "AssertionError"):
+                yield node.lineno, "raise"
+
+
+def package_checks(kind):
+    return [
+        f"{path.name}:{line}"
         for path in sorted((SRC / "gggr").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        for line, found in untyped_checks(ast.parse(path.read_text(encoding="utf-8")))
+        if found == kind
     ]
-    assert found == []
+
+
+def test_package_has_no_assert_statements():
+    assert package_checks("assert") == []
+
+
+def test_package_raises_no_bare_arithmetic_or_assertion_error():
+    assert package_checks("raise") == []
+
+
+def test_untyped_check_guard_can_fail():
+    source = (
+        "assert x\n"
+        "raise ArithmeticError('inexact')\n"
+        "raise AssertionError\n"
+        "raise ContractError('typed')\n"
+        "raise ValueError('usage')\n"
+    )
+    assert list(untyped_checks(ast.parse(source))) == [(1, "assert"), (2, "raise"), (3, "raise")]

@@ -3,13 +3,16 @@ Kostka-Foulkes, the X transition polynomials, and agreement between the two
 independent routes (character sum vs raw Hall-Littlewood expansion)."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+import gggr.symfunc as symfunc
 from gggr.errors import CapExceededError
-from gggr.partitions import Partition, conjugate, n_stat, partitions_of
-from gggr.polyring import RationalPoly
+from gggr.partitions import Partition, conjugate, multiplicities, n_stat, partitions_of
+from gggr.polyring import RationalPoly, exact_div
 from gggr.symfunc import (
+    HL_CAP,
     character_table,
     charge,
     hall_littlewood_expand,
@@ -194,16 +197,182 @@ def test_x_poly_at_one_multinomial():
 
 
 def test_hall_littlewood_against_x_poly():
-    """The dual route: expand p_rho in Hall-Littlewood P's by symmetric
-    polynomial division and compare every coefficient with x_poly."""
-    for n in range(1, 5):
+    """The dual route: expand p_rho in Hall-Littlewood P's by the Gram-matrix
+    factorisation and compare every coefficient with x_poly."""
+    for n in range(1, 8):
         for rho in partitions_of(n):
             coords = hall_littlewood_expand(rho)
-            assert set(coords) == set(partitions_of(n))
+            assert list(coords) == partitions_of(n)
             for la, coeff in coords.items():
                 assert coeff == x_poly(rho, la), (rho, la)
 
 
 def test_hall_littlewood_cap():
+    assert hall_littlewood_expand(P((HL_CAP,)))
     with pytest.raises(CapExceededError):
-        hall_littlewood_expand(P((7,)))
+        hall_littlewood_expand(P((HL_CAP + 1,)))
+
+
+# A test-only copy of the n-variable symmetrization route that the
+# Gram-matrix factorisation replaced.  Multivariate polynomials in x_1..x_n
+# are dicts {exponent tuple: RationalPoly in t}; P_la is computed from
+#
+#     P_la = (1/v_la(t)) * sum_w sign(w) w(x^la prod_{i<j} (x_i - t x_j)) / D
+#
+# (D the Vandermonde determinant), with the alternating sum divided by D as
+# a composition of divided differences f -> (f - swap_i f)/(x_i - x_{i+1})
+# along a reduced word of the longest permutation.
+
+
+def _madd(f, expo, c):
+    s = c if expo not in f else f[expo] + c
+    if s.is_zero():
+        f.pop(expo, None)
+    else:
+        f[expo] = s
+
+
+def _swap_vars(f, i, j):
+    out = {}
+    for expo, c in f.items():
+        e = list(expo)
+        e[i], e[j] = e[j], e[i]
+        _madd(out, tuple(e), c)
+    return out
+
+
+def _divide_linear(f, a, b):
+    """Exact division of f by (x_a - x_b)."""
+    by_dega = {}
+    for expo, c in f.items():
+        e = list(expo)
+        e[a] = 0
+        by_dega.setdefault(expo[a], {})[tuple(e)] = c
+    if not by_dega:
+        return {}
+    quotient, carry = {}, {}  # carry: Q_k as a poly in the non-a variables
+    for k in range(max(by_dega), 0, -1):
+        qk = dict(carry)
+        for expo, c in by_dega.get(k, {}).items():
+            _madd(qk, expo, c)
+        carry = {}
+        for expo, c in qk.items():
+            e = list(expo)
+            e[a] = k - 1
+            _madd(quotient, tuple(e), c)
+            e = list(expo)
+            e[b] += 1
+            _madd(carry, tuple(e), c)
+    for expo, c in by_dega.get(0, {}).items():
+        _madd(carry, expo, c)
+    assert not carry, "division by a Vandermonde factor was not exact"
+    return quotient
+
+
+def _divided_difference(f, i):
+    diff = dict(f)
+    for expo, c in _swap_vars(f, i, i + 1).items():
+        _madd(diff, expo, -c)
+    return _divide_linear(diff, i, i + 1)
+
+
+def _root_product(n):
+    """prod_{i<j} (x_i - t x_j)."""
+    minus_t = RationalPoly((0, -1), "t")
+    f = {(0,) * n: RationalPoly.const(1, "t")}
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = {}
+            for expo, c in f.items():
+                e = list(expo)
+                e[i] += 1
+                _madd(out, tuple(e), c)
+                e = list(expo)
+                e[j] += 1
+                _madd(out, tuple(e), c * minus_t)
+            f = out
+    return f
+
+
+def _v_norm(la, n):
+    """v_la(t) = prod over multiplicities m (zero parts included) of [m]_t!."""
+    mult = multiplicities(la)
+    mult[0] = n - la.length
+    out = RationalPoly.const(1, "t")
+    for m in mult.values():
+        for k in range(1, m + 1):
+            out = out * RationalPoly((1,) * k, "t")
+    return out
+
+
+def _padded(mu, n):
+    return tuple(mu) + (0,) * (n - mu.length)
+
+
+def reference_hall_littlewood_expand(rho):
+    n = rho.n
+    parts = partitions_of(n)
+    roots = _root_product(n)
+    hl = {}
+    for la in parts:
+        f = {}
+        for expo, c in roots.items():
+            _madd(f, tuple(a + b for a, b in zip(expo, _padded(la, n))), c)
+        for k in range(1, n):
+            for i in range(k - 1, -1, -1):
+                f = _divided_difference(f, i)
+        v = _v_norm(la, n)
+        hl[la] = {mu: exact_div(f[_padded(mu, n)], v) for mu in parts if _padded(mu, n) in f}
+    power = {(0,) * n: Fraction(1)}
+    for part in rho:
+        out = {}
+        for expo, c in power.items():
+            for v in range(n):
+                e = list(expo)
+                e[v] += part
+                out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c
+        power = out
+    residual = {
+        mu: RationalPoly.const(power[_padded(mu, n)], "t")
+        for mu in parts
+        if power.get(_padded(mu, n))
+    }
+    expansion = {}
+    for la in parts:
+        c = residual.pop(la, RationalPoly((), "t"))
+        if not c.is_zero():
+            expansion[la] = c
+            for mu, coef in hl[la].items():
+                if mu != la:
+                    _madd(residual, mu, -(c * coef))
+    assert not residual, "Hall-Littlewood transition was not unitriangular"
+    return expansion
+
+
+def test_hall_littlewood_matches_symmetrization():
+    """The factorisation gives the same dict, key order included, as the
+    n-variable symmetrization it replaced."""
+    for n in range(1, 5):
+        for rho in partitions_of(n):
+            new = hall_littlewood_expand(rho)
+            assert list(new.items()) == list(reference_hall_littlewood_expand(rho).items())
+
+
+def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
+    """With the Murnaghan-Nakayama, Kostka-Foulkes and X routes made to
+    raise, and every cache cleared, the expansion still runs and agrees with
+    the values x_poly gave before."""
+    expected = {rho: {la: x_poly(rho, la) for la in partitions_of(6)} for rho in partitions_of(6)}
+
+    def unreachable(*args):
+        raise RuntimeError("the Hall-Littlewood route reached the character route")
+
+    for name in ("mn_character", "_mn", "kostka_foulkes", "_kostka_foulkes", "x_matrix"):
+        monkeypatch.setattr(symfunc, name, unreachable)
+    symfunc._hl_factor.cache_clear()
+    symfunc._monomial_count.cache_clear()
+    try:
+        for rho in partitions_of(6):
+            assert hall_littlewood_expand(rho) == expected[rho]
+    finally:
+        symfunc._hl_factor.cache_clear()
