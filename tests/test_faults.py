@@ -250,6 +250,24 @@ def test_conjugate_outside_the_group_fails(monkeypatch):
         G.classes()
 
 
+def identity_inverse(F, A):
+    """A ``mat_inv`` that returns the identity: an enumerated element, but
+    the inverse of no generator."""
+    return tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+
+
+GL2_F3_WRONG_INVERSE = "GL2(F3): ((1, 0), (0, 1)) is not the inverse of ((0, 1), (1, 0))"
+
+
+def test_wrong_inverse_fails(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "mat_inv", identity_inverse)
+    G = oracle.enumerate_group(2, 1, 3)
+    with pytest.raises(ContractError, match=re.escape(GL2_F3_WRONG_INVERSE)):
+        G.classes()
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n")
+
+
 def test_identity_class_of_size_two_fails_regular_rep_inner():
     G = oracle.enumerate_group(2, 1, 3)
     classes = G.classes()
@@ -397,6 +415,19 @@ def test_oracle_closure_survives_python_O(which):
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr == dropped_message(which)
+
+
+def test_inverse_check_survives_python_O():
+    script = inspect.getsource(identity_inverse) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "gggr.oracle.mat_inv = identity_inverse\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n"
 
 
 def test_hall_littlewood_checks_survive_python_O():

@@ -4,6 +4,7 @@ products, cross-checked against the symbolic layer."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -141,14 +142,32 @@ def test_class_sizes_sum_to_group_order():
 
 
 def test_enumeration_caps():
+    assert oracle._ambient_size(3, 1, 4) == 4  # |GL3(4)| = 181 440 is admitted
     with pytest.raises(CapExceededError):
-        enumerate_group(2, -1, 8)  # ambient 64^4 > 10^7
+        enumerate_group(3, -1, 4)  # |GU3(4)| = 312 000 > 2 * 10^5
     with pytest.raises(CapExceededError):
         enumerate_group(4, 1, 9)
     with pytest.raises(ValueError):
         enumerate_group(2, 1, 6)
     with pytest.raises(ValueError):
         enumerate_group(0, 1, 2)
+
+
+def test_group_size_matches_order_polynomial():
+    for n, eps, q0 in itertools.product((1, 2, 3, 4), (1, -1), oracle.SUPPORTED_Q):
+        assert oracle._group_size(n, eps, q0) == group_order(n, eps)(q0), (n, eps, q0)
+
+
+def test_group_over_the_cap_fails_before_enumerating(monkeypatch, capsys):
+    def no_enumeration(n, eps, q0):
+        raise RuntimeError(f"enumerated ({n}, {eps}, {q0})")
+
+    monkeypatch.setattr(oracle, "enumerate_group", no_enumeration)
+    message = f"enumerating 1488000 elements of GL3(F5) exceeds cap {oracle.ENUMERATION_CAP}"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        oracle_report(3, 1, 5)
+    assert main(["oracle", "--n", "3", "--q", "5"]) == 3
+    assert capsys.readouterr() == ("", f"gggr: cap exceeded: {message}\n")
 
 
 def reference_ambient_scan(n, eps, q0):
@@ -185,6 +204,59 @@ def reference_split(G):
             class_of[m] = len(classes)
         classes.append((g, len(orbit), G.jordan_type(g)))
     return classes, class_of
+
+
+def reference_orbit_split(G):
+    """Classes as (rep, size, Jordan type) and the class of each element:
+    the class of the first unclassified element is its breadth-first orbit
+    under h -> s^-1*h*s, conjugating matrices through a row table v -> v*s
+    and a column table c -> s^-1*c for each generator s.  The generators are
+    found by recomputing the closure from the identity for each new one."""
+    F, n, elements = G.field, G.n, G.elements
+    index = {g: i for i, g in enumerate(elements)}
+    vectors = list(itertools.product(range(F.q), repeat=n))
+    tables = []
+    reached = bytearray(len(elements))
+    for i, s in enumerate(elements):
+        if reached[i]:
+            continue
+        s_inv = mat_inv(F, s)
+        # row 0 of (v; ...; v)*s is v*s; column 0 of s^-1*(c ... c) is s^-1*c
+        right = {v: mat_mul(F, (v,) * n, s)[0] for v in vectors}
+        left = {c: next(zip(*mat_mul(F, s_inv, tuple(zip(*(c,) * n))))) for c in vectors}
+        tables.append((right, left))
+        reached = bytearray(len(elements))
+        reached[index[mat_identity(n)]] = 1
+        frontier = [mat_identity(n)]
+        for g in frontier:
+            for times_s, _ in tables:
+                h = tuple(map(times_s.__getitem__, g))
+                if not reached[index[h]]:
+                    reached[index[h]] = 1
+                    frontier.append(h)
+    class_of, classes = {}, []
+    for g in elements:
+        if g in class_of:
+            continue
+        class_of[g] = len(classes)
+        orbit = [g]
+        for h in orbit:
+            for right, left in tables:
+                # columns of h through s^-1, then rows of s^-1*h through s
+                c = tuple(map(right.__getitem__, zip(*map(left.__getitem__, zip(*h)))))
+                if c not in class_of:
+                    class_of[c] = len(classes)
+                    orbit.append(c)
+        classes.append((g, len(orbit), G.jordan_type(g)))
+    return classes, class_of
+
+
+@pytest.mark.parametrize("n, eps, q0", [(3, 1, 3), (4, 1, 2), (2, -1, 5)])
+def test_class_split_matches_orbits_of_matrix_conjugation(n, eps, q0):
+    G = enumerate_group(n, eps, q0)
+    classes, class_of = reference_orbit_split(G)
+    assert [(c.rep, c.size, c.jordan) for c in G.classes()] == classes
+    assert G.class_index() == class_of
 
 
 @pytest.mark.parametrize(
