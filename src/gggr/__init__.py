@@ -10,7 +10,6 @@ from .errors import (
 )
 from .green import GreenTable, green_table, verify_orthogonality
 from .grouporders import (
-    GroupKind,
     class_size,
     centralizer_dim,
     group_order,
@@ -52,7 +51,6 @@ __all__ = [
     "FiniteField",
     "GGGRCharacter",
     "GreenTable",
-    "GroupKind",
     "NonExactDivisionError",
     "OracleGroup",
     "Partition",

@@ -8,7 +8,6 @@ the GL one, e.g. |GU_n| = q^{n(n-1)/2} prod_i (q^i - (-1)^i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContractError, NonExactDivisionError
@@ -21,24 +20,6 @@ def check_eps(eps: int) -> int:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return eps
-
-
-@dataclass(frozen=True)
-class GroupKind:
-    """A finite group of Lie type in our two families: GL_n (eps = +1) or
-    GU_n (eps = -1)."""
-
-    n: int
-    eps: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        check_eps(self.eps)
-
-    @property
-    def name(self) -> str:
-        return f"{'GL' if self.eps == 1 else 'GU'}{self.n}"
 
 
 def _times_binomials(shift: int, exps, eps: int) -> IntPoly:

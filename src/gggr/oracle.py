@@ -3,8 +3,8 @@
 Everything symbolic in this package ultimately claims to predict honest
 finite-group quantities.  This module checks a handful of them the hard way:
 enumerate GL_n(q0) or GU_n(q0) as explicit matrices, split it into conjugacy
-classes, read off Jordan types, and compute Gelfand-Graev inner products in
-exact cyclotomic arithmetic.  Nothing here touches the symbolic pipeline
+classes, read off Jordan types, and compute Gelfand-Graev inner products as
+integer sums over the classes.  Nothing here touches the symbolic pipeline
 except the final comparisons.
 
 GL_n is enumerated row by row (each row outside the span of the rows before
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -239,44 +238,39 @@ def mat_mul(F: FiniteField, A: Mat, B: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_inv(F: FiniteField, A: Mat) -> Optional[Mat]:
-    """Gauss-Jordan inverse, or None if singular."""
-    n = len(A)
+def _row_reduce(F: FiniteField, rows: list[list[int]], width: int) -> int:
+    """Gauss-Jordan elimination in place: rows become reduced row echelon on
+    their first ``width`` columns, and the number of pivots is returned."""
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = inv[aug[col][col]]
-        aug[col] = [mul[scale][x] for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = neg[aug[r][col]]
-                aug[r] = [add[x][mul[c][y]] for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_rank(F: FiniteField, A: Mat) -> int:
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    rows = [list(r) for r in A]
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
     rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         scale = inv[rows[rank][col]]
         rows[rank] = [mul[scale][x] for x in rows[rank]]
-        for r in range(n):
+        for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 c = neg[rows[r][col]]
                 rows[r] = [add[x][mul[c][y]] for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def mat_inv(F: FiniteField, A: Mat) -> Optional[Mat]:
+    """Gauss-Jordan inverse, read off the reduced form of (A | 1), or None if
+    A is singular."""
+    n = len(A)
+    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if _row_reduce(F, aug, n) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_rank(F: FiniteField, A: Mat) -> int:
+    rows = [list(r) for r in A]
+    return _row_reduce(F, rows, len(rows[0]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -539,97 +533,18 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
 
 
 # ---------------------------------------------------------------------------
-# Exact cyclotomic scalars
-# ---------------------------------------------------------------------------
-
-
-class CycloScalar:
-    """An element of Q(zeta_p), stored as rational coordinates on
-    1, zeta, ..., zeta^{p-1} normalized so the last coordinate is 0 (the
-    all-ones vector is the kernel of the evaluation)."""
-
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != p:
-            raise ContractError(f"{len(coords)} coordinates for an element of Q(zeta_{p})")
-        last = coords[-1]
-        if last:
-            coords = [c - last for c in coords]
-        self.p = p
-        self.coords = tuple(coords)
-
-    @classmethod
-    def zero(cls, p: int) -> "CycloScalar":
-        return cls(p, [0] * p)
-
-    @classmethod
-    def root_power(cls, p: int, k: int) -> "CycloScalar":
-        coords = [0] * p
-        coords[k % p] = 1
-        return cls(p, coords)
-
-    @classmethod
-    def rational(cls, p: int, value) -> "CycloScalar":
-        coords = [Fraction(0)] * p
-        coords[0] = Fraction(value)
-        return cls(p, coords)
-
-    def __add__(self, other: "CycloScalar") -> "CycloScalar":
-        return CycloScalar(self.p, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other) -> "CycloScalar":
-        if isinstance(other, (int, Fraction)):
-            return CycloScalar(self.p, [c * other for c in self.coords])
-        out = [Fraction(0)] * self.p
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    out[(i + j) % self.p] += a * b
-        return CycloScalar(self.p, out)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CycloScalar":
-        out = [Fraction(0)] * self.p
-        for i, a in enumerate(self.coords):
-            out[(-i) % self.p] += a
-        return CycloScalar(self.p, out)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ContractError(f"not rational: {self.coords}")
-        return self.coords[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycloScalar)
-            and self.p == other.p
-            and self.coords == other.coords
-        )
-
-    def __repr__(self) -> str:
-        return f"CycloScalar(p={self.p}, {self.coords})"
-
-
-# ---------------------------------------------------------------------------
 # Gelfand-Graev inner products
 # ---------------------------------------------------------------------------
 
 
-def _gl_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloScalar]:
-    """The unitriangular subgroup of GL_n(q0) with the nondegenerate character
-    psi(u) = zeta_p^(abs_trace(selector * sum of superdiagonal entries))."""
+def _gl_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, int]:
+    """The unitriangular subgroup of GL_n(q0) with the exponent
+    abs_trace(selector * sum of superdiagonal entries) of its nondegenerate
+    character psi."""
     F, n, q0 = G.field, G.n, G.q0
     p = F.p
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out: dict[Mat, CycloScalar] = {}
+    out: dict[Mat, int] = {}
     for vals in itertools.product(range(q0), repeat=len(positions)):
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), v in zip(positions, vals):
@@ -638,8 +553,7 @@ def _gl_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloScal
         s = 0
         for i in range(n - 1):
             s = F.add[s][u[i][i + 1]]
-        expo = F.abs_trace(F.mul[selector % p][s])
-        out[u] = CycloScalar.root_power(p, expo)
+        out[u] = F.abs_trace(F.mul[selector % p][s])
     return out
 
 
@@ -655,7 +569,7 @@ def check_unitary_oracle(n: int, q0: int) -> None:
         )
 
 
-def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloScalar]:
+def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, int]:
     """A maximal unipotent subgroup of GU_2(q0) with a nontrivial character.
 
     The identity Hermitian form has no isotropic standard basis vector, so the
@@ -703,23 +617,22 @@ def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, CycloSca
         raise ContractError(f"{G.name}: {e}, {f} is not a hyperbolic basis")
 
     class_of = G.class_index()
-    out: dict[Mat, CycloScalar] = {}
+    out: dict[Mat, int] = {}
     for a in range(p):  # prime-subfield elements are encoded as 0..p-1
         x = mul[delta0][a]
         u_j: Mat = ((1, x), (0, 1))
         u = mat_mul(F, mat_mul(F, P, u_j), P_inv)
         if u not in class_of:
             raise ContractError(f"{G.name}: constructed root element {u} escaped GU_2")
-        expo = selector * a % p
-        out[u] = CycloScalar.root_power(p, expo)
+        out[u] = selector * a % p
     return out
 
 
-def whittaker_data(G: OracleGroup, selector: int = 1) -> dict[Mat, CycloScalar]:
+def whittaker_data(G: OracleGroup, selector: int = 1) -> dict[Mat, int]:
     """A maximal unipotent subgroup U of G together with a nondegenerate
-    character, as a map u -> psi(u).  ``selector`` picks among the p-1
-    nontrivial additive characters (the inner product must not depend on it).
-    """
+    character, as a map u -> k with psi(u) = zeta_p^k.  ``selector`` picks
+    among the p-1 nontrivial additive characters (the inner product must not
+    depend on it)."""
     if selector % G.field.p == 0:
         raise ValueError("selector must be nonzero mod p")
     if G.eps == 1:
@@ -727,52 +640,61 @@ def whittaker_data(G: OracleGroup, selector: int = 1) -> dict[Mat, CycloScalar]:
     return _gu2_whittaker_subgroup(G, selector)
 
 
-def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
-    """<Ind_U^G psi, Ind_U^G psi> computed from the induced character:
+def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
+    """<Ind_H^G psi, Ind_H^G psi> for a subgroup H of G given as a map
+    h -> k with psi(h) = zeta_p^k, in integers.
 
-        chi(g) = |C_G(g)| / |U| * sum over U intersect class(g) of psi(u)
+    On the class C of g the induced character is |C_G(g)| / |H| * S_C, with
+    S_C the sum of psi over H intersect C.  Let a_k count the h there with
+    exponent k.  S_C is rational exactly when a_1 = ... = a_(p-1), since
+    zeta_p, ..., zeta_p^(p-2) and 1 are a basis of Q(zeta_p), and then
+    S_C = a_0 - a_(p-1).  So
 
-    then <chi, chi> = (1/|G|) sum_classes size * chi * conj(chi), all in
-    exact cyclotomic arithmetic.  The result must be a rational integer."""
-    U = whittaker_data(G, selector)
+        <Ind psi, Ind psi> = sum_C (|G| / |C|) * S_C^2 / |H|^2,
+
+    and both divisions must be exact.  H is a Whittaker datum: U with a
+    nondegenerate psi gives the Gelfand-Graev character, and the trivial
+    subgroup gives the regular one."""
     p = G.field.p
-    order = G.order
-    u_order = len(U)
     class_of = G.class_index()
-    per_class: dict[int, CycloScalar] = {}
-    for u, val in U.items():
-        if u not in class_of:
-            raise ContractError(f"{G.name}: Whittaker element {u} is not in the group")
-        idx = class_of[u]
-        per_class[idx] = per_class.get(idx, CycloScalar.zero(p)) + val
-    total = Fraction(0)
+    counts: dict[int, list[int]] = {}
+    for h, k in H.items():
+        idx = class_of.get(h)
+        if idx is None:
+            raise ContractError(f"{G.name}: Whittaker element {h} is not in the group")
+        counts.setdefault(idx, [0] * p)[k % p] += 1
     classes = G.classes()
-    for idx, acc in per_class.items():
-        size = classes[idx].size
-        centralizer = Fraction(order, size)
-        chi = acc * (centralizer / u_order)
-        norm = (chi * chi.conj()).to_rational()
-        total += Fraction(size) * norm
-    inner = total / order
-    if inner.denominator != 1:
-        raise ContractError(f"{G.name}: Gelfand-Graev inner product not integral: {inner}")
-    return int(inner)
+    total = 0
+    for idx, a in counts.items():
+        cls = classes[idx]
+        if a[1:] != a[-1:] * (p - 1):
+            raise ContractError(
+                f"{G.name}: the sum of psi over the class of {cls.rep} is not "
+                f"rational: exponent counts {a}"
+            )
+        centralizer, rest = divmod(G.order, cls.size)
+        if rest:
+            raise ContractError(
+                f"{G.name}: the class of {cls.rep} has {cls.size} elements, "
+                f"which does not divide |G| = {G.order}"
+            )
+        total += centralizer * (a[0] - a[-1]) ** 2
+    inner, rest = divmod(total, len(H) ** 2)
+    if rest:
+        raise ContractError(
+            f"{G.name}: induced inner product not integral: {total} / {len(H) ** 2}"
+        )
+    return inner
+
+
+def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
+    """<Ind_U^G psi, Ind_U^G psi> for the Whittaker data of G."""
+    return _induced_inner(G, whittaker_data(G, selector))
 
 
 def regular_rep_inner(G: OracleGroup) -> int:
-    """<chi_reg, chi_reg> = (1/|G|) sum_classes size * chi_reg^2 over the
-    class split, where the regular character chi_reg is |G| on the class of
-    the identity and 0 on every other class."""
-    order = G.order
-    identity = G.class_index()[mat_identity(G.n)]
-    total = sum(
-        cls.size * (order if idx == identity else 0) ** 2
-        for idx, cls in enumerate(G.classes())
-    )
-    inner = Fraction(total, order)
-    if inner.denominator != 1:
-        raise ContractError(f"{G.name}: regular inner product not integral: {inner}")
-    return int(inner)
+    """<chi_reg, chi_reg>, with chi_reg induced from the trivial subgroup."""
+    return _induced_inner(G, {mat_identity(G.n): 0})
 
 
 # ---------------------------------------------------------------------------

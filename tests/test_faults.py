@@ -275,7 +275,52 @@ def test_identity_class_of_size_two_fails_regular_rep_inner():
     classes[idx] = dataclasses.replace(classes[idx], size=2)
     # oracle_report compares it with endo_dim((1, 1)) at q0 = 3, which is |G|
     assert kawanaka.endo_dim(P((1, 1)), 1)(3) == G.order == 48
-    assert oracle.regular_rep_inner(G) == 96
+    assert oracle.regular_rep_inner(G) == 24
+
+
+def merge_exponents(whittaker_data):
+    """``whittaker_data`` with exponent 2 read as 1, so psi is no longer a
+    character: on GL2(3) the regular unipotent class gets the exponent counts
+    [0, 2, 0], and the sum of psi over it is 2*zeta_3, not rational."""
+
+    def merged(G, selector=1):
+        return {u: 1 if k == 2 else k for u, k in whittaker_data(G, selector).items()}
+
+    return merged
+
+
+GL2_F3_IRRATIONAL = (
+    "GL2(F3): the sum of psi over the class of ((0, 1), (2, 2)) is not rational: "
+    "exponent counts [0, 2, 0]"
+)
+
+
+def test_irrational_class_sum_fails(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "whittaker_data", merge_exponents(oracle.whittaker_data))
+    G = oracle.enumerate_group(2, 1, 3)
+    with pytest.raises(ContractError, match=re.escape(GL2_F3_IRRATIONAL)):
+        oracle.gelfand_graev_inner(G)
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_IRRATIONAL}\n")
+
+
+@pytest.mark.parametrize(
+    "size, inner, message",
+    [
+        (5, "regular_rep_inner", "the class of ((1, 0), (0, 1)) has 5 elements, "
+         "which does not divide |G| = 48"),
+        (2, "gelfand_graev_inner", "induced inner product not integral: 30 / 9"),
+    ],
+)
+def test_identity_class_size_fails_exact_division(size, inner, message):
+    # GL2(3): 48/5 leaves a remainder; with size 2 the Gelfand-Graev sum is
+    # 24*1^2 + 6*(-1)^2 = 30 over |U|^2 = 9
+    G = oracle.enumerate_group(2, 1, 3)
+    classes = G.classes()
+    idx = G.class_index()[oracle.mat_identity(2)]
+    classes[idx] = dataclasses.replace(classes[idx], size=size)
+    with pytest.raises(ContractError, match=re.escape(f"GL2(F3): {message}")):
+        getattr(oracle, inner)(G)
 
 
 # -- the Hall-Littlewood factorisation ----------------------------------------
@@ -428,6 +473,19 @@ def test_inverse_check_survives_python_O():
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n"
+
+
+def test_rationality_check_survives_python_O():
+    script = inspect.getsource(merge_exponents) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "gggr.oracle.whittaker_data = merge_exponents(gggr.oracle.whittaker_data)\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {GL2_F3_IRRATIONAL}\n"
 
 
 def test_hall_littlewood_checks_survive_python_O():

@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
 from gggr.grouporders import (
-    GroupKind,
     centralizer_dim,
     class_size,
     e_poly,
@@ -41,15 +38,6 @@ def test_group_order_monic_of_degree_n_squared():
             f = group_order(n, eps)
             assert f.degree == n * n
             assert f.is_monic()
-
-
-def test_group_kind():
-    assert GroupKind(3, 1).name == "GL3"
-    assert GroupKind(2, -1).name == "GU2"
-    with pytest.raises(ValueError):
-        GroupKind(0, 1)
-    with pytest.raises(ValueError):
-        GroupKind(2, 2)
 
 
 def test_torus_order_is_product_form():

@@ -1,6 +1,6 @@
 """Brute-force oracle: field tables, matrix algebra, conjugacy classes,
-Jordan types, cyclotomic arithmetic, and the induced-character inner
-products, cross-checked against the symbolic layer."""
+Jordan types, and the induced-character inner products, cross-checked
+against Mackey's formula and the symbolic layer."""
 
 import itertools
 import random
@@ -10,11 +10,10 @@ import pytest
 
 import gggr.oracle as oracle
 from gggr.cli import main
-from gggr.errors import CapExceededError, ContractError
+from gggr.errors import CapExceededError
 from gggr.grouporders import class_size, group_order
 from gggr.kawanaka import endo_dim
 from gggr.oracle import (
-    CycloScalar,
     FiniteField,
     enumerate_group,
     finite_field,
@@ -26,6 +25,7 @@ from gggr.oracle import (
     mat_rank,
     oracle_report,
     regular_rep_inner,
+    whittaker_data,
 )
 from gggr.partitions import Partition
 
@@ -278,30 +278,32 @@ def test_class_split_matches_conjugation_by_every_element(n, eps, q0):
     assert G.class_index() == class_of
 
 
-class TestCycloScalar:
-    def test_root_sum_is_zero(self):
-        for p in (2, 3, 5, 7):
-            acc = CycloScalar.zero(p)
-            for k in range(p):
-                acc = acc + CycloScalar.root_power(p, k)
-            assert acc == CycloScalar.zero(p)
+def mackey_inner(G, H):
+    """<Ind_H^G psi, Ind_H^G psi> by Mackey's formula, with H a map
+    h -> k for psi(h) = zeta_p^k: the number of double cosets HgH on which
+    psi(x) = psi(g^-1*x*g) for every x in H intersect g*H*g^-1.  No class
+    split is used."""
+    F = G.field
+    seen, count = set(), 0
+    for g in G.elements:
+        if g in seen:
+            continue
+        seen |= {mat_mul(F, mat_mul(F, a, g), b) for a in H for b in H}
+        g_inv = mat_inv(F, g)
+        conjugates = ((x, mat_mul(F, mat_mul(F, g_inv, x), g)) for x in H)
+        count += all(H[x] == H[y] for x, y in conjugates if y in H)
+    return count
 
-    def test_conjugation(self):
-        z = CycloScalar.root_power(5, 2)
-        assert z.conj() == CycloScalar.root_power(5, 3)
-        assert (z * z.conj()) == CycloScalar.rational(5, 1)
 
-    def test_rationality(self):
-        z = CycloScalar.root_power(3, 1)
-        assert not z.is_rational()
-        with pytest.raises(ContractError):
-            z.to_rational()
-        assert (z + z.conj() + CycloScalar.rational(3, 1)) == CycloScalar.zero(3)
-
-    def test_p2_is_signs(self):
-        minus = CycloScalar.root_power(2, 1)
-        assert (minus * minus) == CycloScalar.rational(2, 1)
-        assert minus.to_rational() == -1
+@pytest.mark.parametrize(
+    "n, eps, q0", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 2), (2, -1, 3)]
+)
+def test_inner_products_match_mackey_double_cosets(n, eps, q0):
+    G = enumerate_group(n, eps, q0)
+    for selector in range(1, G.field.p):
+        expected = mackey_inner(G, whittaker_data(G, selector))
+        assert gelfand_graev_inner(G, selector) == expected, selector
+    assert regular_rep_inner(G) == mackey_inner(G, {mat_identity(n): 0}) == G.order
 
 
 def test_gelfand_graev_inner_frozen():
