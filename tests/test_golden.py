@@ -38,7 +38,10 @@ def commands() -> list[tuple[str, ...]]:
             for n in range(1, cap + 1):
                 out.append((cmd, "--n", str(n), "--eps", eps))
             out.append((cmd, "--n", "6", "--eps", eps, "--big"))
-    out.append(("oracle", "--n", "3", "--q", "2"))
+    for n, q in ((3, 2), (2, 3), (2, 4), (3, 3), (4, 2), (2, 8), (2, 9)):
+        out.append(("oracle", "--n", str(n), "--q", str(q)))
+    for q in (3, 5):
+        out.append(("oracle", "--n", "2", "--q", str(q), "--eps", "-1"))
     return [(*args, "--format", fmt) for args in out for fmt in FORMATS]
 
 
