@@ -10,16 +10,20 @@ except the final comparisons.
 GL_n is enumerated row by row (each row outside the span of the rows before
 it) and GU_n column by column (each column a unit vector orthogonal to the
 columns before it), both in the lexicographic order of the ambient matrix
-space.  A generating set is then found and checked by closure: the elements
-must be exactly the products of generators.  The closure is the only matrix
-work of the class split.  It multiplies each element by each generator once
-and keeps the Cayley graph as integer permutations of element indices, one
-for right multiplication by each generator, together with a spanning tree.
-Left multiplication by a generator's inverse then follows the tree
-(s^-1*g*t = (s^-1*g)*t), so conjugation by a generator is a permutation too,
-and each conjugacy class is the breadth-first orbit of its first element
-under those permutations (the standard orbit algorithm; Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+space.  The class split works on integer codes: a row's code is its index in
+the lexicographic order of vectors, and a matrix's code is its row codes
+concatenated, the first row most significant, so the codes of the elements
+increase with their indices.  A generating set is found and checked by
+closure: the elements must be exactly the products of generators.  The
+closure multiplies each element by each generator once, reading the code of
+the product off the element's code through a table of the generator's action
+on rows, and keeps the Cayley graph as integer permutations of element
+indices, one for right multiplication by each generator, together with a
+spanning tree.  Left multiplication by a generator's inverse then follows
+the tree (s^-1*g*t = (s^-1*g)*t), so conjugation by a generator is a
+permutation too, and each conjugacy class is the breadth-first orbit of its
+first element under those permutations (the standard orbit algorithm; Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -29,6 +33,7 @@ Hermitian form.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -38,7 +43,7 @@ from .grouporders import check_eps
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (~3 s and ~70 MiB peak for its report, 2 cores, Python
+#: 181 440 elements (~1.7 s and ~64 MiB peak for its report, 2 cores, Python
 #: 3.11), and refuses the next supported groups, GU_3(4) with 312 000 and
 #: GL_3(5) with 1 488 000 elements.
 ENUMERATION_CAP = 200_000
@@ -292,8 +297,10 @@ class OracleGroup:
     q0: int
     field: FiniteField  # entries live here: F_q0 for GL, F_{q0^2} for GU
     elements: list[Mat]
+    _codes: Optional[list[int]] = None  # the code of each element, if known
 
-    _class_of: Optional[dict[Mat, int]] = None
+    _index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
+    _class_id: Optional[list[int]] = None  # e -> the class of g_e
     _classes: Optional[list[ConjClass]] = None
 
     @property
@@ -304,6 +311,15 @@ class OracleGroup:
     def name(self) -> str:
         return f"{'GL' if self.eps == 1 else 'GU'}{self.n}(F{self.q0})"
 
+    def encode(self, g: Mat) -> int:
+        """The code of g: its entries, first row first, as the digits base q
+        of an integer.  So a row's code is its index in the lexicographic
+        order of vectors, and g's is its row codes concatenated."""
+        q, code = self.field.q, 0
+        for x in itertools.chain.from_iterable(g):
+            code = code * q + x
+        return code
+
     # -- conjugacy ------------------------------------------------------
 
     def classes(self) -> list[ConjClass]:
@@ -312,74 +328,108 @@ class OracleGroup:
         return self._classes
 
     def class_index(self) -> dict[Mat, int]:
-        if self._class_of is None:
-            self._split_classes()
-        return self._class_of
+        """The class of each element, as an index into classes()."""
+        self.classes()
+        return dict(zip(self.elements, self._class_id))
 
-    def _generator_tables(self, index: dict[Mat, int]) -> list[list[int]]:
+    def _times(self, t: Mat) -> array:
+        """R_t: e -> index of g_e*t, or -1 if the product is not an enumerated
+        element, for every element at once.  The code of g_e*t is read off
+        the code of g_e digit by digit, through a table of t's action on one
+        row, or on two rows when that table of q^2n entries is small; each
+        row product is summed in the order mat_mul sums it."""
+        F, n, index = self.field, self.n, self._index
+        add, mul, q, width = F.add, F.mul, F.q, F.q**n
+        cols = list(zip(*t))
+        rows = []  # code of v -> code of v*t
+        for v in itertools.product(range(q), repeat=n):
+            code = 0
+            for col in cols:
+                acc = 0
+                for x, y in zip(v, col):
+                    acc = add[acc][mul[x][y]]
+                code = code * q + acc
+            rows.append(code)
+        digits = [(rows, width)] * n  # (table, base), least significant first
+        if width * width <= 8192:  # two rows to a digit
+            pairs = [x * width + y for x in rows for y in rows]
+            digits = [(pairs, width * width)] * (n // 2) + digits[: n % 2]
+        scaled, place = [], 1  # each table times the place value of its digit
+        for table, base in digits:
+            scaled.append(([x * place for x in table], place, base))
+            place *= base
+        get = index.get
+        if len(scaled) == 1:
+            images = map(get, map(scaled[0][0].__getitem__, index), itertools.repeat(-1))
+        elif len(scaled) == 2:
+            (low, _, base), (high, _, _) = scaled
+            images = [get(high[c // base] + low[c % base], -1) for c in index]
+        else:
+            images = [get(sum(tab[c // pl % b] for tab, pl, b in scaled), -1) for c in index]
+        return array("i", images)
+
+    def _generator_tables(self) -> list[array]:
         """A generating set, found and checked by closure, and the conjugation
         by each generator s as a permutation e -> index of s^-1*g_e*s.  Walk
         the elements in order; each one not yet reached from the identity
-        becomes a generator t, and the closure is extended, not restarted: t
-        is applied to every element reached so far, then the new elements are
-        searched breadth first with every generator.  So each element is
-        multiplied by each generator once, through a table v -> v*t on rows,
-        and every product must be an enumerated element."""
-        F, n, elements = self.field, self.n, self.elements
+        becomes a generator t, with R_t for every element, and the closure
+        is extended, not restarted: R_t is applied to every element reached
+        so far, then the new elements are searched breadth first with every
+        generator.  So each product is looked up once, on element indices,
+        and must be an enumerated element."""
+        F, n, elements, index = self.field, self.n, self.elements, self._index
         size = len(elements)
-        start = index.get(mat_identity(n))
+        start = index.get(self.encode(mat_identity(n)))
         if start is None:
             raise ContractError(f"{self.name}: the identity is not an enumerated element")
-        vectors = list(itertools.product(range(F.q), repeat=n))
-        generators: list[tuple] = []  # (v -> v*t on rows, R_t) for each generator t
-        inverses: list[tuple[Mat, Mat]] = []  # (t, t^-1) for each generator t
-        parent: list[int] = [-1] * size  # the spanning tree: g_e = g_parent*t,
-        via: list = [None] * size  # with R_t for its edge
+        generators: list[tuple[Mat, Mat]] = []  # (t, t^-1)
+        tables: list[array] = []  # R_t for each generator t
+        # The spanning tree: g_e = g_parent*t, with the number of t in via.
+        # Each generator at least doubles the subgroup reached, so there are
+        # at most log2 |G| of them, far fewer than 256.
+        parent = array("i", [-1]) * size
+        via = bytearray(size)
         reached = bytearray(size)
         reached[start] = 1
-        order = [start]  # the reached elements, each after its parent
+        order = array("i", [start])  # the reached elements, each after its parent
         for i, t in enumerate(elements):
             if reached[i]:
                 continue
             t_inv = mat_inv(F, t)
             if t_inv is None:
                 raise ContractError(f"{self.name}: an enumerated element is singular")
-            inverses.append((t, t_inv))
-            # row 0 of (v; ...; v)*t is v*t
-            rows = {v: mat_mul(F, (v,) * n, t)[0] for v in vectors}
-            generators.append((rows.__getitem__, [-1] * size))
-            every = tuple(generators)
+            generators.append((t, t_inv))
+            tables.append(self._times(t))
+            every = list(enumerate(tables))
             newest = every[-1:]
             old = len(order)
             for pos, e in enumerate(order):
-                g = elements[e]
-                for times, times_t in newest if pos < old else every:
-                    h = tuple(map(times, g))
-                    j = index.get(h)
-                    if j is None:
+                for k, times in newest if pos < old else every:
+                    j = times[e]
+                    if j < 0:
+                        h = mat_mul(F, elements[e], generators[k][0])
                         raise ContractError(
                             f"{self.name}: the product {h} is not an enumerated element"
                         )
-                    times_t[e] = j
                     if not reached[j]:
                         reached[j] = 1
-                        parent[j], via[j] = e, times_t
+                        parent[j], via[j] = e, k
                         order.append(j)
         # L_s down the spanning tree, as _split_classes explains
         conjugations = []
-        for (s, s_inv), (_, times_s) in zip(inverses, generators):
-            j = index.get(s_inv)
+        for (s, s_inv), times_s in zip(generators, tables):
+            j = index.get(self.encode(s_inv))
             if j is None:
                 raise ContractError(
                     f"{self.name}: the inverse {s_inv} of {s} is not an enumerated element"
                 )
             if times_s[j] != start:
                 raise ContractError(f"{self.name}: {s_inv} is not the inverse of {s}")
-            left = [-1] * size  # L_s
+            left = array("i", [-1]) * size  # L_s
             left[start] = j
             for e in itertools.islice(order, 1, None):
-                left[e] = via[e][left[parent[e]]]
-            conjugations.append([times_s[x] for x in left])
+                left[e] = tables[via[e]][left[parent[e]]]
+            conjugations.append(array("i", map(times_s.__getitem__, left)))
         return conjugations
 
     def _split_classes(self) -> None:
@@ -394,8 +444,10 @@ class OracleGroup:
         enumerated and to satisfy R_s[L_s[identity]] = identity, and
         L_s[e] = R_t[L_s[i]] since s^-1*g_i*t = (s^-1*g_i)*t.  The conjugate
         s^-1*g_e*s is then R_s[L_s[e]], a product in the checked table."""
-        elements = self.elements
-        conjugations = self._generator_tables({g: i for i, g in enumerate(elements)})
+        elements, codes = self.elements, self._codes
+        self._index = dict(zip(codes or map(self.encode, elements), itertools.count()))
+        self._codes = None  # the index holds them now
+        conjugations = self._generator_tables()
         class_id = [-1] * len(elements)
         classes: list[ConjClass] = []
         for e, g in enumerate(elements):
@@ -411,7 +463,7 @@ class OracleGroup:
                         class_id[c] = idx
                         orbit.append(c)
             classes.append(ConjClass(g, len(orbit), self.jordan_type(g)))
-        self._class_of = dict(zip(elements, class_id))
+        self._class_id = class_id
         self._classes = classes
 
     def jordan_type(self, g: Mat) -> Optional[Partition]:
@@ -470,27 +522,37 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     return q0 if eps == 1 else q0 * q0
 
 
-def _gl_elements(F: FiniteField, n: int) -> list[Mat]:
-    """GL_n(F) row by row: row k is any vector outside the span of rows
-    0..k-1.  Rows run through the vectors in lexicographic order, so the
-    matrices come out in the lexicographic order of their entries."""
+def _gl_elements(F: FiniteField, n: int) -> tuple[list[Mat], list[int]]:
+    """GL_n(F) row by row, and the code of each element: row k is any vector
+    outside the span of rows 0..k-1.  Rows run through the vectors in
+    lexicographic order, so the matrices come out in the lexicographic order
+    of their entries.  Spans are sets of vector codes, widened through
+    tables of w + m and c*v, each computed entry by entry."""
     add, mul, q = F.add, F.mul, F.q
     vectors = list(itertools.product(range(q), repeat=n))
+    width = len(vectors)
+    code = {v: i for i, v in enumerate(vectors)}
+    plus = [[code[tuple(add[a][b] for a, b in zip(w, m))] for w in vectors] for m in vectors]
+    multiples = [[code[tuple(mul[c][x] for x in v)] for c in range(q)] for v in vectors]
     out: list[Mat] = []
+    codes: list[int] = []
 
-    def extend(rows: Mat, span: set) -> None:
-        for v in vectors:
-            if v in span:
+    def extend(rows: Mat, prefix: int, span: set[int]) -> None:
+        if len(rows) == n - 1:
+            last = [i for i in range(width) if i not in span]
+            out.extend(rows + (vectors[i],) for i in last)
+            codes.extend(map(prefix.__add__, last))
+            return
+        for i, v in enumerate(vectors):
+            if i in span:
                 continue
-            if len(rows) == n - 1:
-                out.append(rows + (v,))
-                continue
-            multiples = [tuple(mul[c][x] for x in v) for c in range(q)]
-            wider = {tuple(add[a][b] for a, b in zip(w, m)) for w in span for m in multiples}
-            extend(rows + (v,), wider)
+            wider: set[int] = set()
+            for m in multiples[i]:
+                wider.update(map(plus[m].__getitem__, span))
+            extend(rows + (v,), (prefix + i) * width, wider)
 
-    extend((), {(0,) * n})
-    return out
+    extend((), 0, {0})
+    return out, codes
 
 
 def _gu_elements(F: FiniteField, n: int, q0: int) -> list[Mat]:
@@ -528,8 +590,9 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
     """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap,
     in the lexicographic order of their entries."""
     F = finite_field(_ambient_size(n, eps, q0))
-    elements = _gl_elements(F, n) if eps == 1 else _gu_elements(F, n, q0)
-    return OracleGroup(n, eps, q0, F, elements)
+    if eps == 1:
+        return OracleGroup(n, eps, q0, F, *_gl_elements(F, n))
+    return OracleGroup(n, eps, q0, F, _gu_elements(F, n, q0))
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +679,13 @@ def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, int]:
     if (herm(e, e), herm(f, f), herm(e, f)) != (0, 0, 1) or P_inv is None:
         raise ContractError(f"{G.name}: {e}, {f} is not a hyperbolic basis")
 
-    class_of = G.class_index()
+    G.classes()
     out: dict[Mat, int] = {}
     for a in range(p):  # prime-subfield elements are encoded as 0..p-1
         x = mul[delta0][a]
         u_j: Mat = ((1, x), (0, 1))
         u = mat_mul(F, mat_mul(F, P, u_j), P_inv)
-        if u not in class_of:
+        if G.encode(u) not in G._index:
             raise ContractError(f"{G.name}: constructed root element {u} escaped GU_2")
         out[u] = selector * a % p
     return out
@@ -656,14 +719,13 @@ def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
     nondegenerate psi gives the Gelfand-Graev character, and the trivial
     subgroup gives the regular one."""
     p = G.field.p
-    class_of = G.class_index()
+    classes = G.classes()
     counts: dict[int, list[int]] = {}
     for h, k in H.items():
-        idx = class_of.get(h)
-        if idx is None:
+        e = G._index.get(G.encode(h))
+        if e is None:
             raise ContractError(f"{G.name}: Whittaker element {h} is not in the group")
-        counts.setdefault(idx, [0] * p)[k % p] += 1
-    classes = G.classes()
+        counts.setdefault(G._class_id[e], [0] * p)[k % p] += 1
     total = 0
     for idx, a in counts.items():
         cls = classes[idx]

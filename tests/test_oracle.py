@@ -251,7 +251,9 @@ def reference_orbit_split(G):
     return classes, class_of
 
 
-@pytest.mark.parametrize("n, eps, q0", [(3, 1, 3), (4, 1, 2), (2, -1, 5)])
+@pytest.mark.parametrize(
+    "n, eps, q0", [(3, 1, 3), (4, 1, 2), (2, 1, 9), (2, -1, 4), (2, -1, 5)]
+)
 def test_class_split_matches_orbits_of_matrix_conjugation(n, eps, q0):
     G = enumerate_group(n, eps, q0)
     classes, class_of = reference_orbit_split(G)
@@ -261,11 +263,34 @@ def test_class_split_matches_orbits_of_matrix_conjugation(n, eps, q0):
 
 @pytest.mark.parametrize(
     "n, eps, q0",
-    [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 2), (3, 1, 3),
-     (2, -1, 2), (2, -1, 3), (2, -1, 4)],
+    [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 8), (2, 1, 9), (3, 1, 2),
+     (3, 1, 3), (2, -1, 2), (2, -1, 3), (2, -1, 4)],
 )
 def test_enumeration_matches_ambient_scan(n, eps, q0):
     assert enumerate_group(n, eps, q0).elements == reference_ambient_scan(n, eps, q0)
+
+
+def decode(code, n, q):
+    """The matrix whose entries, first row first, are the n*n digits of
+    ``code`` base q, most significant first."""
+    digits = []
+    for _ in range(n * n):
+        code, x = divmod(code, q)
+        digits.append(x)
+    digits.reverse()
+    return tuple(tuple(digits[i * n : (i + 1) * n]) for i in range(n))
+
+
+@pytest.mark.parametrize("n, eps, q0", [(3, 1, 3), (2, -1, 5), (2, 1, 9)])
+def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
+    G = enumerate_group(n, eps, q0)
+    codes = [G.encode(g) for g in G.elements]
+    assert codes == sorted(set(codes))  # distinct, in the order of the elements
+    assert [decode(c, n, G.field.q) for c in codes] == G.elements
+    if eps == 1:  # the enumeration of GL_n gives the codes with the elements
+        assert G._codes == codes
+    G.classes()
+    assert G._index == {c: e for e, c in enumerate(codes)}
 
 
 @pytest.mark.parametrize(
