@@ -297,7 +297,7 @@ class OracleGroup:
     q0: int
     field: FiniteField  # entries live here: F_q0 for GL, F_{q0^2} for GU
     elements: list[Mat]
-    _codes: Optional[list[int]] = None  # the code of each element, if known
+    _codes: Optional[list[int]] = None  # each element's code, from the GL enumeration
 
     _index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
     _class_id: Optional[list[int]] = None  # e -> the class of g_e

@@ -214,14 +214,15 @@ def test_whittaker_element_outside_the_split_fails():
 
 def drop_element(enumerate_group, which):
     """``enumerate_group`` with one element left out of every group: the
-    identity, or else the last element, dropped from the matrices and from
-    the codes that the enumeration of GL_n gives with them."""
+    identity, or else the last element."""
 
     def enumerate_without(n, eps, q0):
         G = enumerate_group(n, eps, q0)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         k = G.elements.index(identity) if which == "identity" else -1
-        del G.elements[k], G._codes[k]
+        del G.elements[k]
+        if G._codes is not None:  # the enumeration of GL_n gives codes too
+            del G._codes[k]
         return G
 
     return enumerate_without
