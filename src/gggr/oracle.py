@@ -375,8 +375,8 @@ class OracleGroup:
         becomes a generator t, with R_t for every element, and the closure
         is extended, not restarted: R_t is applied to every element reached
         so far, then the new elements are searched breadth first with every
-        generator.  So each product is looked up once, on element indices,
-        and must be an enumerated element."""
+        generator.  So the closure reads every entry of every R_t once, and
+        each must be an enumerated element."""
         F, n, elements, index = self.field, self.n, self.elements, self._index
         size = len(elements)
         start = index.get(self.encode(mat_identity(n)))
