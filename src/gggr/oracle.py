@@ -16,8 +16,9 @@ concatenated, the first row most significant, so the codes of the elements
 increase with their indices.  A generating set is found and checked by
 closure: the elements must be exactly the products of generators.  The
 closure multiplies each element by each generator once, reading the code of
-the product off the element's code through a table of the generator's action
-on rows, and keeps the Cayley graph as integer permutations of element
+the product off the two halves of the element's code (its first ceil(n/2)
+rows and the rest) through tables of the generator's action on blocks of
+rows, and keeps the Cayley graph as integer permutations of element
 indices, one for right multiplication by each generator, together with a
 spanning tree.  Left multiplication by a generator's inverse then follows
 the tree (s^-1*g*t = (s^-1*g)*t), so conjugation by a generator is a
@@ -297,7 +298,6 @@ class OracleGroup:
     q0: int
     field: FiniteField  # entries live here: F_q0 for GL, F_{q0^2} for GU
     elements: list[Mat]
-    _codes: Optional[list[int]] = None  # each element's code, from the GL enumeration
 
     _index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
     _class_id: Optional[list[int]] = None  # e -> the class of g_e
@@ -334,10 +334,11 @@ class OracleGroup:
 
     def _times(self, t: Mat) -> array:
         """R_t: e -> index of g_e*t, or -1 if the product is not an enumerated
-        element, for every element at once.  The code of g_e*t is read off
-        the code of g_e digit by digit, through a table of t's action on one
-        row, or on two rows when that table of q^2n entries is small; each
-        row product is summed in the order mat_mul sums it."""
+        element, for every element at once.  Row i of g_e*t is row i of g_e
+        times t, so the code of g_e*t is read off the two halves of the code
+        of g_e, the first ceil(n/2) rows and the rest, through two tables of
+        t's action on blocks of rows; each row product is summed in the order
+        mat_mul sums it."""
         F, n, index = self.field, self.n, self._index
         add, mul, q, width = F.add, F.mul, F.q, F.q**n
         cols = list(zip(*t))
@@ -350,23 +351,18 @@ class OracleGroup:
                     acc = add[acc][mul[x][y]]
                 code = code * q + acc
             rows.append(code)
-        digits = [(rows, width)] * n  # (table, base), least significant first
-        if width * width <= 8192:  # two rows to a digit
-            pairs = [x * width + y for x in rows for y in rows]
-            digits = [(pairs, width * width)] * (n // 2) + digits[: n % 2]
-        scaled, place = [], 1  # each table times the place value of its digit
-        for table, base in digits:
-            scaled.append(([x * place for x in table], place, base))
-            place *= base
+
+        def block(k: int, place: int) -> list[int]:
+            """Code of k rows -> place times the code of their product by t."""
+            table, scaled = [0], [x * place for x in rows]
+            for _ in range(k):
+                table = [x * width + y for x in table for y in scaled]
+            return table
+
+        base = width ** (n // 2)
+        low, high = block(n // 2, 1), block(n - n // 2, base)
         get = index.get
-        if len(scaled) == 1:
-            images = map(get, map(scaled[0][0].__getitem__, index), itertools.repeat(-1))
-        elif len(scaled) == 2:
-            (low, _, base), (high, _, _) = scaled
-            images = [get(high[c // base] + low[c % base], -1) for c in index]
-        else:
-            images = [get(sum(tab[c // pl % b] for tab, pl, b in scaled), -1) for c in index]
-        return array("i", images)
+        return array("i", [get(high[c // base] + low[c % base], -1) for c in index])
 
     def _generator_tables(self) -> list[array]:
         """A generating set, found and checked by closure, and the conjugation
@@ -444,9 +440,8 @@ class OracleGroup:
         enumerated and to satisfy R_s[L_s[identity]] = identity, and
         L_s[e] = R_t[L_s[i]] since s^-1*g_i*t = (s^-1*g_i)*t.  The conjugate
         s^-1*g_e*s is then R_s[L_s[e]], a product in the checked table."""
-        elements, codes = self.elements, self._codes
-        self._index = dict(zip(codes or map(self.encode, elements), itertools.count()))
-        self._codes = None  # the index holds them now
+        elements = self.elements
+        self._index = dict(zip(map(self.encode, elements), itertools.count()))
         conjugations = self._generator_tables()
         class_id = [-1] * len(elements)
         classes: list[ConjClass] = []
@@ -522,26 +517,22 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     return q0 if eps == 1 else q0 * q0
 
 
-def _gl_elements(F: FiniteField, n: int) -> tuple[list[Mat], list[int]]:
-    """GL_n(F) row by row, and the code of each element: row k is any vector
-    outside the span of rows 0..k-1.  Rows run through the vectors in
-    lexicographic order, so the matrices come out in the lexicographic order
-    of their entries.  Spans are sets of vector codes, widened through
-    tables of w + m and c*v, each computed entry by entry."""
+def _gl_elements(F: FiniteField, n: int) -> list[Mat]:
+    """GL_n(F) row by row: row k is any vector outside the span of rows
+    0..k-1.  Rows run through the vectors in lexicographic order, so the
+    matrices come out in the lexicographic order of their entries.  Spans
+    are sets of vector codes, widened through tables of w + m and c*v, each
+    computed entry by entry."""
     add, mul, q = F.add, F.mul, F.q
     vectors = list(itertools.product(range(q), repeat=n))
-    width = len(vectors)
     code = {v: i for i, v in enumerate(vectors)}
     plus = [[code[tuple(add[a][b] for a, b in zip(w, m))] for w in vectors] for m in vectors]
     multiples = [[code[tuple(mul[c][x] for x in v)] for c in range(q)] for v in vectors]
     out: list[Mat] = []
-    codes: list[int] = []
 
-    def extend(rows: Mat, prefix: int, span: set[int]) -> None:
+    def extend(rows: Mat, span: set[int]) -> None:
         if len(rows) == n - 1:
-            last = [i for i in range(width) if i not in span]
-            out.extend(rows + (vectors[i],) for i in last)
-            codes.extend(map(prefix.__add__, last))
+            out.extend(rows + (v,) for i, v in enumerate(vectors) if i not in span)
             return
         for i, v in enumerate(vectors):
             if i in span:
@@ -549,10 +540,10 @@ def _gl_elements(F: FiniteField, n: int) -> tuple[list[Mat], list[int]]:
             wider: set[int] = set()
             for m in multiples[i]:
                 wider.update(map(plus[m].__getitem__, span))
-            extend(rows + (v,), (prefix + i) * width, wider)
+            extend(rows + (v,), wider)
 
-    extend((), 0, {0})
-    return out, codes
+    extend((), {0})
+    return out
 
 
 def _gu_elements(F: FiniteField, n: int, q0: int) -> list[Mat]:
@@ -590,9 +581,8 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
     """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap,
     in the lexicographic order of their entries."""
     F = finite_field(_ambient_size(n, eps, q0))
-    if eps == 1:
-        return OracleGroup(n, eps, q0, F, *_gl_elements(F, n))
-    return OracleGroup(n, eps, q0, F, _gu_elements(F, n, q0))
+    elements = _gl_elements(F, n) if eps == 1 else _gu_elements(F, n, q0)
+    return OracleGroup(n, eps, q0, F, elements)
 
 
 # ---------------------------------------------------------------------------

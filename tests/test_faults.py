@@ -219,10 +219,7 @@ def drop_element(enumerate_group, which):
     def enumerate_without(n, eps, q0):
         G = enumerate_group(n, eps, q0)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        k = G.elements.index(identity) if which == "identity" else -1
-        del G.elements[k]
-        if G._codes is not None:  # the enumeration of GL_n gives codes too
-            del G._codes[k]
+        del G.elements[G.elements.index(identity) if which == "identity" else -1]
         return G
 
     return enumerate_without

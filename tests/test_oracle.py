@@ -287,10 +287,23 @@ def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     codes = [G.encode(g) for g in G.elements]
     assert codes == sorted(set(codes))  # distinct, in the order of the elements
     assert [decode(c, n, G.field.q) for c in codes] == G.elements
-    if eps == 1:  # the enumeration of GL_n gives the codes with the elements
-        assert G._codes == codes
     G.classes()
     assert G._index == {c: e for e, c in enumerate(codes)}
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0", [(1, 1, 5), (2, 1, 9), (3, 1, 3), (4, 1, 2), (2, -1, 5), (3, -1, 2)]
+)
+def test_right_multiplication_table_matches_mat_mul(n, eps, q0):
+    # the code of g*t is read off the two halves of the code of g, the first
+    # ceil(n/2) rows and the rest, so odd n gives halves of unequal size
+    G = enumerate_group(n, eps, q0)
+    G.classes()
+    index = {g: e for e, g in enumerate(G.elements)}
+    for t in random.Random(n * q0).sample(G.elements, 2):
+        assert list(G._times(t)) == [index[mat_mul(G.field, g, t)] for g in G.elements]
+    zero = ((0,) * n,) * n  # no product by it is an element
+    assert set(G._times(zero)) == {-1}
 
 
 @pytest.mark.parametrize(
