@@ -16,15 +16,15 @@ concatenated, the first row most significant, so the codes of the elements
 increase with their indices.  A generating set is found and checked by
 closure: the elements must be exactly the products of generators.  The
 closure multiplies each element by each generator once, reading the code of
-the product off the element's code a few rows at a time, through tables of
-the generator's action on blocks of rows, and keeps the Cayley graph as
-integer permutations of element indices, one for right multiplication by
-each generator, together with a spanning tree.  Left multiplication by a
-generator's inverse then follows the tree (s^-1*g*t = (s^-1*g)*t), so
-conjugation by a generator is a permutation too, and each conjugacy class is
-the breadth-first orbit of its first element under those permutations (the
-standard orbit algorithm; Holt, Eick & O'Brien, Handbook of Computational
-Group Theory, 2005, section 4.1).
+the product off the two halves of the element's code (its first ceil(n/2)
+rows and the rest) through tables of the generator's action on blocks of
+rows, and keeps the Cayley graph as integer permutations of element
+indices, one for right multiplication by each generator, together with a
+spanning tree.  Left multiplication by a generator's inverse then follows
+the tree (s^-1*g*t = (s^-1*g)*t), so conjugation by a generator is a
+permutation too, and each conjugacy class is the breadth-first orbit of its
+first element under those permutations (the standard orbit algorithm; Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -335,11 +335,12 @@ class OracleGroup:
     def _times(self, t: Mat) -> array:
         """R_t: e -> index of g_e*t, or -1 if the product is not an enumerated
         element, for every element at once.  Row i of g_e*t is row i of g_e
-        times t, so the code of g_e*t is read off the code of g_e a digit at
-        a time, a digit being k consecutive rows, through a table of t's
-        action on k rows.  k is as large as keeps that table no larger than
-        the group, so no table costs more to build than the pass that reads
-        it.  Each row product is summed in the order mat_mul sums it."""
+        times t, so the code of g_e*t is read off the two halves of the code
+        of g_e, the first ceil(n/2) rows and the rest, through two tables of
+        t's action on blocks of rows; each row product is summed in the order
+        mat_mul sums it.  The larger table has q^(n*ceil(n/2)) entries: under
+        ENUMERATION_CAP at most 531 441, for GU3(3) with 24 192 elements, and
+        at most 65 536 for every other group."""
         F, n, index = self.field, self.n, self._index
         add, mul, q, width = F.add, F.mul, F.q, F.q**n
         cols = list(zip(*t))
@@ -360,16 +361,10 @@ class OracleGroup:
                 table = [x * width + y for x in table for y in scaled]
             return table
 
-        k = 1  # k < n, since |G| < q^(n*n)
-        while width ** (k + 1) <= len(index):
-            k += 1
-        images, place = itertools.repeat(0), 1
-        for done in range(0, n, k):  # the last rows first
-            table = block(min(k, n - done), place)
-            base = len(table)
-            images = [s + table[c // place % base] for s, c in zip(images, index)]
-            place *= base
-        return array("i", map(index.get, images, itertools.repeat(-1)))
+        base = width ** (n // 2)
+        low, high = block(n // 2, 1), block(n - n // 2, base)
+        get = index.get
+        return array("i", [get(high[c // base] + low[c % base], -1) for c in index])
 
     def _generator_tables(self) -> list[array]:
         """A generating set, found and checked by closure, and the conjugation

@@ -295,8 +295,8 @@ def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     "n, eps, q0", [(1, 1, 5), (2, 1, 9), (3, 1, 3), (4, 1, 2), (2, -1, 5), (3, -1, 2)]
 )
 def test_right_multiplication_table_matches_mat_mul(n, eps, q0):
-    # the code of g*t is read off the code of g k rows at a time: these groups
-    # take k = 1, 2 and 3, and GL3(3) and GL4(2) end on a digit of one row
+    # the code of g*t is read off the two halves of the code of g, the first
+    # ceil(n/2) rows and the rest, so odd n gives halves of unequal size
     G = enumerate_group(n, eps, q0)
     G.classes()
     index = {g: e for e, g in enumerate(G.elements)}
