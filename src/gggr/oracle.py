@@ -44,7 +44,7 @@ from .grouporders import check_eps
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (~1.7 s and ~64 MiB peak for its report, 2 cores, Python
+#: 181 440 elements (~1.7 s and ~63 MiB peak for its report, 2 cores, Python
 #: 3.11), and refuses the next supported groups, GU_3(4) with 312 000 and
 #: GL_3(5) with 1 488 000 elements.
 ENUMERATION_CAP = 200_000
