@@ -7,24 +7,18 @@ classes, read off Jordan types, and compute Gelfand-Graev inner products as
 integer sums over the classes.  Nothing here touches the symbolic pipeline
 except the final comparisons.
 
-GL_n is enumerated row by row (each row outside the span of the rows before
-it) and GU_n column by column (each column a unit vector orthogonal to the
-columns before it), both in the lexicographic order of the ambient matrix
-space.  The class split works on integer codes: a row's code is its index in
-the lexicographic order of vectors, and a matrix's code is its row codes
-concatenated, the first row most significant, so the codes of the elements
-increase with their indices.  A generating set is found and checked by
-closure: the elements must be exactly the products of generators.  The
-closure multiplies each element by each generator once, reading the code of
-the product off the two halves of the element's code (its first ceil(n/2)
-rows and the rest) through tables of the generator's action on blocks of
-rows, and keeps the Cayley graph as integer permutations of element
-indices, one for right multiplication by each generator, together with a
-spanning tree.  Left multiplication by a generator's inverse then follows
-the tree (s^-1*g*t = (s^-1*g)*t), so conjugation by a generator is a
-permutation too, and each conjugacy class is the breadth-first orbit of its
-first element under those permutations (the standard orbit algorithm; Holt,
-Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+GL_n and GU_n are enumerated by one routine, row by row, each row picked
+from candidate vectors that narrow as rows are picked: for GL_n the vectors
+outside the span of the rows before it, for GU_n the unit vectors orthogonal
+to them.  An element is held as an integer code, its row codes concatenated
+with the first row most significant, where a row's code is its index in the
+lexicographic order of vectors.  The codes come out strictly increasing, and
+a matrix is decoded only where one is needed.  A generating set is found and
+checked by closure, which records the Cayley graph as permutations of element
+indices; conjugation by each generator is read off it, and each conjugacy
+class is the breadth-first orbit of its first element under those
+permutations (the standard orbit algorithm; Holt, Eick & O'Brien, Handbook
+of Computational Group Theory, 2005, section 4.1).
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -35,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -44,7 +39,7 @@ from .grouporders import check_eps
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (~1.7 s and ~63 MiB peak for its report, 2 cores, Python
+#: 181 440 elements (~0.7 s and ~46 MiB peak for its report, 2 cores, Python
 #: 3.11), and refuses the next supported groups, GU_3(4) with 312 000 and
 #: GL_3(5) with 1 488 000 elements.
 ENUMERATION_CAP = 200_000
@@ -127,17 +122,10 @@ class FiniteField:
         raise ContractError(f"no irreducible polynomial of degree {self.e} over F_{self.p}")
 
     def _decode(self, code: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.e):
-            digits.append(code % self.p)
-            code //= self.p
-        return tuple(digits)
+        return tuple(code // self.p**i % self.p for i in range(self.e))
 
     def _encode(self, digits) -> int:
-        code = 0
-        for d in reversed(list(digits)):
-            code = code * self.p + d
-        return code
+        return sum(d * self.p**i for i, d in enumerate(digits))
 
     def _build_tables(self) -> None:
         q, p, e = self.q, self.p, self.e
@@ -224,6 +212,14 @@ def finite_field(q: int) -> FiniteField:
 Mat = tuple[tuple[int, ...], ...]
 
 
+def _sums(F: FiniteField, tables) -> list[int]:
+    """x -> sum_k tables[k][x_k], added in mat_mul's order, for each vector x."""
+    out = [0]
+    for table in tables:
+        out = [F.add[a][y] for a in out for y in table]
+    return out
+
+
 def mat_identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -297,7 +293,7 @@ class OracleGroup:
     eps: int
     q0: int
     field: FiniteField  # entries live here: F_q0 for GL, F_{q0^2} for GU
-    elements: list[Mat]
+    codes: list[int]  # e -> the code of g_e, increasing
 
     _index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
     _class_id: Optional[list[int]] = None  # e -> the class of g_e
@@ -305,7 +301,12 @@ class OracleGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @property
+    def elements(self) -> Sequence[Mat]:
+        """The elements in order, each decoded when read; len() decodes none."""
+        return _Decoded(self)
 
     @property
     def name(self) -> str:
@@ -319,6 +320,12 @@ class OracleGroup:
         for x in itertools.chain.from_iterable(g):
             code = code * q + x
         return code
+
+    def decode(self, code: int) -> Mat:
+        """The matrix whose code is ``code``, as encode reads it."""
+        q = self.field.q
+        entries = iter([code // q**k % q for k in reversed(range(self.n**2))])
+        return tuple(zip(*[entries] * self.n))
 
     # -- conjugacy ------------------------------------------------------
 
@@ -337,22 +344,15 @@ class OracleGroup:
         element, for every element at once.  Row i of g_e*t is row i of g_e
         times t, so the code of g_e*t is read off the two halves of the code
         of g_e, the first ceil(n/2) rows and the rest, through two tables of
-        t's action on blocks of rows; each row product is summed in the order
-        mat_mul sums it.  The larger table has q^(n*ceil(n/2)) entries: under
-        ENUMERATION_CAP at most 531 441, for GU3(3) with 24 192 elements, and
-        at most 65 536 for every other group."""
+        t's action on blocks of rows.  The larger has q^(n*ceil(n/2)) entries:
+        under ENUMERATION_CAP at most 531 441, for GU3(3) with 24 192
+        elements, and at most 65 536 for every other group."""
         F, n, index = self.field, self.n, self._index
-        add, mul, q, width = F.add, F.mul, F.q, F.q**n
-        cols = list(zip(*t))
-        rows = []  # code of v -> code of v*t
-        for v in itertools.product(range(q), repeat=n):
-            code = 0
-            for col in cols:
-                acc = 0
-                for x, y in zip(v, col):
-                    acc = add[acc][mul[x][y]]
-                code = code * q + acc
-            rows.append(code)
+        q, width = F.q, F.q**n
+        rows = [0] * width  # code of v -> code of v*t
+        for col in zip(*t):
+            entries = _sums(F, [[row[y] for row in F.mul] for y in col])
+            rows = [code * q + x for code, x in zip(rows, entries)]
 
         def block(k: int, place: int) -> list[int]:
             """Code of k rows -> place times the code of their product by t."""
@@ -364,19 +364,19 @@ class OracleGroup:
         base = width ** (n // 2)
         low, high = block(n // 2, 1), block(n - n // 2, base)
         get = index.get
-        return array("i", [get(high[c // base] + low[c % base], -1) for c in index])
+        return array("i", [get(high[c // base] + low[c % base], -1) for c in self.codes])
 
     def _generator_tables(self) -> list[array]:
         """A generating set, found and checked by closure, and the conjugation
-        by each generator s as a permutation e -> index of s^-1*g_e*s.  Walk
-        the elements in order; each one not yet reached from the identity
-        becomes a generator t, with R_t for every element, and the closure
-        is extended, not restarted: R_t is applied to every element reached
-        so far, then the new elements are searched breadth first with every
-        generator.  So the closure reads every entry of every R_t once, and
-        each must be an enumerated element."""
-        F, n, elements, index = self.field, self.n, self.elements, self._index
-        size = len(elements)
+        by each generator s as a permutation e -> index of s^-1*g_e*s.  The
+        first element, then each from the last back (dense matrices generate
+        more), not yet reached from the identity becomes a generator t, with
+        R_t for every element.  The closure is extended, not restarted: R_t
+        is applied to every element reached so far, then the new elements are
+        searched breadth first with every generator.  So it reads every entry
+        of every R_t once, and each must be an enumerated element."""
+        F, n, codes, index = self.field, self.n, self.codes, self._index
+        size = len(codes)
         start = index.get(self.encode(mat_identity(n)))
         if start is None:
             raise ContractError(f"{self.name}: the identity is not an enumerated element")
@@ -390,9 +390,10 @@ class OracleGroup:
         reached = bytearray(size)
         reached[start] = 1
         order = array("i", [start])  # the reached elements, each after its parent
-        for i, t in enumerate(elements):
+        for i in itertools.chain((0,), range(size - 1, 0, -1)):
             if reached[i]:
                 continue
+            t = self.decode(codes[i])
             t_inv = mat_inv(F, t)
             if t_inv is None:
                 raise ContractError(f"{self.name}: an enumerated element is singular")
@@ -405,7 +406,7 @@ class OracleGroup:
                 for k, times in newest if pos < old else every:
                     j = times[e]
                     if j < 0:
-                        h = mat_mul(F, elements[e], generators[k][0])
+                        h = mat_mul(F, self.decode(codes[e]), generators[k][0])
                         raise ContractError(
                             f"{self.name}: the product {h} is not an enumerated element"
                         )
@@ -442,12 +443,11 @@ class OracleGroup:
         enumerated and to satisfy R_s[L_s[identity]] = identity, and
         L_s[e] = R_t[L_s[i]] since s^-1*g_i*t = (s^-1*g_i)*t.  The conjugate
         s^-1*g_e*s is then R_s[L_s[e]], a product in the checked table."""
-        elements = self.elements
-        self._index = dict(zip(map(self.encode, elements), itertools.count()))
+        self._index = dict(zip(self.codes, itertools.count()))
         conjugations = self._generator_tables()
-        class_id = [-1] * len(elements)
+        class_id = [-1] * len(self.codes)
         classes: list[ConjClass] = []
-        for e, g in enumerate(elements):
+        for e, code in enumerate(self.codes):
             if class_id[e] >= 0:
                 continue
             idx = len(classes)
@@ -459,6 +459,7 @@ class OracleGroup:
                     if class_id[c] < 0:
                         class_id[c] = idx
                         orbit.append(c)
+            g = self.decode(code)
             classes.append(ConjClass(g, len(orbit), self.jordan_type(g)))
         self._class_id = class_id
         self._classes = classes
@@ -493,6 +494,17 @@ class OracleGroup:
         return out
 
 
+class _Decoded(Sequence):
+    def __init__(self, group: OracleGroup):
+        self.codes, self.decode = group.codes, group.decode
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, e: int) -> Mat:
+        return self.decode(self.codes[e])
+
+
 def _group_size(n: int, eps: int, q0: int) -> int:
     """|GL_n(q0)| (eps = 1) or |GU_n(q0)| (eps = -1) by the product formula
     q0^(n(n-1)/2) * prod_{i=1..n} (q0^i - eps^i)."""
@@ -519,63 +531,47 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     return q0 if eps == 1 else q0 * q0
 
 
-def _gl_elements(F: FiniteField, n: int) -> list[Mat]:
-    """GL_n(F) row by row: row k is any vector outside the span of rows
-    0..k-1.  Rows run through the vectors in lexicographic order, so the
-    matrices come out in the lexicographic order of their entries.  Spans
-    are sets of vector codes, widened through tables of w + m and c*v, each
-    computed entry by entry."""
+def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> list[int]:
+    """The codes of GL_n(F) (eps = 1) or GU_n(q0) (eps = -1), row by row,
+    each row picked from candidates (vector codes, increasing) that
+    narrow(candidates, state, v) narrows once row v is picked.  GL: vectors
+    outside the span of the rows so far, a set of codes widened by tables
+    of u + m and c*v.  GU: unit vectors orthogonal to them for the identity
+    Hermitian form h (g*g^* = 1, for square g the same as g^**g = 1), by a
+    table of h(v, .) per unit v; h(v, x) = 0 exactly when h(x, v) = 0."""
     add, mul, q = F.add, F.mul, F.q
     vectors = list(itertools.product(range(q), repeat=n))
-    code = {v: i for i, v in enumerate(vectors)}
-    plus = [[code[tuple(add[a][b] for a, b in zip(w, m))] for w in vectors] for m in vectors]
-    multiples = [[code[tuple(mul[c][x] for x in v)] for c in range(q)] for v in vectors]
-    out: list[Mat] = []
+    w = len(vectors)
+    if eps == 1:
+        code = {v: i for i, v in enumerate(vectors)}
+        plus = [[code[tuple(add[a][b] for a, b in zip(u, m))] for u in vectors] for m in vectors]
+        multiples = [[code[tuple(mul[c][x] for x in v)] for c in range(q)] for v in vectors]
 
-    def extend(rows: Mat, span: set[int]) -> None:
-        if len(rows) == n - 1:
-            out.extend(rows + (v,) for i, v in enumerate(vectors) if i not in span)
+        def narrow(candidates: list[int], span: set[int], v: int):
+            wider = {plus[m][x] for m in multiples[v] for x in span}
+            return [x for x in candidates if x not in wider], wider
+
+        first, state = list(range(1, w)), {0}
+    else:
+        bar = [F.power(a, q0) for a in range(q)]
+        norms = _sums(F, [[mul[bar[x]][x] for x in range(q)]] * n)
+        first, state = [v for v in range(w) if norms[v] == 1], None
+        herm = {v: bytes(_sums(F, [mul[bar[x]] for x in vectors[v]])) for v in first}
+
+        def narrow(candidates: list[int], _, v: int):
+            h = herm[v]
+            return [x for x in candidates if not h[x]], None
+
+    out: list[int] = []
+
+    def extend(prefix: int, k: int, candidates: list[int], state) -> None:
+        if k == n - 1:
+            out.extend([prefix + v for v in candidates])
             return
-        for i, v in enumerate(vectors):
-            if i in span:
-                continue
-            wider: set[int] = set()
-            for m in multiples[i]:
-                wider.update(map(plus[m].__getitem__, span))
-            extend(rows + (v,), wider)
+        for v in candidates:
+            extend((prefix + v) * w, k + 1, *narrow(candidates, state, v))
 
-    extend((), {0})
-    return out
-
-
-def _gu_elements(F: FiniteField, n: int, q0: int) -> list[Mat]:
-    """GU_n(q0) column by column: column k is a unit vector orthogonal to
-    columns 0..k-1 for the identity Hermitian form.  Together these are the
-    entries of g*g = 1, each summed in the order mat_mul sums it.  Sorted
-    into the lexicographic order of the entries."""
-    add, mul = F.add, F.mul
-    bar = [F.power(a, q0) for a in range(F.q)]
-
-    def herm(u: tuple, v: tuple) -> int:  # conjugate-linear in u
-        acc = 0
-        for x, y in zip(u, v):
-            acc = add[acc][mul[bar[x]][y]]
-        return acc
-
-    units = [v for v in itertools.product(range(F.q), repeat=n) if herm(v, v) == 1]
-    out: list[Mat] = []
-
-    def extend(cols: tuple) -> None:
-        for v in units:
-            if any(herm(c, v) or herm(v, c) for c in cols):
-                continue
-            if len(cols) == n - 1:
-                out.append(tuple(zip(*cols, v)))
-            else:
-                extend(cols + (v,))
-
-    extend(())
-    out.sort()
+    extend(0, 0, first, state)
     return out
 
 
@@ -583,8 +579,7 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
     """All elements of GL_n(q0) or GU_n(q0), subject to the enumeration cap,
     in the lexicographic order of their entries."""
     F = finite_field(_ambient_size(n, eps, q0))
-    elements = _gl_elements(F, n) if eps == 1 else _gu_elements(F, n, q0)
-    return OracleGroup(n, eps, q0, F, elements)
+    return OracleGroup(n, eps, q0, F, _element_codes(F, n, eps, q0))
 
 
 # ---------------------------------------------------------------------------

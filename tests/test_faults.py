@@ -147,7 +147,7 @@ def field_f4():
 #: What the corrupted F_4 of ``corrupt_f4`` trips first in GL2(4): the
 #: enumeration is no longer a group, so the closure check of the generating set
 #: fails before the trace is ever taken.
-GL2_F4_OUTSIDE = "GL2(F4): the product ((2, 2), (2, 2)) is not an enumerated element"
+GL2_F4_OUTSIDE = "GL2(F4): the product ((2, 1), (3, 2)) is not an enumerated element"
 
 
 def test_field_entry_fails_oracle_trace(field_f4, capsys):
@@ -219,7 +219,7 @@ def drop_element(enumerate_group, which):
     def enumerate_without(n, eps, q0):
         G = enumerate_group(n, eps, q0)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        del G.elements[G.elements.index(identity) if which == "identity" else -1]
+        del G.codes[G.codes.index(G.encode(identity)) if which == "identity" else -1]
         return G
 
     return enumerate_without

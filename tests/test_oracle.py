@@ -267,7 +267,7 @@ def test_class_split_matches_orbits_of_matrix_conjugation(n, eps, q0):
      (3, 1, 3), (2, -1, 2), (2, -1, 3), (2, -1, 4)],
 )
 def test_enumeration_matches_ambient_scan(n, eps, q0):
-    assert enumerate_group(n, eps, q0).elements == reference_ambient_scan(n, eps, q0)
+    assert list(enumerate_group(n, eps, q0).elements) == reference_ambient_scan(n, eps, q0)
 
 
 def decode(code, n, q):
@@ -284,11 +284,35 @@ def decode(code, n, q):
 @pytest.mark.parametrize("n, eps, q0", [(3, 1, 3), (2, -1, 5), (2, 1, 9)])
 def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     G = enumerate_group(n, eps, q0)
-    codes = [G.encode(g) for g in G.elements]
-    assert codes == sorted(set(codes))  # distinct, in the order of the elements
-    assert [decode(c, n, G.field.q) for c in codes] == G.elements
+    assert G.codes == sorted(set(G.codes))  # distinct, in increasing order
+    elements = [decode(c, n, G.field.q) for c in G.codes]
+    assert list(G.elements) == elements
+    assert [G.encode(g) for g in elements] == G.codes
     G.classes()
-    assert G._index == {c: e for e, c in enumerate(codes)}
+    assert G._index == {c: e for e, c in enumerate(G.codes)}
+
+
+def test_gu3_3_rows_enumerate_unitary_matrices():
+    # GU is enumerated by rows (g*g^* = 1); the ambient scan checks g^**g = 1,
+    # but scanning 9^9 matrices is out of reach, so a sample checks both
+    G = enumerate_group(3, -1, 3)
+    assert G.order == 24192
+    assert all(a < b for a, b in zip(G.codes, G.codes[1:]))
+    F, identity = G.field, mat_identity(3)
+    for code in random.Random(3).sample(G.codes, 200):
+        g = decode(code, 3, F.q)
+        g_star = tuple(tuple(F.power(g[j][i], 3) for j in range(3)) for i in range(3))
+        assert mat_mul(F, g, g_star) == identity
+        assert mat_mul(F, g_star, g) == identity
+
+
+@pytest.mark.parametrize("n, eps, q0, count", [(4, 1, 2, 3), (3, 1, 3, 3), (2, -1, 5, 4)])
+def test_generator_counts(n, eps, q0, count):
+    # each generator costs a table of |G| products and an orbit pass; taking
+    # them from the end of the order, where matrices are dense, needs few
+    G = enumerate_group(n, eps, q0)
+    G.classes()
+    assert len(G._generator_tables()) == count
 
 
 @pytest.mark.parametrize(
