@@ -2,12 +2,7 @@
 the finite general linear and unitary groups, with a brute-force group-theory
 oracle for cross-checking."""
 
-from .errors import (
-    CapExceededError,
-    ContractError,
-    NonExactDivisionError,
-    VariableMismatchError,
-)
+from .errors import CapExceededError, ContractError, NonExactDivisionError
 from .green import GreenTable, green_table, verify_orthogonality
 from .grouporders import (
     class_size,
@@ -55,7 +50,6 @@ __all__ = [
     "OracleGroup",
     "Partition",
     "RationalPoly",
-    "VariableMismatchError",
     "VerificationReport",
     "centralizer_dim",
     "character_table",

@@ -26,7 +26,7 @@ from .grouporders import (
 )
 from .intpoly import IntPoly, bilinear, mul, scale, signed, trim
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import RationalPoly, poly_to_json, substitute_signed
+from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
 
 
@@ -77,13 +77,15 @@ class GreenTable:
 
     def to_json(self, eps: Optional[int] = None) -> dict:
         """Wire format; when eps is given the table is specialized t -> eps*q."""
+        if eps is not None:
+            check_eps(eps)
         rows = []
         for rho in self.order:
             cols = []
             for la in self.order:
                 poly = self.entries[(rho, la)]
                 if eps is not None:
-                    poly = substitute_signed(poly, eps)
+                    poly = RationalPoly(signed(poly.coeffs, eps), "q")
                 cols.append({"lambda": la.to_json(), "poly": poly_to_json(poly)})
             rows.append({"rho": rho.to_json(), "cols": cols})
         out = {"n": self.n}

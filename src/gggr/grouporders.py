@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ContractError, NonExactDivisionError
-from .intpoly import IntPoly, divmod_monic
+from .intpoly import IntPoly, divmod_monic, scale, times_binomials
 from .partitions import Partition, conjugate, multiplicities, n_stat
 from .polyring import RationalPoly
 
@@ -22,21 +22,9 @@ def check_eps(eps: int) -> int:
     return eps
 
 
-def _times_binomials(shift: int, exps, eps: int) -> IntPoly:
-    """q^shift * prod_{k in exps} (q^k - eps^k), integer coefficients."""
-    out = [0] * shift + [1]
-    for k in exps:
-        c = eps**k
-        nxt = [0] * k + out
-        for i, a in enumerate(out):
-            nxt[i] -= c * a
-        out = nxt
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def group_order_coeffs(n: int, eps: int) -> IntPoly:
-    return _times_binomials(n * (n - 1) // 2, range(1, n + 1), eps)
+    return times_binomials(n * (n - 1) // 2, range(1, n + 1), eps)
 
 
 def group_order(n: int, eps: int) -> RationalPoly:
@@ -49,7 +37,7 @@ def group_order(n: int, eps: int) -> RationalPoly:
 
 @lru_cache(maxsize=None)
 def torus_order_coeffs(rho: tuple[int, ...], eps: int) -> IntPoly:
-    return _times_binomials(0, rho, eps)
+    return times_binomials(0, rho, eps)
 
 
 def torus_order(rho: Partition, eps: int) -> RationalPoly:
@@ -60,13 +48,10 @@ def torus_order(rho: Partition, eps: int) -> RationalPoly:
 
 
 def e_poly(la: Partition) -> RationalPoly:
-    """e_la(t) = prod_i (1 - t^{la_i}); |T_rho| = q^n * e_rho(1/(eps*q)) up to
-    the eps-substitution (the torus order as it appears in the literature's
-    form of the character formula)."""
-    out = RationalPoly.const(1, "t")
-    for part in la:
-        out = out * (1 - RationalPoly.monomial(part, 1, "t"))
-    return out
+    """e_la(t) = prod_i (1 - t^{la_i}), so that |T_rho| = q^n * e_rho(1/(eps q)).
+    The package does not call it: it is kept because the span table of the
+    benchmark (`bench/spans.py` LAYERS) wraps it by name."""
+    return RationalPoly(scale(times_binomials(0, la, 1), (-1) ** len(la)), "t")
 
 
 def sgn_eps(la: Partition, eps: int) -> int:
@@ -87,7 +72,7 @@ def _centralizer(la: tuple[int, ...], eps: int) -> IntPoly:
         raise ContractError(
             f"centralizer order for {la} has a negative power q^{shift}"
         )
-    return _times_binomials(shift, [k for m in mults for k in range(1, m + 1)], eps)
+    return times_binomials(shift, [k for m in mults for k in range(1, m + 1)], eps)
 
 
 def unipotent_centralizer_order(la: Partition, eps: int) -> RationalPoly:

@@ -44,6 +44,18 @@ def evaluate(f: IntPoly, x: int) -> int:
     return acc
 
 
+def times_binomials(shift: int, exps, eps: int) -> IntPoly:
+    """q^shift * prod_{k in exps} (q^k - eps^k)."""
+    out = [0] * shift + [1]
+    for k in exps:
+        c = eps**k
+        nxt = [0] * k + out
+        for i, a in enumerate(out):
+            nxt[i] -= c * a
+        out = nxt
+    return tuple(out)
+
+
 def divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     """f = quot * g + rem with deg rem < deg g, for a monic g."""
     if not g or g[-1] != 1:

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
 from .errors import CapExceededError, ContractError, NonExactDivisionError
-from .intpoly import IntPoly, bilinear, divmod_monic, mul, scale, trim
+from .intpoly import IntPoly, bilinear, divmod_monic, mul, scale, times_binomials, trim
 from .partitions import Partition, multiplicities, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly
 
@@ -264,17 +265,10 @@ def _monomial_count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def _one_minus_t(powers) -> IntPoly:
-    """prod_k (1 - t^k) over the given exponents k."""
-    out: IntPoly = (1,)
-    for k in powers:
-        out = mul(out, (1,) + (0,) * (k - 1) + (-1,))
-    return out
-
-
 def _b(la: Partition) -> IntPoly:
     """b_la(t) = prod_i phi_{m_i(la)}(t), with phi_m(t) = (1 - t)...(1 - t^m)."""
-    return _one_minus_t(k for m in multiplicities(la).values() for k in range(1, m + 1))
+    exps = [k for m in multiplicities(la).values() for k in range(1, m + 1)]
+    return scale(times_binomials(0, exps, 1), (-1) ** len(exps))
 
 
 def _dominated(mu: Partition, la: Partition) -> bool:
@@ -314,16 +308,15 @@ def _exact_quotient(f: IntPoly, pivot: IntPoly, mu: Partition, la: Partition) ->
 def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[IntPoly, ...], ...]]:
     """R, and W^T with G = W^T diag(b) W, for the partitions of n."""
     parts = partitions_of(n)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    fact = factorial(n)
     R = [[trim((_monomial_count(rho, mu),)) for mu in parts] for rho in parts]
     weights = []
     for rho in parts:
         cls, rem = divmod(fact, weyl_centralizer_order(rho))
         if rem:
             raise NonExactDivisionError(f"z_rho of {tuple(rho)} does not divide {n}!")
-        weights.append(scale(_one_minus_t(rho), cls))
+        # n!/z_rho(t) = (n!/z_rho) * (-1)^len(rho) * prod_i (t^rho_i - 1)
+        weights.append(scale(times_binomials(0, rho, 1), cls * (-1) ** len(rho)))
     gram = bilinear(R, weights, R)  # n! * G
     if any(c % fact for row in gram for f in row for c in f):
         raise NonExactDivisionError(f"n! * G is not divisible by {n}! = {fact}")

@@ -1,4 +1,4 @@
-from fractions import Fraction
+from functools import reduce
 
 from gggr.grouporders import (
     centralizer_dim,
@@ -10,17 +10,27 @@ from gggr.grouporders import (
     unipotent_centralizer_order,
 )
 from gggr.partitions import Partition, n_stat, partitions_of
-from gggr.polyring import RationalPoly, substitute_signed
+from gggr.polyring import RationalPoly
+from test_intpoly import add, schoolbook
 
 P = Partition
-q = RationalPoly.gen("q")
+
+
+def Q(*coeffs):
+    return RationalPoly(coeffs, "q")
+
+
+def binomial(k, c):
+    """x^k - c."""
+    return (-c,) + (0,) * (k - 1) + (1,)
 
 
 def test_group_order_small():
-    assert group_order(1, 1) == q - 1
-    assert group_order(1, -1) == q + 1
-    assert group_order(2, 1) == (q**2 - 1) * (q**2 - q)
-    assert group_order(2, -1) == (q**2 - 1) * (q**2 + q)
+    assert group_order(1, 1) == Q(-1, 1)
+    assert group_order(1, -1) == Q(1, 1)
+    # (q^2 - 1)(q^2 - q) and (q^2 - 1)(q^2 + q)
+    assert group_order(2, 1) == Q(0, 1, -1, -1, 1)
+    assert group_order(2, -1) == Q(0, -1, -1, 1, 1)
 
 
 def test_group_order_numeric():
@@ -45,29 +55,30 @@ def test_torus_order_is_product_form():
         for eps in (1, -1):
             for rho in partitions_of(n):
                 f = torus_order(rho, eps)
-                expect = RationalPoly.const(1, "q")
-                for part in rho:
-                    expect = expect * (q**part - RationalPoly.const(eps**part, "q"))
-                assert f == expect
+                factors = [binomial(part, eps**part) for part in rho]
+                assert f == Q(*reduce(schoolbook, factors, (1,)))
 
 
 def test_torus_order_via_e_poly():
-    # q^n * e_rho at (eps*q)^{-1} reproduces the product formula; with
-    # deg e_rho = n that is e_rho(eps q) with its coefficients reversed
+    # e_rho(t) = prod_i (1 - t^rho_i); q^n * e_rho at (eps*q)^{-1} reproduces
+    # the product formula, and with deg e_rho = n that is e_rho(eps q) with
+    # its coefficients reversed
     for n in range(1, 7):
-        for eps in (1, -1):
-            for rho in partitions_of(n):
-                e_at = substitute_signed(e_poly(rho), eps)
-                assert e_at.degree == n
-                alt = RationalPoly(e_at.coeffs[::-1], "q")
-                assert alt == torus_order(rho, eps)
+        for rho in partitions_of(n):
+            e = e_poly(rho)
+            factors = [(1,) + (0,) * (part - 1) + (-1,) for part in rho]
+            assert e == RationalPoly(reduce(schoolbook, factors, (1,)), "t")
+            assert e.degree == n
+            for eps in (1, -1):
+                e_at = [c * eps**k for k, c in enumerate(e.coeffs)]
+                assert Q(*e_at[::-1]) == torus_order(rho, eps)
 
 
 def test_torus_orders_multiply_up():
     # the split torus (1^n) has order (q - eps)^n
     for eps in (1, -1):
-        assert torus_order(P((1, 1, 1)), eps) == (q - eps * 1) ** 3
-        assert torus_order(P((3,)), eps) == q**3 - RationalPoly.const(eps, "q")
+        assert torus_order(P((1, 1, 1)), eps) == Q(-eps, 3, -3 * eps, 1)
+        assert torus_order(P((3,)), eps) == Q(-eps, 0, 0, 1)
 
 
 def test_sgn_eps():
@@ -101,10 +112,9 @@ def test_centralizer_dim():
 
 
 def test_class_size_identity_is_one():
-    one = RationalPoly.const(1, "q")
     for n in range(1, 6):
         for eps in (1, -1):
-            assert class_size(P((1,) * n), eps) == one
+            assert class_size(P((1,) * n), eps) == Q(1)
 
 
 def test_class_size_numeric_gl():
@@ -121,10 +131,8 @@ def test_steinberg_count():
     # unipotent elements number q^(n(n-1)), for both twists
     for n in range(1, 6):
         for eps in (1, -1):
-            total = RationalPoly.zero("q")
-            for la in partitions_of(n):
-                total = total + class_size(la, eps)
-            assert total == q ** (n * (n - 1))
+            total = reduce(add, (class_size(la, eps).coeffs for la in partitions_of(n)), ())
+            assert Q(*total) == Q(*(0,) * (n * (n - 1)), 1)
 
 
 def test_class_sizes_are_integral_polynomials():

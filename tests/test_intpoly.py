@@ -12,6 +12,7 @@ from gggr.intpoly import (
     mul,
     product_bound,
     signed,
+    times_binomials,
     trim,
 )
 
@@ -118,3 +119,14 @@ def test_signed_and_evaluate():
     assert signed(f, -1) == (3, 1, 1)
     for q0 in (-3, 0, 2, 5):
         assert evaluate(signed(f, -1), q0) == evaluate(f, -q0)
+
+
+def test_times_binomials_matches_schoolbook():
+    rng = random.Random(2010)
+    for _ in range(50):
+        shift, eps = rng.randrange(4), rng.choice((1, -1))
+        exps = [rng.randrange(1, 6) for _ in range(rng.randrange(5))]
+        expect = (0,) * shift + (1,)
+        for k in exps:
+            expect = schoolbook(expect, (-(eps**k),) + (0,) * (k - 1) + (1,))
+        assert times_binomials(shift, exps, eps) == expect

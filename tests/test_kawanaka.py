@@ -3,12 +3,13 @@ polynomials built from them."""
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from gggr.errors import CapExceededError
 from gggr.green import green_poly
-from gggr.grouporders import centralizer_dim, e_poly, group_order, sgn_eps
+from gggr.grouporders import centralizer_dim, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
     endo_dim,
@@ -17,27 +18,32 @@ from gggr.kawanaka import (
     verify_theorem,
 )
 from gggr.partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from gggr.polyring import RationalPoly, substitute_signed
+from gggr.polyring import RationalPoly
 from gggr.symfunc import x_poly
+from test_intpoly import add, schoolbook
 
 P = Partition
-q = RationalPoly.gen("q")
+
+
+def Q(*coeffs):
+    return RationalPoly(coeffs, "q")
 
 
 def test_n1():
     for eps in (1, -1):
         v = gggr_value(P((1,)), P((1,)), eps)
-        assert v == q - eps * 1
-        assert endo_dim(P((1,)), eps) == q - eps * 1
+        assert v == Q(-eps, 1)
+        assert endo_dim(P((1,)), eps) == Q(-eps, 1)
 
 
 def test_n2_values():
-    # regular class column
-    assert gggr_value(P((2,)), P((2,)), 1) == 1 - q
-    assert gggr_value(P((2,)), P((2,)), -1) == -1 - q
-    # identity column carries the full character degree |G|_{p'}
-    assert gggr_value(P((2,)), P((1, 1)), 1) == (q - 1) * (q**2 - 1)
-    assert gggr_value(P((2,)), P((1, 1)), -1) == (q + 1) * (q**2 - 1)
+    # regular class column: 1 - q and -1 - q
+    assert gggr_value(P((2,)), P((2,)), 1) == Q(1, -1)
+    assert gggr_value(P((2,)), P((2,)), -1) == Q(-1, -1)
+    # identity column carries the full character degree |G|_{p'}:
+    # (q - 1)(q^2 - 1) and (q + 1)(q^2 - 1)
+    assert gggr_value(P((2,)), P((1, 1)), 1) == Q(1, -1, -1, 1)
+    assert gggr_value(P((2,)), P((1, 1)), -1) == Q(-1, -1, 1, 1)
     # trivial mu is the regular representation on unipotents
     assert gggr_value(P((1, 1)), P((2,)), 1).is_zero()
     assert gggr_value(P((1, 1)), P((1, 1)), 1) == group_order(2, 1)
@@ -49,8 +55,8 @@ def test_character_degree_is_prime_to_p_part():
     for n in range(1, 5):
         for eps in (1, -1):
             v = gggr_value(P((n,)), P((1,) * n), eps)
-            top = q ** (n * (n - 1) // 2)
-            assert v * top == group_order(n, eps)
+            top = (0,) * (n * (n - 1) // 2)
+            assert Q(*top, *v.coeffs) == group_order(n, eps)
 
 
 def test_trivial_mu_is_regular_representation():
@@ -86,8 +92,9 @@ def test_gggr_character_json():
 
 def test_endo_dim_regular():
     for n in range(1, 5):
-        assert endo_dim(P((n,)), 1) == (q - 1) * q ** (n - 1)
-        assert endo_dim(P((n,)), -1) == (q + 1) * q ** (n - 1)
+        # (q - 1) q^(n - 1) and (q + 1) q^(n - 1)
+        assert endo_dim(P((n,)), 1) == Q(*(0,) * (n - 1), -1, 1)
+        assert endo_dim(P((n,)), -1) == Q(*(0,) * (n - 1), 1, 1)
 
 
 def test_endo_dim_trivial():
@@ -153,20 +160,23 @@ def test_verify_custom_samples():
 
 def reference_gamma(mu, la, eps):
     """gamma_mu(la) as the per-rho sum of Fraction-weighted polynomial
-    products that the batched integer kernel replaces, the torus order taken
-    the long way round, as q^n * e_rho(1/(eps q)): the coefficients of the
-    degree-n polynomial e_rho(eps q) in reverse order."""
+    products that the batched integer kernel replaces, with schoolbook
+    products, the sign of t -> eps*q applied by hand and the torus order
+    built factor by factor."""
     n = mu.n
-    acc = RationalPoly.zero("q")
+
+    def at_eps_q(f):
+        return tuple(c * eps**k for k, c in enumerate(f.coeffs))
+
+    acc = ()
     for rho in partitions_of(n):
         weight = Fraction(sgn_eps(rho, eps), weyl_centralizer_order(rho))
-        e_at = substitute_signed(e_poly(rho), eps)
-        assert e_at.degree == n
-        torus = RationalPoly(e_at.coeffs[::-1], "q")
-        x_at = substitute_signed(x_poly(rho, mu), eps)
-        q_at = substitute_signed(green_poly(rho, la), eps)
-        acc = acc + weight * torus * x_at * q_at
-    return eps ** (n_stat(mu) % 2) * acc
+        factors = [(-(eps**part),) + (0,) * (part - 1) + (1,) for part in rho]
+        torus = reduce(schoolbook, factors, (weight,))
+        x_at = at_eps_q(x_poly(rho, mu))
+        q_at = at_eps_q(green_poly(rho, la))
+        acc = add(acc, schoolbook(schoolbook(torus, x_at), q_at))
+    return Q(*(eps ** (n_stat(mu) % 2) * c for c in acc))
 
 
 def test_batched_gamma_matches_per_rho_sum():
