@@ -31,7 +31,6 @@ from .oracle import (
 from .partitions import Partition, n_stat, partitions_of
 from .polyring import RationalPoly, poly_from_json, poly_to_json, pretty
 from .symfunc import (
-    character_table,
     hall_littlewood_expand,
     kostka_foulkes,
     mn_character,
@@ -52,7 +51,6 @@ __all__ = [
     "RationalPoly",
     "VerificationReport",
     "centralizer_dim",
-    "character_table",
     "class_size",
     "endo_dim",
     "enumerate_group",

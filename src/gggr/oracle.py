@@ -3,9 +3,9 @@
 Everything symbolic in this package ultimately claims to predict honest
 finite-group quantities.  This module checks a handful of them the hard way:
 enumerate GL_n(q0) or GU_n(q0) as explicit matrices, split it into conjugacy
-classes, read off Jordan types, and compute Gelfand-Graev inner products as
-integer sums over the classes.  Nothing here touches the symbolic pipeline
-except the final comparisons.
+classes, read off Jordan types, and compute the inner products of
+generalised Gelfand-Graev characters as integer sums over the classes.
+Nothing here touches the symbolic pipeline except the final comparisons.
 
 GL_n and GU_n are enumerated by one routine, row by row, each row picked
 from candidate vectors that narrow as rows are picked: for GL_n the vectors
@@ -23,6 +23,18 @@ of Computational Group Theory, 2005, section 4.1).
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
 Hermitian form.
+
+The generalised Gelfand-Graev character Gamma_u of a unipotent u of Jordan
+type mu is built from one datum for GL and GU alike (Kawanaka, Generalized
+Gelfand-Graev representations and Ennola duality, Adv. Stud. Pure Math. 6,
+1985).  Grade the basis by the weights k-1, k-3, ..., 1-k of each Jordan
+block of size k, let f lower them by 2, and put H = U_(>=2) = 1 + span{E_ij :
+h_i - h_j >= 2} with psi(1 + x) = zeta_p^Tr(sum f_ij*x_ji).  Then
+<Ind_H^G psi, Ind_H^G psi> = q0^(dim g_1) * <Gamma_u, Gamma_u>, with
+dim g_1 = #{(i, j) : h_i - h_j = 1}.  For GU the datum is built for a block
+Hermitian form J and carried into the identity-form group by a basis P with
+P^* P = J.  mu = (n) gives the Gelfand-Graev character and mu = (1^n) the
+regular one.
 """
 
 from __future__ import annotations
@@ -189,10 +201,11 @@ class FiniteField:
     def frobenius(self, a: int) -> int:
         return self.power(a, self.p)
 
-    def abs_trace(self, a: int) -> int:
-        """Trace down to the prime field, returned as an integer 0..p-1."""
+    def abs_trace(self, a: int, degree: Optional[int] = None) -> int:
+        """Trace from the subfield with p^degree elements (by default F_q
+        itself) down to the prime field, returned as an integer 0..p-1."""
         acc, cur = 0, a
-        for _ in range(self.e):
+        for _ in range(self.e if degree is None else degree):
             acc = self.add[acc][cur]
             cur = self.frobenius(cur)
         if acc >= self.p:
@@ -583,34 +596,16 @@ def enumerate_group(n: int, eps: int, q0: int) -> OracleGroup:
 
 
 # ---------------------------------------------------------------------------
-# Gelfand-Graev inner products
+# Kawanaka's generalised Gelfand-Graev data and their inner products
 # ---------------------------------------------------------------------------
 
 
-def _gl_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, int]:
-    """The unitriangular subgroup of GL_n(q0) with the exponent
-    abs_trace(selector * sum of superdiagonal entries) of its nondegenerate
-    character psi."""
-    F, n, q0 = G.field, G.n, G.q0
-    p = F.p
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out: dict[Mat, int] = {}
-    for vals in itertools.product(range(q0), repeat=len(positions)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        u = tuple(tuple(r) for r in rows)
-        s = 0
-        for i in range(n - 1):
-            s = F.add[s][u[i][i + 1]]
-        out[u] = F.abs_trace(F.mul[selector % p][s])
-    return out
-
-
 def check_unitary_oracle(n: int, q0: int) -> None:
-    """The unitary Gelfand-Graev oracle works in GU_2(q0) with q0 prime, where
-    the trace-zero line is one-dimensional over the prime field; any other
-    unitary configuration raises CapExceededError."""
+    """oracle_report's gate for unitary groups: only GU_2(q0) with q0 prime
+    passes, and the rest raise CapExceededError before enumerating.
+    kawanaka_datum serves every GU_n(q0); the gate stays only because the
+    benchmark (bench/grids.py KNOWN_FAULTS, bench/tests/test_bench_run.py)
+    counts GU_3(2) and GU_2(4) as failing operations."""
     if n != 2:
         raise CapExceededError("unitary Gelfand-Graev oracle only supports n = 2")
     if is_prime_power(q0) != (q0, 1):
@@ -619,75 +614,79 @@ def check_unitary_oracle(n: int, q0: int) -> None:
         )
 
 
-def _gu2_whittaker_subgroup(G: OracleGroup, selector: int) -> dict[Mat, int]:
-    """A maximal unipotent subgroup of GU_2(q0) with a nontrivial character.
+def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[Mat, int], int]:
+    """Kawanaka's datum for Jordan type mu, as the module docstring builds
+    it: H = U_(>=2) as a map h -> k with psi(h) = zeta_p^k, and dim g_1.  The
+    trace in psi is from F_q0 to F_p.
 
-    The identity Hermitian form has no isotropic standard basis vector, so the
-    unitriangular matrices inside GU_2 are trivial; instead we find a
-    hyperbolic pair (e, f), conjugate the root subgroup
-    {[[1, x], [0, 1]] : x + bar(x) = 0} of the antidiagonal-form group back
-    into GU_2, and put the character on the trace-zero line.  Requires q0
-    prime so that line is one-dimensional over the prime field.
-    """
-    check_unitary_oracle(G.n, G.q0)
-    F, q0 = G.field, G.q0
-    p = q0
+    For GU each block of size k carries the Hermitian form that pairs e_i
+    with e_(k-1-i), with entries +-1 for odd k and +-delta (delta +
+    bar(delta) = 0) for even k, so that f is skew for it.  H is cut to the
+    1 + x with (1 + x)^* J (1 + x) = J and carried into G as P H P^-1, for
+    P with P^* P = J.  Each column of P is the first vector independent of
+    the ones before it with the prescribed Hermitian products; by Witt's
+    theorem that never dead-ends.  An exhausted search is a ContractError."""
+    F, n = G.field, G.n
     add, mul, neg = F.add, F.mul, F.neg
+    bar = [F.power(a, G.q0) for a in range(F.q)]
+    weights = [k - 1 - 2 * i for k in mu for i in range(k)]
+    positions = [(i, j) for i in range(n) for j in range(n) if weights[i] - weights[j] >= 2]
+    read = [i for i in range(n - 1) if weights[i] - weights[i + 1] == 2]
+    dim_g1 = sum(a - b == 1 for a in weights for b in weights)
 
-    def bar(x: int) -> int:
-        return F.power(x, q0)
+    def first(candidates, what: str):
+        for x in candidates:
+            return x
+        raise ContractError(f"{G.name}: no {what} in F_{F.q}")
 
-    def herm(u, v):  # conjugate-linear in the first argument
-        return add[mul[bar(u[0])][v[0]]][mul[bar(u[1])][v[1]]]
+    def herm(u, v) -> int:  # conjugate-linear in u
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add[acc][mul[bar[a]][b]]
+        return acc
 
-    # isotropic e, then f with h(e, f) = 1 and h(f, f) = 0, and the trace-zero
-    # line delta0 * F_p
-    try:
-        e = next(
-            v
-            for v in itertools.product(range(F.q), repeat=2)
-            if v != (0, 0) and herm(v, v) == 0
-        )
-        f0 = next(v for v in itertools.product(range(F.q), repeat=2) if herm(e, v) != 0)
-        s = F.inv[herm(e, f0)]
-        f1 = (mul[s][f0[0]], mul[s][f0[1]])
-        beta = herm(f1, f1)
-        mu_shift = next(
-            m for m in range(F.q) if add[m][bar(m)] == neg[beta]
-        )
-        delta0 = next(x for x in range(1, F.q) if add[x][bar(x)] == 0)
-    except StopIteration:
-        raise ContractError(
-            f"{G.name}: no hyperbolic pair or trace-zero element in F_{F.q}"
-        ) from None
-    f = (add[f1[0]][mul[mu_shift][e[0]]], add[f1[1]][mul[mu_shift][e[1]]])
-    P: Mat = ((e[0], f[0]), (e[1], f[1]))
+    def star(g: Mat) -> Mat:
+        return tuple(tuple(bar[x] for x in col) for col in zip(*g))
+
+    P = J = mat_identity(n)
+    if G.eps == -1:
+        delta = first((x for x in range(1, F.q) if add[x][bar[x]] == 0), "trace-zero element")
+        form = [[0] * n for _ in range(n)]
+        start = 0
+        for k in mu:
+            c = 1 if k % 2 else delta
+            for i in range(k):
+                form[start + i][start + k - 1 - i] = neg[c] if i % 2 else c
+            start += k
+        J = tuple(map(tuple, form))
+        columns: list[tuple[int, ...]] = []
+        for j in range(n):
+            columns.append(first(
+                (v for v in itertools.product(range(F.q), repeat=n)
+                 if herm(v, v) == J[j][j]
+                 and all(herm(u, v) == J[i][j] for i, u in enumerate(columns))
+                 and mat_rank(F, columns + [v]) == j + 1),
+                f"column {j} of a basis for the form {J}",
+            ))
+        P = tuple(zip(*columns))
     P_inv = mat_inv(F, P)
-    if (herm(e, e), herm(f, f), herm(e, f)) != (0, 0, 1) or P_inv is None:
-        raise ContractError(f"{G.name}: {e}, {f} is not a hyperbolic basis")
+    if P_inv is None:
+        raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
 
-    G.classes()
-    out: dict[Mat, int] = {}
-    for a in range(p):  # prime-subfield elements are encoded as 0..p-1
-        x = mul[delta0][a]
-        u_j: Mat = ((1, x), (0, 1))
-        u = mat_mul(F, mat_mul(F, P, u_j), P_inv)
-        if G.encode(u) not in G._index:
-            raise ContractError(f"{G.name}: constructed root element {u} escaped GU_2")
-        out[u] = selector * a % p
-    return out
-
-
-def whittaker_data(G: OracleGroup, selector: int = 1) -> dict[Mat, int]:
-    """A maximal unipotent subgroup U of G together with a nondegenerate
-    character, as a map u -> k with psi(u) = zeta_p^k.  ``selector`` picks
-    among the p-1 nontrivial additive characters (the inner product must not
-    depend on it)."""
-    if selector % G.field.p == 0:
-        raise ValueError("selector must be nonzero mod p")
-    if G.eps == 1:
-        return _gl_whittaker_subgroup(G, selector)
-    return _gu2_whittaker_subgroup(G, selector)
+    degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
+    H: dict[Mat, int] = {}
+    for vals in itertools.product(range(F.q), repeat=len(positions)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(positions, vals):
+            rows[i][j] = v
+        u = tuple(map(tuple, rows))
+        if G.eps == -1 and mat_mul(F, mat_mul(F, star(u), J), u) != J:
+            continue
+        s = 0
+        for i in read:
+            s = add[s][u[i][i + 1]]
+        H[mat_mul(F, mat_mul(F, P, u), P_inv)] = F.abs_trace(s, degree)
+    return H, dim_g1
 
 
 def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
@@ -702,9 +701,9 @@ def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
 
         <Ind psi, Ind psi> = sum_C (|G| / |C|) * S_C^2 / |H|^2,
 
-    and both divisions must be exact.  H is a Whittaker datum: U with a
-    nondegenerate psi gives the Gelfand-Graev character, and the trivial
-    subgroup gives the regular one."""
+    and both divisions must be exact.  H is Kawanaka's datum of some mu:
+    mu = (n) gives U with a nondegenerate psi, the Gelfand-Graev character,
+    and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
     classes = G.classes()
     counts: dict[int, list[int]] = {}
@@ -736,14 +735,21 @@ def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
     return inner
 
 
-def gelfand_graev_inner(G: OracleGroup, selector: int = 1) -> int:
-    """<Ind_U^G psi, Ind_U^G psi> for the Whittaker data of G."""
-    return _induced_inner(G, whittaker_data(G, selector))
+def gggr_inner(G: OracleGroup, mu: Partition) -> tuple[int, int]:
+    """<Ind_H^G psi, Ind_H^G psi> for Kawanaka's datum (H, psi) of mu, and
+    dim g_1: the inner product is q0^(dim g_1) * <Gamma_u, Gamma_u>."""
+    H, dim_g1 = kawanaka_datum(G, mu)
+    return _induced_inner(G, H), dim_g1
+
+
+def gelfand_graev_inner(G: OracleGroup) -> int:
+    """<Gamma, Gamma> for the Gelfand-Graev character (mu = (n), dim g_1 = 0)."""
+    return gggr_inner(G, Partition((G.n,)))[0]
 
 
 def regular_rep_inner(G: OracleGroup) -> int:
-    """<chi_reg, chi_reg>, with chi_reg induced from the trivial subgroup."""
-    return _induced_inner(G, {mat_identity(G.n): 0})
+    """<chi_reg, chi_reg> (mu = (1^n): H = 1 and dim g_1 = 0)."""
+    return gggr_inner(G, Partition((1,) * G.n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +759,11 @@ def regular_rep_inner(G: OracleGroup) -> int:
 
 def oracle_report(n: int, eps: int, q0: int) -> dict:
     """Enumerate the group and compare every oracle quantity against the
-    symbolic predictions: group order, unipotent class sizes, and the two
-    Gelfand-Graev inner products against endo_dim specializations."""
+    symbolic predictions: group order, unipotent class sizes, and for each
+    mu |- n the inner product <Ind_H^G psi, Ind_H^G psi> of Kawanaka's datum
+    against endo_dim(mu, eps)(q0) * q0^(dim g_1).  The checks for (n) and
+    (1^n), where dim g_1 = 0, are named gelfand_graev_inner and
+    regular_rep_inner, the others gggr_inner_<parts>."""
     from .grouporders import class_size, group_order
     from .kawanaka import endo_dim
 
@@ -782,16 +791,15 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
             0 if cls is None else cls.size,
         )
     check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
-    check(
-        "gelfand_graev_inner",
-        int(endo_dim(Partition((n,)), eps)(q0)),
-        gelfand_graev_inner(G),
-    )
-    check(
-        "regular_rep_inner",
-        int(endo_dim(Partition((1,) * n), eps)(q0)),
-        regular_rep_inner(G),
-    )
+    for mu in parts:
+        inner, dim_g1 = gggr_inner(G, mu)
+        if mu == (n,):
+            name = "gelfand_graev_inner"
+        elif len(mu) == n:
+            name = "regular_rep_inner"
+        else:
+            name = f"gggr_inner_{'_'.join(map(str, mu))}"
+        check(name, int(endo_dim(mu, eps)(q0)) * q0**dim_g1, inner)
     return {
         "group": G.name,
         "n": n,

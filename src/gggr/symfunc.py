@@ -18,8 +18,6 @@ central self-check of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
@@ -73,40 +71,6 @@ def _mn(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
         )
         total += (-1) ** height * _mn(new_mu, rest)
     return total
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Character table of S_n: ``values[i][j] = chi^{mus[i]}(rhos[j])`` with
-    both axes in canonical (descending lexicographic) order."""
-
-    n: int
-    mus: tuple[Partition, ...]
-    rhos: tuple[Partition, ...]
-    values: tuple[tuple[int, ...], ...]
-
-    def chi(self, mu: Partition, rho: Partition) -> int:
-        return self.values[self.mus.index(mu)][self.rhos.index(rho)]
-
-    def check_orthogonality(self) -> bool:
-        """Row orthogonality sum_rho chi(rho) psi(rho) / z_rho = delta."""
-        zs = [weyl_centralizer_order(r) for r in self.rhos]
-        for i, row_i in enumerate(self.values):
-            for j, row_j in enumerate(self.values):
-                inner = sum(
-                    Fraction(a * b, z) for a, b, z in zip(row_i, row_j, zs)
-                )
-                if inner != (1 if i == j else 0):
-                    return False
-        return True
-
-
-def character_table(n: int) -> CharacterTable:
-    parts = partitions_of(n)
-    values = tuple(
-        tuple(mn_character(mu, rho) for rho in parts) for mu in parts
-    )
-    return CharacterTable(n, tuple(parts), tuple(parts), values)
 
 
 # ---------------------------------------------------------------------------

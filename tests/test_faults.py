@@ -166,14 +166,15 @@ def test_field_entry_fails_oracle_trace(field_f4, capsys):
         (2, 1, 4, "add", 0, 0, 1, "GL2(F4): an enumerated element is singular"),
         (2, -1, 2, "add", 1, 1, 1, "an enumerated element is singular"),
         (2, -1, 2, "add", 0, 1, 2, "GU2(F2): the identity is not an enumerated element"),
-        (2, -1, 2, "add", 2, 3, 0, "is not a hyperbolic basis"),
+        (2, -1, 2, "add", 2, 3, 0,
+         "GU2(F2): no column 1 of a basis for the form ((0, 1), (1, 0)) in F_4"),
     ],
 )
 def test_field_entry_fails_oracle_construction(
     field_f4, capsys, n, eps, q0, table, a, b, value, message
 ):
-    # each corruption breaks one step of the class split or of building the
-    # Whittaker data, which must fail as a check, not as some other exception
+    # each corruption breaks one step of the class split or of building
+    # Kawanaka's datum, which must fail as a check, not as some other exception
     getattr(field_f4, table)[a][b] = value
     assert main(["oracle", "--n", str(n), "--q", str(q0), "--eps", f"{eps:+d}"]) == 1
     out, err = capsys.readouterr()
@@ -186,14 +187,22 @@ def test_field_entry_fails_oracle_construction(
     "n, eps, q0, table, a, b, value, message",
     [
         (2, 1, 4, "add", 2, 3, 2, "^trace of 2 in F_4 left the prime field: 2$"),
-        (2, -1, 2, "add", 0, 1, 2, "no hyperbolic pair or trace-zero element in F_4"),
+        *(
+            # matched literally, with the id that the message itself gives
+            pytest.param(2, -1, 2, "add", a, b, value, re.escape(message),
+                         id=f"2--1-2-add-{a}-{b}-{value}-{message}")
+            for a, b, value, message in [
+                (0, 1, 2, "GU2(F2): no column 0 of a basis for the form ((0, 1), (1, 0)) in F_4"),
+                (1, 1, 1, "GU2(F2): no trace-zero element in F_4"),
+            ]
+        ),
     ],
 )
 def test_field_entry_fails_whittaker_construction(
     field_f4, n, eps, q0, table, a, b, value, message
 ):
     # the group is enumerated and split before the field is corrupted, so the
-    # corruption reaches the Whittaker data, which must fail as a check
+    # corruption reaches Kawanaka's datum, whose searches must fail as checks
     G = oracle.enumerate_group(n, eps, q0)
     G.classes()
     getattr(field_f4, table)[a][b] = value
@@ -280,13 +289,15 @@ def test_identity_class_of_size_two_fails_regular_rep_inner():
     assert oracle.regular_rep_inner(G) == 24
 
 
-def merge_exponents(whittaker_data):
-    """``whittaker_data`` with exponent 2 read as 1, so psi is no longer a
+def merge_exponents(kawanaka_datum):
+    """``kawanaka_datum`` with exponent 2 read as 1, so psi is no longer a
     character: on GL2(3) the regular unipotent class gets the exponent counts
-    [0, 2, 0], and the sum of psi over it is 2*zeta_3, not rational."""
+    [0, 2, 0] for mu = (2), and the sum of psi over it is 2*zeta_3, not
+    rational."""
 
-    def merged(G, selector=1):
-        return {u: 1 if k == 2 else k for u, k in whittaker_data(G, selector).items()}
+    def merged(G, mu):
+        H, dim_g1 = kawanaka_datum(G, mu)
+        return {u: 1 if k == 2 else k for u, k in H.items()}, dim_g1
 
     return merged
 
@@ -298,12 +309,62 @@ GL2_F3_IRRATIONAL = (
 
 
 def test_irrational_class_sum_fails(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "whittaker_data", merge_exponents(oracle.whittaker_data))
+    monkeypatch.setattr(oracle, "kawanaka_datum", merge_exponents(oracle.kawanaka_datum))
     G = oracle.enumerate_group(2, 1, 3)
     with pytest.raises(ContractError, match=re.escape(GL2_F3_IRRATIONAL)):
         oracle.gelfand_graev_inner(G)
     assert main(["oracle", "--n", "2", "--q", "3"]) == 1
     assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_IRRATIONAL}\n")
+
+
+def drop_dim_g1(kawanaka_datum):
+    """``kawanaka_datum`` with dim g_1 read as 0, so the factor q0^(dim g_1)
+    is dropped: on GL3(2), where dim g_1 = 2 for mu = (2, 1), the check
+    expects endo_dim((2, 1))(2) = 11 against the inner product 44."""
+
+    def dropped(G, mu):
+        return kawanaka_datum(G, mu)[0], 0
+
+    return dropped
+
+
+def shift_last_exponent(kawanaka_datum):
+    """``kawanaka_datum`` with the exponent of its last element raised by 1:
+    on GL3(2) psi is then no character of U for mu = (3), and the class sums
+    give 240 over |U|^2 = 64."""
+
+    def shifted(G, mu):
+        H, dim_g1 = kawanaka_datum(G, mu)
+        *_, last = H
+        return {**H, last: (H[last] + 1) % G.field.p}, dim_g1
+
+    return shifted
+
+
+GL3_F2_DATUM_FAULTS = {
+    "drop_dim_g1": (
+        "gggr_inner_2_1,11,44,False\n",
+        "",
+    ),
+    "shift_last_exponent": (
+        "",
+        "gggr: check failed: GL3(F2): induced inner product not integral: 240 / 64\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", [drop_dim_g1, shift_last_exponent])
+def test_datum_fault_fails_gggr_inner_check(monkeypatch, capsys, fault):
+    # a fault in Kawanaka's datum makes the per-mu check fail, as a mismatch
+    # or as a failed check of the class sum, and the command exits 1
+    monkeypatch.setattr(oracle, "kawanaka_datum", fault(oracle.kawanaka_datum))
+    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    mismatch, message = GL3_F2_DATUM_FAULTS[fault.__name__]
+    assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
+        [mismatch] if mismatch else []
+    )
+    assert err == message
 
 
 @pytest.mark.parametrize(
@@ -481,13 +542,30 @@ def test_rationality_check_survives_python_O():
     script = inspect.getsource(merge_exponents) + (
         "import gggr.oracle\n"
         "from gggr.cli import main\n"
-        "gggr.oracle.whittaker_data = merge_exponents(gggr.oracle.whittaker_data)\n"
+        "gggr.oracle.kawanaka_datum = merge_exponents(gggr.oracle.kawanaka_datum)\n"
         "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
     )
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"gggr: check failed: {GL2_F3_IRRATIONAL}\n"
+
+
+@pytest.mark.parametrize("fault", [drop_dim_g1, shift_last_exponent])
+def test_datum_fault_survives_python_O(fault):
+    script = inspect.getsource(fault) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        f"gggr.oracle.kawanaka_datum = {fault.__name__}(gggr.oracle.kawanaka_datum)\n"
+        "sys.exit(main(['oracle', '--n', '3', '--q', '2', '--format', 'csv']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    mismatch, message = GL3_F2_DATUM_FAULTS[fault.__name__]
+    assert [row for row in done.stdout.splitlines(True) if row.endswith(",False\n")] == (
+        [mismatch] if mismatch else []
+    )
+    assert done.stderr == message
 
 
 def test_hall_littlewood_checks_survive_python_O():

@@ -10,7 +10,7 @@ import pytest
 
 import gggr.oracle as oracle
 from gggr.cli import main
-from gggr.errors import CapExceededError
+from gggr.errors import CapExceededError, ContractError
 from gggr.grouporders import class_size, group_order
 from gggr.kawanaka import endo_dim
 from gggr.oracle import (
@@ -18,16 +18,17 @@ from gggr.oracle import (
     enumerate_group,
     finite_field,
     gelfand_graev_inner,
+    gggr_inner,
     is_prime_power,
+    kawanaka_datum,
     mat_identity,
     mat_inv,
     mat_mul,
     mat_rank,
     oracle_report,
     regular_rep_inner,
-    whittaker_data,
 )
-from gggr.partitions import Partition
+from gggr.partitions import Partition, partitions_of
 
 P = Partition
 
@@ -80,6 +81,16 @@ def test_frobenius_and_trace():
             fibers[F.abs_trace(a)] += 1
         assert set(fibers) == set(range(F.p))
         assert all(count == q // F.p for count in fibers.values())
+        # the trace from each subfield F_(p^d), the fixed points of the d-th
+        # power of Frobenius, is onto the prime field with balanced fibers
+        for d in (d for d in range(1, F.e) if F.e % d == 0):
+            sub = [a for a in range(q) if F.power(a, F.p**d) == a]
+            assert len(sub) == F.p**d
+            traces = [F.abs_trace(a, d) for a in sub]
+            assert sorted(traces) == sorted(list(range(F.p)) * F.p ** (d - 1))
+    # outside the subfield the trace can leave the prime field
+    with pytest.raises(ContractError, match="^trace of 2 in F_4 left the prime field: 2$"):
+        finite_field(4).abs_trace(2, 1)
 
 
 def test_non_prime_power_field():
@@ -358,13 +369,17 @@ def mackey_inner(G, H):
 
 
 @pytest.mark.parametrize(
-    "n, eps, q0", [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 2), (2, -1, 3)]
+    "n, eps, q0",
+    [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 2), (2, -1, 3), (3, -1, 2),
+     (2, -1, 4)],
 )
 def test_inner_products_match_mackey_double_cosets(n, eps, q0):
+    # GU3(2) and GU2(4) are refused by oracle_report's gate, not by the datum
     G = enumerate_group(n, eps, q0)
-    for selector in range(1, G.field.p):
-        expected = mackey_inner(G, whittaker_data(G, selector))
-        assert gelfand_graev_inner(G, selector) == expected, selector
+    for mu in partitions_of(n):
+        H, dim_g1 = kawanaka_datum(G, mu)
+        expected = endo_dim(mu, eps)(q0) * q0**dim_g1
+        assert gggr_inner(G, mu) == (mackey_inner(G, H), dim_g1) == (expected, dim_g1), mu
     assert regular_rep_inner(G) == mackey_inner(G, {mat_identity(n): 0}) == G.order
 
 
@@ -375,16 +390,26 @@ def test_gelfand_graev_inner_frozen():
 
 
 def test_gelfand_graev_psi_independence():
-    G = enumerate_group(2, 1, 3)
-    assert gelfand_graev_inner(G, 1) == gelfand_graev_inner(G, 2)
-    with pytest.raises(ValueError):
-        gelfand_graev_inner(G, 3)  # trivial character selector
+    # psi scaled by any c in F_p^x is another character of the same kind
+    for n, eps, q0 in [(2, 1, 3), (3, 1, 3), (2, 1, 9), (2, -1, 5), (2, -1, 9)]:
+        G = enumerate_group(n, eps, q0)
+        p = G.field.p
+        for mu in partitions_of(n):
+            H, _ = kawanaka_datum(G, mu)
+            inners = {
+                oracle._induced_inner(G, {h: c * k % p for h, k in H.items()})
+                for c in range(1, p)
+            }
+            assert inners == {gggr_inner(G, mu)[0]}, (G.name, mu)
+        # the trivial character (c = 0) gives another value, so psi is seen
+        H, _ = kawanaka_datum(G, P((n,)))
+        assert oracle._induced_inner(G, dict.fromkeys(H, 0)) != gelfand_graev_inner(G)
 
 
 def test_gu_oracle_needs_prime_field():
+    # the datum takes the trace from F_q0 to F_p, so F_4 needs no special case
     G = enumerate_group(2, -1, 4)
-    with pytest.raises(CapExceededError):
-        gelfand_graev_inner(G)
+    assert gelfand_graev_inner(G) == endo_dim(P((2,)), -1)(4) == 20
 
 
 def test_unsupported_unitary_oracle_fails_before_enumerating(monkeypatch, capsys):
@@ -418,3 +443,20 @@ def test_oracle_report_matches_symbolic():
     assert by_name["gelfand_graev_inner"]["expected"] == endo_dim(P((2,)), 1)(3)
     assert by_name["regular_rep_inner"]["expected"] == endo_dim(P((1, 1)), 1)(3)
     assert by_name["unipotent_count"]["actual"] == 9
+
+
+def test_oracle_report_has_one_check_per_mu():
+    # GL4(2): the weights of (2, 1, 1) are 1, -1, 0, 0, so dim g_1 = 4; the
+    # other weights differ by even numbers only
+    rep = oracle_report(4, 1, 2)
+    assert rep["pass"]
+    inner = [c for c in rep["checks"] if "inner" in c["check"]]
+    assert [c["check"] for c in inner] == [
+        "gelfand_graev_inner", "gggr_inner_3_1", "gggr_inner_2_2", "gggr_inner_2_1_1",
+        "regular_rep_inner",
+    ]
+    G = enumerate_group(4, 1, 2)
+    dims = [kawanaka_datum(G, mu)[1] for mu in partitions_of(4)]
+    assert dims == [0, 0, 0, 4, 0]
+    for c, mu, dim_g1 in zip(inner, partitions_of(4), dims):
+        assert c["expected"] == endo_dim(mu, 1)(2) * 2**dim_g1 == c["actual"], mu
