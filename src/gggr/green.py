@@ -13,9 +13,8 @@ the downstream character formula needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractError
 from .grouporders import (
@@ -63,8 +62,7 @@ def _green(rho: tuple[int, ...], la: tuple[int, ...]) -> RationalPoly:
     return RationalPoly(entry, "t")
 
 
-@dataclass(frozen=True)
-class GreenTable:
+class GreenTable(NamedTuple):
     """All Green polynomials for a given n, rows = torus labels rho and
     columns = unipotent types la, both in canonical order."""
 
@@ -104,8 +102,7 @@ def green_table(n: int) -> GreenTable:
     return GreenTable(n, parts, entries)
 
 
-@dataclass(frozen=True)
-class OrthogonalityResult:
+class OrthogonalityResult(NamedTuple):
     ok: bool
     #: On failure: (rho, pi, lhs, rhs) of the first offending pair, where the
     #: sides are the cross-multiplied polynomial forms compared exactly.

@@ -90,10 +90,13 @@ def _width(bound: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum_k coeffs[k] * 2^(8*width*k), for |coeffs[k]| < 2^(8*width)."""
-    pos = b"".join((a if a > 0 else 0).to_bytes(width, "little") for a in coeffs)
-    neg = b"".join((-a if a < 0 else 0).to_bytes(width, "little") for a in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_k coeffs[k] * 2^(8*width*k), for |coeffs[k]| < 2^(8*width - 1),
+    which ``_width`` guarantees.  Each digit is offset by 2^(8*width - 1) to
+    make it non-negative, so one byte join reads them all; the offsets are
+    then subtracted together."""
+    half = 1 << (8 * width - 1)
+    digits = b"".join((a + half).to_bytes(width, "little") for a in coeffs)
+    return int.from_bytes(digits, "little") - _offset(width, len(coeffs))
 
 
 @lru_cache(maxsize=64)
@@ -139,8 +142,9 @@ def bilinear(
 
     for a of shape K x M, w of length K and b of shape K x L.  Each row of b
     is packed into one integer with column l in a slot of ``slot``
-    coefficients, wide enough for any product a[k][m] * w[k] * b[k][l]; one
-    big-integer product per (k, m) then yields every column l at once."""
+    coefficients, wide enough for any product a[k][m] * w[k] * b[k][l], and
+    multiplied by the packed w[k] once; one big-integer product per (k, m)
+    then yields every column l at once."""
     terms = len(w)
     rows_out, cols = (len(a[0]), len(b[0])) if terms else (0, 0)
     len_a, max_a = _shape([f for row in a for f in row])
@@ -156,15 +160,43 @@ def bilinear(
     width = _width(max(bound, max_a, max_w, max_b))
     slot = len_aw + len_b - 1
     rows = [
-        _pack([c for f in row for c in f + (0,) * (slot - len(f))], width) for row in b
+        _pack(f, width) * _pack([c for g in row for c in g + (0,) * (slot - len(g))], width)
+        for f, row in zip(w, b)
     ]
-    ws = [_pack(f, width) for f in w]
     out = []
     for m in range(rows_out):
         acc = 0
         for k in range(terms):
-            if a[k][m] and w[k]:
-                acc += _pack(a[k][m], width) * ws[k] * rows[k]
+            if a[k][m]:
+                acc += _pack(a[k][m], width) * rows[k]
         coeffs = _unpack(acc, width, cols * slot)
         out.append([trim(coeffs[l * slot : (l + 1) * slot]) for l in range(cols)])
+    return out
+
+
+def weighted_squares(rows: Sequence[Sequence[IntPoly]], w: Sequence[IntPoly]) -> list[IntPoly]:
+    """sum_k w[k] * rows[m][k]^2 over Z[q] for every row m: the diagonal of
+    bilinear(rowsᵀ, w, rowsᵀ).  Every operand is packed once, at one width
+    wide enough for any row's sum, so each w[k] serves every row."""
+    terms = len(w)
+    len_r, max_r = _shape([f for row in rows for f in row])
+    len_w, max_w = _shape(w)
+    if not (len_r and len_w):
+        return [() for _ in rows]
+    # a square has at most 2*len_r - 1 coefficients, each bounded by
+    # len_r * max_r^2; the sum over k is bounded in turn.
+    len_rr = 2 * len_r - 1
+    max_rr = product_bound(1, len_r, max_r, len_r, max_r)
+    bound = product_bound(terms, len_rr, max_rr, len_w, max_w)
+    width = _width(max(bound, max_r, max_w))
+    count = len_rr + len_w - 1
+    ws = [_pack(f, width) for f in w]
+    out = []
+    for row in rows:
+        acc = 0
+        for f, packed_w in zip(row, ws):
+            if f:
+                g = _pack(f, width)
+                acc += g * g * packed_w
+        out.append(trim(_unpack(acc, width, count)))
     return out

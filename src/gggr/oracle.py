@@ -42,9 +42,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
 from .grouporders import check_eps
@@ -293,24 +292,20 @@ def mat_rank(F: FiniteField, A: Mat) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: Mat
     size: int
     jordan: Optional[Partition]  # set for unipotent classes
 
 
-@dataclass
 class OracleGroup:
-    n: int
-    eps: int
-    q0: int
-    field: FiniteField  # entries live here: F_q0 for GL, F_{q0^2} for GU
-    codes: list[int]  # e -> the code of g_e, increasing
-
-    _index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
-    _class_id: Optional[list[int]] = None  # e -> the class of g_e
-    _classes: Optional[list[ConjClass]] = None
+    def __init__(self, n: int, eps: int, q0: int, field: FiniteField, codes: list[int]):
+        self.n, self.eps, self.q0 = n, eps, q0
+        self.field = field  # entries live here: F_q0 for GL, F_{q0^2} for GU
+        self.codes = codes  # e -> the code of g_e, increasing
+        self._index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
+        self._class_id: Optional[list[int]] = None  # e -> the class of g_e
+        self._classes: Optional[list[ConjClass]] = None
 
     @property
     def order(self) -> int:

@@ -18,17 +18,18 @@ central self-check of the whole package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
 from .errors import CapExceededError, ContractError, NonExactDivisionError
 from .intpoly import IntPoly, bilinear, divmod_monic, mul, scale, times_binomials, trim
-from .partitions import Partition, multiplicities, partitions_of, weyl_centralizer_order
+from .partitions import Partition, multiplicities, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly
 
 #: Default ceiling for ``hall_littlewood_expand``: expanding every p_rho with
-#: rho |- 10 takes ~1.1 s (2 cores, Python 3.11), n = 11 ~2.6 s, n = 12 ~7 s.
+#: rho |- 10 takes ~1.0 s (2 cores, Python 3.11), n = 11 ~2.4 s, n = 12 ~6.4 s.
 HL_CAP = 10
 
 
@@ -78,100 +79,148 @@ def _mn(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _next_letter(
+    rounds: list[tuple[int, int]], cells: list[int]
+) -> tuple[list[tuple[int, int]], int]:
+    """One letter of the charge computation (see ``charge``).  ``rounds``
+    holds, for each standard subword that letter l joined, where l was taken
+    and its index; ``cells`` holds the increasing positions of letter l+1,
+    no more of them than there are rounds.  Returns the same for l+1, which
+    joins the first len(cells) rounds, and the sum of its indices."""
+    free = cells[:]
+    out = []
+    added = 0
+    for (cur, index), _ in zip(rounds, cells):
+        k = bisect_left(free, cur) - 1
+        if k < 0:  # nothing to the left: wrap round to the rightmost
+            k, index = len(free) - 1, index + 1
+        out.append((free.pop(k), index))
+        added += index
+    return out, added
+
+
+def _walk_tableaux(shape: tuple[int, ...], content: tuple[int, ...], visit) -> None:
+    """Call visit(letters, charge) for every semistandard tableau of the
+    given shape and content, where letters[i] holds the increasing positions
+    of letter i+1 in the tableau's reading word.
+
+    Letter i+1 fills a horizontal strip of size content[i] (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5): row j grows from its
+    length so far to at most the length so far of row j-1, so no column gets
+    the letter twice.  The rows are placed from the bottom up, which is the
+    order of their cells in the reading word, and the charge is carried
+    down letter by letter (``_next_letter``), so the charge of a strip is
+    computed once and shared by every tableau that extends it.  The lists
+    passed to visit are reused."""
+    rows = len(shape)
+    starts = [0] * rows  # the position of each row's first cell
+    for j in range(rows - 2, -1, -1):
+        starts[j] = starts[j + 1] + shape[j + 1]
+    letters: list[list[int]] = []
+
+    def grow(i: int, inner: list[int], rounds: list[tuple[int, int]], total: int) -> None:
+        active = []  # (row, cells it can take), bottom up; letter i+1 reaches row i
+        for j in range(min(i, rows - 1), -1, -1):
+            room = (shape[j] if j == 0 else min(shape[j], inner[j - 1])) - inner[j]
+            if room:
+                active.append((j, room))
+        above = [0] * (len(active) + 1)  # above[a]: the room of active[a], active[a+1], ...
+        for a in range(len(active) - 1, -1, -1):
+            above[a] = above[a + 1] + active[a][1]
+        nu: list[int] = inner[:]
+        cells: list[int] = []
+
+        def place(a: int, left: int) -> None:
+            if not left:
+                nxt, added = _next_letter(rounds, cells)
+                letters.append(cells[:])
+                if i + 1 == len(content):
+                    visit(letters, total + added)
+                else:
+                    grow(i + 1, nu[:], nxt, total + added)
+                letters.pop()
+                return
+            j, room = active[a]
+            start = starts[j] + inner[j]
+            for take in range(max(left - above[a + 1], 0), min(room, left) + 1):
+                nu[j] = inner[j] + take
+                cells.extend(range(start, start + take))
+                place(a + 1, left - take)
+                del cells[len(cells) - take :]
+            nu[j] = inner[j]
+
+        if content[i] <= above[0]:
+            place(0, content[i])
+
+    if sum(shape) != sum(content):
+        return
+    if not content:
+        visit(letters, 0)
+        return
+    grow(0, [0] * rows, [(sum(shape), 0)] * content[0], 0)
+
+
 def ssyt_fillings(shape: Partition, content: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All semistandard tableaux of the given shape and content, as tuples of
     row tuples; rows weakly increase, columns strictly increase, and letter i
     appears content[i-1] times."""
-    if shape.n != content.n:
-        return
-    remaining = list(content)
-    rows: list[list[int]] = [[] for _ in shape]
+    found = []
 
-    def fill(r: int, c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == len(shape):
-            yield tuple(tuple(row) for row in rows)
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = rows[r][c - 1] if c > 0 else 1
-        if r > 0 and c < shape[r - 1]:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for letter in range(lo, len(remaining) + 1):
-            if remaining[letter - 1] == 0:
-                continue
-            remaining[letter - 1] -= 1
-            rows[r].append(letter)
-            yield from fill(nr, nc)
-            rows[r].pop()
-            remaining[letter - 1] += 1
+    def visit(letters: list[list[int]], _charge: int) -> None:
+        word = [0] * shape.n
+        for letter, cells in enumerate(letters, 1):
+            for k in cells:
+                word[k] = letter
+        tableau, end = [], shape.n  # the top row is read last
+        for length in shape:
+            tableau.append(tuple(word[end - length : end]))
+            end -= length
+        found.append(tuple(tableau))
 
-    if shape:
-        yield from fill(0, 0)
-    elif not content:
-        yield ()
-
-
-def reading_word(tableau: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Rows read left to right, bottom row first."""
-    out: list[int] = []
-    for row in reversed(tableau):
-        out.extend(row)
-    return tuple(out)
+    _walk_tableaux(tuple(shape), tuple(content), visit)
+    return iter(found)
 
 
 def charge(word: tuple[int, ...]) -> int:
     """Lascoux-Schutzenberger charge of a word whose content is a partition.
 
     The word is peeled into standard subwords: start from the rightmost 1,
-    then find each next letter by scanning leftward (cyclically, wrapping
-    from the front back to the right end), so that ties are always resolved
-    by extracting the rightmost eligible occurrence.  Each extracted standard
-    subword, taken in word order, contributes its index sum: letter 1 has
-    index 0, and letter r+1 has the index of r, plus one exactly when r+1
-    sits to the right of r in the subword.
-    """
-    w = list(word)
+    then take each next letter at its nearest occurrence to the left of the
+    last one taken, or, if there is none, at its rightmost occurrence (the
+    scan wraps round), and remove the subword.  In each subword letter 1 has
+    index 0, and letter r+1 has the index of r, plus one exactly when the
+    scan wrapped, i.e. when r+1 sits to the right of r; the charge sums
+    every index.  A subword takes letter r+1 only from where it took r and
+    from the occurrences of r+1 that earlier subwords left, so the subwords
+    are built a letter at a time, on the positions of each letter
+    (``_next_letter``)."""
+    positions: list[list[int]] = [[] for _ in range(max(word, default=0))]
+    for k, letter in enumerate(word):
+        positions[letter - 1].append(k)
+    if any(len(a) < len(b) for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"the content of {word} is not a partition")
+    rounds = [(len(word), 0)] * (len(positions[0]) if positions else 0)
     total = 0
-    while w:
-        top = max(w)
-        pick = len(w) - 1 - w[::-1].index(1)
-        chosen = [pick]
-        cur = pick
-        for letter in range(2, top + 1):
-            nxt = next((k for k in range(cur - 1, -1, -1) if w[k] == letter), None)
-            if nxt is None:
-                nxt = next(k for k in range(len(w) - 1, cur, -1) if w[k] == letter)
-            chosen.append(nxt)
-            cur = nxt
-        chosen.sort()
-        sub = [w[k] for k in chosen]
-        pos = {letter: i for i, letter in enumerate(sub)}
-        index = 0
-        for letter in range(2, top + 1):
-            if pos[letter] > pos[letter - 1]:
-                index += 1
-            total += index
-        for k in reversed(chosen):
-            w.pop(k)
+    for cells in positions:
+        rounds, added = _next_letter(rounds, cells)
+        total += added
     return total
 
 
 def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
-    return _kostka_foulkes(tuple(mu), tuple(la))
+    return RationalPoly(_kostka_foulkes(tuple(mu), tuple(la)), "t")
 
 
 @lru_cache(maxsize=None)
-def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> RationalPoly:
-    counts: dict[int, int] = {}
-    for tab in ssyt_fillings(Partition(mu), Partition(la)):
-        c = charge(reading_word(tab))
-        counts[c] = counts.get(c, 0) + 1
-    if not counts:
-        return RationalPoly((), "t")
-    coeffs = [0] * (max(counts) + 1)
-    for c, m in counts.items():
-        coeffs[c] = m
-    return RationalPoly(coeffs, "t")
+def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> IntPoly:
+    counts = [0] * (n_stat(Partition(la)) + 1)
+
+    def visit(_letters: list[list[int]], charge: int) -> None:
+        counts[charge] += 1
+
+    _walk_tableaux(mu, la, visit)
+    return trim(counts)
 
 
 @lru_cache(maxsize=None)

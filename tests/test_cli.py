@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gggr.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -140,3 +146,19 @@ def test_diagnostics_go_to_stderr(capsys):
     code, out, err = run(capsys, "verify", "--n", "9")
     assert out == ""
     assert "cap" in err
+
+
+def test_startup_loads_no_dataclasses_or_inspect():
+    """Every gggr command pays for its imports: the package's records are
+    named tuples, so importing the command line loads neither dataclasses nor
+    inspect (with site off, so nothing else loads them first)."""
+    script = "import sys, gggr.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

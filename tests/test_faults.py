@@ -4,7 +4,6 @@ with a one-line message and no traceback, also under ``python -O`` (the
 package has no asserts)."""
 
 import ast
-import dataclasses
 import inspect
 import math
 import os
@@ -32,11 +31,14 @@ CACHES = (
     green.green_matrix,
     green._green,
     green.green_table,
+    grouporders.group_order_coeffs,
+    grouporders.torus_order_coeffs,
     grouporders._centralizer,
     grouporders.class_size_coeffs,
     kawanaka._gamma_matrix,
     kawanaka._gamma_row,
     kawanaka._gggr_value,
+    kawanaka._endo_numerators,
     kawanaka._endo_dim,
 )
 
@@ -61,6 +63,18 @@ def inject(monkeypatch):
     yield monkeypatch.setattr
     for cache in CACHES:
         cache.cache_clear()
+
+
+def test_every_cache_is_cleared_around_an_injection():
+    """A cache left out of CACHES would keep a value computed before the
+    fault was injected, and the fault would not show."""
+    defined = {
+        value
+        for module in (green, grouporders, kawanaka)
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    }
+    assert defined == set(CACHES)
 
 
 def all_fail(report):
@@ -283,7 +297,7 @@ def test_identity_class_of_size_two_fails_regular_rep_inner():
     G = oracle.enumerate_group(2, 1, 3)
     classes = G.classes()
     idx = G.class_index()[oracle.mat_identity(2)]
-    classes[idx] = dataclasses.replace(classes[idx], size=2)
+    classes[idx] = classes[idx]._replace(size=2)
     # oracle_report compares it with endo_dim((1, 1)) at q0 = 3, which is |G|
     assert kawanaka.endo_dim(P((1, 1)), 1)(3) == G.order == 48
     assert oracle.regular_rep_inner(G) == 24
@@ -381,7 +395,7 @@ def test_identity_class_size_fails_exact_division(size, inner, message):
     G = oracle.enumerate_group(2, 1, 3)
     classes = G.classes()
     idx = G.class_index()[oracle.mat_identity(2)]
-    classes[idx] = dataclasses.replace(classes[idx], size=size)
+    classes[idx] = classes[idx]._replace(size=size)
     with pytest.raises(ContractError, match=re.escape(f"GL2(F3): {message}")):
         getattr(oracle, inner)(G)
 

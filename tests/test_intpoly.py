@@ -6,6 +6,9 @@ import random
 import pytest
 
 from gggr.intpoly import (
+    _pack,
+    _unpack,
+    _width,
     bilinear,
     divmod_monic,
     evaluate,
@@ -14,6 +17,7 @@ from gggr.intpoly import (
     signed,
     times_binomials,
     trim,
+    weighted_squares,
 )
 
 
@@ -42,6 +46,16 @@ def reference_bilinear(a, w, b):
                 acc = add(acc, schoolbook(schoolbook(a[k][m], w[k]), b[k][l]))
             row.append(acc)
         out.append(row)
+    return out
+
+
+def reference_weighted_squares(rows, w):
+    out = []
+    for row in rows:
+        acc = ()
+        for f, g in zip(row, w):
+            acc = add(acc, schoolbook(schoolbook(f, f), g))
+        out.append(acc)
     return out
 
 
@@ -130,3 +144,58 @@ def test_times_binomials_matches_schoolbook():
         for k in exps:
             expect = schoolbook(expect, (-(eps**k),) + (0,) * (k - 1) + (1,))
         assert times_binomials(shift, exps, eps) == expect
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_pack_round_trips_the_widest_digits(width):
+    # _width guarantees |c| < 2^(8*width - 1), so +-(2^(8*width - 1) - 1)
+    # are the widest digits _pack is ever given.
+    top = (1 << (8 * width - 1)) - 1
+    assert _width(top) == width
+    coeffs = [top, -top, 0, -top, 1, -1, top, top]
+    packed = _pack(coeffs, width)
+    assert packed == sum(c << (8 * width * k) for k, c in enumerate(coeffs))
+    assert _unpack(packed, width, len(coeffs)) == coeffs
+    assert _pack([-top], width) == -top
+    assert _pack([], width) == 0
+
+
+def test_weighted_squares_matches_schoolbook():
+    rng = random.Random(1985)
+    for _ in range(60):
+        k, m = rng.randrange(1, 6), rng.randrange(1, 4)
+        rows = [[rand_poly(rng) for _ in range(k)] for _ in range(m)]
+        w = [rand_poly(rng, max_len=4) for _ in range(k)]
+        assert weighted_squares(rows, w) == reference_weighted_squares(rows, w)
+
+
+def test_weighted_squares_at_the_derived_bound():
+    """Random signs at the largest magnitudes the bound allows for, and sums
+    that reach the bound itself, at 2^15 - 1 (the largest 2-byte digit) and
+    at 2^15 (the smallest that needs a third byte)."""
+    rng = random.Random(2010)
+
+    def extreme(size, max_len):
+        return tuple(rng.choice((size, -size)) for _ in range(rng.randrange(1, max_len + 1)))
+
+    for _ in range(40):
+        k, m = rng.randrange(1, 6), rng.randrange(1, 4)
+        size = rng.choice((1, 7, 255, 10**12))
+        rows = [[extreme(size, 8) for _ in range(k)] for _ in range(m)]
+        w = [extreme(size, 4) for _ in range(k)]
+        assert weighted_squares(rows, w) == reference_weighted_squares(rows, w)
+    for terms, length, coeff in ((217, 151, 1), (2, 64, 16)):
+        for sign in (1, -1):
+            rows = [[(coeff,) * length] * terms]
+            w = [(sign,)] * terms
+            square = product_bound(1, length, coeff, length, coeff)
+            bound = product_bound(terms, 2 * length - 1, square, 1, 1)
+            assert bound == terms * length * coeff**2
+            out = weighted_squares(rows, w)
+            assert out[0][length - 1] == sign * bound
+            assert out == reference_weighted_squares(rows, w)
+
+
+def test_weighted_squares_all_zero():
+    assert weighted_squares([[(), ()]], [(1,), (2,)]) == [()]
+    assert weighted_squares([[(1,)]], [()]) == [()]

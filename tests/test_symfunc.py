@@ -2,7 +2,9 @@
 Kostka-Foulkes, the X transition polynomials, and agreement between the two
 independent routes (character sum vs raw Hall-Littlewood expansion)."""
 
+import hashlib
 import math
+import os
 from functools import reduce
 
 import pytest
@@ -25,7 +27,6 @@ from gggr.symfunc import (
     hall_littlewood_expand,
     kostka_foulkes,
     mn_character,
-    reading_word,
     ssyt_fillings,
     x_poly,
 )
@@ -111,6 +112,62 @@ def test_column_sums_of_squares():
 # -- tableaux, charge, Kostka-Foulkes ----------------------------------------
 
 
+def reference_fillings(shape, content):
+    """The semistandard tableaux of the given shape and content, built cell
+    by cell, row by row: each cell takes every letter that is at least its
+    left neighbour, above its upper neighbour, and not used up."""
+    remaining = list(content)
+    rows = [[] for _ in shape]
+
+    def fill(r, c):
+        if r == len(shape):
+            yield tuple(tuple(row) for row in rows)
+            return
+        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
+        lo = rows[r][c - 1] if c > 0 else 1
+        if r > 0 and c < shape[r - 1]:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for letter in range(lo, len(remaining) + 1):
+            if remaining[letter - 1] == 0:
+                continue
+            remaining[letter - 1] -= 1
+            rows[r].append(letter)
+            yield from fill(nr, nc)
+            rows[r].pop()
+            remaining[letter - 1] += 1
+
+    if shape.n == content.n:
+        yield from fill(0, 0)
+
+
+def reading_word(tableau):
+    """Rows read left to right, bottom row first."""
+    return tuple(letter for row in reversed(tableau) for letter in row)
+
+
+def reference_charge(word):
+    """Charge by peeling standard subwords off the word itself, one at a
+    time: the rightmost 1, then each next letter by a cyclic leftward scan."""
+    w = list(word)
+    total = 0
+    while w:
+        top = max(w)
+        chosen = [len(w) - 1 - w[::-1].index(1)]
+        for letter in range(2, top + 1):
+            cur = chosen[-1]
+            nxt = next((k for k in range(cur - 1, -1, -1) if w[k] == letter), None)
+            if nxt is None:
+                nxt = next(k for k in range(len(w) - 1, cur, -1) if w[k] == letter)
+            chosen.append(nxt)
+        index = 0
+        for prev, k in zip(chosen, chosen[1:]):
+            index += k > prev
+            total += index
+        for k in sorted(chosen, reverse=True):
+            w.pop(k)
+    return total
+
+
 def test_ssyt_counts_are_kostka_numbers():
     # classical Kostka numbers for n = 4
     assert len(list(ssyt_fillings(P((2, 2)), P((2, 1, 1))))) == 1
@@ -172,11 +229,50 @@ def test_kostka_foulkes_frozen():
 
 
 def test_kostka_foulkes_at_one_counts_tableaux():
+    """The strip enumerator finds exactly the tableaux that the cell-by-cell
+    one does, and K_{mu,la}(t) sums t^charge over them by the reference
+    charge."""
     for n in range(1, 7):
         for mu in partitions_of(n):
             for la in partitions_of(n):
-                count = len(list(ssyt_fillings(mu, la)))
-                assert kostka_foulkes(mu, la)(1) == count
+                tableaux = list(ssyt_fillings(mu, la))
+                reference = list(reference_fillings(mu, la))
+                assert len(set(tableaux)) == len(tableaux)
+                assert set(tableaux) == set(reference), (mu, la)
+                counts = [0] * (n_stat(la) + 1)
+                for tab in reference:
+                    counts[reference_charge(reading_word(tab))] += 1
+                assert kostka_foulkes(mu, la) == T(*counts), (mu, la)
+
+
+def test_reference_charge_agrees_on_every_word():
+    import itertools
+
+    for content in ((2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)):
+        letters = [i for i, m in enumerate(content, 1) for _ in range(m)]
+        for w in set(itertools.permutations(letters)):
+            assert charge(w) == reference_charge(w), w
+
+
+def test_charge_needs_partition_content():
+    with pytest.raises(ValueError, match="not a partition"):
+        charge((2, 2, 1))
+
+
+#: sha256 of repr(x_matrix(n)), computed with the cell-by-cell enumerator
+#: and the reference charge above.
+X_MATRIX_SHA256 = {
+    8: "a556f6f1d128cd07a74deaebacbbb1f2a35df16c3dae24740f7d7b217280738b",
+    9: "e02133def5c07c4fce5d0c20e28990b459f00570e7507ed249ca439c2ae8d6c2",
+    10: "4d136502059d5f5e42eac7e9c7efd7f9aac0b55913e6aeb979ffc04ee99ec844",
+}
+
+
+@pytest.mark.parametrize("n", [8, 9] + ([10] if os.environ.get("GGGR_BIG") == "1" else []))
+def test_x_matrix_digest(n):
+    """n = 10 takes ~0.7 s more, so it runs only under GGGR_BIG=1."""
+    digest = hashlib.sha256(repr(symfunc.x_matrix(n)).encode()).hexdigest()
+    assert digest == X_MATRIX_SHA256[n]
 
 
 # -- X polynomials and the Hall-Littlewood cross-check ------------------------
@@ -377,15 +473,43 @@ def test_hall_littlewood_matches_symmetrization():
 
 
 def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
-    """With the Murnaghan-Nakayama, Kostka-Foulkes and X routes made to
-    raise, and every cache cleared, the expansion still runs and agrees with
-    the values x_poly gave before."""
+    """With every function of the Murnaghan-Nakayama, tableau, charge,
+    Kostka-Foulkes and X routes made to raise, and every cache cleared, the
+    expansion still runs and agrees with the values x_poly gave before.
+    Every function of the module belongs to one route or the other."""
     expected = {rho: {la: x_poly(rho, la) for la in partitions_of(6)} for rho in partitions_of(6)}
 
     def unreachable(*args):
         raise RuntimeError("the Hall-Littlewood route reached the character route")
 
-    for name in ("mn_character", "_mn", "kostka_foulkes", "_kostka_foulkes", "x_matrix"):
+    character_route = (
+        "mn_character",
+        "_mn",
+        "ssyt_fillings",
+        "_walk_tableaux",
+        "charge",
+        "_next_letter",
+        "kostka_foulkes",
+        "_kostka_foulkes",
+        "x_matrix",
+        "x_poly",
+    )
+    hall_littlewood_route = (
+        "_monomial_count",
+        "_b",
+        "_dominated",
+        "_sub_products",
+        "_exact_quotient",
+        "_hl_factor",
+        "hall_littlewood_expand",
+    )
+    defined = {
+        name
+        for name, value in vars(symfunc).items()
+        if callable(value) and getattr(value, "__module__", None) == symfunc.__name__
+    }
+    assert defined == set(character_route) | set(hall_littlewood_route)
+    for name in character_route:
         monkeypatch.setattr(symfunc, name, unreachable)
     symfunc._hl_factor.cache_clear()
     symfunc._monomial_count.cache_clear()
