@@ -24,6 +24,10 @@ GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
 Hermitian form.
 
+The entries live in F_q = F_p[x]/(f), held as tables, with f chosen so
+that its residue x is primitive; that makes the quotient a field without a
+test for irreducibility (see FiniteField).
+
 The generalised Gelfand-Graev character Gamma_u of a unipotent u of Jordan
 type mu is built from one datum for GL and GU alike (Kawanaka, Generalized
 Gelfand-Graev representations and Ennola duality, Adv. Stud. Pure Math. 6,
@@ -82,9 +86,15 @@ def is_prime_power(q: int) -> Optional[tuple[int, int]]:
 
 
 class FiniteField:
-    """F_q for a prime power q, elements encoded as integers 0..q-1: the
-    element sum_i c_i x^i (c_i digits base p) is encoded as sum_i c_i p^i.
-    Addition and multiplication are table-driven; construction verifies the
+    """F_q for a prime power q = p^e, elements encoded as integers 0..q-1:
+    the residue sum_i c_i x^i (c_i digits base p) modulo ``modulus`` is
+    encoded as sum_i c_i p^i.  The modulus f is the first monic polynomial
+    of degree e over F_p (coefficients lowest first, counted up) with
+    f(0) != 0 whose residue x has q - 1 distinct nonzero powers.  Then every
+    nonzero residue is a power of the unit x, so F_p[x]/(f) is a field and
+    f is irreducible, indeed primitive (Lidl & Niederreiter, Finite Fields,
+    1997, chapter 3).  Addition is digit-wise; products, inverses and powers
+    are read off ``exp`` (k -> x^k) and ``log``.  Construction verifies the
     field axioms outright."""
 
     def __init__(self, q: int):
@@ -92,77 +102,39 @@ class FiniteField:
         if pe is None:
             raise ValueError(f"{q} is not a prime power")
         self.q = q
-        self.p, self.e = pe
-        self.modulus = self._find_irreducible() if self.e > 1 else (0, 1)
-        self._build_tables()
+        self.p, self.e = p, e = pe
+        digits = [p**i for i in range(e)]
+        self.add = [[sum((a // d + b // d) % p * d for d in digits) for b in range(q)]
+                    for a in range(q)]
+        self.modulus, self.exp = self._primitive()
+        self.log = log = [0] * q
+        for k, a in enumerate(self.exp):
+            log[a] = k
+        exp, units = self.exp, q - 1
+        self.mul = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % units] for b in range(1, q)] for a in range(1, q)
+        ]
+        self.neg = [self.mul[a][p - 1] for a in range(q)]  # p - 1 encodes -1
+        self.inv = [0] + [exp[-log[a] % units] for a in range(1, q)]
         self._verify_axioms()
 
-    # Polynomials over F_p as tuples, lowest degree first.
-
-    def _poly_divmod(self, a: tuple[int, ...], b: tuple[int, ...]):
-        p = self.p
-        a = list(a)
-        db, lead = len(b) - 1, b[-1]
-        inv_lead = pow(lead, p - 2, p)
-        while len(a) - 1 >= db and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            shift = len(a) - 1 - db
-            c = a[-1] * inv_lead % p
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bc) % p
-            while a and a[-1] == 0:
-                a.pop()
-        return tuple(a)
-
-    def _is_irreducible(self, f: tuple[int, ...]) -> bool:
-        deg = len(f) - 1
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(self.p), repeat=d):
-                g = tuple(tail) + (1,)
-                if not self._poly_divmod(f, g):
-                    return False
-        return True
-
-    def _find_irreducible(self) -> tuple[int, ...]:
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            f = tuple(tail) + (1,)
-            if self._is_irreducible(f):
-                return f
-        raise ContractError(f"no irreducible polynomial of degree {self.e} over F_{self.p}")
-
-    def _decode(self, code: int) -> tuple[int, ...]:
-        return tuple(code // self.p**i % self.p for i in range(self.e))
-
-    def _encode(self, digits) -> int:
-        return sum(d * self.p**i for i, d in enumerate(digits))
-
-    def _build_tables(self) -> None:
+    def _primitive(self) -> tuple[tuple[int, ...], list[int]]:
+        """The modulus, lowest coefficient first, and the codes of x^0, ...,
+        x^(q-2).  Times x, the residue with top digit d and the rest r is
+        r shifted up a digit, plus d*x^e = -d*(f - x^e)."""
         q, p, e = self.q, self.p, self.e
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        decoded = [self._decode(c) for c in range(q)]
-        for a in range(q):
-            for b in range(q):
-                self.add[a][b] = self._encode(
-                    ((x + y) % p for x, y in zip(decoded[a], decoded[b]))
-                )
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(decoded[a]):
-                    if x:
-                        for j, y in enumerate(decoded[b]):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                if e > 1:
-                    rem = list(self._poly_divmod(tuple(prod), self.modulus))
-                else:
-                    rem = prod
-                rem += [0] * (e - len(rem))
-                self.mul[a][b] = self._encode(rem[:e])
-        self.neg = [self.mul[a][p - 1] for a in range(q)]  # p - 1 encodes -1
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = next(b for b in range(1, q) if self.mul[a][b] == 1)
+        top = p ** (e - 1)
+        for tail in itertools.product(range(p), repeat=e):
+            if not tail[0]:
+                continue
+            carry = [sum(-d * c % p * p**i for i, c in enumerate(tail)) for d in range(p)]
+            exp = [1]
+            for _ in range(q - 2):
+                a = exp[-1]
+                exp.append(self.add[a % top * p][carry[a // top]])
+            if 0 not in exp and len(set(exp)) == q - 1:
+                return tail + (1,), exp
+        raise ContractError(f"no primitive polynomial of degree {e} over F_{p}")
 
     def _verify_axioms(self) -> None:
         q = self.q
@@ -188,14 +160,7 @@ class FiniteField:
                         raise ContractError(f"F_{q}: distributivity failed")
 
     def power(self, a: int, k: int) -> int:
-        out = 1
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul[out][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return out
+        return self.exp[self.log[a] * k % (self.q - 1)] if a else int(k == 0)
 
     def frobenius(self, a: int) -> int:
         return self.power(a, self.p)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import CapExceededError
 
-#: Default ceiling for pure partition combinatorics.  p(30) = 5604, which is
+#: Ceiling on n for pure partition combinatorics.  p(30) = 5604, which is
 #: still cheap; anything far beyond that is a sign the caller is misusing the
 #: library (the symmetric-function pipelines cap out much earlier).
 DEFAULT_CAP = 30
@@ -52,12 +52,13 @@ class Partition(tuple):
         return list(self)
 
 
-def partitions_of(n: int, cap: int = DEFAULT_CAP) -> list[Partition]:
-    """All partitions of n in descending lexicographic order."""
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n in descending lexicographic order, for n up to
+    DEFAULT_CAP."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise CapExceededError(f"partitions_of({n}) exceeds cap {cap}")
+    if n > DEFAULT_CAP:
+        raise CapExceededError(f"partitions_of({n}) exceeds cap {DEFAULT_CAP}")
     return list(_partitions(n))
 
 

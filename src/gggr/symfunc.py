@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
 
 from .errors import CapExceededError, ContractError, NonExactDivisionError
 from .intpoly import IntPoly, bilinear, divmod_monic, mul, scale, times_binomials, trim
@@ -82,11 +81,22 @@ def _mn(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
 def _next_letter(
     rounds: list[tuple[int, int]], cells: list[int]
 ) -> tuple[list[tuple[int, int]], int]:
-    """One letter of the charge computation (see ``charge``).  ``rounds``
-    holds, for each standard subword that letter l joined, where l was taken
-    and its index; ``cells`` holds the increasing positions of letter l+1,
-    no more of them than there are rounds.  Returns the same for l+1, which
-    joins the first len(cells) rounds, and the sum of its indices."""
+    """One letter of the charge of a word whose content is a partition
+    (Lascoux-Schutzenberger; Macdonald III.6).
+
+    The word is peeled into standard subwords: start from the rightmost 1,
+    then take each next letter at its nearest occurrence to the left of the
+    last one taken, or, if there is none, at its rightmost occurrence (the
+    scan wraps round), and remove the subword.  In each subword letter 1 has
+    index 0, and letter r+1 has the index of r, plus one exactly when the
+    scan wrapped, i.e. when r+1 sits to the right of r; the charge sums
+    every index.  A subword takes letter r+1 only from where it took r and
+    from the occurrences of r+1 that earlier subwords left, so the subwords
+    are built a letter at a time.  ``rounds`` holds, for each standard
+    subword that letter l joined, where l was taken and its index; ``cells``
+    holds the increasing positions of letter l+1, no more of them than there
+    are rounds.  Returns the same for l+1, which joins the first len(cells)
+    rounds, and the sum of its indices."""
     free = cells[:]
     out = []
     added = 0
@@ -99,29 +109,37 @@ def _next_letter(
     return out, added
 
 
-def _walk_tableaux(shape: tuple[int, ...], content: tuple[int, ...], visit) -> None:
-    """Call visit(letters, charge) for every semistandard tableau of the
-    given shape and content, where letters[i] holds the increasing positions
-    of letter i+1 in the tableau's reading word.
+def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
+    """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
+    return RationalPoly(_kostka_foulkes(tuple(mu), tuple(la)), "t")
 
-    Letter i+1 fills a horizontal strip of size content[i] (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5): row j grows from its
-    length so far to at most the length so far of row j-1, so no column gets
-    the letter twice.  The rows are placed from the bottom up, which is the
-    order of their cells in the reading word, and the charge is carried
-    down letter by letter (``_next_letter``), so the charge of a strip is
-    computed once and shared by every tableau that extends it.  The lists
-    passed to visit are reused."""
-    rows = len(shape)
+
+@lru_cache(maxsize=None)
+def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> IntPoly:
+    """Count t^charge over the semistandard tableaux of shape mu and content
+    la, walking them letter by letter.
+
+    Letter i+1 fills a horizontal strip of size la[i] (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.5): row j grows from its length so far
+    to at most the length so far of row j-1, so no column gets the letter
+    twice.  The rows are placed from the bottom up, which is the order of
+    their cells in the reading word, and the charge is carried down letter
+    by letter (``_next_letter``), so the charge of a strip is computed once
+    and shared by every tableau that extends it."""
+    if sum(mu) != sum(la):
+        return ()
+    if not la:
+        return (1,)
+    counts = [0] * (n_stat(Partition(la)) + 1)
+    rows = len(mu)
     starts = [0] * rows  # the position of each row's first cell
     for j in range(rows - 2, -1, -1):
-        starts[j] = starts[j + 1] + shape[j + 1]
-    letters: list[list[int]] = []
+        starts[j] = starts[j + 1] + mu[j + 1]
 
     def grow(i: int, inner: list[int], rounds: list[tuple[int, int]], total: int) -> None:
         active = []  # (row, cells it can take), bottom up; letter i+1 reaches row i
         for j in range(min(i, rows - 1), -1, -1):
-            room = (shape[j] if j == 0 else min(shape[j], inner[j - 1])) - inner[j]
+            room = (mu[j] if j == 0 else min(mu[j], inner[j - 1])) - inner[j]
             if room:
                 active.append((j, room))
         above = [0] * (len(active) + 1)  # above[a]: the room of active[a], active[a+1], ...
@@ -133,12 +151,10 @@ def _walk_tableaux(shape: tuple[int, ...], content: tuple[int, ...], visit) -> N
         def place(a: int, left: int) -> None:
             if not left:
                 nxt, added = _next_letter(rounds, cells)
-                letters.append(cells[:])
-                if i + 1 == len(content):
-                    visit(letters, total + added)
+                if i + 1 == len(la):
+                    counts[total + added] += 1
                 else:
                     grow(i + 1, nu[:], nxt, total + added)
-                letters.pop()
                 return
             j, room = active[a]
             start = starts[j] + inner[j]
@@ -149,77 +165,10 @@ def _walk_tableaux(shape: tuple[int, ...], content: tuple[int, ...], visit) -> N
                 del cells[len(cells) - take :]
             nu[j] = inner[j]
 
-        if content[i] <= above[0]:
-            place(0, content[i])
+        if la[i] <= above[0]:
+            place(0, la[i])
 
-    if sum(shape) != sum(content):
-        return
-    if not content:
-        visit(letters, 0)
-        return
-    grow(0, [0] * rows, [(sum(shape), 0)] * content[0], 0)
-
-
-def ssyt_fillings(shape: Partition, content: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All semistandard tableaux of the given shape and content, as tuples of
-    row tuples; rows weakly increase, columns strictly increase, and letter i
-    appears content[i-1] times."""
-    found = []
-
-    def visit(letters: list[list[int]], _charge: int) -> None:
-        word = [0] * shape.n
-        for letter, cells in enumerate(letters, 1):
-            for k in cells:
-                word[k] = letter
-        tableau, end = [], shape.n  # the top row is read last
-        for length in shape:
-            tableau.append(tuple(word[end - length : end]))
-            end -= length
-        found.append(tuple(tableau))
-
-    _walk_tableaux(tuple(shape), tuple(content), visit)
-    return iter(found)
-
-
-def charge(word: tuple[int, ...]) -> int:
-    """Lascoux-Schutzenberger charge of a word whose content is a partition.
-
-    The word is peeled into standard subwords: start from the rightmost 1,
-    then take each next letter at its nearest occurrence to the left of the
-    last one taken, or, if there is none, at its rightmost occurrence (the
-    scan wraps round), and remove the subword.  In each subword letter 1 has
-    index 0, and letter r+1 has the index of r, plus one exactly when the
-    scan wrapped, i.e. when r+1 sits to the right of r; the charge sums
-    every index.  A subword takes letter r+1 only from where it took r and
-    from the occurrences of r+1 that earlier subwords left, so the subwords
-    are built a letter at a time, on the positions of each letter
-    (``_next_letter``)."""
-    positions: list[list[int]] = [[] for _ in range(max(word, default=0))]
-    for k, letter in enumerate(word):
-        positions[letter - 1].append(k)
-    if any(len(a) < len(b) for a, b in zip(positions, positions[1:])):
-        raise ValueError(f"the content of {word} is not a partition")
-    rounds = [(len(word), 0)] * (len(positions[0]) if positions else 0)
-    total = 0
-    for cells in positions:
-        rounds, added = _next_letter(rounds, cells)
-        total += added
-    return total
-
-
-def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
-    """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
-    return RationalPoly(_kostka_foulkes(tuple(mu), tuple(la)), "t")
-
-
-@lru_cache(maxsize=None)
-def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> IntPoly:
-    counts = [0] * (n_stat(Partition(la)) + 1)
-
-    def visit(_letters: list[list[int]], charge: int) -> None:
-        counts[charge] += 1
-
-    _walk_tableaux(mu, la, visit)
+    grow(0, [0] * rows, [(sum(mu), 0)] * la[0], 0)
     return trim(counts)
 
 

@@ -224,6 +224,23 @@ def test_field_entry_fails_whittaker_construction(
         oracle.gelfand_graev_inner(G)
 
 
+def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
+    # Z/4 passed off as a prime field: no residue of Z/4 has three distinct
+    # nonzero powers, so the search for a modulus fails as a check
+    message = "no primitive polynomial of degree 1 over F_4"
+    monkeypatch.setattr(oracle, "is_prime_power", lambda q: (4, 1))
+    oracle.finite_field.cache_clear()
+    try:
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            oracle.FiniteField(4)
+        assert main(["oracle", "--n", "2", "--q", "4"]) == 1
+    finally:
+        oracle.finite_field.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"gggr: check failed: {message}\n"
+
+
 def test_whittaker_element_outside_the_split_fails():
     # elements are looked up by code in the index that the class split builds
     G = oracle.enumerate_group(2, 1, 4)

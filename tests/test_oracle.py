@@ -43,6 +43,63 @@ def test_is_prime_power():
     assert is_prime_power(12) is None
 
 
+#: Every field the oracle builds: F_q0 for GL_n(q0) and F_(q0^2) for GU_n(q0).
+AMBIENT_Q = (2, 3, 4, 5, 8, 9, 16, 25, 64, 81)
+
+
+def poly_rem(a, f, p):
+    """a mod a monic f over F_p, coefficients lowest first, padded to deg f."""
+    a = list(a)
+    while len(a) >= len(f):
+        c, shift = a.pop(), len(a) - len(f) + 1
+        for i, fc in enumerate(f[:-1]):
+            a[shift + i] = (a[shift + i] - c * fc) % p
+    return [c % p for c in a] + [0] * (len(f) - 1 - len(a))
+
+
+def reference_modulus(p, e):
+    """The first monic f of degree e over F_p with f(0) != 0, irreducible by
+    trial division, whose residue x has multiplicative order p^e - 1."""
+    for tail in itertools.product(range(p), repeat=e):
+        f = tail + (1,)
+        if not tail[0] or any(
+            not any(poly_rem(f, g + (1,), p))
+            for d in range(1, e // 2 + 1)
+            for g in itertools.product(range(p), repeat=d)
+        ):
+            continue
+        one = poly_rem([1], f, p)
+        power, order = poly_rem([0, 1], f, p), 1
+        while power != one:
+            power, order = poly_rem([0] + power, f, p), order + 1
+        if order == p**e - 1:
+            return f
+
+
+@pytest.mark.parametrize("q", AMBIENT_Q)
+def test_field_modulus_is_primitive(q):
+    F = finite_field(q)
+    p, e = F.p, F.e
+    f = reference_modulus(p, e)
+    assert F.modulus == f
+    # x, the residue that F's powers are taken of, has order exactly q - 1
+    x = p if e > 1 else -f[0] % p
+    powers = [1]
+    for _ in range(q - 1):
+        powers.append(F.mul[powers[-1]][x])
+    assert powers[-1] == 1 and len(set(powers[:-1])) == q - 1
+    assert F.exp == powers[:-1]
+    # the tables are the arithmetic of F_p[x]/(f) on digit vectors
+    digits = [[a // p**i % p for i in range(e)] for a in range(q)]
+    code = {tuple(d): a for a, d in enumerate(digits)}
+    for a, b in itertools.product(range(q), repeat=2):
+        prod = [0] * (2 * e - 1)
+        for i, j in itertools.product(range(e), repeat=2):
+            prod[i + j] += digits[a][i] * digits[b][j]
+        assert F.mul[a][b] == code[tuple(poly_rem(prod, f, p))]
+        assert F.add[a][b] == code[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
+
+
 def test_field_f4_tables():
     # F_4 built on x^2 + x + 1; elements 0, 1, x=2, x+1=3
     F = finite_field(4)
@@ -54,10 +111,11 @@ def test_field_f4_tables():
 
 
 def test_field_f9_tables():
-    # F_9 built on x^2 + 1; x * x = -1 = 2
+    # F_9 built on x^2 + x + 2, since x^2 + 1 is irreducible but x has order 4
+    # there; x * x = 2x + 1, encoded 1 + 2*3 = 7
     F = finite_field(9)
-    assert F.modulus == (1, 0, 1)
-    assert F.mul[3][3] == 2
+    assert F.modulus == (2, 1, 1)
+    assert F.mul[3][3] == 7
 
 
 def test_field_characteristic_arithmetic():
@@ -69,7 +127,7 @@ def test_field_characteristic_arithmetic():
 
 
 def test_frobenius_and_trace():
-    for q in (2, 3, 4, 5, 8, 9):
+    for q in AMBIENT_Q:
         F = finite_field(q)
         # Frobenius fixes exactly the prime field
         fixed = [a for a in range(q) if F.frobenius(a) == a]
@@ -317,7 +375,7 @@ def test_gu3_3_rows_enumerate_unitary_matrices():
         assert mat_mul(F, g_star, g) == identity
 
 
-@pytest.mark.parametrize("n, eps, q0, count", [(4, 1, 2, 3), (3, 1, 3, 3), (2, -1, 5, 4)])
+@pytest.mark.parametrize("n, eps, q0, count", [(4, 1, 2, 3), (3, 1, 3, 3), (2, -1, 5, 3)])
 def test_generator_counts(n, eps, q0, count):
     # each generator costs a table of |G| products and an orbit pass; taking
     # them from the end of the order, where matrices are dense, needs few
@@ -371,16 +429,26 @@ def mackey_inner(G, H):
 @pytest.mark.parametrize(
     "n, eps, q0",
     [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 2), (2, -1, 3), (3, -1, 2),
-     (2, -1, 4)],
+     (2, -1, 4), (2, -1, 8), (2, -1, 9)],
 )
 def test_inner_products_match_mackey_double_cosets(n, eps, q0):
-    # GU3(2) and GU2(4) are refused by oracle_report's gate, not by the datum
+    # GU3(2), GU2(4), GU2(8) and GU2(9) are refused by oracle_report's gate,
+    # not by the datum; the last two have entries in F_64 and F_81
     G = enumerate_group(n, eps, q0)
     for mu in partitions_of(n):
         H, dim_g1 = kawanaka_datum(G, mu)
         expected = endo_dim(mu, eps)(q0) * q0**dim_g1
         assert gggr_inner(G, mu) == (mackey_inner(G, H), dim_g1) == (expected, dim_g1), mu
     assert regular_rep_inner(G) == mackey_inner(G, {mat_identity(n): 0}) == G.order
+
+
+@pytest.mark.parametrize("n, q0", [(3, 3), (4, 2)])
+def test_gggr_inner_matches_endo_dim_on_larger_unitary_groups(n, q0):
+    # too large for the Mackey count above; oracle_report's gate refuses them
+    G = enumerate_group(n, -1, q0)
+    for mu in partitions_of(n):
+        inner, dim_g1 = gggr_inner(G, mu)
+        assert inner == endo_dim(mu, -1)(q0) * q0**dim_g1, mu
 
 
 def test_gelfand_graev_inner_frozen():

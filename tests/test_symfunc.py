@@ -23,11 +23,9 @@ from gggr.partitions import (
 from gggr.polyring import RationalPoly
 from gggr.symfunc import (
     HL_CAP,
-    charge,
     hall_littlewood_expand,
     kostka_foulkes,
     mn_character,
-    ssyt_fillings,
     x_poly,
 )
 from test_intpoly import add, schoolbook
@@ -170,16 +168,18 @@ def reference_charge(word):
 
 def test_ssyt_counts_are_kostka_numbers():
     # classical Kostka numbers for n = 4
-    assert len(list(ssyt_fillings(P((2, 2)), P((2, 1, 1))))) == 1
-    assert len(list(ssyt_fillings(P((2, 2)), P((1, 1, 1, 1))))) == 2
-    assert len(list(ssyt_fillings(P((3, 1)), P((1, 1, 1, 1))))) == 3
+    assert len(list(reference_fillings(P((2, 2)), P((2, 1, 1))))) == 1
+    assert len(list(reference_fillings(P((2, 2)), P((1, 1, 1, 1))))) == 2
+    assert len(list(reference_fillings(P((3, 1)), P((1, 1, 1, 1))))) == 3
     # shape does not dominate content -> no fillings
-    assert len(list(ssyt_fillings(P((2, 1, 1)), P((2, 2))))) == 0
-    assert len(list(ssyt_fillings(P((2, 2)), P((3, 1))))) == 0
+    assert len(list(reference_fillings(P((2, 1, 1)), P((2, 2))))) == 0
+    assert len(list(reference_fillings(P((2, 2)), P((3, 1))))) == 0
 
 
 def test_ssyt_rows_weak_columns_strict():
-    for tab in ssyt_fillings(P((3, 2)), P((2, 2, 1))):
+    tableaux = list(reference_fillings(P((3, 2)), P((2, 2, 1))))
+    assert len(tableaux) == 2
+    for tab in tableaux:
         for row in tab:
             assert all(a <= b for a, b in zip(row, row[1:]))
         for i in range(1, len(tab)):
@@ -188,11 +188,11 @@ def test_ssyt_rows_weak_columns_strict():
 
 def test_reading_word_and_charge():
     # single-row tableau of weight (n): word 1..1, charge 0
-    assert charge((1, 1, 1)) == 0
+    assert reference_charge((1, 1, 1)) == 0
     # standard words on {1,2,3}
-    assert charge((3, 2, 1)) == 0
-    assert charge((1, 2, 3)) == 3
-    assert charge((2, 1, 3)) == 1
+    assert reference_charge((3, 2, 1)) == 0
+    assert reference_charge((1, 2, 3)) == 3
+    assert reference_charge((2, 1, 3)) == 1
     tab = ((1, 1), (2,))
     assert reading_word(tab) == (2, 1, 1)
 
@@ -204,7 +204,7 @@ def test_charge_distribution_is_t_factorial():
     for n in range(1, 6):
         counts = {}
         for w in itertools.permutations(range(1, n + 1)):
-            c = charge(w)
+            c = reference_charge(w)
             counts[c] = counts.get(c, 0) + 1
         factorial = reduce(schoolbook, ((1,) * k for k in range(1, n + 1)), (1,))
         assert counts == dict(enumerate(factorial))
@@ -229,34 +229,15 @@ def test_kostka_foulkes_frozen():
 
 
 def test_kostka_foulkes_at_one_counts_tableaux():
-    """The strip enumerator finds exactly the tableaux that the cell-by-cell
-    one does, and K_{mu,la}(t) sums t^charge over them by the reference
-    charge."""
+    """K_{mu,la}(t), counted by the strip walk, sums t^charge over the
+    tableaux of the cell-by-cell enumerator by the reference charge."""
     for n in range(1, 7):
         for mu in partitions_of(n):
             for la in partitions_of(n):
-                tableaux = list(ssyt_fillings(mu, la))
-                reference = list(reference_fillings(mu, la))
-                assert len(set(tableaux)) == len(tableaux)
-                assert set(tableaux) == set(reference), (mu, la)
                 counts = [0] * (n_stat(la) + 1)
-                for tab in reference:
+                for tab in reference_fillings(mu, la):
                     counts[reference_charge(reading_word(tab))] += 1
                 assert kostka_foulkes(mu, la) == T(*counts), (mu, la)
-
-
-def test_reference_charge_agrees_on_every_word():
-    import itertools
-
-    for content in ((2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)):
-        letters = [i for i, m in enumerate(content, 1) for _ in range(m)]
-        for w in set(itertools.permutations(letters)):
-            assert charge(w) == reference_charge(w), w
-
-
-def test_charge_needs_partition_content():
-    with pytest.raises(ValueError, match="not a partition"):
-        charge((2, 2, 1))
 
 
 #: sha256 of repr(x_matrix(n)), computed with the cell-by-cell enumerator
@@ -485,9 +466,6 @@ def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
     character_route = (
         "mn_character",
         "_mn",
-        "ssyt_fillings",
-        "_walk_tableaux",
-        "charge",
         "_next_letter",
         "kostka_foulkes",
         "_kostka_foulkes",
