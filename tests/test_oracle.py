@@ -97,7 +97,7 @@ def test_field_modulus_is_primitive(q):
         for i, j in itertools.product(range(e), repeat=2):
             prod[i + j] += digits[a][i] * digits[b][j]
         assert F.mul[a][b] == code[tuple(poly_rem(prod, f, p))]
-        assert F.add[a][b] == code[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
+        assert F.add[a][b] == code[tuple((c + d) % p for c, d in zip(digits[a], digits[b]))]
 
 
 def test_field_f4_tables():
@@ -111,8 +111,9 @@ def test_field_f4_tables():
 
 
 def test_field_f9_tables():
-    # F_9 built on x^2 + x + 2, since x^2 + 1 is irreducible but x has order 4
-    # there; x * x = 2x + 1, encoded 1 + 2*3 = 7
+    # F_9 built on x^2 + x + 2, the first candidate whose x has order 8 (x^2 + 1
+    # is irreducible, but x has order 4 there); x * x = 2x + 1, encoded 1 + 2*3
+    # = 7
     F = finite_field(9)
     assert F.modulus == (2, 1, 1)
     assert F.mul[3][3] == 7
