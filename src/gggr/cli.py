@@ -3,14 +3,18 @@
 Five subcommands cover the pipeline end to end:
 
     gggr green  --n 3 --eps +1        Green polynomial table
-    gggr gggr   --mu 2,1 --eps +1     one character's unipotent values
+    gggr gggr   --mu 2,1 --eps +1     one character's unipotent values (n = |mu|)
     gggr endo   --n 4 --eps -1        all endomorphism-dimension polynomials
     gggr verify --n 5 --eps +1        the main-theorem verification (exit 0/1)
     gggr oracle --n 2 --q 3 --eps +1  brute-force cross-check (exit 0/1)
 
-Exit codes: 0 pass, 1 verification/oracle failure, 2 usage error, 3 size cap
-exceeded.  Output is byte-deterministic for fixed flags; stdout carries data
-and stderr diagnostics.
+Exit codes: 0 pass, 1 verification/oracle failure, 2 usage error (also an
+unwritable --output), 3 size cap exceeded.  Output is byte-deterministic for
+fixed flags; stdout carries data and stderr diagnostics.
+
+Each command turns its JSON document into rows: a pretty title, a csv
+header, and per item its csv cells and its pretty line.  One renderer writes
+either form, and ends a pretty document that has a "pass" key with RESULT.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ from typing import Optional
 
 from .errors import CapExceededError, ContractError
 from .green import green_table
-from .grouporders import check_eps
 from .kawanaka import (
-    DEFAULT_SAMPLES,
-    VERIFY_CAP,
-    VERIFY_CAP_BIG,
-    endo_dim,
-    gggr_character,
-    verify_theorem,
+    DEFAULT_SAMPLES, VERIFY_CAP, VERIFY_CAP_BIG, endo_dim, gggr_character, verify_theorem,
 )
 from .oracle import is_prime_power, oracle_report
 from .partitions import Partition, partitions_of
@@ -49,14 +47,6 @@ def _arg_n(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"n must be >= 1, got {n}")
     return n
-
-
-def _arg_eps(text: str) -> int:
-    if text in ("+1", "1"):
-        return 1
-    if text == "-1":
-        return -1
-    raise argparse.ArgumentTypeError(f"eps must be +1 or -1, got {text!r}")
 
 
 def _arg_mu(text: str) -> Partition:
@@ -87,65 +77,51 @@ def _build_parser() -> argparse.ArgumentParser:
         "Gelfand-Graev characters of GL_n(q) and GU_n(q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "pretty"),
-            default="json",
-            help="output format (default json)",
+    cmd = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("green", "dump the Green polynomial table"),
+            ("gggr", "dump one character's unipotent values"),
+            ("endo", "dump all endomorphism-dimension polynomials"),
+            ("verify", "run the main-theorem verification"),
+            ("oracle", "brute-force group cross-check"),
         )
+    }
+    cmd["gggr"].add_argument("--mu", type=_arg_mu, required=True, metavar="PARTS")
+    for name in ("green", "endo", "verify", "oracle"):
+        cmd[name].add_argument("--n", type=_arg_n, required=True)
+    cmd["oracle"].add_argument("--q", type=int, required=True, help="defining field size")
+    for name, p in cmd.items():
+        green = name == "green"
         p.add_argument(
-            "--output",
-            default="-",
-            metavar="PATH",
-            help="write to PATH instead of stdout",
+            "--eps",
+            type=int,
+            choices=(1, -1),
+            metavar="EPS",
+            default=None if green else 1,
+            help="specialize t -> eps*q; omit for the generic table in t" if green else None,
         )
-
-    p = sub.add_parser("green", help="dump the Green polynomial table")
-    p.add_argument("--n", type=_arg_n, required=True)
-    p.add_argument(
-        "--eps",
-        type=_arg_eps,
-        default=None,
-        help="specialize t -> eps*q; omit for the generic table in t",
-    )
-    common(p)
-
-    p = sub.add_parser("gggr", help="dump one character's unipotent values")
-    p.add_argument("--mu", type=_arg_mu, required=True, metavar="PARTS")
-    p.add_argument(
-        "--n", type=_arg_n, default=None, help="group rank (default: |mu|)"
-    )
-    p.add_argument("--eps", type=_arg_eps, default=1)
-    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
-    common(p)
-
-    p = sub.add_parser("endo", help="dump all endomorphism-dimension polynomials")
-    p.add_argument("--n", type=_arg_n, required=True)
-    p.add_argument("--eps", type=_arg_eps, default=1)
-    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
-    common(p)
-
-    p = sub.add_parser("verify", help="run the main-theorem verification")
-    p.add_argument("--n", type=_arg_n, required=True)
-    p.add_argument("--eps", type=_arg_eps, default=1)
-    p.add_argument(
+    cmd["verify"].add_argument(
         "--q-samples",
         type=_arg_samples,
         default=DEFAULT_SAMPLES,
         metavar="Q,Q,...",
-        help="prime powers for integrality spot checks (default 2,3,4,5)",
+        help="prime powers at which each endomorphism dimension must be a "
+        "positive integer (default 2,3,4,5; gamma's integrality is always "
+        "checked at 2,3,4,5)",
     )
-    p.add_argument("--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}")
-    common(p)
-
-    p = sub.add_parser("oracle", help="brute-force group cross-check")
-    p.add_argument("--n", type=_arg_n, required=True)
-    p.add_argument("--q", type=int, required=True, help="defining field size")
-    p.add_argument("--eps", type=_arg_eps, default=1)
-    common(p)
-
+    for name in ("gggr", "endo", "verify"):
+        cmd[name].add_argument(
+            "--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}"
+        )
+    for p in cmd.values():
+        p.add_argument(
+            "--format", choices=("json", "csv", "pretty"), default="json",
+            help="output format (default json)",
+        )
+        p.add_argument(
+            "--output", default="-", metavar="PATH", help="write to PATH instead of stdout"
+        )
     return parser
 
 
@@ -157,160 +133,111 @@ def _fmt_part(parts: list[int]) -> str:
 
 
 def _fmt_poly(data: Optional[dict]) -> str:
-    if data is None:
-        return "<not a polynomial>"
-    return pretty(poly_from_json(data))
+    return "<not a polynomial>" if data is None else pretty(poly_from_json(data))
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _render_green(doc: dict, fmt: str) -> str:
-    if fmt == "csv":
-        rows = [
-            [_fmt_part(row["rho"]), _fmt_part(col["lambda"]), _fmt_poly(col["poly"])]
-            for row in doc["rows"]
-            for col in row["cols"]
-        ]
-        return _csv_text(["rho", "lambda", "poly"], rows)
-    lines = [f"Green polynomials, n={doc['n']}"]
+def _green_rows(doc: dict):
+    title = f"Green polynomials, n={doc['n']}"
     if "eps" in doc:
-        lines[0] += f", eps={doc['eps']:+d}"
+        title += f", eps={doc['eps']:+d}"
+    items = []
     for row in doc["rows"]:
+        rho = _fmt_part(row["rho"])
         for col in row["cols"]:
-            lines.append(
-                f"Q[rho={_fmt_part(row['rho'])}, lambda={_fmt_part(col['lambda'])}]"
-                f" = {_fmt_poly(col['poly'])}"
-            )
-    return "\n".join(lines) + "\n"
+            la, poly = _fmt_part(col["lambda"]), _fmt_poly(col["poly"])
+            items.append(([rho, la, poly], f"Q[rho={rho}, lambda={la}] = {poly}"))
+    return title, ["rho", "lambda", "poly"], items
 
 
-def _render_gggr(doc: dict, fmt: str) -> str:
-    if fmt == "csv":
-        rows = [
-            [_fmt_part(v["lambda"]), _fmt_poly(v["poly"])] for v in doc["values"]
-        ]
-        return _csv_text(["lambda", "poly"], rows)
-    lines = [f"gamma_mu values, mu={_fmt_part(doc['mu'])}, eps={doc['eps']:+d}"]
+def _gggr_rows(doc: dict):
+    items = []
     for v in doc["values"]:
-        lines.append(f"lambda={_fmt_part(v['lambda'])}: {_fmt_poly(v['poly'])}")
-    return "\n".join(lines) + "\n"
+        la, poly = _fmt_part(v["lambda"]), _fmt_poly(v["poly"])
+        items.append(([la, poly], f"lambda={la}: {poly}"))
+    title = f"gamma_mu values, mu={_fmt_part(doc['mu'])}, eps={doc['eps']:+d}"
+    return title, ["lambda", "poly"], items
 
 
-def _render_endo(doc: dict, fmt: str) -> str:
-    if fmt == "csv":
-        rows = [
-            [_fmt_part(r["mu"]), r["degree"], r["monic"], _fmt_poly(r["poly"])]
-            for r in doc["results"]
-        ]
-        return _csv_text(["mu", "degree", "monic", "poly"], rows)
-    lines = [f"Endomorphism dimensions, n={doc['n']}, eps={doc['eps']:+d}"]
+def _endo_rows(doc: dict):
+    items = []
     for r in doc["results"]:
-        lines.append(
-            f"mu={_fmt_part(r['mu'])}: degree {r['degree']},"
-            f" monic={r['monic']}: {_fmt_poly(r['poly'])}"
-        )
-    return "\n".join(lines) + "\n"
+        mu, poly = _fmt_part(r["mu"]), _fmt_poly(r["poly"])
+        line = f"mu={mu}: degree {r['degree']}, monic={r['monic']}: {poly}"
+        items.append(([mu, r["degree"], r["monic"], poly], line))
+    title = f"Endomorphism dimensions, n={doc['n']}, eps={doc['eps']:+d}"
+    return title, ["mu", "degree", "monic", "poly"], items
 
 
-def _render_verify(doc: dict, fmt: str) -> str:
-    if fmt == "csv":
-        rows = [
-            [_fmt_part(r["mu"]), r["degree"], r["monic"], r["pass"]]
-            for r in doc["results"]
-        ]
-        return _csv_text(["mu", "degree", "monic", "pass"], rows)
-    lines = [f"Main theorem verification, n={doc['n']}, eps={doc['eps']:+d}"]
+def _verify_rows(doc: dict):
+    items = []
     for r in doc["results"]:
-        status = "PASS" if r["pass"] else "FAIL"
-        lines.append(
-            f"{status} mu={_fmt_part(r['mu'])}: degree {r['degree']}"
-            f" (target {r['target_degree']}), monic={r['monic']}:"
-            f" {_fmt_poly(r['poly'])}"
+        mu = _fmt_part(r["mu"])
+        line = (
+            f"{'PASS' if r['pass'] else 'FAIL'} mu={mu}: degree {r['degree']}"
+            f" (target {r['target_degree']}), monic={r['monic']}: {_fmt_poly(r['poly'])}"
         )
-    lines.append("RESULT: " + ("PASS" if doc["pass"] else "FAIL"))
-    return "\n".join(lines) + "\n"
+        items.append(([mu, r["degree"], r["monic"], r["pass"]], line))
+    title = f"Main theorem verification, n={doc['n']}, eps={doc['eps']:+d}"
+    return title, ["mu", "degree", "monic", "pass"], items
 
 
-def _render_oracle(doc: dict, fmt: str) -> str:
+def _oracle_rows(doc: dict):
+    items = [
+        (
+            [c["check"], c["expected"], c["actual"], c["ok"]],
+            f"{'ok' if c['ok'] else 'MISMATCH'} {c['check']}:"
+            f" expected {c['expected']}, got {c['actual']}",
+        )
+        for c in doc["checks"]
+    ]
+    title = f"Brute-force cross-check, {doc['group']}, |G|={doc['order']}"
+    return title, ["check", "expected", "actual", "ok"], items
+
+
+def _render(doc: dict, fmt: str, rows) -> str:
+    title, header, items = rows(doc)
     if fmt == "csv":
-        rows = [
-            [c["check"], c["expected"], c["actual"], c["ok"]] for c in doc["checks"]
-        ]
-        return _csv_text(["check", "expected", "actual", "ok"], rows)
-    lines = [f"Brute-force cross-check, {doc['group']}, |G|={doc['order']}"]
-    for c in doc["checks"]:
-        status = "ok" if c["ok"] else "MISMATCH"
-        lines.append(
-            f"{status} {c['check']}: expected {c['expected']}, got {c['actual']}"
-        )
-    lines.append("RESULT: " + ("PASS" if doc["pass"] else "FAIL"))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells for cells, _ in items)
+        return buf.getvalue()
+    lines = [title, *(line for _, line in items)]
+    if "pass" in doc:
+        lines.append("RESULT: " + ("PASS" if doc["pass"] else "FAIL"))
     return "\n".join(lines) + "\n"
-
-
-_RENDER = {
-    "green": _render_green,
-    "gggr": _render_gggr,
-    "endo": _render_endo,
-    "verify": _render_verify,
-    "oracle": _render_oracle,
-}
 
 
 # -- command execution -------------------------------------------------------
 
 
-def _symbolic_cap(n: int, eps: int, big: bool, what: str) -> None:
-    cap = VERIFY_CAP_BIG if big else VERIFY_CAP
-    if n > cap:
-        raise CapExceededError(
-            f"{what} capped at n = {cap}"
-            + ("" if big else f" (pass --big for n <= {VERIFY_CAP_BIG})")
-        )
-
-
-def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
-    """Produce the JSON document and the overall pass flag."""
+def _execute(args: argparse.Namespace):
+    """The command's JSON document and its rows function."""
     if args.command == "green":
         if args.n > VERIFY_CAP:
             raise CapExceededError(f"green table capped at n = {VERIFY_CAP}")
-        return green_table(args.n).to_json(args.eps), True
+        return green_table(args.n).to_json(args.eps), _green_rows
+    if args.command == "oracle":
+        return oracle_report(args.n, args.eps, args.q), _oracle_rows
 
+    n = args.mu.n if args.command == "gggr" else args.n
+    cap = VERIFY_CAP_BIG if args.big else VERIFY_CAP
+    if n > cap:
+        raise CapExceededError(
+            f"{args.command} capped at n = {cap}"
+            + ("" if args.big else f" (pass --big for n <= {VERIFY_CAP_BIG})")
+        )
     if args.command == "gggr":
-        mu = args.mu
-        if args.n is not None and args.n != mu.n:
-            raise ValueError(f"--n {args.n} does not match |mu| = {mu.n}")
-        _symbolic_cap(mu.n, args.eps, args.big, "gggr")
-        return gggr_character(mu, args.eps).to_json(), True
-
-    if args.command == "endo":
-        _symbolic_cap(args.n, args.eps, args.big, "endo")
-        results = []
-        for mu in partitions_of(args.n):
-            poly = endo_dim(mu, args.eps)
-            results.append(
-                {
-                    "mu": mu.to_json(),
-                    "poly": poly_to_json(poly),
-                    "degree": poly.degree,
-                    "monic": poly.is_monic(),
-                }
-            )
-        return {"n": args.n, "eps": args.eps, "results": results}, True
-
+        return gggr_character(args.mu, args.eps).to_json(), _gggr_rows
     if args.command == "verify":
-        cap = VERIFY_CAP_BIG if args.big else None
-        report = verify_theorem(args.n, args.eps, q_samples=args.q_samples, cap=cap)
-        return report.to_json(), report.passed
-
-    # "oracle": the subparsers admit no other command
-    doc = oracle_report(args.n, args.eps, args.q)
-    return doc, doc["pass"]
+        report = verify_theorem(n, args.eps, q_samples=args.q_samples, cap=cap)
+        return report.to_json(), _verify_rows
+    polys = {mu: endo_dim(mu, args.eps) for mu in partitions_of(n)}
+    results = [
+        {"mu": mu.to_json(), "poly": poly_to_json(p), "degree": p.degree, "monic": p.is_monic()}
+        for mu, p in polys.items()
+    ]
+    return {"n": n, "eps": args.eps, "results": results}, _endo_rows
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -322,7 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code if isinstance(code, int) else 2
 
     try:
-        doc, passed = _execute(args)
+        doc, rows = _execute(args)
     except CapExceededError as exc:
         print(f"gggr: cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -336,14 +263,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _RENDER[args.command](doc, args.format)
+        text = _render(doc, args.format, rows)
 
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0 if passed else 1
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"gggr: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
+    return 0 if doc.get("pass", True) else 1
 
 
 if __name__ == "__main__":

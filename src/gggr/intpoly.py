@@ -17,6 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import ContractError
+
 IntPoly = tuple[int, ...]
 
 
@@ -57,9 +59,11 @@ def times_binomials(shift: int, exps, eps: int) -> IntPoly:
 
 
 def divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """f = quot * g + rem with deg rem < deg g, for a monic g."""
+    """f = quot * g + rem with deg rem < deg g, for a monic g.  Every divisor
+    of the pipeline is monic by construction (a group or centralizer order,
+    a pivot scaled by its sign), so one that is not is a failed check."""
     if not g or g[-1] != 1:
-        raise ValueError("divisor must be monic")
+        raise ContractError("divisor must be monic")
     rem = list(f)
     dg = len(g) - 1
     quot = [0] * max(len(rem) - dg, 0)

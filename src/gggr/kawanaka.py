@@ -51,7 +51,8 @@ from .symfunc import x_matrix
 VERIFY_CAP = 8
 VERIFY_CAP_BIG = 10
 
-#: Prime powers at which integer-valuedness is spot-checked.
+#: Prime powers at which every gamma_mu(la) must be integral, and the default
+#: samples at which verify_theorem requires positive integer endo_dim values.
 DEFAULT_SAMPLES = (2, 3, 4, 5)
 
 
@@ -247,8 +248,10 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
-    n + 2*n_stat(mu), and takes positive integer values at the sample prime
-    powers.  The report lists mu in canonical partition order."""
+    n + 2*n_stat(mu), and takes positive integer values at each prime power
+    of q_samples.  q_samples sets only that last check: the integrality of
+    every gamma_mu(la), which endo_dim requires first, is always checked at
+    DEFAULT_SAMPLES.  The report lists mu in canonical partition order."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

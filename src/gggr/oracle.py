@@ -495,11 +495,18 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if q0 not in SUPPORTED_Q:
         raise ValueError(f"q0 must be one of {SUPPORTED_Q}, got {q0}")
+    name = f"{'GL' if eps == 1 else 'GU'}{n}(F{q0})"
+    # q0^i - eps^i >= q0^(i-1), so |G| >= q0^(n(n-1)) >= 2^(n(n-1)): past the
+    # cap's bit length that bound refuses G before |G| is multiplied out
+    if n * (n - 1) >= ENUMERATION_CAP.bit_length():
+        raise CapExceededError(
+            f"enumerating at least {q0}^{n * (n - 1)} elements of {name} "
+            f"exceeds cap {ENUMERATION_CAP}"
+        )
     size = _group_size(n, eps, q0)
     if size > ENUMERATION_CAP:
         raise CapExceededError(
-            f"enumerating {size} elements of {'GL' if eps == 1 else 'GU'}{n}(F{q0}) "
-            f"exceeds cap {ENUMERATION_CAP}"
+            f"enumerating {size} elements of {name} exceeds cap {ENUMERATION_CAP}"
         )
     return q0 if eps == 1 else q0 * q0
 

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from gggr.cli import main
 
@@ -110,6 +113,46 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, )[0] == 2
 
 
+@pytest.mark.parametrize("eps, value", [("+1", 1), ("1", 1), ("-1", -1)])
+def test_eps_accepts_plus_and_minus_one(capsys, eps, value):
+    code, out, _ = run(capsys, "endo", "--n", "1", "--eps", eps)
+    assert code == 0 and json.loads(out)["eps"] == value
+
+
+@pytest.mark.parametrize("eps", ["2", "+2", "x"])
+def test_eps_rejects_everything_else(capsys, eps):
+    code, out, err = run(capsys, "verify", "--n", "2", "--eps", eps)
+    assert code == 2 and out == ""
+    assert "argument --eps" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("green", ["-h", "--n", "--eps", "--format", "--output"]),
+        ("gggr", ["-h", "--mu", "--eps", "--big", "--format", "--output"]),
+        ("endo", ["-h", "--n", "--eps", "--big", "--format", "--output"]),
+        ("verify", ["-h", "--n", "--eps", "--q-samples", "--big", "--format", "--output"]),
+        ("oracle", ["-h", "--n", "--q", "--eps", "--format", "--output"]),
+    ],
+)
+def test_subcommand_help_lists_its_flags(capsys, command, flags):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert re.findall(r"^  (-h|--[\w-]+)", out, re.M) == flags
+
+
+@pytest.mark.parametrize("command", ["verify", "endo", "gggr"])
+def test_symbolic_commands_share_one_cap(capsys, command):
+    size = ["--mu", "9"] if command == "gggr" else ["--n", "9"]
+    code, out, err = run(capsys, command, *size)
+    assert (code, out) == (3, "")
+    assert err == f"gggr: cap exceeded: {command} capped at n = 8 (pass --big for n <= 10)\n"
+    size = ["--mu", "11"] if command == "gggr" else ["--n", "11"]
+    code, out, err = run(capsys, command, *size, "--big")
+    assert (code, out, err) == (3, "", f"gggr: cap exceeded: {command} capped at n = 10\n")
+
+
 def test_cap_violations_exit_3(capsys):
     code, _, err = run(capsys, "verify", "--n", "9")
     assert code == 3 and "cap" in err
@@ -140,6 +183,38 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "report.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "verify", "--n", "2", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gggr: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2000", "--q", "9"],
+        ["--n", "300", "--q", "2"],
+        ["--n", "300", "--q", "2", "--eps", "-1"],
+    ],
+)
+def test_oversized_oracle_group_exits_3_at_once(argv):
+    """|G| >= q0^(n(n-1)) refuses the group before |G| is multiplied out,
+    and no number past the cap is formatted."""
+    done = subprocess.run(
+        [sys.executable, "-m", "gggr.cli", "oracle", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    n, q0 = int(argv[1]), argv[3]
+    assert done.stderr.startswith(f"gggr: cap exceeded: enumerating at least {q0}^{n * (n - 1)} ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_diagnostics_go_to_stderr(capsys):

@@ -21,6 +21,7 @@ import gggr.oracle as oracle
 import gggr.symfunc as symfunc
 from gggr.cli import main
 from gggr.errors import ContractError, NonExactDivisionError
+from gggr.intpoly import scale
 from gggr.kawanaka import gggr_value, verify_theorem
 from gggr.partitions import Partition
 
@@ -142,6 +143,27 @@ def test_centralizer_negative_power_is_typed(inject):
     report = verify_theorem(3, 1)
     assert not report.passed
     assert report.results[-1].poly is None
+
+
+def test_non_monic_centralizer_fails_verify_command(inject, capsys):
+    # a doubled centralizer order of (2, 1) is no longer monic, so its class
+    # size cannot be divided out: a failed check, never a usage error
+    centralizer = grouporders._centralizer
+    inject(
+        grouporders,
+        "_centralizer",
+        lambda la, eps: scale(centralizer(la, eps), 2) if la == (2, 1) else centralizer(la, eps),
+    )
+    with pytest.raises(ContractError, match="^divisor must be monic$"):
+        grouporders.class_size(P((2, 1)), 1)
+    assert all_fail(verify_theorem(3, 1))
+    assert main(["verify", "--n", "3", "--format", "pretty"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        f"FAIL mu={mu}: degree None (target {target}), monic=False: <not a polynomial>"
+        for mu, target in (("(3)", 3), ("(2,1)", 5), ("(1,1,1)", 9))
+    ] + ["RESULT: FAIL"]
 
 
 def corrupt_f4(field):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gggr.errors import ContractError
 from gggr.intpoly import (
     _pack,
     _unpack,
@@ -123,7 +124,7 @@ def test_divmod_monic():
         quot, rem = rand_poly(rng), rand_poly(rng, max_len=len(g) - 1)
         f = add(schoolbook(quot, g), rem)
         assert divmod_monic(f, g) == (quot, rem)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError, match="divisor must be monic"):
         divmod_monic((1, 2), (1, 2))
 
 
