@@ -9,11 +9,16 @@ Products use Kronecker substitution: f is packed into the single integer
 f(2^b), packed integers are multiplied, and the result is read back in base
 2^b.  The read-back is exact when every coefficient c of the result has
 |c| < 2^(b-1), so b is derived from a proven bound on the result's
-coefficients (``product_bound``), never guessed.
+coefficients (``product_bound``), never guessed.  b is a whole number of
+bytes, rounded up to 8, 16, 32 or 64 bits while it fits in 64, so that on
+little-endian hosts those digits are packed and read back as machine words
+by ``array`` and ``memoryview`` in C rather than one by one.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from typing import Sequence
 
@@ -88,19 +93,34 @@ def product_bound(terms: int, len_a: int, max_a: int, len_b: int, max_b: int) ->
     return terms * min(len_a, len_b) * max_a * max_b
 
 
+#: Signed array typecodes by item size, on little-endian hosts: digits of
+#: 1, 2, 4 or 8 bytes are packed and read back in C.
+_CODES = {array(code).itemsize: code for code in "bhiq"} if sys.byteorder == "little" else {}
+_WORDS = sorted(_CODES)
+
+
 def _width(bound: int) -> int:
-    """Bytes per packed coefficient, so that |c| <= bound < 2^(8*width - 1)."""
-    return (bound.bit_length() + 8) // 8
+    """Bytes per packed coefficient, so that |c| <= bound < 2^(8*width - 1):
+    the smallest machine-word width that holds the digit, else the byte
+    count."""
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in _WORDS if w >= width), width)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """sum_k coeffs[k] * 2^(8*width*k), for |coeffs[k]| < 2^(8*width - 1),
-    which ``_width`` guarantees.  Each digit is offset by 2^(8*width - 1) to
-    make it non-negative, so one byte join reads them all; the offsets are
-    then subtracted together."""
+    which ``_width`` guarantees.  Machine words are written in two's
+    complement, and XOR with the offset pattern (2^(8*width - 1) in every
+    digit) turns each into the digit plus its offset; wider digits are
+    offset one by one and joined as bytes.  The offsets are then subtracted
+    together."""
+    off = _offset(width, len(coeffs))
+    code = _CODES.get(width)
+    if code:
+        return (int.from_bytes(array(code, coeffs).tobytes(), "little") ^ off) - off
     half = 1 << (8 * width - 1)
     digits = b"".join((a + half).to_bytes(width, "little") for a in coeffs)
-    return int.from_bytes(digits, "little") - _offset(width, len(coeffs))
+    return int.from_bytes(digits, "little") - off
 
 
 @lru_cache(maxsize=64)
@@ -111,9 +131,21 @@ def _offset(width: int, count: int) -> int:
 def _unpack(value: int, width: int, count: int) -> list[int]:
     """The ``count`` coefficients c_k of value = sum_k c_k * 2^(8*width*k),
     given |c_k| < 2^(8*width - 1): adding 2^(8*width - 1) to every digit makes
-    them all non-negative, so they read off byte-aligned without carries."""
+    them all non-negative, so they read off byte-aligned without carries, and
+    XOR with the offsets turns machine words back into two's complement.  A
+    value outside that range, from a bound that was not one, fails as a
+    check."""
+    off = _offset(width, count)
+    code = _CODES.get(width)
+    try:
+        buf = ((value + off) ^ off if code else value + off).to_bytes(width * count, "little")
+    except OverflowError:
+        raise ContractError(
+            f"a Kronecker product outgrew its {count} digits of {width} bytes"
+        ) from None
+    if code:
+        return memoryview(buf).cast(code).tolist()
     half = 1 << (8 * width - 1)
-    buf = (value + _offset(width, count)).to_bytes(width * count, "little")
     return [
         int.from_bytes(buf[i : i + width], "little") - half
         for i in range(0, width * count, width)

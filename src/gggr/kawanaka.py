@@ -46,8 +46,8 @@ from .symfunc import x_matrix
 
 #: Symbolic verification caps used by the command-line driver, the same for
 #: both families (their cost is equal to within measurement noise).  A
-#: `verify` run at VERIFY_CAP takes ~0.35 s, one at VERIFY_CAP_BIG ~1.2-2.3 s
-#: (fresh processes, 2 cores, Python 3.11).
+#: `verify` run at VERIFY_CAP takes ~0.15 s, at n = 9 ~0.3 s and at
+#: VERIFY_CAP_BIG ~0.9-1.3 s (fresh processes, 2 cores, Python 3.11).
 VERIFY_CAP = 8
 VERIFY_CAP_BIG = 10
 
@@ -149,7 +149,8 @@ def endo_dim(mu: Partition, eps: int) -> RationalPoly:
     """dim End of the generalised Gelfand-Graev representation attached to
     mu: the exact quotient of sum_la |class la| gamma_mu(la)^2 by |G|."""
     check_eps(eps)
-    return _endo_dim(tuple(mu), eps)
+    square = factorial(mu.n) ** 2
+    return RationalPoly([Fraction(c, square) for c in _endo_dim(tuple(mu), eps)], "q")
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +163,8 @@ def _endo_numerators(n: int, eps: int) -> tuple[IntPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _endo_dim(mu_t: tuple[int, ...], eps: int) -> RationalPoly:
+def _endo_dim(mu_t: tuple[int, ...], eps: int) -> IntPoly:
+    """(n!)^2 * endo_dim(mu), over Z[q]."""
     n = sum(mu_t)
     _gamma_row(mu_t, eps)  # every gamma_mu(la) must be integral first
     numerator = _endo_numerators(n, eps)[partitions_of(n).index(mu_t)]
@@ -172,12 +174,13 @@ def _endo_dim(mu_t: tuple[int, ...], eps: int) -> RationalPoly:
             f"sum_la |class la| gamma_{mu_t}(la)^2 is not divisible by |G|:"
             f" remainder {RationalPoly(rem, 'q')!r}"
         )
-    square = factorial(n) ** 2
-    return RationalPoly([Fraction(c, square) for c in quot], "q")
+    return quot
 
 
 class MuResult(NamedTuple):
-    """Verification record for one unipotent type."""
+    """Verification record for one unipotent type.  ``bad_sample`` is the
+    first sample q0 at which endo_dim is not a positive integer, with its
+    value there."""
 
     mu: Partition
     poly: Optional[RationalPoly]
@@ -185,19 +188,27 @@ class MuResult(NamedTuple):
     target_degree: int
     monic: bool
     polynomial: bool
-    samples_ok: bool
+    bad_sample: Optional[tuple[int, Fraction]] = None
+
+    @property
+    def failure(self) -> Optional[str]:
+        """The first condition that fails, or None."""
+        if not self.polynomial:
+            return "division"
+        if not self.monic:
+            return "monic"
+        if self.degree != self.target_degree:
+            return "degree"
+        if self.bad_sample is not None:
+            return "sample"
+        return None
 
     @property
     def passed(self) -> bool:
-        return (
-            self.polynomial
-            and self.monic
-            and self.samples_ok
-            and self.degree == self.target_degree
-        )
+        return self.failure is None
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "mu": self.mu.to_json(),
             "poly": None if self.poly is None else poly_to_json(self.poly),
             "degree": self.degree,
@@ -206,6 +217,13 @@ class MuResult(NamedTuple):
             "polynomial": self.polynomial,
             "pass": self.passed,
         }
+        failure = self.failure
+        if failure is not None:
+            doc["witness"] = {"condition": failure}
+            if failure == "sample":
+                q0, value = self.bad_sample
+                doc["witness"].update(q=q0, value=[value.numerator, value.denominator])
+        return doc
 
 
 class VerificationReport(NamedTuple):
@@ -231,13 +249,18 @@ def _mu_result(mu: Partition, eps: int, samples: tuple[int, ...]) -> MuResult:
     try:
         poly = endo_dim(mu, eps)
     except ContractError:
-        return MuResult(mu, None, None, target, False, False, False)
-    samples_ok = all(
-        (v := poly(q0)).denominator == 1 and v > 0 for q0 in samples
+        return MuResult(mu, None, None, target, False, False)
+    # each sample is checked on the integer (n!)^2 * endo_dim, which endo_dim cached
+    scaled, square = _endo_dim(tuple(mu), eps), factorial(mu.n) ** 2
+    bad = next(
+        (
+            (q0, Fraction(v, square))
+            for q0 in samples
+            if (v := evaluate(scaled, q0)) <= 0 or v % square
+        ),
+        None,
     )
-    return MuResult(
-        mu, poly, poly.degree, target, poly.is_monic(), True, samples_ok
-    )
+    return MuResult(mu, poly, poly.degree, target, poly.is_monic(), True, bad)
 
 
 def verify_theorem(

@@ -19,8 +19,11 @@ central self-check of the whole package.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import CapExceededError, ContractError, NonExactDivisionError
 from .intpoly import IntPoly, bilinear, divmod_monic, mul, scale, times_binomials, trim
@@ -28,7 +31,7 @@ from .partitions import Partition, multiplicities, n_stat, partitions_of, weyl_c
 from .polyring import RationalPoly
 
 #: Default ceiling for ``hall_littlewood_expand``: expanding every p_rho with
-#: rho |- 10 takes ~1.0 s (2 cores, Python 3.11), n = 11 ~2.4 s, n = 12 ~6.4 s.
+#: rho |- 10 takes ~0.5 s (2 cores, Python 3.11), n = 11 ~1.3 s, n = 12 ~2.8 s.
 HL_CAP = 10
 
 
@@ -111,65 +114,60 @@ def _next_letter(
 
 def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
-    return RationalPoly(_kostka_foulkes(tuple(mu), tuple(la)), "t")
+    return RationalPoly(_kostka_foulkes(tuple(la)).get(tuple(mu), ()), "t")
 
 
 @lru_cache(maxsize=None)
-def _kostka_foulkes(mu: tuple[int, ...], la: tuple[int, ...]) -> IntPoly:
-    """Count t^charge over the semistandard tableaux of shape mu and content
-    la, walking them letter by letter.
+def _kostka_foulkes(la: tuple[int, ...]) -> Mapping[tuple[int, ...], IntPoly]:
+    """{mu: K_{mu,la}(t)} for every shape mu that dominates la: t^charge
+    counted over every semistandard tableau of content la, walked letter by
+    letter.
 
     Letter i+1 fills a horizontal strip of size la[i] (Macdonald, Symmetric
     Functions and Hall Polynomials, I.5): row j grows from its length so far
     to at most the length so far of row j-1, so no column gets the letter
-    twice.  The rows are placed from the bottom up, which is the order of
-    their cells in the reading word, and the charge is carried down letter
-    by letter (``_next_letter``), so the charge of a strip is computed once
-    and shared by every tableau that extends it."""
-    if sum(mu) != sum(la):
-        return ()
+    twice, and row 0 has no bound.  The cell in row j, column c is keyed
+    c - j*(n+1), so the keys follow the reading word (bottom row first)
+    whatever shape the tableau ends in.  The charge is carried down letter by
+    letter (``_next_letter``), so the charge of a strip is computed once and
+    shared by every tableau that extends it, and each finished tableau adds
+    t^charge to the shape it reached.  Every K_{mu,la} with la |- 10 takes
+    ~0.25 s in all (2 cores, Python 3.11)."""
     if not la:
-        return (1,)
-    counts = [0] * (n_stat(Partition(la)) + 1)
-    rows = len(mu)
-    starts = [0] * rows  # the position of each row's first cell
-    for j in range(rows - 2, -1, -1):
-        starts[j] = starts[j + 1] + mu[j + 1]
+        return MappingProxyType({(): (1,)})
+    n = sum(la)
+    step = n + 1
+    size = n_stat(Partition(la)) + 1
+    column: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * size)
 
     def grow(i: int, inner: list[int], rounds: list[tuple[int, int]], total: int) -> None:
-        active = []  # (row, cells it can take), bottom up; letter i+1 reaches row i
-        for j in range(min(i, rows - 1), -1, -1):
-            room = (mu[j] if j == 0 else min(mu[j], inner[j - 1])) - inner[j]
-            if room:
-                active.append((j, room))
-        above = [0] * (len(active) + 1)  # above[a]: the room of active[a], active[a+1], ...
-        for a in range(len(active) - 1, -1, -1):
-            above[a] = above[a + 1] + active[a][1]
-        nu: list[int] = inner[:]
+        rows = inner + [0]  # letter i+1 may open one new row
+        nu = rows[:]
         cells: list[int] = []
 
-        def place(a: int, left: int) -> None:
-            if not left:
-                nxt, added = _next_letter(rounds, cells)
-                if i + 1 == len(la):
-                    counts[total + added] += 1
-                else:
-                    grow(i + 1, nu[:], nxt, total + added)
+        def place(j: int, left: int) -> None:
+            if j:  # rows below the first take up to their room, bottom up
+                start = rows[j] - j * step
+                for take in range(min(rows[j - 1] - rows[j], left) + 1):
+                    nu[j] = rows[j] + take
+                    cells.extend(range(start, start + take))
+                    place(j - 1, left - take)
+                    del cells[len(cells) - take :]
                 return
-            j, room = active[a]
-            start = starts[j] + inner[j]
-            for take in range(max(left - above[a + 1], 0), min(room, left) + 1):
-                nu[j] = inner[j] + take
-                cells.extend(range(start, start + take))
-                place(a + 1, left - take)
-                del cells[len(cells) - take :]
-            nu[j] = inner[j]
+            nu[0] = rows[0] + left  # the first row takes the rest
+            cells.extend(range(rows[0], nu[0]))
+            nxt, added = _next_letter(rounds, cells)
+            del cells[len(cells) - left :]
+            shape = nu if nu[-1] else nu[:-1]
+            if i + 1 == len(la):
+                column[tuple(shape)][total + added] += 1
+            else:
+                grow(i + 1, shape, nxt, total + added)
 
-        if la[i] <= above[0]:
-            place(0, la[i])
+        place(len(inner), la[i])
 
-    grow(0, [0] * rows, [(sum(mu), 0)] * la[0], 0)
-    return trim(counts)
+    grow(0, [], [(n, 0)] * la[0], 0)
+    return MappingProxyType({mu: trim(counts) for mu, counts in column.items()})
 
 
 @lru_cache(maxsize=None)

@@ -10,12 +10,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gggr.green as green
 import gggr.grouporders as grouporders
+import gggr.intpoly as intpoly
 import gggr.kawanaka as kawanaka
 import gggr.oracle as oracle
 import gggr.symfunc as symfunc
@@ -79,8 +81,10 @@ def test_every_cache_is_cleared_around_an_injection():
 
 
 def all_fail(report):
+    """Every record fails because endo_dim is not a polynomial."""
     return not report.passed and all(
-        not r.passed and r.poly is None for r in report.results
+        not r.passed and r.poly is None and r.to_json()["witness"] == {"condition": "division"}
+        for r in report.results
     )
 
 
@@ -122,6 +126,7 @@ def test_class_size_fails_exact_division(inject):
     report = verify_theorem(3, 1)
     assert not report.passed
     assert report.results[0].poly is None and not report.results[0].passed
+    assert report.results[0].failure == "division"
 
 
 def test_green_negative_power_is_typed(inject):
@@ -143,6 +148,7 @@ def test_centralizer_negative_power_is_typed(inject):
     report = verify_theorem(3, 1)
     assert not report.passed
     assert report.results[-1].poly is None
+    assert report.results[-1].to_json()["witness"] == {"condition": "division"}
 
 
 def test_non_monic_centralizer_fails_verify_command(inject, capsys):
@@ -164,6 +170,77 @@ def test_non_monic_centralizer_fails_verify_command(inject, capsys):
         f"FAIL mu={mu}: degree None (target {target}), monic=False: <not a polynomial>"
         for mu, target in (("(3)", 3), ("(2,1)", 5), ("(1,1,1)", 9))
     ] + ["RESULT: FAIL"]
+
+
+ENDO_NUMERATORS = kawanaka._endo_numerators
+
+
+def perturbed_numerators(change):
+    """``_endo_numerators`` with ``change`` applied to the numerator of
+    every mu, given it and |G|."""
+
+    def numerators(n, eps):
+        order = grouporders.group_order_coeffs(n, eps)
+        return tuple(change(f, order) for f in ENDO_NUMERATORS(n, eps))
+
+    return numerators
+
+
+@pytest.mark.parametrize(
+    "condition, change",
+    [
+        # twice the numerator: endo_dim doubles, so it leads with 2
+        ("monic", lambda f, order: scale(f, 2)),
+        # q times the numerator: endo_dim is monic of one degree more
+        ("degree", lambda f, order: (0,) + f),
+        # plus |G|: endo_dim gains 1/(3!)^2, so it is an integer at no sample
+        ("sample", lambda f, order: tuple(a + b for a, b in zip(f, order)) + f[len(order) :]),
+    ],
+)
+def test_endo_numerator_fault_names_its_condition(inject, condition, change):
+    expected = {mu: kawanaka.endo_dim(mu, 1) for mu in symfunc.partitions_of(3)}
+    for cache in CACHES:
+        cache.cache_clear()
+    inject(kawanaka, "_endo_numerators", perturbed_numerators(change))
+    report = verify_theorem(3, 1)
+    assert not report.passed
+    for r in report.results:
+        witness = r.to_json()["witness"]
+        assert r.polynomial and r.failure == witness["condition"] == condition
+        if condition == "sample":
+            value = expected[r.mu](2) + Fraction(1, 36)
+            assert witness == {
+                "condition": "sample", "q": 2, "value": [value.numerator, value.denominator]
+            }
+
+
+PRODUCT_BOUND = intpoly.product_bound
+
+
+def loose_bound(*args):
+    """``product_bound`` shifted down 16 bits: every operand still fits the
+    digits it sets, but the products outgrow them."""
+    return PRODUCT_BOUND(*args) >> 16
+
+
+@pytest.fixture
+def loosen_bound(inject):
+    """The Kronecker bound loosened, with X, which is built by a product,
+    cleared besides every cache of ``inject``."""
+    symfunc.x_matrix.cache_clear()
+    inject(intpoly, "product_bound", loose_bound)
+    yield
+    symfunc.x_matrix.cache_clear()
+
+
+def test_kronecker_bound_carries_weight(loosen_bound, capsys):
+    for eps in (1, -1):
+        report = verify_theorem(6, eps)
+        assert report.results and not any(r.passed for r in report.results)
+        assert all(r.to_json()["witness"]["condition"] for r in report.results)
+    assert main(["verify", "--n", "6", "--big"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith('  "pass": false\n}\n')
 
 
 def corrupt_f4(field):
@@ -549,6 +626,22 @@ def test_checks_survive_python_O():
     rows = done.stdout.splitlines()
     assert rows[0] == "mu,degree,monic,pass"
     assert len(rows) == 6 and all(row.endswith(",False") for row in rows[1:])
+
+
+def test_kronecker_bound_survives_python_O():
+    script = inspect.getsource(loose_bound) + (
+        "import gggr.intpoly\n"
+        "from gggr.cli import main\n"
+        "PRODUCT_BOUND = gggr.intpoly.product_bound\n"
+        "gggr.intpoly.product_bound = loose_bound\n"
+        "sys.exit(main(['verify', '--n', '6', '--big', '--format', 'csv']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    rows = done.stdout.splitlines()
+    assert rows[0] == "mu,degree,monic,pass"
+    assert len(rows) == 12 and all(row.endswith(",False") for row in rows[1:])
 
 
 def test_oracle_checks_survive_python_O():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gggr.intpoly as intpoly
 from gggr.errors import ContractError
 from gggr.intpoly import (
     _pack,
@@ -147,18 +148,61 @@ def test_times_binomials_matches_schoolbook():
         assert times_binomials(shift, exps, eps) == expect
 
 
-@pytest.mark.parametrize("width", range(1, 10))
-def test_pack_round_trips_the_widest_digits(width):
+@pytest.mark.parametrize("width", range(1, 11))
+def test_pack_round_trips_the_widest_digits(monkeypatch, width):
     # _width guarantees |c| < 2^(8*width - 1), so +-(2^(8*width - 1) - 1)
-    # are the widest digits _pack is ever given.
+    # are the widest digits _pack is ever given.  Widths of 1, 2, 4 and 8
+    # bytes go through machine words, and then through the byte path too.
     top = (1 << (8 * width - 1)) - 1
-    assert _width(top) == width
+    assert _width(top) == next((w for w in (1, 2, 4, 8) if w >= width), width)
     coeffs = [top, -top, 0, -top, 1, -1, top, top]
-    packed = _pack(coeffs, width)
-    assert packed == sum(c << (8 * width * k) for k, c in enumerate(coeffs))
-    assert _unpack(packed, width, len(coeffs)) == coeffs
-    assert _pack([-top], width) == -top
-    assert _pack([], width) == 0
+    for codes in (intpoly._CODES, {}):
+        monkeypatch.setattr(intpoly, "_CODES", codes)
+        packed = _pack(coeffs, width)
+        assert packed == sum(c << (8 * width * k) for k, c in enumerate(coeffs))
+        assert _unpack(packed, width, len(coeffs)) == coeffs
+        assert _pack([-top], width) == -top
+        assert _pack([], width) == 0
+        assert _unpack(0, width, 3) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_unpack_refuses_a_value_past_its_digits(width):
+    # four digits of width bytes hold less than 2^(32*width - 1) either way
+    for value in (1 << (32 * width - 1), -(1 << (32 * width))):
+        with pytest.raises(ContractError, match=f"outgrew its 4 digits of {width} bytes"):
+            _unpack(value, width, 4)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_products_at_each_machine_width_limit(width, sign):
+    """Results whose largest coefficient is 2^(8*width - 1) - 1, the widest
+    digit of a machine width, and 2^(8*width - 1), the narrowest that needs
+    the next width, with the derived bound equal to it."""
+    top = (1 << (8 * width - 1)) - 1
+    quarter = 1 << (8 * width - 3)
+    assert (_width(top), _width(top + 1)) == (width, {1: 2, 2: 4, 4: 8, 8: 9}[width])
+    for terms, length, coeff, value in ((1, 1, top, top), (2, 2, quarter, top + 1)):
+        a = [[(sign * coeff,) * length] for _ in range(terms)]
+        w = [(1,)] * terms
+        b = [[(1,) * length] for _ in range(terms)]
+        assert product_bound(terms, length, coeff, length, 1) == value
+        out = bilinear(a, w, b)
+        assert out[0][0][length - 1] == sign * value
+        assert out == reference_bilinear(a, w, b)
+        assert mul(a[0][0], b[0][0]) == schoolbook(a[0][0], b[0][0])
+    # sum_k w[k] * rows[0][k]^2: top * 1^2 once, and 2^(8*width - 3) * 2 (the
+    # middle of (1 + q)^2) twice
+    for rows, weights, value in (
+        ([[(1,)]], [(sign * top,)], top),
+        ([[(1, 1), (-1, -1)]], [(sign * quarter,)] * 2, top + 1),
+    ):
+        square = product_bound(1, 2, 1, 2, 1) if value > top else 1
+        assert product_bound(len(weights), 2 * len(rows[0][0]) - 1, square, 1, abs(weights[0][0])) == value
+        out = weighted_squares(rows, weights)
+        assert max(map(abs, out[0])) == value
+        assert out == reference_weighted_squares(rows, weights)
 
 
 def test_weighted_squares_matches_schoolbook():

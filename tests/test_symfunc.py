@@ -4,7 +4,6 @@ independent routes (character sum vs raw Hall-Littlewood expansion)."""
 
 import hashlib
 import math
-import os
 from functools import reduce
 
 import pytest
@@ -240,6 +239,24 @@ def test_kostka_foulkes_at_one_counts_tableaux():
                 assert kostka_foulkes(mu, la) == T(*counts), (mu, la)
 
 
+def dominates(mu, la):
+    """mu >= la in dominance order: every partial sum of mu is at least
+    that of la."""
+    mu, la = list(mu) + [0] * len(la), list(la) + [0] * len(mu)
+    return all(sum(mu[: k + 1]) >= sum(la[: k + 1]) for k in range(len(mu)))
+
+
+def test_kostka_foulkes_column_support():
+    """One walk over the tableaux of content la fills in K_{mu,la} for every
+    shape mu it reaches: exactly the mu that dominate la, with K_{la,la} = 1."""
+    for n in range(9):
+        for la in partitions_of(n):
+            column = symfunc._kostka_foulkes(tuple(la))
+            assert set(column) == {tuple(mu) for mu in partitions_of(n) if dominates(mu, la)}
+            assert all(column.values()), la
+            assert column[tuple(la)] == (1,)
+
+
 #: sha256 of repr(x_matrix(n)), computed with the cell-by-cell enumerator
 #: and the reference charge above.
 X_MATRIX_SHA256 = {
@@ -249,9 +266,9 @@ X_MATRIX_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n", [8, 9] + ([10] if os.environ.get("GGGR_BIG") == "1" else []))
+@pytest.mark.parametrize("n", [8, 9, 10])
 def test_x_matrix_digest(n):
-    """n = 10 takes ~0.7 s more, so it runs only under GGGR_BIG=1."""
+    """X(10), the largest table that ``verify --big`` reads, takes ~0.3 s."""
     digest = hashlib.sha256(repr(symfunc.x_matrix(n)).encode()).hexdigest()
     assert digest == X_MATRIX_SHA256[n]
 
