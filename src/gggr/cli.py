@@ -65,8 +65,6 @@ def _arg_samples(text: str) -> tuple[int, ...]:
     for q in qs:
         if is_prime_power(q) is None:
             raise argparse.ArgumentTypeError(f"{q} is not a prime power")
-    if not qs:
-        raise argparse.ArgumentTypeError("sample list is empty")
     return qs
 
 

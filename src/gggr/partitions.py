@@ -76,20 +76,6 @@ def _partitions_iter(n: int, largest: int) -> Iterator[Partition]:
             yield Partition((first,) + tuple(rest))
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """p(n), by the classical recurrence on largest part (used as a cheap
-    cross-check that enumeration is complete)."""
-
-    @lru_cache(maxsize=None)
-    def count(m: int, largest: int) -> int:
-        if m == 0:
-            return 1
-        return sum(count(m - k, k) for k in range(min(m, largest), 0, -1))
-
-    return count(n, n)
-
-
 def n_stat(la: Partition) -> int:
     """The partition statistic n(la) = sum_i (i-1) * la_i  (1-based rows).
 

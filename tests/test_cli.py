@@ -113,6 +113,12 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, )[0] == 2
 
 
+def test_empty_sample_list_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--q-samples", "")
+    assert code == 2 and out == ""
+    assert "bad sample list ''" in err
+
+
 @pytest.mark.parametrize("eps, value", [("+1", 1), ("1", 1), ("-1", -1)])
 def test_eps_accepts_plus_and_minus_one(capsys, eps, value):
     code, out, _ = run(capsys, "endo", "--n", "1", "--eps", eps)

@@ -26,6 +26,8 @@ from gggr.errors import ContractError, NonExactDivisionError
 from gggr.intpoly import scale
 from gggr.kawanaka import gggr_value, verify_theorem
 from gggr.partitions import Partition
+from test_intpoly import add
+from test_symfunc import HALL_LITTLEWOOD_ROUTE
 
 P = Partition
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -532,6 +534,18 @@ def hl_inject(monkeypatch):
         cache.cache_clear()
 
 
+def test_every_hall_littlewood_cache_is_cleared_around_an_injection():
+    """A cache of the Hall-Littlewood route left out of HL_CACHES would keep
+    a value computed before the fault was injected, and the fault would not
+    show."""
+    defined = {
+        value
+        for value in map(vars(symfunc).get, HALL_LITTLEWOOD_ROUTE)
+        if hasattr(value, "cache_clear")
+    }
+    assert defined == set(HL_CACHES)
+
+
 def hl_fails(n, message):
     """Every p_rho with rho |- n fails with a ContractError carrying message;
     a ZeroDivisionError or a bare ArithmeticError is not a ContractError."""
@@ -572,14 +586,18 @@ BILINEAR = symfunc.bilinear
 
 
 def perturbed_gram(mu, la, delta):
-    """``bilinear`` with delta added, times n!, to G[mu][la] and G[la][mu]."""
+    """``bilinear`` with delta added, times n!, to G[mu][la] and G[la][mu] of
+    the Gram product R^T diag(n!/z_rho(t)) R, the one call whose two factors
+    are the same matrix; the column solves are left alone."""
 
     def bilinear(a, w, b):
         out = BILINEAR(a, w, b)
+        if a is not b:
+            return out
         parts = symfunc.partitions_of(sum(mu))
         fact = math.factorial(sum(mu))
         for i, j in ((parts.index(mu), parts.index(la)), (parts.index(la), parts.index(mu))):
-            out[i][j] = symfunc._sub_products(out[i][j], [((-fact,), delta)])
+            out[i][j] = add(out[i][j], scale(delta, fact))
         return out
 
     return bilinear

@@ -9,7 +9,6 @@ from gggr.partitions import (
     conjugate,
     multiplicities,
     n_stat,
-    partition_count,
     partitions_of,
     weyl_centralizer_order,
 )
@@ -24,7 +23,6 @@ PARTITION_COUNTS = [
 def test_counts_match_reference():
     for n in range(1, 21):
         assert len(partitions_of(n)) == PARTITION_COUNTS[n]
-        assert partition_count(n) == PARTITION_COUNTS[n]
 
 
 def test_enumeration_shape():

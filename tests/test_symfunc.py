@@ -266,10 +266,23 @@ X_MATRIX_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n", [8, 9, 10])
-def test_x_matrix_digest(n):
-    """X(10), the largest table that ``verify --big`` reads, takes ~0.3 s."""
-    digest = hashlib.sha256(repr(symfunc.x_matrix(n)).encode()).hexdigest()
+X_ROUTES = {
+    "characters": symfunc.x_matrix,
+    "hall_littlewood": lambda n: symfunc._hl_factor(n)[0],
+}
+
+
+@pytest.mark.parametrize(
+    "n, route",
+    # the character route keeps the ids [8], [9], [10] it had alone
+    [pytest.param(n, "characters", id=str(n)) for n in (8, 9, 10)]
+    + [pytest.param(n, "hall_littlewood", id=f"{n}-hall_littlewood") for n in (8, 9, 10)],
+)
+def test_x_matrix_digest(n, route):
+    """Both routes give the same X, byte for byte.  X(10), the largest table
+    that ``verify --big`` reads, takes ~0.3 s by characters and charge and
+    ~0.2 s by the Hall-Littlewood factorisation."""
+    digest = hashlib.sha256(repr(X_ROUTES[route](n)).encode()).hexdigest()
     assert digest == X_MATRIX_SHA256[n]
 
 
@@ -470,6 +483,26 @@ def test_hall_littlewood_matches_symmetrization():
             assert list(new.items()) == list(reference_hall_littlewood_expand(rho).items())
 
 
+#: Every function of the module, by route.
+CHARACTER_ROUTE = (
+    "mn_character",
+    "_mn",
+    "_next_letter",
+    "kostka_foulkes",
+    "_kostka_foulkes",
+    "x_matrix",
+    "x_poly",
+)
+HALL_LITTLEWOOD_ROUTE = (
+    "_monomial_count",
+    "_b",
+    "_dominated",
+    "_exact_quotient",
+    "_hl_factor",
+    "hall_littlewood_expand",
+)
+
+
 def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
     """With every function of the Murnaghan-Nakayama, tableau, charge,
     Kostka-Foulkes and X routes made to raise, and every cache cleared, the
@@ -480,31 +513,13 @@ def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
     def unreachable(*args):
         raise RuntimeError("the Hall-Littlewood route reached the character route")
 
-    character_route = (
-        "mn_character",
-        "_mn",
-        "_next_letter",
-        "kostka_foulkes",
-        "_kostka_foulkes",
-        "x_matrix",
-        "x_poly",
-    )
-    hall_littlewood_route = (
-        "_monomial_count",
-        "_b",
-        "_dominated",
-        "_sub_products",
-        "_exact_quotient",
-        "_hl_factor",
-        "hall_littlewood_expand",
-    )
     defined = {
         name
         for name, value in vars(symfunc).items()
         if callable(value) and getattr(value, "__module__", None) == symfunc.__name__
     }
-    assert defined == set(character_route) | set(hall_littlewood_route)
-    for name in character_route:
+    assert defined == set(CHARACTER_ROUTE) | set(HALL_LITTLEWOOD_ROUTE)
+    for name in CHARACTER_ROUTE:
         monkeypatch.setattr(symfunc, name, unreachable)
     symfunc._hl_factor.cache_clear()
     symfunc._monomial_count.cache_clear()
