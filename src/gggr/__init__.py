@@ -20,14 +20,6 @@ from .kawanaka import (
     gggr_value,
     verify_theorem,
 )
-from .oracle import (
-    FiniteField,
-    OracleGroup,
-    enumerate_group,
-    gelfand_graev_inner,
-    oracle_report,
-    regular_rep_inner,
-)
 from .partitions import Partition, n_stat, partitions_of
 from .polyring import RationalPoly, poly_from_json, poly_to_json, pretty
 from .symfunc import (
@@ -38,6 +30,20 @@ from .symfunc import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of the brute-force oracle, which is imported on first use: no part of
+#: the symbolic pipeline needs it, and it is the package's largest module.
+_ORACLE = ("FiniteField", "OracleGroup", "enumerate_group", "gelfand_graev_inner",
+           "oracle_report", "regular_rep_inner")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CapExceededError",

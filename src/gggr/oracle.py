@@ -14,11 +14,11 @@ to them.  An element is held as an integer code, its row codes concatenated
 with the first row most significant, where a row's code is its index in the
 lexicographic order of vectors.  The codes come out strictly increasing, and
 a matrix is decoded only where one is needed.  A generating set is found and
-checked by closure, which records the Cayley graph as permutations of element
-indices; conjugation by each generator is read off it, and each conjugacy
-class is the breadth-first orbit of its first element under those
-permutations (the standard orbit algorithm; Holt, Eick & O'Brien, Handbook
-of Computational Group Theory, 2005, section 4.1).
+checked by closure; products by it and conjugation by each generator are read
+off the codes by tables, and a class is the breadth-first orbit of a seed (the
+standard orbit algorithm; Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.1).  oracle_report seeds it with U, which meets every
+unipotent class and no other, and its class checks certify that each was met.
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -54,9 +54,9 @@ from .grouporders import check_eps
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (~0.7 s and ~46 MiB peak for its report, 2 cores, Python
-#: 3.11), and refuses the next supported groups, GU_3(4) with 312 000 and
-#: GL_3(5) with 1 488 000 elements.
+#: 181 440 elements (~0.3-0.4 s and ~39 MiB peak for its report in process,
+#: 2 cores, Python 3.11), and refuses the next supported groups, GU_3(4) with
+#: 312 000 and GL_3(5) with 1 488 000 elements.
 ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
@@ -197,6 +197,27 @@ def _sums(F: FiniteField, tables) -> list[int]:
     return out
 
 
+def _concat(parts):
+    """x -> sum_k parts[k][x_k] for each index vector x, x_0 most significant."""
+    table = [0]
+    for part in parts:
+        table = [x + y for x in table for y in part]
+    return table
+
+
+def _read(stage, codes):
+    """The image of each code under a map of OracleGroup._stage."""
+    if len(stage) == 2:  # halves, in one pass
+        (d, high), (_, low) = stage
+        m = len(low)
+        return [high[c // d] + low[c % m] for c in codes]
+    out = [0] * len(codes)
+    for d, table in stage:
+        m = len(table)
+        out = [x + table[c // d % m] for x, c in zip(out, codes)]
+    return out
+
+
 def mat_identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -268,9 +289,10 @@ class OracleGroup:
         self.n, self.eps, self.q0 = n, eps, q0
         self.field = field  # entries live here: F_q0 for GL, F_{q0^2} for GU
         self.codes = codes  # e -> the code of g_e, increasing
-        self._index: Optional[dict[int, int]] = None  # code of g_e -> e, from the split
-        self._class_id: Optional[list[int]] = None  # e -> the class of g_e
-        self._classes: Optional[list[ConjClass]] = None
+        self._members: Optional[dict[int, bool]] = None  # code -> reached, from the closure
+        self._conj: Optional[list] = None  # the stages of each generator's conjugation
+        self._class_of: dict[int, int] = {}  # code -> its class, for each code split so far
+        self._classes: list[ConjClass] = []
 
     @property
     def order(self) -> int:
@@ -303,139 +325,123 @@ class OracleGroup:
     # -- conjugacy ------------------------------------------------------
 
     def classes(self) -> list[ConjClass]:
-        if self._classes is None:
-            self._split_classes()
+        """Every class, in the order of their smallest codes."""
+        if len(self._class_of) < self.order:  # afresh, after any seeded split
+            self._class_of, self._classes = {}, []
+            self._split(self.codes)
         return self._classes
 
     def class_index(self) -> dict[Mat, int]:
         """The class of each element, as an index into classes()."""
         self.classes()
-        return dict(zip(self.elements, self._class_id))
+        return dict(zip(self.elements, self._split(self.codes)))
 
-    def _times(self, t: Mat) -> array:
-        """R_t: e -> index of g_e*t, or -1 if the product is not an enumerated
-        element, for every element at once.  Row i of g_e*t is row i of g_e
-        times t, so the code of g_e*t is read off the two halves of the code
-        of g_e, the first ceil(n/2) rows and the rest, through two tables of
-        t's action on blocks of rows.  The larger has q^(n*ceil(n/2)) entries:
-        under ENUMERATION_CAP at most 531 441, for GU3(3) with 24 192
-        elements, and at most 65 536 for every other group."""
-        F, n, index = self.field, self.n, self._index
-        q, width = F.q, F.q**n
-        rows = [0] * width  # code of v -> code of v*t
+    def _stage(self, t: Mat, transpose: bool, reads: int) -> list:
+        """g -> g*t on codes, or g -> transpose(g*t), as tables (d, T) on blocks
+        of rows for _read: blocks of ceil(n/2) rows, or of one where n such
+        tables would have more entries than the ``reads`` codes they serve.
+        The largest under the cap: 6 561 entries, a row of GU2(9); GL3(4)
+        reads halves of 4 096, GU3(3) and GU4(2) rows of 729 and 256."""
+        F, n = self.field, self.n
+        q, w = F.q, F.q**n
+        rows = [0] * w  # code of v -> code of v*t
         for col in zip(*t):
             entries = _sums(F, [[row[y] for row in F.mul] for y in col])
             rows = [code * q + x for code, x in zip(rows, entries)]
+        if transpose:  # row i goes to column i: its digits w apart, shifted by n - 1 - i
+            spread = _concat([[d * w**j for d in range(q)] for j in reversed(range(n))])
+            rows = [spread[r] for r in rows]
+        step = q if transpose else w
+        parts = [[r * step**i for r in rows] for i in reversed(range(n))]
+        k = (n + 1) // 2 if n * w ** ((n + 1) // 2) <= reads else 1
+        return [(w ** max(n - top - k, 0), _concat(parts[top : top + k])) for top in range(0, n, k)]
 
-        def block(k: int, place: int) -> list[int]:
-            """Code of k rows -> place times the code of their product by t."""
-            table, scaled = [0], [x * place for x in rows]
-            for _ in range(k):
-                table = [x * width + y for x in table for y in scaled]
-            return table
-
-        base = width ** (n // 2)
-        low, high = block(n // 2, 1), block(n - n // 2, base)
-        get = index.get
-        return array("i", [get(high[c // base] + low[c % base], -1) for c in self.codes])
-
-    def _generator_tables(self) -> list[array]:
-        """A generating set, found and checked by closure, and the conjugation
-        by each generator s as a permutation e -> index of s^-1*g_e*s.  The
-        first element, then each from the last back (dense matrices generate
-        more), not yet reached from the identity becomes a generator t, with
-        R_t for every element.  The closure is extended, not restarted: R_t
-        is applied to every element reached so far, then the new elements are
-        searched breadth first with every generator.  So it reads every entry
-        of every R_t once, and each must be an enumerated element."""
-        F, n, codes, index = self.field, self.n, self.codes, self._index
-        size = len(codes)
-        start = index.get(self.encode(mat_identity(n)))
-        if start is None:
+    def _conjugators(self) -> list:
+        """A generating set checked by closure, and h -> s^-1*h*s on codes for
+        each generator s: g -> transpose(g*s) -> transpose(transpose(g*s)*s')
+        with s' = transpose(s^-1), two _stage maps sized for unipotent codes.
+        The first element, then each from the last back (dense matrices
+        generate more), not yet reached becomes a generator t; R_t is applied
+        to all reached so far, then new ones are searched with every generator,
+        so each product is read once, on codes, and must be enumerated."""
+        if self._conj is not None:
+            return self._conj
+        F, n, codes = self.field, self.n, self.codes
+        self._members = members = dict.fromkeys(codes, False)
+        start = self.encode(mat_identity(n))
+        if start not in members:
             raise ContractError(f"{self.name}: the identity is not an enumerated element")
+        members[start] = True
         generators: list[tuple[Mat, Mat]] = []  # (t, t^-1)
-        tables: list[array] = []  # R_t for each generator t
-        # The spanning tree: g_e = g_parent*t, with the number of t in via.
-        # Each generator at least doubles the subgroup reached, so there are
-        # at most log2 |G| of them, far fewer than 256.
-        parent = array("i", [-1]) * size
-        via = bytearray(size)
-        reached = bytearray(size)
-        reached[start] = 1
-        order = array("i", [start])  # the reached elements, each after its parent
-        for i in itertools.chain((0,), range(size - 1, 0, -1)):
-            if reached[i]:
+        tables = []  # R_t for each generator t, as _stage tables
+        order = array("q", [start])  # the reached codes, breadth first
+        for i in itertools.chain((0,), range(len(codes) - 1, 0, -1)):
+            if members[codes[i]]:
                 continue
             t = self.decode(codes[i])
             t_inv = mat_inv(F, t)
             if t_inv is None:
                 raise ContractError(f"{self.name}: an enumerated element is singular")
             generators.append((t, t_inv))
-            tables.append(self._times(t))
-            every = list(enumerate(tables))
-            newest = every[-1:]
-            old = len(order)
-            for pos, e in enumerate(order):
-                for k, times in newest if pos < old else every:
-                    j = times[e]
-                    if j < 0:
-                        h = mat_mul(F, self.decode(codes[e]), generators[k][0])
-                        raise ContractError(
-                            f"{self.name}: the product {h} is not an enumerated element"
-                        )
-                    if not reached[j]:
-                        reached[j] = 1
-                        parent[j], via[j] = e, k
-                        order.append(j)
-        # L_s down the spanning tree, as _split_classes explains
-        conjugations = []
+            tables.append(self._stage(t, False, len(codes)))
+            old, pos = len(order), 0
+            while pos < len(order):  # 1024 codes at a time, to bound the products held
+                using = tables[-1:] if pos < old else tables
+                window = order[pos : min(pos + 1024, old) if pos < old else pos + 1024]
+                products = [c for cs in zip(*[_read(times, window) for times in using]) for c in cs]
+                reached = list(map(members.get, products))
+                if None in reached:  # the first product outside G, in the order of the search
+                    at, width = reached.index(None), len(using)
+                    t = generators[at % width - width][0]
+                    h = mat_mul(F, self.decode(window[at // width]), t)
+                    raise ContractError(
+                        f"{self.name}: the product {h} is not an enumerated element"
+                    )
+                new = list(dict.fromkeys([c for c, r in zip(products, reached) if not r]))
+                members.update(dict.fromkeys(new, True))
+                order.extend(new)
+                pos += len(window)
+        unipotent = self.q0 ** (n * n - n)
+        self._conj = []
         for (s, s_inv), times_s in zip(generators, tables):
-            j = index.get(self.encode(s_inv))
-            if j is None:
-                raise ContractError(
-                    f"{self.name}: the inverse {s_inv} of {s} is not an enumerated element"
-                )
-            if times_s[j] != start:
+            code = self.encode(s_inv)
+            if code not in members:
+                raise ContractError(f"{self.name}: the inverse {s_inv} of {s} "
+                                    "is not an enumerated element")
+            if _read(times_s, [code]) != [start]:
                 raise ContractError(f"{self.name}: {s_inv} is not the inverse of {s}")
-            left = array("i", [-1]) * size  # L_s
-            left[start] = j
-            for e in itertools.islice(order, 1, None):
-                left[e] = tables[via[e]][left[parent[e]]]
-            conjugations.append(array("i", map(times_s.__getitem__, left)))
-        return conjugations
+            self._conj.append([self._stage(m, True, unipotent) for m in (s, tuple(zip(*s_inv)))])
+        return self._conj
 
-    def _split_classes(self) -> None:
-        """Each class is the breadth-first orbit of its first element under
-        h -> s^-1*h*s for s in the generating set, on element indices.
-
-        The closure that checks the generating set records the Cayley graph:
-        R_t (e -> index of g_e*t) for each generator t, and a spanning tree
-        in which each element but the identity has a parent g_i and an edge
-        g_e = g_i*t.  Left multiplication by s^-1 follows the tree with no
-        matrix work: L_s at the identity is the index of s^-1, checked to be
-        enumerated and to satisfy R_s[L_s[identity]] = identity, and
-        L_s[e] = R_t[L_s[i]] since s^-1*g_i*t = (s^-1*g_i)*t.  The conjugate
-        s^-1*g_e*s is then R_s[L_s[e]], a product in the checked table."""
-        self._index = dict(zip(self.codes, itertools.count()))
-        conjugations = self._generator_tables()
-        class_id = [-1] * len(self.codes)
-        classes: list[ConjClass] = []
-        for e, code in enumerate(self.codes):
-            if class_id[e] >= 0:
-                continue
-            idx = len(classes)
-            class_id[e] = idx
-            orbit = [e]
-            for h in orbit:
-                for conj in conjugations:
-                    c = conj[h]
-                    if class_id[c] < 0:
-                        class_id[c] = idx
-                        orbit.append(c)
-            g = self.decode(code)
-            classes.append(ConjClass(g, len(orbit), self.jordan_type(g)))
-        self._class_id = class_id
-        self._classes = classes
+    def _split(self, seeds: Iterable[int], what: str = "element") -> list[int]:
+        """The class of each seed code, which must be enumerated.  A new class
+        is the breadth-first orbit of its seed under h -> s^-1*h*s for each
+        generator s, on enumerated codes; its rep is its smallest code."""
+        conjugators = self._conjugators()
+        members, class_of, classes = self._members, self._class_of, self._classes
+        out = []
+        for seed in seeds:
+            if seed not in members:
+                raise ContractError(f"{self.name}: {what} {self.decode(seed)} is not in the group")
+            idx = class_of.get(seed)
+            if idx is None:
+                idx = class_of[seed] = len(classes)
+                orbit, done = [seed], 0
+                while done < len(orbit):  # a level of the search at a time
+                    level, done = orbit[done:], len(orbit)
+                    for first, second in conjugators:
+                        for h, c in zip(level, _read(second, _read(first, level))):
+                            if c not in class_of:
+                                if c not in members:
+                                    raise ContractError(
+                                        f"{self.name}: the conjugate {self.decode(c)} of "
+                                        f"{self.decode(h)} is not an enumerated element")
+                                class_of[c] = idx
+                                orbit.append(c)
+                rep = self.decode(min(orbit))
+                classes.append(ConjClass(rep, len(orbit), self.jordan_type(rep)))
+            out.append(idx)
+        return out
 
     def jordan_type(self, g: Mat) -> Optional[Partition]:
         """Jordan type of a unipotent element (None if g is not unipotent),
@@ -455,15 +461,21 @@ class OracleGroup:
         col_counts = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
         return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
 
-    def unipotent_classes(self) -> dict[Partition, ConjClass]:
+    def unipotent_classes(self, seeds: Optional[Iterable[Mat]] = None) -> dict:
+        """Unipotent classes by Jordan type: all, or those of ``seeds``, which must be unipotent."""
+        if seeds is None:
+            found = [cls for cls in self.classes() if cls.jordan is not None]
+        else:
+            ids = self._split(map(self.encode, seeds), "seed")
+            found = [self._classes[idx] for idx in dict.fromkeys(ids)]
         out = {}
-        for cls in self.classes():
-            if cls.jordan is not None:
-                if cls.jordan in out:
-                    raise ContractError(
-                        f"{self.name}: two unipotent classes of Jordan type {tuple(cls.jordan)}"
-                    )
-                out[cls.jordan] = cls
+        for cls in found:
+            if cls.jordan is None:
+                raise ContractError(f"{self.name}: the class of {cls.rep} is not unipotent")
+            if cls.jordan in out:
+                raise ContractError(f"{self.name}: two unipotent classes of Jordan type "
+                                    f"{tuple(cls.jordan)}")
+            out[cls.jordan] = cls
         return out
 
 
@@ -672,33 +684,24 @@ def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
     mu = (n) gives U with a nondegenerate psi, the Gelfand-Graev character,
     and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
-    classes = G.classes()
     counts: dict[int, list[int]] = {}
-    for h, k in H.items():
-        e = G._index.get(G.encode(h))
-        if e is None:
-            raise ContractError(f"{G.name}: Whittaker element {h} is not in the group")
-        counts.setdefault(G._class_id[e], [0] * p)[k % p] += 1
+    for k, idx in zip(H.values(), G._split(map(G.encode, H), "Whittaker element")):
+        counts.setdefault(idx, [0] * p)[k % p] += 1
     total = 0
     for idx, a in counts.items():
-        cls = classes[idx]
+        cls = G._classes[idx]
         if a[1:] != a[-1:] * (p - 1):
-            raise ContractError(
-                f"{G.name}: the sum of psi over the class of {cls.rep} is not "
-                f"rational: exponent counts {a}"
-            )
+            raise ContractError(f"{G.name}: the sum of psi over the class of {cls.rep} is not "
+                                f"rational: exponent counts {a}")
         centralizer, rest = divmod(G.order, cls.size)
         if rest:
-            raise ContractError(
-                f"{G.name}: the class of {cls.rep} has {cls.size} elements, "
-                f"which does not divide |G| = {G.order}"
-            )
+            raise ContractError(f"{G.name}: the class of {cls.rep} has {cls.size} elements, "
+                                f"which does not divide |G| = {G.order}")
         total += centralizer * (a[0] - a[-1]) ** 2
     inner, rest = divmod(total, len(H) ** 2)
     if rest:
-        raise ContractError(
-            f"{G.name}: induced inner product not integral: {total} / {len(H) ** 2}"
-        )
+        raise ContractError(f"{G.name}: induced inner product not integral: {total} / "
+                            f"{len(H) ** 2}")
     return inner
 
 
@@ -747,7 +750,9 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
 
     check("group_order", group_order(n, eps)(q0), G.order)
-    uni = G.unipotent_classes()
+    G._conjugators()  # the closure first: a faulty field shows as a product outside G
+    top = kawanaka_datum(G, Partition((n,)))  # H is Sylow: it meets every unipotent class
+    uni = G.unipotent_classes(top[0])
     parts = partitions_of(n)
     check("unipotent_class_count", len(parts), len(uni))
     for la in parts:
@@ -759,20 +764,10 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
     check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
     for mu in parts:
-        inner, dim_g1 = gggr_inner(G, mu)
-        if mu == (n,):
-            name = "gelfand_graev_inner"
-        elif len(mu) == n:
-            name = "regular_rep_inner"
-        else:
-            name = f"gggr_inner_{'_'.join(map(str, mu))}"
+        H, dim_g1 = top if mu == (n,) else kawanaka_datum(G, mu)
+        inner = _induced_inner(G, H)
+        name = ("gelfand_graev_inner" if mu == (n,) else "regular_rep_inner" if len(mu) == n
+                else f"gggr_inner_{'_'.join(map(str, mu))}")
         check(name, int(endo_dim(mu, eps)(q0)) * q0**dim_g1, inner)
-    return {
-        "group": G.name,
-        "n": n,
-        "eps": eps,
-        "q0": q0,
-        "order": G.order,
-        "checks": checks,
-        "pass": all(c["ok"] for c in checks),
-    }
+    return {"group": G.name, "n": n, "eps": eps, "q0": q0, "order": G.order,
+            "checks": checks, "pass": all(c["ok"] for c in checks)}

@@ -30,7 +30,7 @@ class RationalPoly:
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "t"):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

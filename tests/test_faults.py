@@ -343,10 +343,10 @@ def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
 
 
 def test_whittaker_element_outside_the_split_fails():
-    # elements are looked up by code in the index that the class split builds
+    # elements are looked up by code among the codes that the closure reached
     G = oracle.enumerate_group(2, 1, 4)
     G.classes()
-    del G._index[G.encode(oracle.mat_identity(2))]
+    del G._members[G.encode(oracle.mat_identity(2))]
     with pytest.raises(
         ContractError, match=re.escape("Whittaker element ((1, 0), (0, 1)) is not in the group")
     ):
@@ -391,6 +391,68 @@ def test_conjugate_outside_the_group_fails(monkeypatch):
     G = oracle.enumerate_group(2, -1, 3)
     with pytest.raises(ContractError, match="is not an enumerated element"):
         G.classes()
+
+
+def drop_seed_class(unipotent_classes, parts):
+    """``OracleGroup.unipotent_classes`` with the seeds of Jordan type
+    ``parts`` left out, so the split never meets their class."""
+
+    def dropped(G, seeds=None):
+        return unipotent_classes(G, [h for h in seeds if G.jordan_type(h) != parts])
+
+    return dropped
+
+
+#: The rows that fail when the GL3(2) split misses the class of type (2, 1),
+#: 21 elements: both counts over the classes see it gone.
+GL3_F2_DROPPED_CLASS = [
+    "unipotent_class_count,3,2,False\n",
+    "class_size_2_1,21,0,False\n",
+    "unipotent_count,64,43,False\n",
+]
+
+
+def test_dropped_seed_class_fails_the_class_counts(monkeypatch, capsys):
+    classes = drop_seed_class(oracle.OracleGroup.unipotent_classes, (2, 1))
+    monkeypatch.setattr(oracle.OracleGroup, "unipotent_classes", classes)
+    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
+        GL3_F2_DROPPED_CLASS
+    )
+
+
+def leave_the_group(conjugators):
+    """``OracleGroup._conjugators`` with the first stage of each map built
+    from x = ((1, 1), (0, 1)) in place of the generator s: the map then
+    sends h to s^-1*h*x, which for h in GU2(3) is not unitary."""
+
+    def leaving(G):
+        x = G._stage(((1, 1), (0, 1)), True, G.q0 ** (G.n * G.n - G.n))
+        return [[x, second] for _, second in conjugators(G)]
+
+    return leaving
+
+
+def leaving_message():
+    """The first seed of the GU2(3) report is the identity, and the first
+    generator s is the first element, so the first conjugate is s^-1*x."""
+    G = oracle.enumerate_group(2, -1, 3)
+    s = G.elements[0]
+    c = oracle.mat_mul(G.field, oracle.mat_inv(G.field, s), ((1, 1), (0, 1)))
+    assert c not in set(G.elements)
+    return f"GU2(F3): the conjugate {c} of ((1, 0), (0, 1)) is not an enumerated element"
+
+
+def test_conjugation_leaving_the_group_fails(monkeypatch, capsys):
+    message = leaving_message()
+    conjugators = leave_the_group(oracle.OracleGroup._conjugators)
+    monkeypatch.setattr(oracle.OracleGroup, "_conjugators", conjugators)
+    with pytest.raises(ContractError, match=re.escape(message)):
+        oracle.oracle_report(2, -1, 3)
+    assert main(["oracle", "--n", "2", "--q", "3", "--eps", "-1"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
 
 
 def identity_inverse(F, A):
@@ -687,6 +749,36 @@ def test_oracle_closure_survives_python_O(which):
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr == dropped_message(which)
+
+
+def test_dropped_seed_class_survives_python_O():
+    script = inspect.getsource(drop_seed_class) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "G = gggr.oracle.OracleGroup\n"
+        "G.unipotent_classes = drop_seed_class(G.unipotent_classes, (2, 1))\n"
+        "sys.exit(main(['oracle', '--n', '3', '--q', '2', '--format', 'csv']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    assert [row for row in done.stdout.splitlines(True) if row.endswith(",False\n")] == (
+        GL3_F2_DROPPED_CLASS
+    )
+
+
+def test_conjugation_check_survives_python_O():
+    script = inspect.getsource(leave_the_group) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "G = gggr.oracle.OracleGroup\n"
+        "G._conjugators = leave_the_group(G._conjugators)\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3', '--eps', '-1']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {leaving_message()}\n"
 
 
 def test_inverse_check_survives_python_O():

@@ -3,8 +3,12 @@ Jordan types, and the induced-character inner products, cross-checked
 against Mackey's formula and the symbolic layer."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,9 +325,12 @@ def reference_orbit_split(G):
     return classes, class_of
 
 
-@pytest.mark.parametrize(
-    "n, eps, q0", [(3, 1, 3), (4, 1, 2), (2, 1, 9), (2, -1, 4), (2, -1, 5)]
-)
+#: The groups whose full split each reference split checks.
+ORBIT_SPLIT_GROUPS = [(3, 1, 3), (4, 1, 2), (2, 1, 9), (2, -1, 4), (2, -1, 5)]
+EVERY_ELEMENT_SPLIT_GROUPS = [(2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 3), (2, -1, 4)]
+
+
+@pytest.mark.parametrize("n, eps, q0", ORBIT_SPLIT_GROUPS)
 def test_class_split_matches_orbits_of_matrix_conjugation(n, eps, q0):
     G = enumerate_group(n, eps, q0)
     classes, class_of = reference_orbit_split(G)
@@ -359,7 +366,7 @@ def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     assert list(G.elements) == elements
     assert [G.encode(g) for g in elements] == G.codes
     G.classes()
-    assert G._index == {c: e for e, c in enumerate(G.codes)}
+    assert G._members == dict.fromkeys(G.codes, True)  # the closure reached every code
 
 
 def test_gu3_3_rows_enumerate_unitary_matrices():
@@ -378,36 +385,95 @@ def test_gu3_3_rows_enumerate_unitary_matrices():
 
 @pytest.mark.parametrize("n, eps, q0, count", [(4, 1, 2, 3), (3, 1, 3, 3), (2, -1, 5, 3)])
 def test_generator_counts(n, eps, q0, count):
-    # each generator costs a table of |G| products and an orbit pass; taking
-    # them from the end of the order, where matrices are dense, needs few
+    # each generator costs a table of |G| products and a conjugation of every
+    # code split; taking them from the end of the order, where matrices are
+    # dense, needs few
     G = enumerate_group(n, eps, q0)
-    G.classes()
-    assert len(G._generator_tables()) == count
+    assert len(G._conjugators()) == count
 
 
 @pytest.mark.parametrize(
     "n, eps, q0", [(1, 1, 5), (2, 1, 9), (3, 1, 3), (4, 1, 2), (2, -1, 5), (3, -1, 2)]
 )
 def test_right_multiplication_table_matches_mat_mul(n, eps, q0):
-    # the code of g*t is read off the two halves of the code of g, the first
-    # ceil(n/2) rows and the rest, so odd n gives halves of unequal size
+    # the code of g*t is read off blocks of ceil(n/2) rows of the code of g,
+    # so odd n gives blocks of unequal size, or off single rows where such a
+    # block's table would outgrow |G| (GU3(2))
     G = enumerate_group(n, eps, q0)
-    G.classes()
-    index = {g: e for e, g in enumerate(G.elements)}
     for t in random.Random(n * q0).sample(G.elements, 2):
-        assert list(G._times(t)) == [index[mat_mul(G.field, g, t)] for g in G.elements]
-    zero = ((0,) * n,) * n  # no product by it is an element
-    assert set(G._times(zero)) == {-1}
+        products = [G.encode(mat_mul(G.field, g, t)) for g in G.elements]
+        assert oracle._read(G._stage(t, False, G.order), G.codes) == products
+        transposed = [G.encode(tuple(zip(*mat_mul(G.field, g, t)))) for g in G.elements]
+        assert oracle._read(G._stage(t, True, G.order), G.codes) == transposed
+    zero = ((0,) * n,) * n  # every product by it is the zero matrix, code 0, no element
+    assert set(oracle._read(G._stage(zero, False, G.order), G.codes)) == {0}
+    assert 0 not in set(G.codes)
 
 
-@pytest.mark.parametrize(
-    "n, eps, q0", [(2, 1, 3), (2, 1, 4), (3, 1, 2), (2, -1, 3), (2, -1, 4)]
-)
+@pytest.mark.parametrize("n, eps, q0", EVERY_ELEMENT_SPLIT_GROUPS)
 def test_class_split_matches_conjugation_by_every_element(n, eps, q0):
     G = enumerate_group(n, eps, q0)
     classes, class_of = reference_split(G)
     assert [(c.rep, c.size, c.jordan) for c in G.classes()] == classes
     assert G.class_index() == class_of
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0, reference",
+    [(*g, reference_orbit_split) for g in ORBIT_SPLIT_GROUPS]
+    + [(*g, reference_split) for g in EVERY_ELEMENT_SPLIT_GROUPS],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_unipotent_split_matches_the_reference_splits(n, eps, q0, reference):
+    # seeded with the Gelfand-Graev datum's H, as oracle_report seeds it, the
+    # split finds the unipotent classes of the full split, and it reaches the
+    # unipotent elements and no other, each in its class
+    G = enumerate_group(n, eps, q0)
+    uni = G.unipotent_classes(kawanaka_datum(G, P((n,)))[0])
+    classes, class_of = reference(G)
+    assert sorted((c.rep, c.size, c.jordan) for c in uni.values()) == sorted(
+        c for c in classes if c[2] is not None
+    )
+    assert {code: G._classes[i].jordan for code, i in G._class_of.items()} == {
+        G.encode(g): classes[i][2] for g, i in class_of.items() if classes[i][2] is not None
+    }
+    # classes() then splits the whole group afresh, in the order of its codes
+    assert [(c.rep, c.size, c.jordan) for c in G.classes()] == classes
+
+
+def test_report_conjugates_only_unipotent_codes(monkeypatch):
+    # GL4(2) has 20 160 elements, 4096 of them unipotent: the report's split
+    # reads each unipotent code once per generator, and no other code
+    groups, conjugated, read = [], [], oracle._read
+
+    def enumerate_kept(n, eps, q0):
+        groups.append(enumerate_group(n, eps, q0))
+        return groups[-1]
+
+    def counted(stage, codes):
+        if any(stage is first for first, _ in groups[-1]._conj or ()):
+            conjugated.extend(codes)
+        return read(stage, codes)
+
+    monkeypatch.setattr(oracle, "enumerate_group", enumerate_kept)
+    monkeypatch.setattr(oracle, "_read", counted)
+    assert oracle_report(4, 1, 2)["pass"]
+    G = groups[-1]
+    assert len(conjugated) <= len(G._conj) * 4096
+    assert len(set(conjugated)) == 4096
+    assert all(G.jordan_type(G.decode(code)) is not None for code in set(conjugated))
+
+
+def test_seeds_must_be_unipotent_elements():
+    G = enumerate_group(2, 1, 3)
+    g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
+    message = f"GL2(F3): the class of {g} is not unipotent"
+    with pytest.raises(ContractError, match=re.escape(message)):
+        G.unipotent_classes([mat_identity(2), g])
+    singular = ((1, 1), (1, 1))
+    message = f"GL2(F3): seed {singular} is not in the group"
+    with pytest.raises(ContractError, match=re.escape(message)):
+        G.unipotent_classes([singular])
 
 
 def mackey_inner(G, H):
@@ -529,3 +595,25 @@ def test_oracle_report_has_one_check_per_mu():
     assert dims == [0, 0, 0, 4, 0]
     for c, mu, dim_g1 in zip(inner, partitions_of(4), dims):
         assert c["expected"] == endo_dim(mu, 1)(2) * 2**dim_g1 == c["actual"], mu
+
+
+def test_package_imports_the_oracle_on_first_use():
+    # `import gggr` leaves the oracle module unloaded; reading one of its names
+    # through the package loads it
+    code = (
+        "import sys, gggr\n"
+        "print('gggr.oracle' in sys.modules)\n"
+        "print(gggr.oracle_report is sys.modules['gggr.oracle'].oracle_report)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.split() == ["False", "True"], done.stderr
+    import gggr
+
+    assert set(gggr._ORACLE) <= set(gggr.__all__)
+    assert all(getattr(gggr, name) is getattr(oracle, name) for name in gggr._ORACLE)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        gggr.no_such_name
