@@ -28,10 +28,10 @@ from typing import Optional
 
 from .errors import CapExceededError, ContractError
 from .green import green_table
+from .grouporders import is_prime_power
 from .kawanaka import (
     DEFAULT_SAMPLES, VERIFY_CAP, VERIFY_CAP_BIG, endo_dim, gggr_character, verify_theorem,
 )
-from .oracle import is_prime_power, oracle_report
 from .partitions import Partition, partitions_of
 from .polyring import poly_from_json, poly_to_json, pretty
 
@@ -216,6 +216,7 @@ def _execute(args: argparse.Namespace):
             raise CapExceededError(f"green table capped at n = {VERIFY_CAP}")
         return green_table(args.n).to_json(args.eps), _green_rows
     if args.command == "oracle":
+        from .oracle import oracle_report
         return oracle_report(args.n, args.eps, args.q), _oracle_rows
 
     n = args.mu.n if args.command == "gggr" else args.n

@@ -16,14 +16,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import ContractError
+from .errors import ContractError, NonExactDivisionError
 from .grouporders import (
     check_eps,
     class_size_coeffs,
     group_order_coeffs,
     torus_order_coeffs,
 )
-from .intpoly import IntPoly, bilinear, mul, scale, signed, trim
+from .intpoly import IntPoly, bilinear, divmod_monic, scale, signed, trim
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
@@ -104,8 +104,8 @@ def green_table(n: int) -> GreenTable:
 
 class OrthogonalityResult(NamedTuple):
     ok: bool
-    #: On failure: (rho, pi, lhs, rhs) of the first offending pair, where the
-    #: sides are the cross-multiplied polynomial forms compared exactly.
+    #: On failure: (rho, pi, entry, expected) of the first offending pair: the
+    #: entry of Qᵀ · diag(|class la|) · Q and the value the relation demands.
     witness: Optional[tuple[Partition, Partition, RationalPoly, RationalPoly]] = None
 
 
@@ -116,9 +116,9 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
         sum_la |class la| Q_rho^la(eps q) Q_pi^la(eps q)
             = delta_{rho,pi} * |W_rho| * |G| / |T_rho|
 
-    verified as a polynomial identity in q (cross-multiplied by |T_rho|).
-    The left sides for all pairs are one matrix product
-    Qᵀ · diag(|class la|) · Q over Z[q]."""
+    verified as a polynomial identity in q, with |G| / |T_rho| an exact
+    division by the monic |T_rho|.  The left sides for all pairs are one
+    matrix product Qᵀ · diag(|class la|) · Q over Z[q]."""
     check_eps(eps)
     parts = partitions_of(n)
     table = green_matrix(n)
@@ -127,12 +127,13 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
     sums = bilinear(by_la, sizes, by_la)
     grp = group_order_coeffs(n, eps)
     for i, rho in enumerate(parts):
-        t_rho = torus_order_coeffs(tuple(rho), eps)
+        quot, rem = divmod_monic(grp, torus_order_coeffs(tuple(rho), eps))
+        if rem:
+            raise NonExactDivisionError(f"|G| / |T_rho| for {tuple(rho)} left remainder {rem}")
+        diagonal = scale(quot, weyl_centralizer_order(rho))
         for j, pi in enumerate(parts):
-            lhs = mul(sums[i][j], t_rho)
-            rhs = scale(grp, weyl_centralizer_order(rho)) if i == j else ()
-            if lhs != rhs:
-                return OrthogonalityResult(
-                    False, (rho, pi, RationalPoly(lhs, "q"), RationalPoly(rhs, "q"))
-                )
+            expected = diagonal if i == j else ()
+            if sums[i][j] != expected:
+                witness = (rho, pi, RationalPoly(sums[i][j], "q"), RationalPoly(expected, "q"))
+                return OrthogonalityResult(False, witness)
     return OrthogonalityResult(True)

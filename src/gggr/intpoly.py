@@ -157,16 +157,6 @@ def _shape(polys) -> tuple[int, int]:
     return max(map(len, polys), default=0), max((abs(a) for f in polys for a in f), default=0)
 
 
-def mul(f: IntPoly, g: IntPoly) -> IntPoly:
-    """f * g by Kronecker substitution."""
-    if not f or not g:
-        return ()
-    bound = product_bound(1, len(f), max(map(abs, f)), len(g), max(map(abs, g)))
-    width = _width(bound)
-    count = len(f) + len(g) - 1
-    return trim(_unpack(_pack(f, width) * _pack(g, width), width, count))
-
-
 def bilinear(
     a: Sequence[Sequence[IntPoly]],
     w: Sequence[IntPoly],

@@ -36,6 +36,7 @@ from .grouporders import (
     check_eps,
     class_size_coeffs,
     group_order_coeffs,
+    is_prime_power,
     sgn_eps,
     torus_order_coeffs,
 )
@@ -271,17 +272,22 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
-    n + 2*n_stat(mu), and takes positive integer values at each prime power
-    of q_samples.  q_samples sets only that last check: the integrality of
-    every gamma_mu(la), which endo_dim requires first, is always checked at
-    DEFAULT_SAMPLES.  The report lists mu in canonical partition order."""
+    n + 2*n_stat(mu), and takes positive integer values at each q0 of
+    q_samples; a q0 that is not a prime power raises ValueError.  q_samples
+    sets only that last check: the integrality of every gamma_mu(la), which
+    endo_dim requires first, is always checked at DEFAULT_SAMPLES.  The
+    report lists mu in canonical partition order."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    q_samples = tuple(q_samples)
+    for q0 in q_samples:
+        if is_prime_power(q0) is None:
+            raise ValueError(f"{q0} is not a prime power")
     limit = cap if cap is not None else VERIFY_CAP
     if n > limit:
         raise CapExceededError(
             f"verify_theorem at n = {n}, eps = {eps:+d} exceeds cap {limit}"
         )
-    results = tuple(_mu_result(mu, eps, tuple(q_samples)) for mu in partitions_of(n))
+    results = tuple(_mu_result(mu, eps, q_samples) for mu in partitions_of(n))
     return VerificationReport(n, eps, results)

@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
-from .grouporders import check_eps
+from .grouporders import check_eps, is_prime_power
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
@@ -61,23 +61,6 @@ ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
 SUPPORTED_Q = (2, 3, 4, 5, 8, 9)
-
-
-def is_prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, e) with q = p^e, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q and q > p:
-            break
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return (q, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -243,3 +244,58 @@ def test_startup_loads_no_dataclasses_or_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_symbolic_commands_leave_the_oracle_unloaded():
+    """Only `oracle` loads the oracle module; the symbolic commands, the
+    prime-power check of --q-samples included, run without it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from gggr.cli import main\n"
+        "for argv in (['green', '--n', '3'], ['gggr', '--mu', '2,1'], ['endo', '--n', '3'],\n"
+        "             ['verify', '--n', '3', '--q-samples', '2,3,7'],\n"
+        "             ['oracle', '--n', '2', '--q', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'gggr.oracle' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "green 0 False", "gggr 0 False", "endo 0 False", "verify 0 False", "oracle 0 True",
+    ]
+
+
+def oracle_imports(tree, scope=None):
+    """(enclosing function or None, line) of every import of gggr.oracle."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "gggr" + (f".{node.module}" if node.module else "") if node.level else node.module
+            targets = {module} | {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            targets = {alias.name for alias in node.names}
+        else:
+            targets = set()
+        if "gggr.oracle" in targets:
+            yield scope, node.lineno
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from oracle_imports(node, inner)
+
+
+def test_only_the_oracle_command_imports_the_oracle():
+    """No module imports the oracle at module level: the package reads it on
+    first use of one of its names, and the command line in its oracle branch."""
+    found = {
+        path.name: [scope for scope, _ in oracle_imports(ast.parse(path.read_text()))]
+        for path in sorted((SRC / "gggr").glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "__init__.py": ["__getattr__"],
+        "cli.py": ["_execute"],
+    }

@@ -26,7 +26,8 @@ from gggr.errors import ContractError, NonExactDivisionError
 from gggr.intpoly import scale
 from gggr.kawanaka import gggr_value, verify_theorem
 from gggr.partitions import Partition
-from test_intpoly import add
+from gggr.polyring import RationalPoly
+from test_intpoly import add, schoolbook
 from test_symfunc import HALL_LITTLEWOOD_ROUTE
 
 P = Partition
@@ -115,6 +116,40 @@ def test_green_coefficient_fails_orthogonality(inject):
     assert not result.ok
     rho, pi, lhs, rhs = result.witness
     assert (rho, pi) == (P((3,)), P((3,))) and lhs != rhs
+    # |W_(3)| * |GU_3| / |T_(3)| = 3 * q^3 (q + 1)(q^2 - 1), as |T_(3)| = q^3 + 1
+    expected = schoolbook((0, 0, 0, 3), schoolbook((1, 1), (-1, 0, 1)))
+    assert schoolbook(expected, (1, 0, 0, 1)) == scale(grouporders.group_order_coeffs(3, -1), 3)
+    assert rhs == RationalPoly(expected, "q")
+
+
+def test_green_sign_fails_orthogonality_off_the_diagonal(inject):
+    """Q_(3)^(2,1) negated: every diagonal sum keeps its squares, so the first
+    pair to fail is ((3), (2,1)), whose sum must vanish."""
+    def perturbed(n):
+        table = [list(row) for row in GREEN_MATRIX(n)]
+        table[0][1] = scale(table[0][1], -1)
+        return tuple(map(tuple, table))
+
+    inject(green, "green_matrix", perturbed)
+    for eps in (1, -1):
+        result = green.verify_orthogonality(3, eps)
+        assert not result.ok
+        rho, pi, lhs, rhs = result.witness
+        assert (rho, pi) == (P((3,)), P((2, 1))) and lhs != rhs
+        assert rhs.coeffs == ()
+
+
+def torus_off_by_one(rho, eps):
+    """|T_(2,1)| with 1 added to its constant term; still monic."""
+    t = grouporders.torus_order_coeffs(rho, eps)
+    return (t[0] + 1,) + t[1:] if rho == (2, 1) else t
+
+
+def test_torus_order_fails_exact_division(inject):
+    inject(green, "torus_order_coeffs", torus_off_by_one)
+    for eps in (1, -1):
+        with pytest.raises(NonExactDivisionError, match=r"\|T_rho\| for \(2, 1\) left remainder"):
+            green.verify_orthogonality(3, eps)
 
 
 def test_class_size_fails_exact_division(inject):
@@ -822,6 +857,23 @@ def test_datum_fault_survives_python_O(fault):
         [mismatch] if mismatch else []
     )
     assert done.stderr == message
+
+
+def test_torus_division_survives_python_O():
+    script = inspect.getsource(torus_off_by_one) + (
+        "import gggr.green, gggr.grouporders as grouporders\n"
+        "from gggr.errors import NonExactDivisionError\n"
+        "gggr.green.torus_order_coeffs = torus_off_by_one\n"
+        "try:\n"
+        "    gggr.green.verify_orthogonality(3, 1)\n"
+        "except NonExactDivisionError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(1)\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("|G| / |T_rho| for (2, 1) left remainder ")
 
 
 def test_hall_littlewood_checks_survive_python_O():

@@ -14,7 +14,6 @@ from gggr.intpoly import (
     bilinear,
     divmod_monic,
     evaluate,
-    mul,
     product_bound,
     signed,
     times_binomials,
@@ -70,19 +69,6 @@ def rand_poly(rng, max_len=8, size=10**6):
     return trim(coeffs)
 
 
-def test_mul_matches_schoolbook():
-    rng = random.Random(1008)
-    for _ in range(500):
-        f, g = rand_poly(rng), rand_poly(rng)
-        assert mul(f, g) == schoolbook(f, g), (f, g)
-
-
-def test_mul_empty_and_zero():
-    assert mul((), (1, 2)) == ()
-    assert mul((3,), ()) == ()
-    assert mul((0, 0, 5), (-1,)) == (0, 0, -5)
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("terms,length,coeff", [(7, 31, 151), (8, 64, 64)])
 def test_coefficient_exactly_at_the_bound(sign, terms, length, coeff):
@@ -100,8 +86,9 @@ def test_coefficient_exactly_at_the_bound(sign, terms, length, coeff):
     assert out == reference_bilinear(a, w, b)
     f = (sign * coeff,) * length
     g = (1,) * length
-    assert mul(f, g)[length - 1] == sign * product_bound(1, length, coeff, length, 1)
-    assert mul(f, g) == schoolbook(f, g)
+    product = bilinear([[f]], [(1,)], [[g]])[0][0]
+    assert product[length - 1] == sign * product_bound(1, length, coeff, length, 1)
+    assert product == schoolbook(f, g)
 
 
 def test_bilinear_matches_schoolbook():
@@ -191,7 +178,7 @@ def test_products_at_each_machine_width_limit(width, sign):
         out = bilinear(a, w, b)
         assert out[0][0][length - 1] == sign * value
         assert out == reference_bilinear(a, w, b)
-        assert mul(a[0][0], b[0][0]) == schoolbook(a[0][0], b[0][0])
+        assert bilinear([a[0]], [(1,)], [b[0]])[0][0] == schoolbook(a[0][0], b[0][0])
     # sum_k w[k] * rows[0][k]^2: top * 1^2 once, and 2^(8*width - 3) * 2 (the
     # middle of (1 + q)^2) twice
     for rows, weights, value in (

@@ -158,6 +158,14 @@ def test_verify_custom_samples():
     assert report.passed
 
 
+@pytest.mark.parametrize("q0", [0, 1, 6])
+def test_verify_refuses_a_sample_that_is_no_prime_power(q0):
+    """No group GL_n(q0) exists, so q0 is a usage error, not a failed mu."""
+    for eps in (1, -1):
+        with pytest.raises(ValueError, match=f"^{q0} is not a prime power$"):
+            verify_theorem(3, eps, q_samples=(2, q0))
+
+
 def reference_gamma(mu, la, eps):
     """gamma_mu(la) as the per-rho sum of Fraction-weighted polynomial
     products that the batched integer kernel replaces, with schoolbook
