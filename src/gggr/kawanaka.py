@@ -273,14 +273,16 @@ def verify_theorem(
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
     n + 2*n_stat(mu), and takes positive integer values at each q0 of
-    q_samples; a q0 that is not a prime power raises ValueError.  q_samples
-    sets only that last check: the integrality of every gamma_mu(la), which
-    endo_dim requires first, is always checked at DEFAULT_SAMPLES.  The
-    report lists mu in canonical partition order."""
+    q_samples; an empty q_samples, or a q0 that is not a prime power, raises
+    ValueError.  q_samples sets only that last check: the integrality of every
+    gamma_mu(la), which endo_dim requires first, is always checked at
+    DEFAULT_SAMPLES.  The report lists mu in canonical partition order."""
     check_eps(eps)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     q_samples = tuple(q_samples)
+    if not q_samples:
+        raise ValueError("no q sample to check")
     for q0 in q_samples:
         if is_prime_power(q0) is None:
             raise ValueError(f"{q0} is not a prime power")

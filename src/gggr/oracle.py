@@ -17,8 +17,9 @@ a matrix is decoded only where one is needed.  A generating set is found and
 checked by closure; products by it and conjugation by each generator are read
 off the codes by tables, and a class is the breadth-first orbit of a seed (the
 standard orbit algorithm; Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, section 4.1).  oracle_report seeds it with U, which meets every
-unipotent class and no other, and its class checks certify that each was met.
+Theory, 2005, section 4.1).  oracle_report seeds it with the codes of U, which
+meets every unipotent class and no other, and its class checks certify that
+each was met.
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -37,8 +38,9 @@ h_i - h_j >= 2} with psi(1 + x) = zeta_p^Tr(sum f_ij*x_ji).  Then
 <Ind_H^G psi, Ind_H^G psi> = q0^(dim g_1) * <Gamma_u, Gamma_u>, with
 dim g_1 = #{(i, j) : h_i - h_j = 1}.  For GU the datum is built for a block
 Hermitian form J and carried into the identity-form group by a basis P with
-P^* P = J.  mu = (n) gives the Gelfand-Graev character and mu = (1^n) the
-regular one.
+P^* P = J.  H is held on codes, a GU candidate is unitary for J exactly
+when its image is enumerated, and |H| is checked.  mu = (n) gives the
+Gelfand-Graev character and mu = (1^n) the regular one.
 """
 
 from __future__ import annotations
@@ -444,12 +446,13 @@ class OracleGroup:
         col_counts = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
         return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
 
-    def unipotent_classes(self, seeds: Optional[Iterable[Mat]] = None) -> dict:
-        """Unipotent classes by Jordan type: all, or those of ``seeds``, which must be unipotent."""
+    def unipotent_classes(self, seeds: Optional[Iterable[int]] = None) -> dict:
+        """Unipotent classes by Jordan type: all, or those of the codes ``seeds``,
+        which must be unipotent elements."""
         if seeds is None:
             found = [cls for cls in self.classes() if cls.jordan is not None]
         else:
-            ids = self._split(map(self.encode, seeds), "seed")
+            ids = self._split(seeds, "seed")
             found = [self._classes[idx] for idx in dict.fromkeys(ids)]
         out = {}
         for cls in found:
@@ -576,30 +579,36 @@ def check_unitary_oracle(n: int, q0: int) -> None:
         )
 
 
-def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[Mat, int], int]:
+def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     """Kawanaka's datum for Jordan type mu, as the module docstring builds
-    it: H = U_(>=2) as a map h -> k with psi(h) = zeta_p^k, and dim g_1.  The
-    trace in psi is from F_q0 to F_p.
+    it: H = U_(>=2) as a map from the code of each h to k with psi(h) =
+    zeta_p^k, and dim g_1.  The trace in psi is from F_q0 to F_p.
 
+    The candidates 1 + x are coded at once, the identity's code plus the
+    digit of each entry x_ij in its place, and so is the field sum in psi.
     For GU each block of size k carries the Hermitian form that pairs e_i
     with e_(k-1-i), with entries +-1 for odd k and +-delta (delta +
-    bar(delta) = 0) for even k, so that f is skew for it.  H is cut to the
-    1 + x with (1 + x)^* J (1 + x) = J and carried into G as P H P^-1, for
-    P with P^* P = J.  Each column of P is the first vector independent of
-    the ones before it with the prescribed Hermitian products; by Witt's
-    theorem that never dead-ends.  An exhausted search is a ContractError."""
-    F, n = G.field, G.n
+    bar(delta) = 0) for even k, so that f is skew for it.  A candidate goes
+    into G as P (1 + x) P^-1, for P with P^* P = J, by two transposing
+    _stage maps; 1 + x is unitary for J exactly when that image is an
+    enumerated element, and only those are kept.  Each column of P is the
+    first vector independent of the ones before it with the prescribed
+    Hermitian products; by Witt's theorem that never dead-ends.  An
+    exhausted search is a ContractError, and so is an H whose size is not
+    q0^#positions: U_(>=2)^F is an affine space of that dimension over F_q0."""
+    F, n, q = G.field, G.n, G.field.q
     add, mul, neg = F.add, F.mul, F.neg
-    bar = [F.power(a, G.q0) for a in range(F.q)]
+    bar = [F.power(a, G.q0) for a in range(q)]
     weights = [k - 1 - 2 * i for k in mu for i in range(k)]
     positions = [(i, j) for i in range(n) for j in range(n) if weights[i] - weights[j] >= 2]
-    read = [i for i in range(n - 1) if weights[i] - weights[i + 1] == 2]
+    read = {(i, i + 1) for i in range(n - 1) if weights[i] - weights[i + 1] == 2}
     dim_g1 = sum(a - b == 1 for a in weights for b in weights)
+    G._conjugators()  # the closure first: the codes it reached are the members
 
     def first(candidates, what: str):
         for x in candidates:
             return x
-        raise ContractError(f"{G.name}: no {what} in F_{F.q}")
+        raise ContractError(f"{G.name}: no {what} in F_{q}")
 
     def herm(u, v) -> int:  # conjugate-linear in u
         acc = 0
@@ -607,12 +616,10 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[Mat, int], int]:
             acc = add[acc][mul[bar[a]][b]]
         return acc
 
-    def star(g: Mat) -> Mat:
-        return tuple(tuple(bar[x] for x in col) for col in zip(*g))
-
-    P = J = mat_identity(n)
+    codes = _concat([[G.encode(mat_identity(n))]] + [  # the candidates 1 + x
+        [v * q ** (n * n - 1 - i * n - j) for v in range(q)] for i, j in positions])
     if G.eps == -1:
-        delta = first((x for x in range(1, F.q) if add[x][bar[x]] == 0), "trace-zero element")
+        delta = first((x for x in range(1, q) if add[x][bar[x]] == 0), "trace-zero element")
         form = [[0] * n for _ in range(n)]
         start = 0
         for k in mu:
@@ -624,36 +631,31 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[Mat, int], int]:
         columns: list[tuple[int, ...]] = []
         for j in range(n):
             columns.append(first(
-                (v for v in itertools.product(range(F.q), repeat=n)
+                (v for v in itertools.product(range(q), repeat=n)
                  if herm(v, v) == J[j][j]
                  and all(herm(u, v) == J[i][j] for i, u in enumerate(columns))
                  and mat_rank(F, columns + [v]) == j + 1),
                 f"column {j} of a basis for the form {J}",
             ))
         P = tuple(zip(*columns))
-    P_inv = mat_inv(F, P)
-    if P_inv is None:
-        raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
+        P_inv = mat_inv(F, P)
+        if P_inv is None:
+            raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
+        for t in (P_inv, columns):  # u -> transpose(u*P^-1) -> P*u*P^-1; columns is P^T
+            codes = _read(G._stage(t, True, len(codes)), codes)
 
     degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
-    H: dict[Mat, int] = {}
-    for vals in itertools.product(range(F.q), repeat=len(positions)):
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, vals):
-            rows[i][j] = v
-        u = tuple(map(tuple, rows))
-        if G.eps == -1 and mat_mul(F, mat_mul(F, star(u), J), u) != J:
-            continue
-        s = 0
-        for i in read:
-            s = add[s][u[i][i + 1]]
-        H[mat_mul(F, mat_mul(F, P, u), P_inv)] = F.abs_trace(s, degree)
+    sums = _sums(F, [range(q) if x in read else [0] * q for x in positions])
+    H = {c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._members.get(c)}
+    if len(H) != G.q0 ** len(positions):
+        raise ContractError(f"{G.name}: U_(>=2) for mu = {tuple(mu)} has {len(H)} elements, "
+                            f"not {G.q0}^{len(positions)} = {G.q0 ** len(positions)}")
     return H, dim_g1
 
 
-def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
-    """<Ind_H^G psi, Ind_H^G psi> for a subgroup H of G given as a map
-    h -> k with psi(h) = zeta_p^k, in integers.
+def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
+    """<Ind_H^G psi, Ind_H^G psi> for a subgroup H of G given as a map from
+    the code of each h to k with psi(h) = zeta_p^k, in integers.
 
     On the class C of g the induced character is |C_G(g)| / |H| * S_C, with
     S_C the sum of psi over H intersect C.  Let a_k count the h there with
@@ -668,7 +670,7 @@ def _induced_inner(G: OracleGroup, H: dict[Mat, int]) -> int:
     and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
     counts: dict[int, list[int]] = {}
-    for k, idx in zip(H.values(), G._split(map(G.encode, H), "Whittaker element")):
+    for k, idx in zip(H.values(), G._split(H, "Whittaker element")):
         counts.setdefault(idx, [0] * p)[k % p] += 1
     total = 0
     for idx, a in counts.items():
@@ -733,7 +735,6 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
 
     check("group_order", group_order(n, eps)(q0), G.order)
-    G._conjugators()  # the closure first: a faulty field shows as a product outside G
     top = kawanaka_datum(G, Partition((n,)))  # H is Sylow: it meets every unipotent class
     uni = G.unipotent_classes(top[0])
     parts = partitions_of(n)

@@ -114,6 +114,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, )[0] == 2
 
 
+def test_sample_that_is_no_prime_power_exits_2(capsys):
+    # the library checks the samples; the command maps its ValueError to exit 2
+    assert run(capsys, "verify", "--n", "2", "--q-samples", "2,6") == (
+        2, "", "gggr: 6 is not a prime power\n"
+    )
+    # the cap is checked before the samples
+    code, out, err = run(capsys, "verify", "--n", "9", "--q-samples", "6")
+    assert code == 3 and out == "" and err.startswith("gggr: cap exceeded: ")
+
+
 def test_empty_sample_list_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--q-samples", "")
     assert code == 2 and out == ""
@@ -248,7 +258,7 @@ def test_startup_loads_no_dataclasses_or_inspect():
 
 def test_symbolic_commands_leave_the_oracle_unloaded():
     """Only `oracle` loads the oracle module; the symbolic commands, the
-    prime-power check of --q-samples included, run without it."""
+    prime-power check of the --q-samples values included, run without it."""
     script = (
         "import contextlib, io, sys\n"
         "from gggr.cli import main\n"

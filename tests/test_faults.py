@@ -378,14 +378,20 @@ def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
 
 
 def test_whittaker_element_outside_the_split_fails():
-    # elements are looked up by code among the codes that the closure reached
+    # elements are looked up by code among the codes that the closure reached:
+    # without the identity the datum is one element short, and a datum built
+    # before holds an element that the split refuses
     G = oracle.enumerate_group(2, 1, 4)
     G.classes()
+    H, _ = oracle.kawanaka_datum(G, P((2,)))
     del G._members[G.encode(oracle.mat_identity(2))]
+    message = "GL2(F4): U_(>=2) for mu = (2,) has 3 elements, not 4^1 = 4"
+    with pytest.raises(ContractError, match=re.escape(message)):
+        oracle.gelfand_graev_inner(G)
     with pytest.raises(
         ContractError, match=re.escape("Whittaker element ((1, 0), (0, 1)) is not in the group")
     ):
-        oracle.gelfand_graev_inner(G)
+        oracle._induced_inner(G, H)
 
 
 def drop_element(enumerate_group, which):
@@ -433,7 +439,7 @@ def drop_seed_class(unipotent_classes, parts):
     ``parts`` left out, so the split never meets their class."""
 
     def dropped(G, seeds=None):
-        return unipotent_classes(G, [h for h in seeds if G.jordan_type(h) != parts])
+        return unipotent_classes(G, [h for h in seeds if G.jordan_type(G.decode(h)) != parts])
 
     return dropped
 
@@ -456,6 +462,31 @@ def test_dropped_seed_class_fails_the_class_counts(monkeypatch, capsys):
     assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
         GL3_F2_DROPPED_CLASS
     )
+
+
+def forget_member(conjugators):
+    """``OracleGroup._conjugators`` that then forgets ((1, 1), (0, 1)), an
+    element of U in every GL2: the datum for mu = (2) is one element short."""
+
+    def forgetting(G):
+        out = conjugators(G)
+        G._members.pop(G.encode(((1, 1), (0, 1))), None)
+        return out
+
+    return forgetting
+
+
+GL2_F3_SHORT_DATUM = "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3"
+
+
+def test_datum_short_of_an_element_fails_the_size_check(monkeypatch, capsys):
+    # |U_(>=2)^F| = q0^#positions, checked as a count of the kept candidates
+    monkeypatch.setattr(oracle.OracleGroup, "_conjugators",
+                        forget_member(oracle.OracleGroup._conjugators))
+    with pytest.raises(ContractError, match=re.escape(GL2_F3_SHORT_DATUM)):
+        oracle.oracle_report(2, 1, 3)
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_SHORT_DATUM}\n")
 
 
 def leave_the_group(conjugators):
@@ -800,6 +831,20 @@ def test_dropped_seed_class_survives_python_O():
     assert [row for row in done.stdout.splitlines(True) if row.endswith(",False\n")] == (
         GL3_F2_DROPPED_CLASS
     )
+
+
+def test_datum_size_check_survives_python_O():
+    script = inspect.getsource(forget_member) + (
+        "import gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "G = gggr.oracle.OracleGroup\n"
+        "G._conjugators = forget_member(G._conjugators)\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {GL2_F3_SHORT_DATUM}\n"
 
 
 def test_conjugation_check_survives_python_O():

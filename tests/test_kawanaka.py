@@ -166,6 +166,13 @@ def test_verify_refuses_a_sample_that_is_no_prime_power(q0):
             verify_theorem(3, eps, q_samples=(2, q0))
 
 
+def test_verify_refuses_an_empty_sample_list():
+    """With no sample the positive-integer condition would check nothing."""
+    for eps in (1, -1):
+        with pytest.raises(ValueError, match="^no q sample to check$"):
+            verify_theorem(3, eps, q_samples=())
+
+
 def reference_gamma(mu, la, eps):
     """gamma_mu(la) as the per-rho sum of Fraction-weighted polynomial
     products that the batched integer kernel replaces, with schoolbook

@@ -469,11 +469,110 @@ def test_seeds_must_be_unipotent_elements():
     g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
     message = f"GL2(F3): the class of {g} is not unipotent"
     with pytest.raises(ContractError, match=re.escape(message)):
-        G.unipotent_classes([mat_identity(2), g])
+        G.unipotent_classes([G.encode(mat_identity(2)), G.encode(g)])
     singular = ((1, 1), (1, 1))
     message = f"GL2(F3): seed {singular} is not in the group"
     with pytest.raises(ContractError, match=re.escape(message)):
-        G.unipotent_classes([singular])
+        G.unipotent_classes([G.encode(singular)])
+
+
+def reference_datum(G, mu):
+    """Kawanaka's datum of mu matrix by matrix, as a map h -> k: each 1 + x
+    is built row by row, kept for GU when (1 + x)^* J (1 + x) = J, and
+    carried into G as P (1 + x) P^-1 (P = 1 for GL), with J and P found by
+    the same searches as kawanaka_datum."""
+    F, n = G.field, G.n
+    add, mul, neg = F.add, F.mul, F.neg
+    bar = [F.power(a, G.q0) for a in range(F.q)]
+    weights = [k - 1 - 2 * i for k in mu for i in range(k)]
+    positions = [(i, j) for i in range(n) for j in range(n) if weights[i] - weights[j] >= 2]
+    read = [i for i in range(n - 1) if weights[i] - weights[i + 1] == 2]
+
+    def herm(u, v):  # conjugate-linear in u
+        acc = 0
+        for a, b in zip(u, v):
+            acc = add[acc][mul[bar[a]][b]]
+        return acc
+
+    def star(g):
+        return tuple(tuple(bar[x] for x in col) for col in zip(*g))
+
+    P = J = mat_identity(n)
+    if G.eps == -1:
+        delta = next(x for x in range(1, F.q) if add[x][bar[x]] == 0)
+        form = [[0] * n for _ in range(n)]
+        start = 0
+        for k in mu:
+            c = 1 if k % 2 else delta
+            for i in range(k):
+                form[start + i][start + k - 1 - i] = neg[c] if i % 2 else c
+            start += k
+        J = tuple(map(tuple, form))
+        columns = []
+        for j in range(n):
+            columns.append(next(
+                v for v in itertools.product(range(F.q), repeat=n)
+                if herm(v, v) == J[j][j]
+                and all(herm(u, v) == J[i][j] for i, u in enumerate(columns))
+                and mat_rank(F, columns + [v]) == j + 1
+            ))
+        P = tuple(zip(*columns))
+    P_inv = mat_inv(F, P)
+    degree = F.e if G.eps == 1 else F.e // 2
+    H = {}
+    for vals in itertools.product(range(F.q), repeat=len(positions)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(positions, vals):
+            rows[i][j] = v
+        u = tuple(map(tuple, rows))
+        if G.eps == -1 and mat_mul(F, mat_mul(F, star(u), J), u) != J:
+            continue
+        s = 0
+        for i in read:
+            s = add[s][u[i][i + 1]]
+        H[mat_mul(F, mat_mul(F, P, u), P_inv)] = F.abs_trace(s, degree)
+    return H
+
+
+@pytest.mark.parametrize(
+    "n, eps, q0",
+    [(2, 1, 3), (3, 1, 2), (4, 1, 2), (2, -1, 3), (3, -1, 2), (2, -1, 4), (3, -1, 3),
+     (4, -1, 2)],
+)
+def test_datum_on_codes_matches_the_matrix_datum(n, eps, q0):
+    # the same elements with the same exponents, in the same order
+    G = enumerate_group(n, eps, q0)
+    for mu in partitions_of(n):
+        H, _ = kawanaka_datum(G, mu)
+        assert [(G.decode(h), k) for h, k in H.items()] == list(reference_datum(G, mu).items())
+
+
+def test_report_makes_no_matrix_per_element(monkeypatch):
+    # GL4(2): matrices are multiplied only for the Jordan type of each class
+    # split, n products each, and encoded only for the closure's identity, each
+    # generator's inverse and each datum's identity
+    groups, calls = [], {"mat_mul": 0, "encode": 0}
+    times, encode = oracle.mat_mul, oracle.OracleGroup.encode
+
+    def enumerate_kept(n, eps, q0):
+        groups.append(enumerate_group(n, eps, q0))
+        return groups[-1]
+
+    def counted_mul(F, A, B):
+        calls["mat_mul"] += 1
+        return times(F, A, B)
+
+    def counted_encode(G, g):
+        calls["encode"] += 1
+        return encode(G, g)
+
+    monkeypatch.setattr(oracle, "enumerate_group", enumerate_kept)
+    monkeypatch.setattr(oracle, "mat_mul", counted_mul)
+    monkeypatch.setattr(oracle.OracleGroup, "encode", counted_encode)
+    assert oracle_report(4, 1, 2)["pass"]
+    G = groups[-1]
+    assert calls["mat_mul"] <= 4 * len(G._classes)
+    assert calls["encode"] <= 1 + len(G._conj) + len(partitions_of(4))
 
 
 def mackey_inner(G, H):
@@ -504,6 +603,7 @@ def test_inner_products_match_mackey_double_cosets(n, eps, q0):
     G = enumerate_group(n, eps, q0)
     for mu in partitions_of(n):
         H, dim_g1 = kawanaka_datum(G, mu)
+        H = {G.decode(h): k for h, k in H.items()}
         expected = endo_dim(mu, eps)(q0) * q0**dim_g1
         assert gggr_inner(G, mu) == (mackey_inner(G, H), dim_g1) == (expected, dim_g1), mu
     assert regular_rep_inner(G) == mackey_inner(G, {mat_identity(n): 0}) == G.order
