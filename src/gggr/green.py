@@ -83,7 +83,7 @@ class GreenTable(NamedTuple):
             for la in self.order:
                 poly = self.entries[(rho, la)]
                 if eps is not None:
-                    poly = RationalPoly(signed(poly.coeffs, eps), "q")
+                    poly = RationalPoly(signed(poly.nums, eps), "q", poly.den)
                 cols.append({"lambda": la.to_json(), "poly": poly_to_json(poly)})
             rows.append({"rho": rho.to_json(), "cols": cols})
         out = {"n": self.n}

@@ -19,7 +19,8 @@ is integer-valued at every prime power, so dividing the numerator polynomial
 by |G| must leave remainder zero; the quotient is the dimension of the
 endomorphism algebra of the underlying representation as a polynomial in q.
 The main verification target: that quotient is monic of degree
-n + 2*n_stat(mu), the centralizer dimension of the class.
+n + 2*n_stat(mu), the centralizer dimension of the class.  n! * gamma_mu
+and (n!)^2 * endo_dim are computed over Z[q] and returned over n! and (n!)^2.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
 def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> RationalPoly:
     n = sum(mu_t)
     g = _gamma_row(mu_t, eps)[partitions_of(n).index(la_t)]
-    return RationalPoly([Fraction(c, factorial(n)) for c in g], "q")
+    return RationalPoly(g, "q", factorial(n))
 
 
 class GGGRCharacter(NamedTuple):
@@ -150,8 +151,7 @@ def endo_dim(mu: Partition, eps: int) -> RationalPoly:
     """dim End of the generalised Gelfand-Graev representation attached to
     mu: the exact quotient of sum_la |class la| gamma_mu(la)^2 by |G|."""
     check_eps(eps)
-    square = factorial(mu.n) ** 2
-    return RationalPoly([Fraction(c, square) for c in _endo_dim(tuple(mu), eps)], "q")
+    return RationalPoly(_endo_dim(tuple(mu), eps), "q", factorial(mu.n) ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +181,7 @@ def _endo_dim(mu_t: tuple[int, ...], eps: int) -> IntPoly:
 class MuResult(NamedTuple):
     """Verification record for one unipotent type.  ``bad_sample`` is the
     first sample q0 at which endo_dim is not a positive integer, with its
-    value there."""
+    value there; ``error`` is why endo_dim is not a polynomial."""
 
     mu: Partition
     poly: Optional[RationalPoly]
@@ -190,12 +190,13 @@ class MuResult(NamedTuple):
     monic: bool
     polynomial: bool
     bad_sample: Optional[tuple[int, Fraction]] = None
+    error: Optional[ContractError] = None
 
     @property
     def failure(self) -> Optional[str]:
         """The first condition that fails, or None."""
         if not self.polynomial:
-            return "division"
+            return "division" if isinstance(self.error, NonExactDivisionError) else "contract"
         if not self.monic:
             return "monic"
         if self.degree != self.target_degree:
@@ -221,6 +222,8 @@ class MuResult(NamedTuple):
         failure = self.failure
         if failure is not None:
             doc["witness"] = {"condition": failure}
+            if self.error is not None:
+                doc["witness"]["error"] = str(self.error)
             if failure == "sample":
                 q0, value = self.bad_sample
                 doc["witness"].update(q=q0, value=[value.numerator, value.denominator])
@@ -249,18 +252,10 @@ def _mu_result(mu: Partition, eps: int, samples: tuple[int, ...]) -> MuResult:
     target = centralizer_dim(mu)
     try:
         poly = endo_dim(mu, eps)
-    except ContractError:
-        return MuResult(mu, None, None, target, False, False)
-    # each sample is checked on the integer (n!)^2 * endo_dim, which endo_dim cached
-    scaled, square = _endo_dim(tuple(mu), eps), factorial(mu.n) ** 2
-    bad = next(
-        (
-            (q0, Fraction(v, square))
-            for q0 in samples
-            if (v := evaluate(scaled, q0)) <= 0 or v % square
-        ),
-        None,
-    )
+    except ContractError as exc:
+        return MuResult(mu, None, None, target, False, False, error=exc)
+    values = ((q0, evaluate(poly.nums, q0)) for q0 in samples)
+    bad = next(((q0, Fraction(v, poly.den)) for q0, v in values if v <= 0 or v % poly.den), None)
     return MuResult(mu, poly, poly.degree, target, poly.is_monic(), True, bad)
 
 

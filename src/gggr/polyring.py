@@ -1,71 +1,73 @@
 """Exact univariate polynomials: the package's one public polynomial type.
 
 Everything the package returns (Green polynomials, character values, order
-formulas, endomorphism dimensions) is a `RationalPoly` with
-`fractions.Fraction` coefficients — no floats anywhere, and no negative
-powers: every such quantity is a genuine polynomial.  Its variable name is a
-tag for the wire format and for printing; two appear in practice:
-
-* ``t`` — the Hall–Littlewood / Green polynomial variable,
-* ``q`` — the field-size variable of the finite groups of Lie type.
+formulas, endomorphism dimensions) is a `RationalPoly`: integer numerators
+over one positive denominator, with no floats and no negative powers.  Its
+variable is a tag for the wire format and for printing: ``t`` for the
+Hall–Littlewood / Green variable, ``q`` for the field size.
 
 A `RationalPoly` is a value: it has no arithmetic.  The pipeline computes on
-integer coefficient tuples in `intpoly` and wraps only its results.
+integer tuples in `intpoly` and wraps only its results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Sequence
 
-from .intpoly import evaluate
-
-Scalar = Union[int, Fraction]
+from .intpoly import IntPoly, evaluate, trim
 
 
 class RationalPoly:
-    """Dense polynomial over Q.  ``coeffs[k]`` is the coefficient of x^k;
-    the zero polynomial has an empty coefficient tuple."""
+    """The coefficient of x^k is ``nums[k] / den``, with no trailing zeros,
+    ``den`` > 0 and the pair reduced by its gcd; zero is ``()`` over 1."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("nums", "den", "var")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "t"):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    def __init__(self, nums: Sequence[int] = (), var: str = "t", den: int = 1):
+        if not all(isinstance(c, int) for c in (den, *nums)):
+            raise TypeError(f"not integers: {nums!r} / {den!r}")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        nums = trim(nums)
+        g = gcd(den, *nums)
+        self.nums: IntPoly = tuple(c // g for c in nums) if g > 1 else nums
+        self.den = den // g
         self.var = var
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as fractions, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalPoly)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
+        key = (self.var, self.nums, self.den)
+        return isinstance(other, RationalPoly) and key == (other.var, other.nums, other.den)
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"RationalPoly({pretty(self)!r})"
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point."""
-        return Fraction(evaluate(self.coeffs, x))
+        return Fraction(evaluate(self.nums, x), self.den)
 
 
 # -- serialization ----------------------------------------------------
@@ -74,21 +76,24 @@ class RationalPoly:
 def poly_to_json(f: RationalPoly) -> dict:
     """Wire format: {"var": ..., "val": v, "coeffs": [[num, den], ...]} where v
     is the lowest exponent with a nonzero coefficient (0 for the zero
-    polynomial) and the coefficients run from x^v upwards as decimal strings."""
-    val = next((k for k, c in enumerate(f.coeffs) if c), 0)
-    return {
-        "var": f.var,
-        "val": val,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in f.coeffs[val:]],
-    }
+    polynomial) and the reduced coefficients run from x^v upwards as decimal
+    strings."""
+    val = next((k for k, c in enumerate(f.nums) if c), 0)
+    pairs = ((c, gcd(c, f.den)) for c in f.nums[val:])
+    return {"var": f.var, "val": val, "coeffs": [[str(c // g), str(f.den // g)] for c, g in pairs]}
 
 
 def poly_from_json(data: dict) -> RationalPoly:
     val = int(data["val"])
     if val < 0:
         raise ValueError(f"negative valuation {val}: not a polynomial")
-    coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-    return RationalPoly([0] * val + coeffs, data["var"])
+    pairs = [(int(num), int(den)) for num, den in data["coeffs"]]
+    for k, (num, den) in enumerate(pairs, val):
+        if not den:
+            raise ValueError(f"zero denominator in {num}/0 {data['var']}^{k}")
+    common = lcm(*(den for _, den in pairs))
+    nums = [0] * val + [num * (common // den) for num, den in pairs]
+    return RationalPoly(nums, data["var"], common)
 
 
 def pretty(f: RationalPoly, var: str | None = None) -> str:
@@ -96,21 +101,10 @@ def pretty(f: RationalPoly, var: str | None = None) -> str:
     if f.is_zero():
         return "0"
     var = var or f.var
-    pieces: list[tuple[str, str]] = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            pw = var if k == 1 else f"{var}^{k}"
-            body = pw if mag == 1 else f"{mag}{pw}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    out = ""
+    for k, c in reversed(list(enumerate(f.coeffs))):
+        if c:
+            pw = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            mag = "" if abs(c) == 1 and pw else str(abs(c))
+            out += (" - " if c < 0 else " + ") + mag + pw
+    return out[3:] if out[1] == "+" else "-" + out[3:]

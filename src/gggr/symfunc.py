@@ -177,10 +177,7 @@ def x_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     times the Kostka-Foulkes matrix."""
     parts = partitions_of(n)
     chi = [[trim((mn_character(mu, rho),)) for rho in parts] for mu in parts]
-    kostka = [
-        [tuple(c.numerator for c in kostka_foulkes(mu, la).coeffs) for la in parts]
-        for mu in parts
-    ]
+    kostka = [[kostka_foulkes(mu, la).nums for la in parts] for mu in parts]
     return tuple(map(tuple, bilinear(chi, [(1,)] * len(parts), kostka)))
 
 

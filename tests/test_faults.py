@@ -83,20 +83,28 @@ def test_every_cache_is_cleared_around_an_injection():
     assert defined == set(CACHES)
 
 
-def all_fail(report):
-    """Every record fails because endo_dim is not a polynomial."""
+def all_fail(report, condition, error):
+    """Every record fails because endo_dim is not a polynomial, with a witness
+    that names ``condition`` and an error message that matches ``error``."""
     return not report.passed and all(
-        not r.passed and r.poly is None and r.to_json()["witness"] == {"condition": "division"}
+        not r.passed
+        and r.poly is None
+        and (witness := r.to_json()["witness"]).keys() == {"condition", "error"}
+        and witness["condition"] == condition
+        and re.fullmatch(error, witness["error"])
         for r in report.results
     )
+
+
+NOT_INTEGRAL = r"gamma_\(.*\)\(\(3,\)\) is not integral at q = [23]: -?\d+/3"
 
 
 def test_green_coefficient_fails_gamma_integrality(inject):
     inject(kawanaka, "green_matrix", perturbed_green)
     with pytest.raises(ContractError, match=r"gamma_\(3,\)\(\(3,\)\) is not integral at q = 2"):
         gggr_value(P((3,)), P((3,)), 1)
-    assert all_fail(verify_theorem(3, 1))
-    assert all_fail(verify_theorem(3, -1))
+    assert all_fail(verify_theorem(3, 1), "contract", NOT_INTEGRAL)
+    assert all_fail(verify_theorem(3, -1), "contract", NOT_INTEGRAL)
 
 
 def test_green_coefficient_fails_verify_command(inject, capsys):
@@ -163,7 +171,9 @@ def test_class_size_fails_exact_division(inject):
     report = verify_theorem(3, 1)
     assert not report.passed
     assert report.results[0].poly is None and not report.results[0].passed
-    assert report.results[0].failure == "division"
+    witness = report.results[0].to_json()["witness"]
+    assert witness["condition"] == "division"
+    assert witness["error"].startswith("sum_la |class la| gamma_(3,)(la)^2 is not divisible by |G|")
 
 
 def test_green_negative_power_is_typed(inject):
@@ -174,7 +184,8 @@ def test_green_negative_power_is_typed(inject):
     inject(green, "x_matrix", x_too_long)
     with pytest.raises(ContractError, match="negative powers"):
         green.green_matrix(3)
-    assert all_fail(verify_theorem(3, 1))
+    negative = re.escape("Green polynomial Q_(3,)^(3,) has negative powers: deg X = 1 > n(la) = 0")
+    assert all_fail(verify_theorem(3, 1), "contract", negative)
 
 
 def test_centralizer_negative_power_is_typed(inject):
@@ -182,10 +193,11 @@ def test_centralizer_negative_power_is_typed(inject):
     inject(grouporders, "conjugate", lambda la: la)
     with pytest.raises(ContractError, match="negative power"):
         grouporders.unipotent_centralizer_order(P((1, 1, 1)), 1)
+    # verify meets the class size of (3), which the same fault makes inexact,
+    # before the centralizer of (1, 1, 1)
     report = verify_theorem(3, 1)
-    assert not report.passed
-    assert report.results[-1].poly is None
-    assert report.results[-1].to_json()["witness"] == {"condition": "division"}
+    remainder = re.escape("class size for (3,) left remainder (0, 0, 0, -1, 1, 1, 0, -1)")
+    assert all_fail(report, "division", remainder)
 
 
 def test_non_monic_centralizer_fails_verify_command(inject, capsys):
@@ -199,7 +211,7 @@ def test_non_monic_centralizer_fails_verify_command(inject, capsys):
     )
     with pytest.raises(ContractError, match="^divisor must be monic$"):
         grouporders.class_size(P((2, 1)), 1)
-    assert all_fail(verify_theorem(3, 1))
+    assert all_fail(verify_theorem(3, 1), "contract", "divisor must be monic")
     assert main(["verify", "--n", "3", "--format", "pretty"]) == 1
     out, err = capsys.readouterr()
     assert err == ""

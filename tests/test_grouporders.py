@@ -70,7 +70,7 @@ def test_torus_order_via_e_poly():
             assert e == RationalPoly(reduce(schoolbook, factors, (1,)), "t")
             assert e.degree == n
             for eps in (1, -1):
-                e_at = [c * eps**k for k, c in enumerate(e.coeffs)]
+                e_at = [c * eps**k for k, c in enumerate(e.nums)]
                 assert Q(*e_at[::-1]) == torus_order(rho, eps)
 
 
@@ -131,7 +131,7 @@ def test_steinberg_count():
     # unipotent elements number q^(n(n-1)), for both twists
     for n in range(1, 6):
         for eps in (1, -1):
-            total = reduce(add, (class_size(la, eps).coeffs for la in partitions_of(n)), ())
+            total = reduce(add, (class_size(la, eps).nums for la in partitions_of(n)), ())
             assert Q(*total) == Q(*(0,) * (n * (n - 1)), 1)
 
 

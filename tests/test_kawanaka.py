@@ -4,6 +4,7 @@ polynomials built from them."""
 import json
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -56,7 +57,7 @@ def test_character_degree_is_prime_to_p_part():
         for eps in (1, -1):
             v = gggr_value(P((n,)), P((1,) * n), eps)
             top = (0,) * (n * (n - 1) // 2)
-            assert Q(*top, *v.coeffs) == group_order(n, eps)
+            assert RationalPoly(top + v.nums, "q", v.den) == group_order(n, eps)
 
 
 def test_trivial_mu_is_regular_representation():
@@ -191,7 +192,8 @@ def reference_gamma(mu, la, eps):
         x_at = at_eps_q(x_poly(rho, mu))
         q_at = at_eps_q(green_poly(rho, la))
         acc = add(acc, schoolbook(schoolbook(torus, x_at), q_at))
-    return Q(*(eps ** (n_stat(mu) % 2) * c for c in acc))
+    den = lcm(*(c.denominator for c in acc))
+    return RationalPoly([int(eps ** (n_stat(mu) % 2) * c * den) for c in acc], "q", den)
 
 
 def test_batched_gamma_matches_per_rho_sum():
