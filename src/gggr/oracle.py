@@ -2,7 +2,7 @@
 
 Everything symbolic in this package ultimately claims to predict honest
 finite-group quantities.  This module checks a handful of them the hard way:
-enumerate GL_n(q0) or GU_n(q0) as explicit matrices, split it into conjugacy
+enumerate GL_n(q0) or GU_n(q0) as explicit matrices, split off the unipotent
 classes, read off Jordan types, and compute the inner products of
 generalised Gelfand-Graev characters as integer sums over the classes.
 Nothing here touches the symbolic pipeline except the final comparisons.
@@ -12,14 +12,24 @@ from candidate vectors that narrow as rows are picked: for GL_n the vectors
 outside the span of the rows before it, for GU_n the unit vectors orthogonal
 to them.  An element is held as an integer code, its row codes concatenated
 with the first row most significant, where a row's code is its index in the
-lexicographic order of vectors.  The codes come out strictly increasing, and
-a matrix is decoded only where one is needed.  A generating set is found and
-checked by closure; products by it and conjugation by each generator are read
-off the codes by tables, and a class is the breadth-first orbit of a seed (the
-standard orbit algorithm; Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, section 4.1).  oracle_report seeds it with the codes of U, which
-meets every unipotent class and no other, and its class checks certify that
-each was met.
+lexicographic order of vectors.  The codes come out strictly increasing,
+membership is being one of them, and a matrix is decoded only where one is
+needed.  Products and conjugations are read off the codes by tables, and an
+orbit grows breadth first from a seed (the standard orbit algorithm; Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+
+oracle_report certifies its unipotent classes without a generating set.  It
+seeds them with the codes of U, which meets every unipotent class and no
+other, and takes conjugators one at a time until the seeds' orbits have
+pairwise distinct Jordan types and hold q0^(n(n-1)) elements.  Each orbit
+lies in one class, conjugation keeps the Jordan type, and a unipotent class
+is its Jordan type; so the orbits lie in distinct classes, which hold
+q0^(n(n-1)) elements in all (Steinberg), and each orbit is its whole class,
+whether or not the conjugators generate G.  This trusts the construction of
+the codes (each is an element of G) and the check of |G|.  That the codes
+are closed under products is checked by the closure of a generating set:
+classes() runs it, and the report only where the certificate does not hold,
+and then its orbits are the classes that the report's checks judge.
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -46,8 +56,8 @@ Gelfand-Graev character and mu = (1^n) the regular one.
 from __future__ import annotations
 
 import itertools
-from array import array
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -56,9 +66,10 @@ from .grouporders import check_eps, is_prime_power
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (~0.3-0.4 s and ~39 MiB peak for its report in process,
-#: 2 cores, Python 3.11), and refuses the next supported groups, GU_3(4) with
-#: 312 000 and GL_3(5) with 1 488 000 elements.
+#: 181 440 elements (its report ~0.04-0.07 s and ~24 MiB peak in process, 2
+#: cores, Python 3.11; ~1 s and ~48 MiB where the certificate does not hold
+#: and the closure decides), and refuses GU_3(4), with 312 000 (~0.7 s and
+#: ~40 MiB to enumerate), and GL_3(5), with 1 488 000.
 ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
@@ -274,10 +285,20 @@ class OracleGroup:
         self.n, self.eps, self.q0 = n, eps, q0
         self.field = field  # entries live here: F_q0 for GL, F_{q0^2} for GU
         self.codes = codes  # e -> the code of g_e, increasing
-        self._members: Optional[dict[int, bool]] = None  # code -> reached, from the closure
-        self._conj: Optional[list] = None  # the stages of each generator's conjugation
-        self._class_of: dict[int, int] = {}  # code -> its class, for each code split so far
+        self._restart([])
+
+    def _restart(self, conj: list) -> None:
+        """An empty split, closed under the conjugations ``conj``."""
+        self._conj = conj
+        self._class_of: dict[int, int] = {}  # code -> its orbit, for each code split
+        self._orbits: list[list[int]] = []  # the codes of each orbit, [] once merged
         self._classes: list[ConjClass] = []
+        self._final = False  # once set, no seed may start an orbit
+
+    def _member(self, code: int) -> bool:
+        """Whether ``code`` is enumerated, by bisection of the increasing codes."""
+        i = bisect_left(self.codes, code)
+        return i < len(self.codes) and self.codes[i] == code
 
     @property
     def order(self) -> int:
@@ -310,10 +331,12 @@ class OracleGroup:
     # -- conjugacy ------------------------------------------------------
 
     def classes(self) -> list[ConjClass]:
-        """Every class, in the order of their smallest codes."""
+        """Every class, in the order of their smallest codes: the orbits under
+        the generators of _closure."""
         if len(self._class_of) < self.order:  # afresh, after any seeded split
-            self._class_of, self._classes = {}, []
+            self._restart(self._closure())
             self._split(self.codes)
+            self._seal({})
         return self._classes
 
     def class_index(self) -> dict[Mat, int]:
@@ -341,92 +364,146 @@ class OracleGroup:
         k = (n + 1) // 2 if n * w ** ((n + 1) // 2) <= reads else 1
         return [(w ** max(n - top - k, 0), _concat(parts[top : top + k])) for top in range(0, n, k)]
 
-    def _conjugators(self) -> list:
-        """A generating set checked by closure, and h -> s^-1*h*s on codes for
-        each generator s: g -> transpose(g*s) -> transpose(transpose(g*s)*s')
-        with s' = transpose(s^-1), two _stage maps sized for unipotent codes.
-        The first element, then each from the last back (dense matrices
-        generate more), not yet reached becomes a generator t; R_t is applied
-        to all reached so far, then new ones are searched with every generator,
-        so each product is read once, on codes, and must be enumerated."""
-        if self._conj is not None:
-            return self._conj
-        F, n, codes = self.field, self.n, self.codes
-        self._members = members = dict.fromkeys(codes, False)
-        start = self.encode(mat_identity(n))
-        if start not in members:
+    def _candidates(self) -> Iterator[int]:
+        """Conjugators to try: the first code, then each from the last back
+        (dense matrices generate more)."""
+        codes = self.codes
+        return (codes[i] for i in itertools.chain((0,), range(len(codes) - 1, 0, -1)))
+
+    def _conjugation(self, s: Mat) -> list:
+        """h -> s^-1*h*s on codes, once s^-1 is checked to be enumerated and
+        the inverse: g -> transpose(g*s) -> transpose(transpose(g*s)*s'), s' =
+        transpose(s^-1), two _stage maps sized for unipotent codes."""
+        F, n = self.field, self.n
+        s_inv = mat_inv(F, s)
+        if s_inv is None:
+            raise ContractError(f"{self.name}: an enumerated element is singular")
+        if not self._member(self.encode(s_inv)):
+            raise ContractError(f"{self.name}: the inverse {s_inv} of {s} "
+                                "is not an enumerated element")
+        if mat_mul(F, s, s_inv) != mat_identity(n):
+            raise ContractError(f"{self.name}: {s_inv} is not the inverse of {s}")
+        return [self._stage(m, True, self.q0 ** (n * n - n)) for m in (s, tuple(zip(*s_inv)))]
+
+    def _closure(self) -> list:
+        """The conjugations of a generating set checked by closure: each
+        candidate not yet reached from the identity becomes a generator t, the
+        reached codes are closed under each g -> g*t, and they must be all."""
+        start = self.encode(mat_identity(self.n))
+        if not self._member(start):
             raise ContractError(f"{self.name}: the identity is not an enumerated element")
-        members[start] = True
-        generators: list[tuple[Mat, Mat]] = []  # (t, t^-1)
-        tables = []  # R_t for each generator t, as _stage tables
-        order = array("q", [start])  # the reached codes, breadth first
-        for i in itertools.chain((0,), range(len(codes) - 1, 0, -1)):
-            if members[codes[i]]:
-                continue
-            t = self.decode(codes[i])
-            t_inv = mat_inv(F, t)
-            if t_inv is None:
-                raise ContractError(f"{self.name}: an enumerated element is singular")
-            generators.append((t, t_inv))
-            tables.append(self._stage(t, False, len(codes)))
-            old, pos = len(order), 0
-            while pos < len(order):  # 1024 codes at a time, to bound the products held
-                using = tables[-1:] if pos < old else tables
-                window = order[pos : min(pos + 1024, old) if pos < old else pos + 1024]
-                products = [c for cs in zip(*[_read(times, window) for times in using]) for c in cs]
-                reached = list(map(members.get, products))
-                if None in reached:  # the first product outside G, in the order of the search
-                    at, width = reached.index(None), len(using)
-                    t = generators[at % width - width][0]
-                    h = mat_mul(F, self.decode(window[at // width]), t)
-                    raise ContractError(
-                        f"{self.name}: the product {h} is not an enumerated element"
-                    )
-                new = list(dict.fromkeys([c for c, r in zip(products, reached) if not r]))
-                members.update(dict.fromkeys(new, True))
-                order.extend(new)
-                pos += len(window)
-        unipotent = self.q0 ** (n * n - n)
-        self._conj = []
-        for (s, s_inv), times_s in zip(generators, tables):
-            code = self.encode(s_inv)
-            if code not in members:
-                raise ContractError(f"{self.name}: the inverse {s_inv} of {s} "
-                                    "is not an enumerated element")
-            if _read(times_s, [code]) != [start]:
-                raise ContractError(f"{self.name}: {s_inv} is not the inverse of {s}")
-            self._conj.append([self._stage(m, True, unipotent) for m in (s, tuple(zip(*s_inv)))])
-        return self._conj
+        self._restart([])
+        self._class_of[start], self._orbits = 0, [[start]]
+        generators = []
+        for code in self._candidates():
+            if code not in self._class_of:
+                generators.append(self.decode(code))
+                self._conj.append([self._stage(generators[-1], False, self.order)])
+                self._close(list(self._class_of), self._conj[-1:], "product")
+        if len(self._class_of) < self.order:
+            raise ContractError(f"{self.name}: the generators reach {len(self._class_of)} of "
+                                f"{self.order} elements")
+        return [self._conjugation(t) for t in generators]
 
     def _split(self, seeds: Iterable[int], what: str = "element") -> list[int]:
-        """The class of each seed code, which must be enumerated.  A new class
-        is the breadth-first orbit of its seed under h -> s^-1*h*s for each
-        generator s, on enumerated codes; its rep is its smallest code."""
-        conjugators = self._conjugators()
-        members, class_of, classes = self._members, self._class_of, self._classes
+        """The orbit of each enumerated seed code; a new seed starts an orbit,
+        closed under the conjugations, unless the split is final."""
+        class_of, orbits = self._class_of, self._orbits
         out = []
         for seed in seeds:
-            if seed not in members:
+            if not self._member(seed):
                 raise ContractError(f"{self.name}: {what} {self.decode(seed)} is not in the group")
-            idx = class_of.get(seed)
-            if idx is None:
-                idx = class_of[seed] = len(classes)
-                orbit, done = [seed], 0
-                while done < len(orbit):  # a level of the search at a time
-                    level, done = orbit[done:], len(orbit)
-                    for first, second in conjugators:
-                        for h, c in zip(level, _read(second, _read(first, level))):
-                            if c not in class_of:
-                                if c not in members:
-                                    raise ContractError(
-                                        f"{self.name}: the conjugate {self.decode(c)} of "
-                                        f"{self.decode(h)} is not an enumerated element")
-                                class_of[c] = idx
-                                orbit.append(c)
-                rep = self.decode(min(orbit))
-                classes.append(ConjClass(rep, len(orbit), self.jordan_type(rep)))
-            out.append(idx)
+            if seed not in class_of:
+                if self._final:
+                    raise ContractError(f"{self.name}: {what} {self.decode(seed)} starts a class "
+                                        "outside the certified split")
+                class_of[seed] = len(orbits)
+                orbits.append([seed])
+                self._close([seed], self._conj)
+            out.append(class_of[seed])
         return out
+
+    def _close(self, codes: list[int], conj: list, what: str = "conjugate") -> None:
+        """Map ``codes`` by each of ``conj`` (lists of _stage maps), then each
+        new code by every map, until none is new.  An enumerated image joins
+        the orbit of its preimage, or merges the two orbits."""
+        class_of, orbits = self._class_of, self._orbits
+        while codes:
+            found = []
+            for stages in conj:
+                images = codes
+                for stage in stages:
+                    images = _read(stage, images)
+                for h, c in zip(codes, images):
+                    a, b = class_of[h], class_of.get(c)
+                    if b is None:
+                        if not self._member(c):
+                            raise ContractError(f"{self.name}: the {what} {self.decode(c)} of "
+                                                f"{self.decode(h)} is not an enumerated element")
+                        class_of[c] = a
+                        orbits[a].append(c)
+                        found.append(c)
+                    elif a != b:  # the larger orbit takes the smaller
+                        a, b = (a, b) if len(orbits[a]) >= len(orbits[b]) else (b, a)
+                        class_of.update(dict.fromkeys(orbits[b], a))
+                        orbits[a] += orbits[b]
+                        orbits[b] = []
+            codes, conj = found, self._conj
+
+    def _seal(self, types: dict) -> None:
+        """Make the orbits left by merging the classes, with the Jordan types
+        read so far (else off the reps), and the split final."""
+        live = [i for i, orbit in enumerate(self._orbits) if orbit]
+        if len(live) < len(self._orbits):
+            self._class_of = {c: k for k, i in enumerate(live) for c in self._orbits[i]}
+        self._classes = []
+        for i in live:
+            rep = self.decode(min(self._orbits[i]))
+            jordan = types[i] if types else self.jordan_type(rep)
+            self._classes.append(ConjClass(rep, len(self._orbits[i]), jordan))
+        self._final = True
+
+    def _distinct(self, types: dict) -> bool:
+        """Whether the orbits have pairwise distinct Jordan types, read into
+        ``types`` for each orbit not read yet; one not unipotent is a
+        ContractError."""
+        live = [i for i, orbit in enumerate(self._orbits) if orbit]
+        for i in live:
+            if i not in types:
+                rep = self.decode(min(self._orbits[i]))
+                types[i] = self.jordan_type(rep)
+                if types[i] is None:
+                    raise ContractError(f"{self.name}: the class of {rep} is not unipotent")
+        return len({types[i] for i in live}) == len(live)
+
+    def _certify(self, seeds: Iterable[int]) -> None:
+        """Split the seeds under conjugators from _candidates, one at a time,
+        until the orbits hold q0^(n(n-1)) elements with pairwise distinct
+        Jordan types.  The scan stops past q0^(n(n-1)) elements, or once the
+        conjugations have mapped |G| codes, what the closure maps per
+        generator; the seeds are then split afresh under the closure's
+        generators, whose orbits are the classes."""
+        self._restart([])
+        seeds, target, types, mapped = list(seeds), self.q0 ** (self.n * self.n - self.n), {}, 0
+        for code in self._candidates():
+            before = len(self._class_of), self._orbits.count([])
+            self._conj.append(self._conjugation(self.decode(code)))
+            self._close(list(self._class_of), self._conj[-1:])
+            self._split(seeds, "seed")
+            mapped += len(self._class_of)
+            after = len(self._class_of), self._orbits.count([])
+            if after[0] == target and self._distinct(types):
+                return self._seal(types)
+            if after == before:  # a conjugation that changes no orbit is not kept
+                self._conj.pop()
+            if after[0] > target or mapped > self.order:
+                break
+        self._restart(self._closure())
+        self._split(seeds, "seed")
+        types = {}
+        if not self._distinct(types):
+            raise ContractError(f"{self.name}: two classes of the seeds have one Jordan type")
+        self._seal(types)
 
     def jordan_type(self, g: Mat) -> Optional[Partition]:
         """Jordan type of a unipotent element (None if g is not unipotent),
@@ -447,22 +524,17 @@ class OracleGroup:
         return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
 
     def unipotent_classes(self, seeds: Optional[Iterable[int]] = None) -> dict:
-        """Unipotent classes by Jordan type: all, or those of the codes ``seeds``,
-        which must be unipotent elements."""
-        if seeds is None:
-            found = [cls for cls in self.classes() if cls.jordan is not None]
-        else:
-            ids = self._split(seeds, "seed")
-            found = [self._classes[idx] for idx in dict.fromkeys(ids)]
-        out = {}
-        for cls in found:
-            if cls.jordan is None:
-                raise ContractError(f"{self.name}: the class of {cls.rep} is not unipotent")
-            if cls.jordan in out:
-                raise ContractError(f"{self.name}: two unipotent classes of Jordan type "
-                                    f"{tuple(cls.jordan)}")
-            out[cls.jordan] = cls
-        return out
+        """The unipotent classes by Jordan type, certified on the split of the
+        codes ``seeds`` (by default H for mu = (n)), or of a final split."""
+        if not self._final:
+            top = Partition((self.n,))
+            self._certify(kawanaka_datum(self, top)[0] if seeds is None else seeds)
+        elif seeds is not None:
+            for idx in self._split(seeds, "seed"):
+                if self._classes[idx].jordan is None:
+                    rep = self._classes[idx].rep
+                    raise ContractError(f"{self.name}: the class of {rep} is not unipotent")
+        return {cls.jordan: cls for cls in self._classes if cls.jordan is not None}
 
 
 class _Decoded(Sequence):
@@ -589,13 +661,13 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     For GU each block of size k carries the Hermitian form that pairs e_i
     with e_(k-1-i), with entries +-1 for odd k and +-delta (delta +
     bar(delta) = 0) for even k, so that f is skew for it.  A candidate goes
-    into G as P (1 + x) P^-1, for P with P^* P = J, by two transposing
-    _stage maps; 1 + x is unitary for J exactly when that image is an
-    enumerated element, and only those are kept.  Each column of P is the
-    first vector independent of the ones before it with the prescribed
-    Hermitian products; by Witt's theorem that never dead-ends.  An
-    exhausted search is a ContractError, and so is an H whose size is not
-    q0^#positions: U_(>=2)^F is an affine space of that dimension over F_q0."""
+    into G as P (1 + x) P^-1, for P with P^* P = J, by two products; 1 + x
+    is unitary for J exactly when that image is an enumerated element, and
+    only those are kept.  Each column of P is the first vector independent
+    of the ones before it with the prescribed Hermitian products; by Witt's
+    theorem that never dead-ends.  An exhausted search is a ContractError,
+    and so is an H whose size is not q0^#positions: U_(>=2)^F is an affine
+    space of that dimension over F_q0."""
     F, n, q = G.field, G.n, G.field.q
     add, mul, neg = F.add, F.mul, F.neg
     bar = [F.power(a, G.q0) for a in range(q)]
@@ -603,7 +675,6 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     positions = [(i, j) for i in range(n) for j in range(n) if weights[i] - weights[j] >= 2]
     read = {(i, i + 1) for i in range(n - 1) if weights[i] - weights[i + 1] == 2}
     dim_g1 = sum(a - b == 1 for a in weights for b in weights)
-    G._conjugators()  # the closure first: the codes it reached are the members
 
     def first(candidates, what: str):
         for x in candidates:
@@ -641,12 +712,11 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
         P_inv = mat_inv(F, P)
         if P_inv is None:
             raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
-        for t in (P_inv, columns):  # u -> transpose(u*P^-1) -> P*u*P^-1; columns is P^T
-            codes = _read(G._stage(t, True, len(codes)), codes)
+        codes = [G.encode(mat_mul(F, mat_mul(F, P, G.decode(c)), P_inv)) for c in codes]
 
     degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
     sums = _sums(F, [range(q) if x in read else [0] * q for x in positions])
-    H = {c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._members.get(c)}
+    H = {c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._member(c)}
     if len(H) != G.q0 ** len(positions):
         raise ContractError(f"{G.name}: U_(>=2) for mu = {tuple(mu)} has {len(H)} elements, "
                             f"not {G.q0}^{len(positions)} = {G.q0 ** len(positions)}")
@@ -655,7 +725,8 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
 
 def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
     """<Ind_H^G psi, Ind_H^G psi> for a subgroup H of G given as a map from
-    the code of each h to k with psi(h) = zeta_p^k, in integers.
+    the code of each h to k with psi(h) = zeta_p^k, in integers.  H must lie
+    in the certified unipotent classes of G.
 
     On the class C of g the induced character is |C_G(g)| / |H| * S_C, with
     S_C the sum of psi over H intersect C.  Let a_k count the h there with
@@ -669,6 +740,8 @@ def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
     mu = (n) gives U with a nondegenerate psi, the Gelfand-Graev character,
     and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
+    if not G._final:
+        G.unipotent_classes()
     counts: dict[int, list[int]] = {}
     for k, idx in zip(H.values(), G._split(H, "Whittaker element")):
         counts.setdefault(idx, [0] * p)[k % p] += 1

@@ -83,11 +83,21 @@ def poly_to_json(f: RationalPoly) -> dict:
     return {"var": f.var, "val": val, "coeffs": [[str(c // g), str(f.den // g)] for c, g in pairs]}
 
 
+def _integer(x) -> int:
+    """A JSON integer or decimal string; a float or a bool is refused, not truncated."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def poly_from_json(data: dict) -> RationalPoly:
-    val = int(data["val"])
+    missing = [key for key in ("var", "val", "coeffs") if key not in data]
+    if missing:
+        raise ValueError(f"no {', '.join(map(repr, missing))} in {data!r}")
+    val = _integer(data["val"])
     if val < 0:
         raise ValueError(f"negative valuation {val}: not a polynomial")
-    pairs = [(int(num), int(den)) for num, den in data["coeffs"]]
+    pairs = [(_integer(num), _integer(den)) for num, den in data["coeffs"]]
     for k, (num, den) in enumerate(pairs, val):
         if not den:
             raise ValueError(f"zero denominator in {num}/0 {data['var']}^{k}")

@@ -5,6 +5,7 @@ package has no asserts)."""
 
 import ast
 import inspect
+import itertools
 import math
 import os
 import re
@@ -306,28 +307,33 @@ def field_f4():
     oracle.finite_field.cache_clear()
 
 
-#: What the corrupted F_4 of ``corrupt_f4`` trips first in GL2(4): the
-#: enumeration is no longer a group, so the closure check of the generating set
-#: fails before the trace is ever taken.
-GL2_F4_OUTSIDE = "GL2(F4): the product ((2, 1), (3, 2)) is not an enumerated element"
+#: What the corrupted F_4 of ``corrupt_f4`` trips in the GL2(4) report: the
+#: trace in psi of Kawanaka's datum.  The enumeration is no longer a group,
+#: which only the closure of classes() sees (GL2_F4_OUTSIDE).
+GL2_F4_TRACE = "trace of 2 in F_4 left the prime field: 2"
+GL2_F4_OUTSIDE = (
+    "GL2(F4): the product ((2, 1), (3, 2)) of ((0, 3), (3, 2)) is not an enumerated element"
+)
 
 
 def test_field_entry_fails_oracle_trace(field_f4, capsys):
     corrupt_f4(field_f4)
-    with pytest.raises(ContractError, match=re.escape(GL2_F4_OUTSIDE)):
+    with pytest.raises(ContractError, match=f"^{re.escape(GL2_F4_TRACE)}$"):
         oracle.oracle_report(2, 1, 4)
     assert main(["oracle", "--n", "2", "--q", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"gggr: check failed: {GL2_F4_OUTSIDE}\n"
+    assert err == f"gggr: check failed: {GL2_F4_TRACE}\n"
+    with pytest.raises(ContractError, match=re.escape(GL2_F4_OUTSIDE)):
+        oracle.enumerate_group(2, 1, 4).classes()
 
 
 @pytest.mark.parametrize(
     "n, eps, q0, table, a, b, value, message",
     [
         (2, 1, 4, "add", 0, 0, 1, "GL2(F4): an enumerated element is singular"),
-        (2, -1, 2, "add", 1, 1, 1, "an enumerated element is singular"),
-        (2, -1, 2, "add", 0, 1, 2, "GU2(F2): the identity is not an enumerated element"),
+        (2, -1, 2, "add", 1, 1, 1, "GU2(F2): no trace-zero element in F_4"),
+        (2, -1, 2, "add", 0, 1, 2, "GU2(F2): no column 0 of a basis for the form"),
         (2, -1, 2, "add", 2, 3, 0,
          "GU2(F2): no column 1 of a basis for the form ((0, 1), (1, 0)) in F_4"),
     ],
@@ -390,13 +396,14 @@ def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
 
 
 def test_whittaker_element_outside_the_split_fails():
-    # elements are looked up by code among the codes that the closure reached:
-    # without the identity the datum is one element short, and a datum built
-    # before holds an element that the split refuses
+    # elements are looked up by code among the enumerated codes: without the
+    # identity the datum is one element short, and a datum built before holds
+    # an element that the certified split refuses
     G = oracle.enumerate_group(2, 1, 4)
-    G.classes()
+    G.unipotent_classes()
     H, _ = oracle.kawanaka_datum(G, P((2,)))
-    del G._members[G.encode(oracle.mat_identity(2))]
+    member, identity = G._member, G.encode(oracle.mat_identity(2))
+    G._member = lambda code: code != identity and member(code)
     message = "GL2(F4): U_(>=2) for mu = (2,) has 3 elements, not 4^1 = 4"
     with pytest.raises(ContractError, match=re.escape(message)):
         oracle.gelfand_graev_inner(G)
@@ -419,23 +426,30 @@ def drop_element(enumerate_group, which):
     return enumerate_without
 
 
-def dropped_message(which):
-    if which == "identity":
-        return "gggr: check failed: GL2(F3): the identity is not an enumerated element\n"
-    last = oracle.enumerate_group(2, 1, 3).elements[-1]
-    return f"gggr: check failed: GL2(F3): the product {last} is not an enumerated element\n"
+#: What GL2(3) without the identity or its last element trips: in the
+#: report, which does not run the closure, and in the closure of classes(),
+#: where every product of generators must be enumerated, starting from the
+#: identity.
+GL2_F3_DROPPED = {
+    "identity": (
+        "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
+        "GL2(F3): the identity is not an enumerated element",
+    ),
+    "last": (
+        "GL2(F3): the class of ((0, 1), (2, 2)) has 8 elements, which does not divide |G| = 47",
+        "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated element",
+    ),
+}
 
 
 @pytest.mark.parametrize("which", ["identity", "last"])
 def test_missing_element_fails_oracle_closure(monkeypatch, capsys, which):
-    # the generating set is checked by closure: every product of generators
-    # must be enumerated, starting from the identity
-    message = dropped_message(which)
+    report, closure = GL2_F3_DROPPED[which]
     monkeypatch.setattr(oracle, "enumerate_group", drop_element(oracle.enumerate_group, which))
     assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == message
+    assert capsys.readouterr() == ("", f"gggr: check failed: {report}\n")
+    with pytest.raises(ContractError, match=f"^{re.escape(closure)}$"):
+        oracle.enumerate_group(2, 1, 3).classes()
 
 
 def test_conjugate_outside_the_group_fails(monkeypatch):
@@ -456,34 +470,60 @@ def drop_seed_class(unipotent_classes, parts):
     return dropped
 
 
-#: The rows that fail when the GL3(2) split misses the class of type (2, 1),
-#: 21 elements: both counts over the classes see it gone.
-GL3_F2_DROPPED_CLASS = [
-    "unipotent_class_count,3,2,False\n",
-    "class_size_2_1,21,0,False\n",
-    "unipotent_count,64,43,False\n",
-]
+#: What the GL3(2) report fails when its seeds miss the class of type (2, 1),
+#: 21 elements: the orbits hold 43 of the 64 unipotent elements, so the
+#: certificate does not hold, and the classes split under the closure's
+#: generators are final.  The datum of mu = (3), the whole of U, then meets
+#: the missing class first at this element.
+GL3_F2_DROPPED_SEEDS = (
+    "GL3(F2): Whittaker element ((1, 0, 0), (0, 1, 1), (0, 0, 1)) starts a class outside "
+    "the certified split"
+)
 
 
 def test_dropped_seed_class_fails_the_class_counts(monkeypatch, capsys):
     classes = drop_seed_class(oracle.OracleGroup.unipotent_classes, (2, 1))
     monkeypatch.setattr(oracle.OracleGroup, "unipotent_classes", classes)
     assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {GL3_F2_DROPPED_SEEDS}\n")
+
+
+def lose_class(unipotent_classes, parts):
+    """``OracleGroup.unipotent_classes`` that loses the class of Jordan type
+    ``parts`` from the certified split it returns."""
+
+    def lost(G, seeds=None):
+        return {la: cls for la, cls in unipotent_classes(G, seeds).items() if la != parts}
+
+    return lost
+
+
+#: The rows that fail when the GL3(2) report loses the class of type (2, 1),
+#: 21 elements: both counts over the classes see it gone.
+GL3_F2_LOST_CLASS = [
+    "unipotent_class_count,3,2,False\n",
+    "class_size_2_1,21,0,False\n",
+    "unipotent_count,64,43,False\n",
+]
+
+
+def test_lost_class_fails_the_class_checks(monkeypatch, capsys):
+    classes = lose_class(oracle.OracleGroup.unipotent_classes, (2, 1))
+    monkeypatch.setattr(oracle.OracleGroup, "unipotent_classes", classes)
+    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
     assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
-        GL3_F2_DROPPED_CLASS
+        GL3_F2_LOST_CLASS
     )
 
 
-def forget_member(conjugators):
-    """``OracleGroup._conjugators`` that then forgets ((1, 1), (0, 1)), an
-    element of U in every GL2: the datum for mu = (2) is one element short."""
+def forget_member(member):
+    """``OracleGroup._member`` that forgets ((1, 1), (0, 1)), an element of U
+    in every GL2: the datum for mu = (2) is one element short."""
 
-    def forgetting(G):
-        out = conjugators(G)
-        G._members.pop(G.encode(((1, 1), (0, 1))), None)
-        return out
+    def forgetting(G, code):
+        return code != G.encode(((1, 1), (0, 1))) and member(G, code)
 
     return forgetting
 
@@ -493,29 +533,28 @@ GL2_F3_SHORT_DATUM = "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3
 
 def test_datum_short_of_an_element_fails_the_size_check(monkeypatch, capsys):
     # |U_(>=2)^F| = q0^#positions, checked as a count of the kept candidates
-    monkeypatch.setattr(oracle.OracleGroup, "_conjugators",
-                        forget_member(oracle.OracleGroup._conjugators))
+    monkeypatch.setattr(oracle.OracleGroup, "_member", forget_member(oracle.OracleGroup._member))
     with pytest.raises(ContractError, match=re.escape(GL2_F3_SHORT_DATUM)):
         oracle.oracle_report(2, 1, 3)
     assert main(["oracle", "--n", "2", "--q", "3"]) == 1
     assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_SHORT_DATUM}\n")
 
 
-def leave_the_group(conjugators):
-    """``OracleGroup._conjugators`` with the first stage of each map built
-    from x = ((1, 1), (0, 1)) in place of the generator s: the map then
-    sends h to s^-1*h*x, which for h in GU2(3) is not unitary."""
+def leave_the_group(conjugation):
+    """``OracleGroup._conjugation`` with the first stage of the map built from
+    x = ((1, 1), (0, 1)) in place of the conjugator s: the map then sends h to
+    s^-1*h*x, which for h in GU2(3) is not unitary."""
 
-    def leaving(G):
+    def leaving(G, s):
         x = G._stage(((1, 1), (0, 1)), True, G.q0 ** (G.n * G.n - G.n))
-        return [[x, second] for _, second in conjugators(G)]
+        return [x, conjugation(G, s)[1]]
 
     return leaving
 
 
 def leaving_message():
     """The first seed of the GU2(3) report is the identity, and the first
-    generator s is the first element, so the first conjugate is s^-1*x."""
+    conjugator s is the first element, so the first conjugate is s^-1*x."""
     G = oracle.enumerate_group(2, -1, 3)
     s = G.elements[0]
     c = oracle.mat_mul(G.field, oracle.mat_inv(G.field, s), ((1, 1), (0, 1)))
@@ -525,17 +564,114 @@ def leaving_message():
 
 def test_conjugation_leaving_the_group_fails(monkeypatch, capsys):
     message = leaving_message()
-    conjugators = leave_the_group(oracle.OracleGroup._conjugators)
-    monkeypatch.setattr(oracle.OracleGroup, "_conjugators", conjugators)
+    conjugation = leave_the_group(oracle.OracleGroup._conjugation)
+    monkeypatch.setattr(oracle.OracleGroup, "_conjugation", conjugation)
     with pytest.raises(ContractError, match=re.escape(message)):
         oracle.oracle_report(2, -1, 3)
     assert main(["oracle", "--n", "2", "--q", "3", "--eps", "-1"]) == 1
     assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
 
 
+def hold_conjugators(candidates, k):
+    """``OracleGroup._candidates`` held at its first k candidates."""
+
+    def held(G):
+        return itertools.islice(candidates(G), k)
+
+    return held
+
+
+#: What the report of GL_n(q0) fails when the candidates hold only k
+#: conjugators, one fewer than the certificate needs (GL2(4)'s first two
+#: split all 16 unipotent elements, but into 4 orbits of 2 Jordan types): the
+#: closure that takes over cannot generate G from them either.
+HELD_CONJUGATORS = {
+    (2, 3, 1): "GL2(F3): the generators reach 2 of 48 elements",
+    (2, 4, 2): "GL2(F4): the generators reach 30 of 180 elements",
+}
+
+
+@pytest.mark.parametrize("n, q0, k", list(HELD_CONJUGATORS))
+def test_held_conjugators_fail_the_certificate(monkeypatch, capsys, n, q0, k):
+    message, candidates = HELD_CONJUGATORS[n, q0, k], oracle.OracleGroup._candidates
+    monkeypatch.setattr(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k))
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        oracle.oracle_report(n, 1, q0)
+    assert main(["oracle", "--n", str(n), "--q", str(q0)]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
+    monkeypatch.setattr(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
+    monkeypatch.setattr(oracle.OracleGroup, "_closure", None)  # the certificate holds
+    assert oracle.oracle_report(n, 1, q0)["pass"]
+
+
+def hold_scan(candidates, k):
+    """``OracleGroup._candidates`` held at its first k candidates for the
+    certificate's scan, and whole for the closure after it."""
+    calls = []
+
+    def held(G):
+        calls.append(G)
+        return itertools.islice(candidates(G), k) if len(calls) == 1 else candidates(G)
+
+    return held
+
+
+def test_uncertified_scan_hands_over_to_the_closure(monkeypatch):
+    # GL2(4)'s first two conjugators leave the type (2) in 3 orbits; the
+    # closure's generators split the same seeds into the classes
+    expected = oracle.oracle_report(2, 1, 4)
+    closure, closures = oracle.OracleGroup._closure, []
+
+    def counted(G):
+        closures.append(G)
+        return closure(G)
+
+    candidates = hold_scan(oracle.OracleGroup._candidates, 2)
+    monkeypatch.setattr(oracle.OracleGroup, "_candidates", candidates)
+    monkeypatch.setattr(oracle.OracleGroup, "_closure", counted)
+    assert oracle.oracle_report(2, 1, 4) == expected
+    assert len(closures) == 1
+
+
+def add_involution(kawanaka_datum):
+    """``kawanaka_datum`` with ((0, 1), (1, 0)) added to H for every mu but
+    (n): an element of order 2, in no unipotent class of GL2(3)."""
+
+    def added(G, mu):
+        H, dim_g1 = kawanaka_datum(G, mu)
+        return ({**H, G.encode(((0, 1), (1, 0))): 0} if len(mu) > 1 else H), dim_g1
+
+    return added
+
+
+GL2_F3_NEW_CLASS = (
+    "GL2(F3): Whittaker element ((0, 1), (1, 0)) starts a class outside the certified split"
+)
+
+
+def test_later_seed_outside_the_certified_split_fails(monkeypatch, capsys):
+    # the certificate is seeded with mu = (n) alone; the data of the other mu
+    # may not start a class after it
+    monkeypatch.setattr(oracle, "kawanaka_datum", add_involution(oracle.kawanaka_datum))
+    with pytest.raises(ContractError, match=f"^{re.escape(GL2_F3_NEW_CLASS)}$"):
+        oracle.oracle_report(2, 1, 3)
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_NEW_CLASS}\n")
+
+
+def test_classes_of_one_jordan_type_fail(monkeypatch):
+    # with every Jordan type read as (1, 1) no scan certifies GL2(3), and the
+    # two classes that the closure's generators split U into share that type
+    monkeypatch.setattr(oracle.OracleGroup, "jordan_type", lambda G, g: Partition((1, 1)))
+    G = oracle.enumerate_group(2, 1, 3)
+    message = "GL2(F3): two classes of the seeds have one Jordan type"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        G.unipotent_classes()
+
+
 def identity_inverse(F, A):
     """A ``mat_inv`` that returns the identity: an enumerated element, but
-    the inverse of no generator."""
+    the inverse of no conjugator."""
     return tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
 
 
@@ -551,11 +687,16 @@ def test_wrong_inverse_fails(monkeypatch, capsys):
     assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n")
 
 
+def identity_class(G):
+    """The index of the identity's class in the certified split of G."""
+    G.unipotent_classes()
+    return G._class_of[G.encode(oracle.mat_identity(G.n))]
+
+
 def test_identity_class_of_size_two_fails_regular_rep_inner():
     G = oracle.enumerate_group(2, 1, 3)
-    classes = G.classes()
-    idx = G.class_index()[oracle.mat_identity(2)]
-    classes[idx] = classes[idx]._replace(size=2)
+    idx = identity_class(G)
+    G._classes[idx] = G._classes[idx]._replace(size=2)
     # oracle_report compares it with endo_dim((1, 1)) at q0 = 3, which is |G|
     assert kawanaka.endo_dim(P((1, 1)), 1)(3) == G.order == 48
     assert oracle.regular_rep_inner(G) == 24
@@ -651,9 +792,8 @@ def test_identity_class_size_fails_exact_division(size, inner, message):
     # GL2(3): 48/5 leaves a remainder; with size 2 the Gelfand-Graev sum is
     # 24*1^2 + 6*(-1)^2 = 30 over |U|^2 = 9
     G = oracle.enumerate_group(2, 1, 3)
-    classes = G.classes()
-    idx = G.class_index()[oracle.mat_identity(2)]
-    classes[idx] = classes[idx]._replace(size=size)
+    idx = identity_class(G)
+    G._classes[idx] = G._classes[idx]._replace(size=size)
     with pytest.raises(ContractError, match=re.escape(f"GL2(F3): {message}")):
         getattr(oracle, inner)(G)
 
@@ -812,7 +952,7 @@ def test_oracle_checks_survive_python_O():
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F4_OUTSIDE}\n"
+    assert done.stderr == f"gggr: check failed: {GL2_F4_TRACE}\n"
 
 
 @pytest.mark.parametrize("which", ["identity", "last"])
@@ -826,7 +966,7 @@ def test_oracle_closure_survives_python_O(which):
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
-    assert done.stderr == dropped_message(which)
+    assert done.stderr == f"gggr: check failed: {GL2_F3_DROPPED[which][0]}\n"
 
 
 def test_dropped_seed_class_survives_python_O():
@@ -839,10 +979,33 @@ def test_dropped_seed_class_survives_python_O():
     )
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
-    assert done.stderr == ""
-    assert [row for row in done.stdout.splitlines(True) if row.endswith(",False\n")] == (
-        GL3_F2_DROPPED_CLASS
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {GL3_F2_DROPPED_SEEDS}\n"
+
+
+def test_dropped_seed_class_fails_within_bounds():
+    # GL3(4) without the seeds of type (3): its 181 440 elements bound how
+    # many codes the certificate's conjugators may map before the closure
+    # decides, so the report fails in about the time and memory of one
+    # closure (~1 s and ~50 MiB peak), not after trying every element
+    script = inspect.getsource(drop_seed_class) + (
+        "import resource, time, gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "G = gggr.oracle.OracleGroup\n"
+        "G.unipotent_classes = drop_seed_class(G.unipotent_classes, (3,))\n"
+        "start = time.perf_counter()\n"
+        "code = main(['oracle', '--n', '3', '--q', '4'])\n"
+        "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
     )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    message = ("GL3(F4): Whittaker element ((1, 1, 0), (0, 1, 1), (0, 0, 1)) starts a class "
+               "outside the certified split")
+    assert done.stderr == f"gggr: check failed: {message}\n"
+    seconds, peak_kib = map(float, done.stdout.split())
+    assert seconds < 10
+    assert peak_kib < 100 * 1024
 
 
 def test_datum_size_check_survives_python_O():
@@ -850,7 +1013,7 @@ def test_datum_size_check_survives_python_O():
         "import gggr.oracle\n"
         "from gggr.cli import main\n"
         "G = gggr.oracle.OracleGroup\n"
-        "G._conjugators = forget_member(G._conjugators)\n"
+        "G._member = forget_member(G._member)\n"
         "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
     )
     done = run_optimized(script)
@@ -864,13 +1027,27 @@ def test_conjugation_check_survives_python_O():
         "import gggr.oracle\n"
         "from gggr.cli import main\n"
         "G = gggr.oracle.OracleGroup\n"
-        "G._conjugators = leave_the_group(G._conjugators)\n"
+        "G._conjugation = leave_the_group(G._conjugation)\n"
         "sys.exit(main(['oracle', '--n', '2', '--q', '3', '--eps', '-1']))\n"
     )
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
     assert done.stdout == ""
     assert done.stderr == f"gggr: check failed: {leaving_message()}\n"
+
+
+def test_certificate_survives_python_O():
+    script = inspect.getsource(hold_conjugators) + (
+        "import itertools, gggr.oracle\n"
+        "from gggr.cli import main\n"
+        "G = gggr.oracle.OracleGroup\n"
+        "G._candidates = hold_conjugators(G._candidates, 1)\n"
+        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"gggr: check failed: {HELD_CONJUGATORS[2, 3, 1]}\n"
 
 
 def test_inverse_check_survives_python_O():

@@ -2,6 +2,7 @@
 Jordan types, and the induced-character inner products, cross-checked
 against Mackey's formula and the symbolic layer."""
 
+import importlib.util
 import itertools
 import os
 import random
@@ -365,8 +366,12 @@ def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     elements = [decode(c, n, G.field.q) for c in G.codes]
     assert list(G.elements) == elements
     assert [G.encode(g) for g in elements] == G.codes
+    # membership is being one of the enumerated codes
+    gap = next(a + 1 for a, b in zip(G.codes, G.codes[1:]) if b > a + 1)
+    assert all(map(G._member, G.codes))
+    assert not any(map(G._member, [0, gap, G.codes[-1] + 1]))
     G.classes()
-    assert G._members == dict.fromkeys(G.codes, True)  # the closure reached every code
+    assert len(G._class_of) == G.order  # the closure's split reached every code
 
 
 def test_gu3_3_rows_enumerate_unitary_matrices():
@@ -384,12 +389,20 @@ def test_gu3_3_rows_enumerate_unitary_matrices():
 
 
 @pytest.mark.parametrize("n, eps, q0, count", [(4, 1, 2, 3), (3, 1, 3, 3), (2, -1, 5, 3)])
-def test_generator_counts(n, eps, q0, count):
-    # each generator costs a table of |G| products and a conjugation of every
-    # code split; taking them from the end of the order, where matrices are
-    # dense, needs few
-    G = enumerate_group(n, eps, q0)
-    assert len(G._conjugators()) == count
+def test_generator_counts(monkeypatch, n, eps, q0, count):
+    # the report's certificate takes conjugators until the orbits are the
+    # unipotent classes, each costing a conjugation of every code split so
+    # far; taking them from the end of the order, where matrices are dense,
+    # needs few
+    conjugators, conjugation = [], oracle.OracleGroup._conjugation
+
+    def counted(G, s):
+        conjugators.append(s)
+        return conjugation(G, s)
+
+    monkeypatch.setattr(oracle.OracleGroup, "_conjugation", counted)
+    assert oracle_report(n, eps, q0)["pass"]
+    assert len(conjugators) == count
 
 
 @pytest.mark.parametrize(
@@ -443,7 +456,7 @@ def test_unipotent_split_matches_the_reference_splits(n, eps, q0, reference):
 
 def test_report_conjugates_only_unipotent_codes(monkeypatch):
     # GL4(2) has 20 160 elements, 4096 of them unipotent: the report's split
-    # reads each unipotent code once per generator, and no other code
+    # reads each unipotent code once per conjugator, and no other code
     groups, conjugated, read = [], [], oracle._read
 
     def enumerate_kept(n, eps, q0):
@@ -464,6 +477,45 @@ def test_report_conjugates_only_unipotent_codes(monkeypatch):
     assert all(G.jordan_type(G.decode(code)) is not None for code in set(conjugated))
 
 
+def bench_oracle_grid():
+    """The (n, eps, q0) of the benchmark's full oracle grid, read from its
+    file so that the two cannot drift apart."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "grids.py"
+    spec = importlib.util.spec_from_file_location("bench_grids", path)
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    return grids.ORACLE["full"]
+
+
+@pytest.mark.parametrize("n, eps, q0", [*bench_oracle_grid(), (3, 1, 4)])
+def test_report_never_runs_the_closure(monkeypatch, n, eps, q0):
+    # the report certifies the unipotent split by Jordan types and the
+    # unipotent count; only classes() and class_index() run the closure.  The
+    # unitary gate is lifted, so GU3(2) runs too.
+    def no_closure(G):
+        raise RuntimeError(f"{G.name}: the closure ran")
+
+    monkeypatch.setattr(oracle.OracleGroup, "_closure", no_closure)
+    monkeypatch.setattr(oracle, "check_unitary_oracle", lambda n, q0: None)
+    assert oracle_report(n, eps, q0)["pass"]
+    with pytest.raises(RuntimeError, match="the closure ran"):
+        enumerate_group(n, eps, q0).classes()
+
+
+def test_certified_split_takes_no_new_class():
+    # after the certificate, a seed must lie in a certified class
+    G = enumerate_group(2, 1, 3)
+    uni = G.unipotent_classes()
+    assert G.unipotent_classes([G.encode(mat_identity(2))]) == uni
+    g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
+    message = f"GL2(F3): seed {g} starts a class outside the certified split"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        G.unipotent_classes([G.encode(g)])
+    message = f"GL2(F3): Whittaker element {g} starts a class outside the certified split"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        oracle._induced_inner(G, {G.encode(g): 0})
+
+
 def test_seeds_must_be_unipotent_elements():
     G = enumerate_group(2, 1, 3)
     g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
@@ -471,9 +523,12 @@ def test_seeds_must_be_unipotent_elements():
     with pytest.raises(ContractError, match=re.escape(message)):
         G.unipotent_classes([G.encode(mat_identity(2)), G.encode(g)])
     singular = ((1, 1), (1, 1))
-    message = f"GL2(F3): seed {singular} is not in the group"
-    with pytest.raises(ContractError, match=re.escape(message)):
+    singular_message = f"GL2(F3): seed {singular} is not in the group"
+    with pytest.raises(ContractError, match=re.escape(singular_message)):
         G.unipotent_classes([G.encode(singular)])
+    G.classes()  # the final split of every element refuses the same seed
+    with pytest.raises(ContractError, match=re.escape(message)):
+        G.unipotent_classes([G.encode(g)])
 
 
 def reference_datum(G, mu):
@@ -537,7 +592,7 @@ def reference_datum(G, mu):
 @pytest.mark.parametrize(
     "n, eps, q0",
     [(2, 1, 3), (3, 1, 2), (4, 1, 2), (2, -1, 3), (3, -1, 2), (2, -1, 4), (3, -1, 3),
-     (4, -1, 2)],
+     (4, -1, 2), (2, -1, 5), (2, -1, 9)],
 )
 def test_datum_on_codes_matches_the_matrix_datum(n, eps, q0):
     # the same elements with the same exponents, in the same order
@@ -549,8 +604,8 @@ def test_datum_on_codes_matches_the_matrix_datum(n, eps, q0):
 
 def test_report_makes_no_matrix_per_element(monkeypatch):
     # GL4(2): matrices are multiplied only for the Jordan type of each class
-    # split, n products each, and encoded only for the closure's identity, each
-    # generator's inverse and each datum's identity
+    # split, n products each, and to check each conjugator's inverse, and
+    # encoded only for each conjugator's inverse and each datum's identity
     groups, calls = [], {"mat_mul": 0, "encode": 0}
     times, encode = oracle.mat_mul, oracle.OracleGroup.encode
 
@@ -571,8 +626,8 @@ def test_report_makes_no_matrix_per_element(monkeypatch):
     monkeypatch.setattr(oracle.OracleGroup, "encode", counted_encode)
     assert oracle_report(4, 1, 2)["pass"]
     G = groups[-1]
-    assert calls["mat_mul"] <= 4 * len(G._classes)
-    assert calls["encode"] <= 1 + len(G._conj) + len(partitions_of(4))
+    assert calls["mat_mul"] == 4 * len(G._classes) + len(G._conj)
+    assert calls["encode"] == len(G._conj) + len(partitions_of(4))
 
 
 def mackey_inner(G, H):

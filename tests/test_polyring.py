@@ -3,6 +3,7 @@ and printing.  It has no arithmetic of its own; a guard keeps it that way."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -121,6 +122,31 @@ def test_json_rejects_zero_denominator():
     data = {"var": "q", "val": 2, "coeffs": [["1", "1"], ["5", "0"]]}
     with pytest.raises(ValueError, match=r"^zero denominator in 5/0 q\^3$"):
         poly_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"var": "q", "val": 0, "coeffs": [[1.5, 2]]}, "not an integer: 1.5"),
+        ({"var": "q", "val": 0, "coeffs": [["1", 2.0]]}, "not an integer: 2.0"),
+        ({"var": "q", "val": 1.7, "coeffs": [["1", "1"]]}, "not an integer: 1.7"),
+        ({"var": "q", "val": True, "coeffs": [["1", "1"]]}, "not an integer: True"),
+        ({"var": "q", "val": 0, "coeffs": [[True, "1"]]}, "not an integer: True"),
+        ({"var": "q", "val": 0, "coeffs": [["1", False]]}, "not an integer: False"),
+        ({"val": 0, "coeffs": [["1", "1"]]}, "no 'var' in "),
+        ({"var": "q"}, "no 'val', 'coeffs' in "),
+    ],
+)
+def test_json_refuses_what_is_not_the_wire_format(data, message):
+    # a float is not truncated and a bool is not read as 0 or 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        poly_from_json(data)
+
+
+def test_json_reads_integers_and_decimal_strings():
+    assert poly_from_json({"var": "q", "val": 1, "coeffs": [[1, "2"], ["-3", 1]]}) == (
+        RationalPoly((0, 1, -6), "q", 2)
+    )
 
 
 def test_json_valuation():
