@@ -26,10 +26,9 @@ lies in one class, conjugation keeps the Jordan type, and a unipotent class
 is its Jordan type; so the orbits lie in distinct classes, which hold
 q0^(n(n-1)) elements in all (Steinberg), and each orbit is its whole class,
 whether or not the conjugators generate G.  This trusts the construction of
-the codes (each is an element of G) and the check of |G|.  That the codes
-are closed under products is checked by the closure of a generating set:
-classes() runs it, and the report only where the certificate does not hold,
-and then its orbits are the classes that the report's checks judge.
+the codes (each is an element of G) and the check of |G|; a scan that does
+not certify is a failed check.  Only classes() checks that the codes are
+closed under products, by the closure of a generating set.
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -67,9 +66,9 @@ from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
 #: 181 440 elements (its report ~0.04-0.07 s and ~24 MiB peak in process, 2
-#: cores, Python 3.11; ~1 s and ~48 MiB where the certificate does not hold
-#: and the closure decides), and refuses GU_3(4), with 312 000 (~0.7 s and
-#: ~40 MiB to enumerate), and GL_3(5), with 1 488 000.
+#: cores, Python 3.11; ~0.3 s and ~31 MiB in a fresh process where the
+#: certificate fails), and refuses GU_3(4), with 312 000 (~0.7 s and ~40 MiB
+#: to enumerate), and GL_3(5), with 1 488 000.
 ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
@@ -292,8 +291,7 @@ class OracleGroup:
         self._conj = conj
         self._class_of: dict[int, int] = {}  # code -> its orbit, for each code split
         self._orbits: list[list[int]] = []  # the codes of each orbit, [] once merged
-        self._classes: list[ConjClass] = []
-        self._final = False  # once set, no seed may start an orbit
+        self._classes: list[ConjClass] = []  # once set, the split is final
 
     def _member(self, code: int) -> bool:
         """Whether ``code`` is enumerated, by bisection of the increasing codes."""
@@ -414,7 +412,7 @@ class OracleGroup:
             if not self._member(seed):
                 raise ContractError(f"{self.name}: {what} {self.decode(seed)} is not in the group")
             if seed not in class_of:
-                if self._final:
+                if self._classes:
                     raise ContractError(f"{self.name}: {what} {self.decode(seed)} starts a class "
                                         "outside the certified split")
                 class_of[seed] = len(orbits)
@@ -461,7 +459,6 @@ class OracleGroup:
             rep = self.decode(min(self._orbits[i]))
             jordan = types[i] if types else self.jordan_type(rep)
             self._classes.append(ConjClass(rep, len(self._orbits[i]), jordan))
-        self._final = True
 
     def _distinct(self, types: dict) -> bool:
         """Whether the orbits have pairwise distinct Jordan types, read into
@@ -479,10 +476,8 @@ class OracleGroup:
     def _certify(self, seeds: Iterable[int]) -> None:
         """Split the seeds under conjugators from _candidates, one at a time,
         until the orbits hold q0^(n(n-1)) elements with pairwise distinct
-        Jordan types.  The scan stops past q0^(n(n-1)) elements, or once the
-        conjugations have mapped |G| codes, what the closure maps per
-        generator; the seeds are then split afresh under the closure's
-        generators, whose orbits are the classes."""
+        Jordan types, and seal the split.  Past q0^(n(n-1)) elements, or once
+        the conjugations have mapped |G| codes, the scan fails."""
         self._restart([])
         seeds, target, types, mapped = list(seeds), self.q0 ** (self.n * self.n - self.n), {}, 0
         for code in self._candidates():
@@ -498,12 +493,11 @@ class OracleGroup:
                 self._conj.pop()
             if after[0] > target or mapped > self.order:
                 break
-        self._restart(self._closure())
-        self._split(seeds, "seed")
-        types = {}
-        if not self._distinct(types):
-            raise ContractError(f"{self.name}: two classes of the seeds have one Jordan type")
-        self._seal(types)
+        self._distinct(types)
+        live = [types[i] for i, orbit in enumerate(self._orbits) if orbit]
+        raise ContractError(f"{self.name}: split not certified: conjugators {len(self._conj)}, "
+                            f"elements {len(self._class_of)} of {target}, orbits {len(live)}, "
+                            f"Jordan types {len(set(live))}")
 
     def jordan_type(self, g: Mat) -> Optional[Partition]:
         """Jordan type of a unipotent element (None if g is not unipotent),
@@ -525,8 +519,9 @@ class OracleGroup:
 
     def unipotent_classes(self, seeds: Optional[Iterable[int]] = None) -> dict:
         """The unipotent classes by Jordan type, certified on the split of the
-        codes ``seeds`` (by default H for mu = (n)), or of a final split."""
-        if not self._final:
+        codes ``seeds``, which must meet every unipotent class (by default H
+        for mu = (n)), or read off a final split."""
+        if not self._classes:
             top = Partition((self.n,))
             self._certify(kawanaka_datum(self, top)[0] if seeds is None else seeds)
         elif seeds is not None:
@@ -740,7 +735,7 @@ def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
     mu = (n) gives U with a nondegenerate psi, the Gelfand-Graev character,
     and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
-    if not G._final:
+    if not G._classes:
         G.unipotent_classes()
     counts: dict[int, list[int]] = {}
     for k, idx in zip(H.values(), G._split(H, "Whittaker element")):

@@ -1,12 +1,11 @@
 """Exact univariate polynomials: the package's one public polynomial type.
 
 Everything the package returns (Green polynomials, character values, order
-formulas, endomorphism dimensions) is a `RationalPoly`: integer numerators
-over one positive denominator, with no floats and no negative powers.  Its
-variable is a tag for the wire format and for printing: ``t`` for the
-Hall–Littlewood / Green variable, ``q`` for the field size.
+formulas, endomorphism dimensions) is a `RationalPoly`, with no floats and
+no negative powers.  Its variable tags the wire format and the printing:
+``t`` for the Hall–Littlewood / Green variable, ``q`` for the field size.
 
-A `RationalPoly` is a value: it has no arithmetic.  The pipeline computes on
+A `RationalPoly` is a value with no arithmetic: the pipeline computes on
 integer tuples in `intpoly` and wraps only its results.
 """
 
@@ -70,9 +69,6 @@ class RationalPoly:
         return Fraction(evaluate(self.nums, x), self.den)
 
 
-# -- serialization ----------------------------------------------------
-
-
 def poly_to_json(f: RationalPoly) -> dict:
     """Wire format: {"var": ..., "val": v, "coeffs": [[num, den], ...]} where v
     is the lowest exponent with a nonzero coefficient (0 for the zero
@@ -84,8 +80,8 @@ def poly_to_json(f: RationalPoly) -> dict:
 
 
 def _integer(x) -> int:
-    """A JSON integer or decimal string; a float or a bool is refused, not truncated."""
-    if isinstance(x, (bool, float)):
+    """A JSON integer or decimal string; a float is refused, not truncated."""
+    if type(x) not in (int, str):
         raise ValueError(f"not an integer: {x!r}")
     return int(x)
 
@@ -94,27 +90,28 @@ def poly_from_json(data: dict) -> RationalPoly:
     missing = [key for key in ("var", "val", "coeffs") if key not in data]
     if missing:
         raise ValueError(f"no {', '.join(map(repr, missing))} in {data!r}")
-    val = _integer(data["val"])
+    var, val, coeffs = data["var"], _integer(data["val"]), data["coeffs"]
+    if type(var) != str or type(coeffs) != list or any(type(c) != list for c in coeffs):
+        raise ValueError(f"not the wire format: {data!r}")
     if val < 0:
         raise ValueError(f"negative valuation {val}: not a polynomial")
-    pairs = [(_integer(num), _integer(den)) for num, den in data["coeffs"]]
+    pairs = [(_integer(num), _integer(den)) for num, den in coeffs]
     for k, (num, den) in enumerate(pairs, val):
         if not den:
-            raise ValueError(f"zero denominator in {num}/0 {data['var']}^{k}")
+            raise ValueError(f"zero denominator in {num}/0 {var}^{k}")
     common = lcm(*(den for _, den in pairs))
     nums = [0] * val + [num * (common // den) for num, den in pairs]
-    return RationalPoly(nums, data["var"], common)
+    return RationalPoly(nums, var, common)
 
 
-def pretty(f: RationalPoly, var: str | None = None) -> str:
+def pretty(f: RationalPoly) -> str:
     """Render highest-degree first, e.g. 'q^5 - q^4 + 2q^2 - 1'."""
     if f.is_zero():
         return "0"
-    var = var or f.var
     out = ""
     for k, c in reversed(list(enumerate(f.coeffs))):
         if c:
-            pw = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            pw = "" if k == 0 else f.var if k == 1 else f"{f.var}^{k}"
             mag = "" if abs(c) == 1 and pw else str(abs(c))
             out += (" - " if c < 0 else " + ") + mag + pw
     return out[3:] if out[1] == "+" else "-" + out[3:]

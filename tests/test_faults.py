@@ -471,13 +471,10 @@ def drop_seed_class(unipotent_classes, parts):
 
 
 #: What the GL3(2) report fails when its seeds miss the class of type (2, 1),
-#: 21 elements: the orbits hold 43 of the 64 unipotent elements, so the
-#: certificate does not hold, and the classes split under the closure's
-#: generators are final.  The datum of mu = (3), the whole of U, then meets
-#: the missing class first at this element.
+#: 21 elements: the orbits hold 43 of the 64 unipotent elements, so the scan
+#: ends, once its conjugations have mapped |G| codes, without a certificate.
 GL3_F2_DROPPED_SEEDS = (
-    "GL3(F2): Whittaker element ((1, 0, 0), (0, 1, 1), (0, 0, 1)) starts a class outside "
-    "the certified split"
+    "GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, Jordan types 2"
 )
 
 
@@ -582,12 +579,14 @@ def hold_conjugators(candidates, k):
 
 
 #: What the report of GL_n(q0) fails when the candidates hold only k
-#: conjugators, one fewer than the certificate needs (GL2(4)'s first two
-#: split all 16 unipotent elements, but into 4 orbits of 2 Jordan types): the
-#: closure that takes over cannot generate G from them either.
+#: conjugators, one fewer than the certificate needs: GL2(3)'s first splits
+#: 5 of its 9 unipotent elements, and GL2(4)'s first two split all 16, but
+#: into 4 orbits of 2 Jordan types.
 HELD_CONJUGATORS = {
-    (2, 3, 1): "GL2(F3): the generators reach 2 of 48 elements",
-    (2, 4, 2): "GL2(F4): the generators reach 30 of 180 elements",
+    (2, 3, 1): "GL2(F3): split not certified: conjugators 1, elements 5 of 9, orbits 3, "
+               "Jordan types 2",
+    (2, 4, 2): "GL2(F4): split not certified: conjugators 2, elements 16 of 16, orbits 4, "
+               "Jordan types 2",
 }
 
 
@@ -600,37 +599,7 @@ def test_held_conjugators_fail_the_certificate(monkeypatch, capsys, n, q0, k):
     assert main(["oracle", "--n", str(n), "--q", str(q0)]) == 1
     assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
     monkeypatch.setattr(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
-    monkeypatch.setattr(oracle.OracleGroup, "_closure", None)  # the certificate holds
     assert oracle.oracle_report(n, 1, q0)["pass"]
-
-
-def hold_scan(candidates, k):
-    """``OracleGroup._candidates`` held at its first k candidates for the
-    certificate's scan, and whole for the closure after it."""
-    calls = []
-
-    def held(G):
-        calls.append(G)
-        return itertools.islice(candidates(G), k) if len(calls) == 1 else candidates(G)
-
-    return held
-
-
-def test_uncertified_scan_hands_over_to_the_closure(monkeypatch):
-    # GL2(4)'s first two conjugators leave the type (2) in 3 orbits; the
-    # closure's generators split the same seeds into the classes
-    expected = oracle.oracle_report(2, 1, 4)
-    closure, closures = oracle.OracleGroup._closure, []
-
-    def counted(G):
-        closures.append(G)
-        return closure(G)
-
-    candidates = hold_scan(oracle.OracleGroup._candidates, 2)
-    monkeypatch.setattr(oracle.OracleGroup, "_candidates", candidates)
-    monkeypatch.setattr(oracle.OracleGroup, "_closure", counted)
-    assert oracle.oracle_report(2, 1, 4) == expected
-    assert len(closures) == 1
 
 
 def add_involution(kawanaka_datum):
@@ -660,11 +629,12 @@ def test_later_seed_outside_the_certified_split_fails(monkeypatch, capsys):
 
 
 def test_classes_of_one_jordan_type_fail(monkeypatch):
-    # with every Jordan type read as (1, 1) no scan certifies GL2(3), and the
-    # two classes that the closure's generators split U into share that type
+    # with every Jordan type read as (1, 1) no scan certifies GL2(3): its two
+    # conjugators split all 9 unipotent elements, into 2 orbits of that type
     monkeypatch.setattr(oracle.OracleGroup, "jordan_type", lambda G, g: Partition((1, 1)))
     G = oracle.enumerate_group(2, 1, 3)
-    message = "GL2(F3): two classes of the seeds have one Jordan type"
+    message = ("GL2(F3): split not certified: conjugators 2, elements 9 of 9, orbits 2, "
+               "Jordan types 1")
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         G.unipotent_classes()
 
@@ -985,9 +955,9 @@ def test_dropped_seed_class_survives_python_O():
 
 def test_dropped_seed_class_fails_within_bounds():
     # GL3(4) without the seeds of type (3): its 181 440 elements bound how
-    # many codes the certificate's conjugators may map before the closure
-    # decides, so the report fails in about the time and memory of one
-    # closure (~1 s and ~50 MiB peak), not after trying every element
+    # many codes the certificate's conjugators may map before the scan
+    # fails, so the report fails in ~0.3 s at ~31 MiB peak, not after trying
+    # every element
     script = inspect.getsource(drop_seed_class) + (
         "import resource, time, gggr.oracle\n"
         "from gggr.cli import main\n"
@@ -1000,8 +970,8 @@ def test_dropped_seed_class_fails_within_bounds():
     )
     done = run_optimized(script)
     assert done.returncode == 1, done.stderr
-    message = ("GL3(F4): Whittaker element ((1, 1, 0), (0, 1, 1), (0, 0, 1)) starts a class "
-               "outside the certified split")
+    message = ("GL3(F4): split not certified: conjugators 2, elements 316 of 4096, orbits 2, "
+               "Jordan types 2")
     assert done.stderr == f"gggr: check failed: {message}\n"
     seconds, peak_kib = map(float, done.stdout.split())
     assert seconds < 10
@@ -1129,12 +1099,15 @@ def test_hall_littlewood_checks_survive_python_O():
 
 
 def untyped_checks(tree):
-    """(line, kind) of each assert, which vanishes under python -O, and of
-    each raised bare ArithmeticError or AssertionError, which verification
-    cannot tell from a failed check; checks raise ContractError instead."""
+    """(line, kind) of each assert and each read of __debug__, which python
+    -O strips or turns false, and of each raised bare ArithmeticError or
+    AssertionError, which verification cannot tell from a failed check;
+    checks raise ContractError instead."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             yield node.lineno, "assert"
+        elif "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            yield node.lineno, "__debug__"
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id in ("ArithmeticError", "AssertionError"):
@@ -1144,7 +1117,7 @@ def untyped_checks(tree):
 def package_checks(kind):
     return [
         f"{path.name}:{line}"
-        for path in sorted((SRC / "gggr").glob("*.py"))
+        for path in sorted((SRC / "gggr").rglob("*.py"))
         for line, found in untyped_checks(ast.parse(path.read_text(encoding="utf-8")))
         if found == kind
     ]
@@ -1152,6 +1125,26 @@ def package_checks(kind):
 
 def test_package_has_no_assert_statements():
     assert package_checks("assert") == []
+
+
+def test_package_runs_the_same_under_python_O():
+    # no check of the package can vanish under -O: it has no assert and
+    # reads no __debug__, so every check stays, not only the faults above
+    # that run under -O
+    assert package_checks("assert") == package_checks("__debug__") == []
+
+
+def test_python_O_guard_can_fail():
+    source = (
+        "assert x\n"
+        "if __debug__:\n"
+        "    check()\n"
+        "flag = sys.__debug__\n"
+        "raise ContractError('typed')\n"
+    )
+    assert list(untyped_checks(ast.parse(source))) == [
+        (1, "assert"), (2, "__debug__"), (4, "__debug__")
+    ]
 
 
 def test_package_raises_no_bare_arithmetic_or_assertion_error():

@@ -2,7 +2,6 @@
 Jordan types, and the induced-character inner products, cross-checked
 against Mackey's formula and the symbolic layer."""
 
-import importlib.util
 import itertools
 import os
 import random
@@ -477,21 +476,39 @@ def test_report_conjugates_only_unipotent_codes(monkeypatch):
     assert all(G.jordan_type(G.decode(code)) is not None for code in set(conjugated))
 
 
-def bench_oracle_grid():
-    """The (n, eps, q0) of the benchmark's full oracle grid, read from its
-    file so that the two cannot drift apart."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "grids.py"
-    spec = importlib.util.spec_from_file_location("bench_grids", path)
-    grids = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grids)
-    return grids.ORACLE["full"]
+def admitted_groups():
+    """Every (n, eps, q0) that SUPPORTED_Q and ENUMERATION_CAP admit, built
+    from them so that the list cannot drift: 31 groups, GL and GU, n = 1..4.
+    |G| grows with n, so n runs until |G| passes the cap."""
+    return [
+        (n, eps, q0)
+        for eps in (1, -1)
+        for q0 in oracle.SUPPORTED_Q
+        for n in itertools.takewhile(
+            lambda n: oracle._group_size(n, eps, q0) <= oracle.ENUMERATION_CAP, itertools.count(1)
+        )
+    ]
 
 
-@pytest.mark.parametrize("n, eps, q0", [*bench_oracle_grid(), (3, 1, 4)])
+def test_admitted_groups_are_the_ones_the_cap_admits():
+    def admitted(n, eps, q0):
+        try:
+            return bool(oracle._ambient_size(n, eps, q0))
+        except CapExceededError:
+            return False
+
+    groups = admitted_groups()
+    assert len(groups) == 31 and max(n for n, _, _ in groups) == 4
+    assert groups == [(n, eps, q0) for eps in (1, -1) for q0 in oracle.SUPPORTED_Q
+                      for n in range(1, 8) if admitted(n, eps, q0)]
+
+
+@pytest.mark.parametrize("n, eps, q0", admitted_groups())
 def test_report_never_runs_the_closure(monkeypatch, n, eps, q0):
     # the report certifies the unipotent split by Jordan types and the
-    # unipotent count; only classes() and class_index() run the closure.  The
-    # unitary gate is lifted, so GU3(2) runs too.
+    # unipotent count, or fails; only classes() and class_index() run the
+    # closure.  Every admitted group certifies, so the report never needs
+    # it.  The unitary gate is lifted, so GU3(2) and the rest run too.
     def no_closure(G):
         raise RuntimeError(f"{G.name}: the closure ran")
 

@@ -135,10 +135,17 @@ def test_json_rejects_zero_denominator():
         ({"var": "q", "val": 0, "coeffs": [["1", False]]}, "not an integer: False"),
         ({"val": 0, "coeffs": [["1", "1"]]}, "no 'var' in "),
         ({"var": "q"}, "no 'val', 'coeffs' in "),
+        ({"var": "q", "val": 0, "coeffs": 5}, "not the wire format: "),
+        ({"var": "q", "val": 0, "coeffs": [5]}, "not the wire format: "),
+        ({"var": "q", "val": 0, "coeffs": ["12"]}, "not the wire format: "),
+        ({"var": 5, "val": 0, "coeffs": [["1", "1"]]}, "not the wire format: "),
+        ({"var": "q", "val": 0, "coeffs": [[None, 1]]}, "not an integer: None"),
+        ({"var": "q", "val": None, "coeffs": [["1", "1"]]}, "not an integer: None"),
     ],
 )
 def test_json_refuses_what_is_not_the_wire_format(data, message):
-    # a float is not truncated and a bool is not read as 0 or 1
+    # a float is not truncated, a bool is not read as 0 or 1, and a document
+    # of the wrong shape is a ValueError, never a TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         poly_from_json(data)
 
