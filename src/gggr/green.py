@@ -16,14 +16,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import ContractError, NonExactDivisionError
+from .errors import ContractError
 from .grouporders import (
     check_eps,
     class_size_coeffs,
     group_order_coeffs,
     torus_order_coeffs,
 )
-from .intpoly import IntPoly, bilinear, divmod_monic, scale, signed, trim
+from .intpoly import IntPoly, bilinear, exact_quotient, scale, signed, trim
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
@@ -127,9 +127,8 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
     sums = bilinear(by_la, sizes, by_la)
     grp = group_order_coeffs(n, eps)
     for i, rho in enumerate(parts):
-        quot, rem = divmod_monic(grp, torus_order_coeffs(tuple(rho), eps))
-        if rem:
-            raise NonExactDivisionError(f"|G| / |T_rho| for {tuple(rho)} left remainder {rem}")
+        torus = torus_order_coeffs(tuple(rho), eps)
+        quot = exact_quotient(grp, torus, f"|G| / |T_rho| for {tuple(rho)}")
         diagonal = scale(quot, weyl_centralizer_order(rho))
         for j, pi in enumerate(parts):
             expected = diagonal if i == j else ()

@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
-from .errors import ContractError, NonExactDivisionError
-from .intpoly import IntPoly, divmod_monic, scale, times_binomials
+from .errors import ContractError
+from .intpoly import IntPoly, exact_quotient, scale, times_binomials
 from .partitions import Partition, conjugate, multiplicities, n_stat
 from .polyring import RationalPoly
 
@@ -109,10 +109,7 @@ def unipotent_centralizer_order(la: Partition, eps: int) -> RationalPoly:
 def class_size_coeffs(la: tuple[int, ...], eps: int) -> IntPoly:
     """|G| / |centralizer|, an exact division by a monic polynomial."""
     grp = group_order_coeffs(sum(la), eps)
-    quot, rem = divmod_monic(grp, _centralizer(la, eps))
-    if rem:
-        raise NonExactDivisionError(f"class size for {la} left remainder {rem}")
-    return quot
+    return exact_quotient(grp, _centralizer(la, eps), f"class size for {la}")
 
 
 def class_size(la: Partition, eps: int) -> RationalPoly:

@@ -22,7 +22,7 @@ from array import array
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ContractError
+from .errors import ContractError, NonExactDivisionError
 
 IntPoly = tuple[int, ...]
 
@@ -63,10 +63,11 @@ def times_binomials(shift: int, exps, eps: int) -> IntPoly:
     return tuple(out)
 
 
-def divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """f = quot * g + rem with deg rem < deg g, for a monic g.  Every divisor
-    of the pipeline is monic by construction (a group or centralizer order,
-    a pivot scaled by its sign), so one that is not is a failed check."""
+def exact_quotient(f: IntPoly, g: IntPoly, what: str) -> IntPoly:
+    """f / g for a monic g, a division that must be exact.  Every divisor of
+    the pipeline is monic by construction (a group or centralizer order, a
+    pivot scaled by its sign), so one that is not is a failed check; so is a
+    remainder, which the error names after ``what``."""
     if not g or g[-1] != 1:
         raise ContractError("divisor must be monic")
     rem = list(f)
@@ -78,8 +79,20 @@ def divmod_monic(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
             quot[k - dg] = c
             for j in range(dg):
                 rem[k - dg + j] -= c * g[j]
-            rem[k] = 0
-    return trim(quot), trim(rem)
+    if any(rem[:dg]):
+        raise NonExactDivisionError(f"{what} left remainder {trim(rem[:dg])}")
+    return trim(quot)
+
+
+def exact_div(a: int, b: int, what: str) -> int:
+    """a / b for integers, a division that must be exact; a zero divisor or
+    a remainder is a failed check, which the error names after ``what``."""
+    if not b:
+        raise ContractError(f"{what} divides by zero")
+    quot, rem = divmod(a, b)
+    if rem:
+        raise NonExactDivisionError(f"{what} left remainder {rem}")
+    return quot
 
 
 # -- Kronecker substitution --------------------------------------------------

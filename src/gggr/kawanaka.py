@@ -41,7 +41,7 @@ from .grouporders import (
     sgn_eps,
     torus_order_coeffs,
 )
-from .intpoly import IntPoly, bilinear, divmod_monic, evaluate, scale, signed, weighted_squares
+from .intpoly import IntPoly, bilinear, evaluate, exact_quotient, scale, signed, weighted_squares
 from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
@@ -169,13 +169,8 @@ def _endo_dim(mu_t: tuple[int, ...], eps: int) -> IntPoly:
     n = sum(mu_t)
     _gamma_row(mu_t, eps)  # every gamma_mu(la) must be integral first
     numerator = _endo_numerators(n, eps)[partitions_of(n).index(mu_t)]
-    quot, rem = divmod_monic(numerator, group_order_coeffs(n, eps))
-    if rem:
-        raise NonExactDivisionError(
-            f"sum_la |class la| gamma_{mu_t}(la)^2 is not divisible by |G|:"
-            f" remainder {RationalPoly(rem, 'q')!r}"
-        )
-    return quot
+    what = f"sum_la |class la| gamma_{mu_t}(la)^2 / |G|"
+    return exact_quotient(numerator, group_order_coeffs(n, eps), what)
 
 
 class MuResult(NamedTuple):

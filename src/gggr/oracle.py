@@ -55,6 +55,7 @@ Gelfand-Graev character and mu = (1^n) the regular one.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
@@ -62,6 +63,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
 from .grouporders import check_eps, is_prime_power
+from .intpoly import exact_div
 from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
@@ -280,7 +282,7 @@ class ConjClass(NamedTuple):
 
 
 class OracleGroup:
-    def __init__(self, n: int, eps: int, q0: int, field: FiniteField, codes: list[int]):
+    def __init__(self, n: int, eps: int, q0: int, field: FiniteField, codes: Sequence[int]):
         self.n, self.eps, self.q0 = n, eps, q0
         self.field = field  # entries live here: F_q0 for GL, F_{q0^2} for GU
         self.codes = codes  # e -> the code of g_e, increasing
@@ -576,7 +578,7 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     return q0 if eps == 1 else q0 * q0
 
 
-def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> list[int]:
+def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> array:
     """The codes of GL_n(F) (eps = 1) or GU_n(q0) (eps = -1), row by row,
     each row picked from candidates (vector codes, increasing) that
     narrow(candidates, state, v) narrows once row v is picked.  GL: vectors
@@ -607,7 +609,7 @@ def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> list[int]:
             h = herm[v]
             return [x for x in candidates if not h[x]], None
 
-    out: list[int] = []
+    out = array("q")  # 8 bytes a code: every admitted code is below 4^16 (GU4(2))
 
     def extend(prefix: int, k: int, candidates: list[int], state) -> None:
         if k == n - 1:
@@ -746,16 +748,10 @@ def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
         if a[1:] != a[-1:] * (p - 1):
             raise ContractError(f"{G.name}: the sum of psi over the class of {cls.rep} is not "
                                 f"rational: exponent counts {a}")
-        centralizer, rest = divmod(G.order, cls.size)
-        if rest:
-            raise ContractError(f"{G.name}: the class of {cls.rep} has {cls.size} elements, "
-                                f"which does not divide |G| = {G.order}")
-        total += centralizer * (a[0] - a[-1]) ** 2
-    inner, rest = divmod(total, len(H) ** 2)
-    if rest:
-        raise ContractError(f"{G.name}: induced inner product not integral: {total} / "
-                            f"{len(H) ** 2}")
-    return inner
+        what = f"{G.name}: the class of {cls.rep}: |G| / |class| = {G.order} / {cls.size}"
+        total += exact_div(G.order, cls.size, what) * (a[0] - a[-1]) ** 2
+    squared = len(H) ** 2
+    return exact_div(total, squared, f"{G.name}: induced inner product {total} / {squared}")
 
 
 def gggr_inner(G: OracleGroup, mu: Partition) -> tuple[int, int]:

@@ -25,12 +25,12 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import CapExceededError, ContractError, NonExactDivisionError
-from .intpoly import IntPoly, bilinear, divmod_monic, scale, times_binomials, trim
+from .errors import CapExceededError, ContractError
+from .intpoly import IntPoly, bilinear, exact_div, exact_quotient, scale, times_binomials, trim
 from .partitions import Partition, multiplicities, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly
 
-#: Default ceiling for ``hall_littlewood_expand``: expanding every p_rho with
+#: Ceiling for ``hall_littlewood_expand``: expanding every p_rho with
 #: rho |- 10 takes ~0.15 s (2 cores, Python 3.11), n = 11 ~0.4 s, n = 12 ~1.5 s.
 HL_CAP = 10
 
@@ -238,17 +238,6 @@ def _dominated(mu: Partition, la: Partition) -> bool:
     return True
 
 
-def _exact_quotient(f: IntPoly, pivot: IntPoly, mu: Partition, la: Partition) -> IntPoly:
-    """f / pivot for a pivot b_la(t), whose leading coefficient is +-1."""
-    sign = pivot[-1]
-    quot, rem = divmod_monic(f, scale(pivot, sign))
-    if rem:
-        raise NonExactDivisionError(
-            f"G[{tuple(mu)}][{tuple(la)}] less the known terms is not divisible by b_la(t)"
-        )
-    return scale(quot, sign)
-
-
 @lru_cache(maxsize=None)
 def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[IntPoly, ...], ...]]:
     """X = R W^-1, rows rho, and W^T, with G = W^T diag(b) W, for the
@@ -268,15 +257,14 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
     R = [[trim((_monomial_count(rho, mu),)) for mu in parts] for rho in parts]
     weights = []
     for rho in parts:
-        cls, rem = divmod(fact, weyl_centralizer_order(rho))
-        if rem:
-            raise NonExactDivisionError(f"z_rho of {tuple(rho)} does not divide {n}!")
+        cls = exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {tuple(rho)}")
         # n!/z_rho(t) = (n!/z_rho) * (-1)^len(rho) * prod_i (t^rho_i - 1)
         weights.append(scale(times_binomials(0, rho, 1), cls * (-1) ** len(rho)))
-    gram = bilinear(R, weights, R)  # n! * G
-    if any(c % fact for row in gram for f in row for c in f):
-        raise NonExactDivisionError(f"n! * G is not divisible by {n}! = {fact}")
-    gram = [[tuple(c // fact for c in f) for f in row] for row in gram]
+    what = f"n! * G / {n}!"
+    gram = [
+        [tuple(exact_div(c, fact, what) for c in f) for f in row]
+        for row in bilinear(R, weights, R)  # n! * G
+    ]
     # LDL^T column by column; L = W^T is lower unitriangular, L[i][k] = W[k][i].
     L: list[list[IntPoly]] = [[] for _ in parts]
     X: list[list[IntPoly]] = [[] for _ in parts]
@@ -290,8 +278,11 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
             raise ContractError(f"the pivot of {tuple(la)} is not b_la(t)")
         pivots.append(pivot)
         L[j].append((1,))
+        sign = pivot[-1]  # b_la(t) has leading coefficient +-1
+        monic = scale(pivot, sign)
         for mu, row, f in zip(parts[j + 1 :], L[j + 1 :], col[1:]):
-            entry = _exact_quotient(f, pivot, mu, la)
+            what = f"G[{tuple(mu)}][{tuple(la)}] less the known terms / b_la(t)"
+            entry = scale(exact_quotient(f, monic, what), sign)
             if entry and not _dominated(mu, la):
                 raise ContractError(
                     f"P_{tuple(la)} has a monomial {tuple(mu)} it does not dominate"
@@ -303,7 +294,7 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
     return tuple(map(tuple, X)), tuple(map(tuple, L))
 
 
-def hall_littlewood_expand(rho: Partition, cap: int = HL_CAP) -> dict[Partition, RationalPoly]:
+def hall_littlewood_expand(rho: Partition) -> dict[Partition, RationalPoly]:
     """Expand the power sum p_rho in the Hall-Littlewood P basis:
     returns {la: c_la(t)} with p_rho = sum_la c_la(t) P_la(x; t).
 
@@ -311,12 +302,8 @@ def hall_littlewood_expand(rho: Partition, cap: int = HL_CAP) -> dict[Partition,
     coefficient for coefficient.
     """
     n = rho.n
-    if n > cap:
-        raise CapExceededError(
-            f"hall_littlewood_expand at n = {n} exceeds cap {cap}"
-        )
-    if n == 0:
-        return {}
+    if n > HL_CAP:
+        raise CapExceededError(f"hall_littlewood_expand at n = {n} exceeds cap {HL_CAP}")
     parts = partitions_of(n)
     row = _hl_factor(n)[0][parts.index(rho)]
     return {la: RationalPoly(c, "t") for la, c in zip(parts, row) if c}

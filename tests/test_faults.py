@@ -167,14 +167,15 @@ def test_class_size_fails_exact_division(inject):
         return (size[0] + 1,) + size[1:] if la == (3,) else size
 
     inject(kawanaka, "class_size_coeffs", perturbed_sizes)
-    with pytest.raises(NonExactDivisionError, match="not divisible by |G|"):
+    message = "sum_la |class la| gamma_(3,)(la)^2 / |G| left remainder (36, -72, 36)"
+    with pytest.raises(NonExactDivisionError, match=f"^{re.escape(message)}$"):
         kawanaka.endo_dim(P((3,)), 1)
     report = verify_theorem(3, 1)
     assert not report.passed
     assert report.results[0].poly is None and not report.results[0].passed
     witness = report.results[0].to_json()["witness"]
     assert witness["condition"] == "division"
-    assert witness["error"].startswith("sum_la |class la| gamma_(3,)(la)^2 is not divisible by |G|")
+    assert witness["error"] == message
 
 
 def test_green_negative_power_is_typed(inject):
@@ -436,7 +437,7 @@ GL2_F3_DROPPED = {
         "GL2(F3): the identity is not an enumerated element",
     ),
     "last": (
-        "GL2(F3): the class of ((0, 1), (2, 2)) has 8 elements, which does not divide |G| = 47",
+        "GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
         "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated element",
     ),
 }
@@ -731,7 +732,7 @@ GL3_F2_DATUM_FAULTS = {
     ),
     "shift_last_exponent": (
         "",
-        "gggr: check failed: GL3(F2): induced inner product not integral: 240 / 64\n",
+        "gggr: check failed: GL3(F2): induced inner product 240 / 64 left remainder 48\n",
     ),
 }
 
@@ -753,9 +754,9 @@ def test_datum_fault_fails_gggr_inner_check(monkeypatch, capsys, fault):
 @pytest.mark.parametrize(
     "size, inner, message",
     [
-        (5, "regular_rep_inner", "the class of ((1, 0), (0, 1)) has 5 elements, "
-         "which does not divide |G| = 48"),
-        (2, "gelfand_graev_inner", "induced inner product not integral: 30 / 9"),
+        (5, "regular_rep_inner", "the class of ((1, 0), (0, 1)): |G| / |class| = 48 / 5 "
+         "left remainder 3"),
+        (2, "gelfand_graev_inner", "induced inner product 30 / 9 left remainder 3"),
     ],
 )
 def test_identity_class_size_fails_exact_division(size, inner, message):
@@ -764,8 +765,21 @@ def test_identity_class_size_fails_exact_division(size, inner, message):
     G = oracle.enumerate_group(2, 1, 3)
     idx = identity_class(G)
     G._classes[idx] = G._classes[idx]._replace(size=size)
-    with pytest.raises(ContractError, match=re.escape(f"GL2(F3): {message}")):
+    with pytest.raises(NonExactDivisionError, match=f"^{re.escape(f'GL2(F3): {message}')}$"):
         getattr(oracle, inner)(G)
+
+
+def test_empty_datum_fails_as_a_check(monkeypatch, capsys):
+    # an empty H for mu = (1, 1), past the certificate that mu = (2) seeds,
+    # leaves the induced inner product 0 / |H|^2 = 0 / 0: a failed check,
+    # not a ZeroDivisionError
+    datum = oracle.kawanaka_datum
+    monkeypatch.setattr(
+        oracle, "kawanaka_datum", lambda G, mu: datum(G, mu) if len(mu) == 1 else ({}, 0)
+    )
+    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    message = "GL2(F3): induced inner product 0 / 0 divides by zero"
+    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
 
 
 # -- the Hall-Littlewood factorisation ----------------------------------------
@@ -812,12 +826,13 @@ def test_monomial_count_off_by_one_fails_gram_divisibility(hl_inject):
         "_monomial_count",
         lambda rho, mu: count(rho, mu) + (tuple(rho) == tuple(mu) == (3, 1)),
     )
-    hl_fails(4, "n! * G is not divisible by 4! = 24")
+    hl_fails(4, "n! * G / 4! left remainder 8")
 
 
 @pytest.mark.parametrize(
     "z, message",
-    [(4, "n! * G is not divisible by 4! = 24"), (16, "z_rho of (2, 2) does not divide 4!")],
+    [(4, "n! * G / 4! left remainder 3"), (16, "4! / z_rho of (2, 2) left remainder 8")],
+    ids=["4", "16"],
 )
 def test_changed_z_rho_fails(hl_inject, z, message):
     z_rho = symfunc.weyl_centralizer_order
@@ -856,7 +871,7 @@ def perturbed_gram(mu, la, delta):
 def test_gram_entry_fails_exact_division(hl_inject):
     # b_(2,2)(t) = (1 - t)(1 - t^2) does not divide the entry plus 1
     hl_inject(symfunc, "bilinear", perturbed_gram(P((2, 1, 1)), P((2, 2)), (1,)))
-    hl_fails(4, "G[(2, 1, 1)][(2, 2)] less the known terms is not divisible by b_la(t)")
+    hl_fails(4, "G[(2, 1, 1)][(2, 2)] less the known terms / b_la(t) left remainder (1,)")
 
 
 def test_gram_entry_fails_dominance(hl_inject):
@@ -1144,6 +1159,56 @@ def test_python_O_guard_can_fail():
     )
     assert list(untyped_checks(ast.parse(source))) == [
         (1, "assert"), (2, "__debug__"), (4, "__debug__")
+    ]
+
+
+def exact_divisions(tree):
+    """(line, name) of each call of divmod, each NonExactDivisionError built
+    or raised, and each mention of divmod_monic, sorted: a division that
+    must be exact goes through intpoly's exact_quotient or exact_div, which
+    own the remainder test and its message."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Call, ast.Raise)):
+            target = node.func if isinstance(node, ast.Call) else node.exc
+            called = getattr(target, "id", None) or getattr(target, "attr", None)
+            if called in ("divmod", "NonExactDivisionError"):
+                found.append((node.lineno, called))
+        names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if "divmod_monic" in names:
+            found.append((node.lineno, "divmod_monic"))
+    return sorted(found)
+
+
+def test_only_intpoly_divides_exactly():
+    # every quotient that must be exact, and its error, comes from intpoly
+    modules = {
+        path.name: exact_divisions(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((SRC / "gggr").rglob("*.py"))
+    }
+    assert {name for _, name in modules.pop("intpoly.py")} == {"divmod", "NonExactDivisionError"}
+    assert {module: found for module, found in modules.items() if found} == {}
+
+
+def test_exact_division_guard_can_fail():
+    source = (
+        "from .intpoly import divmod_monic\n"
+        "quot, rem = divmod(a, b)\n"
+        "raise NonExactDivisionError('inexact')\n"
+        "raise errors.NonExactDivisionError\n"
+        "quot, rem = intpoly.divmod_monic(f, g)\n"
+        "def divmod_monic(f, g): pass\n"
+        "isinstance(exc, NonExactDivisionError)\n"
+        "quot = exact_quotient(f, g, 'f / g')\n"
+        "raise ContractError('typed')\n"
+    )
+    assert exact_divisions(ast.parse(source)) == [
+        (1, "divmod_monic"),
+        (2, "divmod"),
+        (3, "NonExactDivisionError"),
+        (4, "NonExactDivisionError"),
+        (5, "divmod_monic"),
+        (6, "divmod_monic"),
     ]
 
 

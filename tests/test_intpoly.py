@@ -6,14 +6,15 @@ import random
 import pytest
 
 import gggr.intpoly as intpoly
-from gggr.errors import ContractError
+from gggr.errors import ContractError, NonExactDivisionError
 from gggr.intpoly import (
     _pack,
     _unpack,
     _width,
     bilinear,
-    divmod_monic,
     evaluate,
+    exact_div,
+    exact_quotient,
     product_bound,
     signed,
     times_binomials,
@@ -105,15 +106,48 @@ def test_bilinear_all_zero():
     assert bilinear([[()]], [(1,)], [[(), ()]]) == [[(), ()]]
 
 
-def test_divmod_monic():
+def test_exact_quotient():
     rng = random.Random(3292)
+    inexact = 0
     for _ in range(100):
         g = rand_poly(rng, max_len=5) + (1,)
         quot, rem = rand_poly(rng), rand_poly(rng, max_len=len(g) - 1)
-        f = add(schoolbook(quot, g), rem)
-        assert divmod_monic(f, g) == (quot, rem)
-    with pytest.raises(ContractError, match="divisor must be monic"):
-        divmod_monic((1, 2), (1, 2))
+        f = schoolbook(quot, g)
+        assert exact_quotient(f, g, "f / g") == quot
+        if rem:
+            inexact += 1
+            with pytest.raises(NonExactDivisionError) as info:
+                exact_quotient(add(f, rem), g, "f / g")
+            assert str(info.value) == f"f / g left remainder {rem}"
+    assert inexact > 20
+    assert exact_quotient((), (1,), "0 / 1") == ()
+    with pytest.raises(NonExactDivisionError, match=r"^1 / q left remainder \(1,\)$"):
+        exact_quotient((1,), (0, 1), "1 / q")
+    for g in [(1, 2), (2,), (1, -1), ()]:
+        with pytest.raises(ContractError, match="^divisor must be monic$"):
+            exact_quotient(schoolbook((1, 2), g), g, "f / g")
+
+
+def test_exact_div():
+    rng = random.Random(2010)
+    for _ in range(200):
+        b = rng.choice([-1, 1]) * rng.randrange(1, 10**6)
+        quot = rng.randrange(-(10**20), 10**20)
+        assert exact_div(quot * b, b, "a / b") == quot
+        if abs(b) > 1:
+            a = quot * b + rng.randrange(1, abs(b))
+            with pytest.raises(NonExactDivisionError) as info:
+                exact_div(a, b, f"{a} / {b}")
+            assert str(info.value) == f"{a} / {b} left remainder {a % b}"
+    assert exact_div(-12, -4, "-12 / -4") == 3
+    assert exact_div(-12, 4, "-12 / 4") == -3
+    with pytest.raises(NonExactDivisionError, match="^-7 / 2 left remainder 1$"):
+        exact_div(-7, 2, "-7 / 2")
+    with pytest.raises(NonExactDivisionError, match="^7 / -2 left remainder -1$"):
+        exact_div(7, -2, "7 / -2")
+    with pytest.raises(ContractError, match="^0 / 0 divides by zero$") as info:
+        exact_div(0, 0, "0 / 0")
+    assert not isinstance(info.value, NonExactDivisionError)
 
 
 def test_signed_and_evaluate():

@@ -361,10 +361,11 @@ def decode(code, n, q):
 @pytest.mark.parametrize("n, eps, q0", [(3, 1, 3), (2, -1, 5), (2, 1, 9)])
 def test_codes_are_distinct_and_decode_to_their_elements(n, eps, q0):
     G = enumerate_group(n, eps, q0)
-    assert G.codes == sorted(set(G.codes))  # distinct, in increasing order
+    assert G.codes.typecode == "q"  # 8 bytes a code, not a list of int objects
+    assert list(G.codes) == sorted(set(G.codes))  # distinct, in increasing order
     elements = [decode(c, n, G.field.q) for c in G.codes]
     assert list(G.elements) == elements
-    assert [G.encode(g) for g in elements] == G.codes
+    assert [G.encode(g) for g in elements] == list(G.codes)
     # membership is being one of the enumerated codes
     gap = next(a + 1 for a, b in zip(G.codes, G.codes[1:]) if b > a + 1)
     assert all(map(G._member, G.codes))
