@@ -1,0 +1,133 @@
+"""Finite fields held as tables, for the brute-force oracle.
+
+F_q = F_p[x]/(f) with f chosen so that its residue x is primitive; that
+makes the quotient a field without a test for irreducibility (see
+FiniteField).  Elements are the integers 0..q-1, and addition, products,
+negatives and inverses are read off tables that construction checks against
+the field axioms.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from typing import Optional
+
+from .errors import ContractError
+from .grouporders import is_prime_power
+
+
+class FiniteField:
+    """F_q for a prime power q = p^e, elements encoded as integers 0..q-1:
+    the residue sum_i c_i x^i (c_i digits base p) modulo ``modulus`` is
+    encoded as sum_i c_i p^i.  The modulus f is the first monic polynomial
+    of degree e over F_p (coefficients lowest first, counted up) with
+    f(0) != 0 whose residue x has q - 1 distinct nonzero powers.  Then every
+    nonzero residue is a power of the unit x, so F_p[x]/(f) is a field and
+    f is irreducible, indeed primitive (Lidl & Niederreiter, Finite Fields,
+    1997, chapter 3).  Addition is digit-wise; products, inverses and powers
+    are read off ``exp`` (k -> x^k) and ``log``.
+
+    Construction verifies the field axioms outright, every one over every a,
+    b and c, a whole table at a time in C: each row of ``add`` and ``mul``
+    is held as bytes (so q <= 256), and the composite x -> row_a[row_b[x]]
+    of two rows is row_b.translate(row_a padded to 256 bytes), so the rows
+    of a table joined in order are composed with one row by one call.  In
+    order: the identities (a column each), negation and inverses, then
+    commutativity (the table equal to its transpose), then for each a in
+    turn distributivity a(b + c) = ab + ac, and the associativity of + and
+    of *, each as all b and c at once."""
+
+    def __init__(self, q: int):
+        pe = is_prime_power(q)
+        if pe is None:
+            raise ValueError(f"{q} is not a prime power")
+        if q > 256:
+            raise ValueError(f"F_{q} does not fit tables of bytes: q must be at most 256")
+        self.q = q
+        self.p, self.e = p, e = pe
+        digits = [p**i for i in range(e)]
+        self.add = [[sum((a // d + b // d) % p * d for d in digits) for b in range(q)]
+                    for a in range(q)]
+        self.modulus, self.exp = self._primitive()
+        self.log = log = [0] * q
+        for k, a in enumerate(self.exp):
+            log[a] = k
+        exp, units = self.exp, q - 1
+        self.mul = [[0] * q] + [
+            [0] + [exp[(log[a] + log[b]) % units] for b in range(1, q)] for a in range(1, q)
+        ]
+        self.neg = [self.mul[a][p - 1] for a in range(q)]  # p - 1 encodes -1
+        self.inv = [0] + [exp[-log[a] % units] for a in range(1, q)]
+        self._verify_axioms()
+
+    def _primitive(self) -> tuple[tuple[int, ...], list[int]]:
+        """The modulus, lowest coefficient first, and the codes of x^0, ...,
+        x^(q-2).  Times x, the residue with top digit d and the rest r is
+        r shifted up a digit, plus d*x^e = -d*(f - x^e)."""
+        q, p, e = self.q, self.p, self.e
+        top = p ** (e - 1)
+        for tail in itertools.product(range(p), repeat=e):
+            if not tail[0]:
+                continue
+            carry = [sum(-d * c % p * p**i for i, c in enumerate(tail)) for d in range(p)]
+            exp = [1]
+            for _ in range(q - 2):
+                a = exp[-1]
+                exp.append(self.add[a % top * p][carry[a // top]])
+            if 0 not in exp and len(set(exp)) == q - 1:
+                return tail + (1,), exp
+        raise ContractError(f"no primitive polynomial of degree {e} over F_{p}")
+
+    def _verify_axioms(self) -> None:
+        q, pad = self.q, bytes(256 - self.q)
+        add, mul = list(map(bytes, self.add)), list(map(bytes, self.mul))
+        add_t, mul_t = list(map(bytes, zip(*add))), list(map(bytes, zip(*mul)))
+        adds, muls = b"".join(add), b"".join(mul)
+        padded = [row + pad for row in add]  # as translation tables, x -> a + x
+        checks = [
+            ("identity axiom", add_t[0] == mul_t[1] == bytes(range(q)) and not any(mul_t[0])),
+            ("negation axiom", not any(map(bytes.__getitem__, add, self.neg))),
+            ("inverse axiom", all(row[b] == 1 for row, b in zip(mul[1:], self.inv[1:]))),
+            ("commutativity", add_t == add and mul_t == mul),
+        ]
+        for a in range(q):  # every b and c at once: the rows of b = 0..q-1 joined
+            times = mul[a] + pad  # x -> a*x
+            checks += [
+                ("distributivity",  # a(b + c) against ab + ac
+                 adds.translate(times) == b"".join([mul[a].translate(padded[x]) for x in mul[a]])),
+                ("additive associativity",  # a + (b + c) against (a + b) + c
+                 adds.translate(padded[a]) == b"".join([add[x] for x in add[a]])),
+                ("multiplicative associativity",  # a(bc) against (ab)c
+                 muls.translate(times) == b"".join([mul[x] for x in mul[a]])),
+            ]
+        for axiom, holds in checks:
+            if not holds:
+                raise ContractError(f"F_{q}: {axiom} failed")
+
+    def power(self, a: int, k: int) -> int:
+        return self.exp[self.log[a] * k % (self.q - 1)] if a else int(k == 0)
+
+    def frobenius(self, a: int) -> int:
+        return self.power(a, self.p)
+
+    def abs_trace(self, a: int, degree: Optional[int] = None) -> int:
+        """Trace from the subfield with p^degree elements (by default F_q
+        itself) down to the prime field, returned as an integer 0..p-1."""
+        acc, cur = 0, a
+        for _ in range(self.e if degree is None else degree):
+            acc = self.add[acc][cur]
+            cur = self.frobenius(cur)
+        if acc >= self.p:
+            raise ContractError(f"trace of {a} in F_{self.q} left the prime field: {acc}")
+        return acc
+
+
+@lru_cache(maxsize=None)
+def finite_field(q: int) -> FiniteField:
+    return FiniteField(q)
+
+
+@lru_cache(maxsize=None)
+def finite_field(q: int) -> FiniteField:
+    return FiniteField(q)

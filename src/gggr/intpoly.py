@@ -9,7 +9,7 @@ Products use Kronecker substitution: f is packed into the single integer
 f(2^b), packed integers are multiplied, and the result is read back in base
 2^b.  The read-back is exact when every coefficient c of the result has
 |c| < 2^(b-1), so b is derived from a proven bound on the result's
-coefficients (``product_bound``), never guessed.  b is a whole number of
+coefficients (``young_bound``), never guessed.  b is a whole number of
 bytes, rounded up to 8, 16, 32 or 64 bits while it fits in 64, so that on
 little-endian hosts those digits are packed and read back as machine words
 by ``array`` and ``memoryview`` in C rather than one by one.
@@ -20,7 +20,9 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain, repeat
+from math import prod
+from typing import Iterator, Sequence
 
 from .errors import ContractError, NonExactDivisionError
 
@@ -98,12 +100,14 @@ def exact_div(a: int, b: int, what: str) -> int:
 # -- Kronecker substitution --------------------------------------------------
 
 
-def product_bound(terms: int, len_a: int, max_a: int, len_b: int, max_b: int) -> int:
-    """A bound on |c| for every coefficient c of a sum of ``terms`` products
-    a*b with len(a) <= len_a, len(b) <= len_b and coefficients bounded by
-    max_a and max_b: each coefficient of one product sums at most
-    min(len_a, len_b) terms of size at most max_a*max_b."""
-    return terms * min(len_a, len_b) * max_a * max_b
+def young_bound(terms) -> int:
+    """A bound on |c| for every coefficient c of a sum over k of products,
+    given for each k the norms of its factors: the l1 norm (the sum of the
+    absolute coefficients) of each factor but one, and the l_inf norm (the
+    largest absolute coefficient) of that one.  By Young's inequality for
+    sequences, |f*g|_inf <= |f|_1 * |g|_inf, so each product's coefficients
+    are bounded by the product of those norms, and the sum by their sum."""
+    return sum(map(prod, terms))
 
 
 #: Signed array typecodes by item size, on little-endian hosts: digits of
@@ -165,9 +169,14 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     ]
 
 
-def _shape(polys) -> tuple[int, int]:
-    """Longest length and largest absolute coefficient."""
-    return max(map(len, polys), default=0), max((abs(a) for f in polys for a in f), default=0)
+def _l1(polys) -> Iterator[int]:
+    """The sum of the absolute coefficients (the l1 norm) of each of ``polys``."""
+    return map(sum, map(map, repeat(abs), polys))
+
+
+def _linf(polys) -> int:
+    """The largest absolute coefficient (the l_inf norm) among all ``polys``."""
+    return abs(max(chain.from_iterable(polys), key=abs, default=0))
 
 
 def bilinear(
@@ -186,17 +195,18 @@ def bilinear(
     then yields every column l at once."""
     terms = len(w)
     rows_out, cols = (len(a[0]), len(b[0])) if terms else (0, 0)
-    len_a, max_a = _shape([f for row in a for f in row])
-    len_w, max_w = _shape(w)
-    len_b, max_b = _shape([f for row in b for f in row])
+    len_a, len_w, len_b = (max(map(len, chain.from_iterable(x)), default=0) for x in (a, [w], b))
     if not (len_a and len_w and len_b):
         return [[() for _ in range(cols)] for _ in range(rows_out)]
-    # a*w has at most len_a + len_w - 1 coefficients, each bounded by
-    # min(len_a, len_w) * max_a * max_w; the sum over k is bounded in turn.
+    # a coefficient of out[m][l] sums those of a[k][m] * w[k] * b[k][l], each
+    # at most |a[k][m]|_1 * |w[k]|_1 * |b[k][l]|_inf; the digits must also
+    # hold every coefficient of the operands
+    a1 = [max(_l1(row)) for row in a]
+    w1 = list(_l1(w))
+    b_inf = list(map(_linf, b))
+    top = max(_linf(chain.from_iterable(a)), _linf(w), *b_inf)
+    width = _width(max(young_bound(zip(a1, w1, b_inf)), top))
     len_aw = len_a + len_w - 1
-    max_aw = product_bound(1, len_a, max_a, len_w, max_w)
-    bound = product_bound(terms, len_aw, max_aw, len_b, max_b)
-    width = _width(max(bound, max_a, max_w, max_b))
     slot = len_aw + len_b - 1
     rows = [
         _pack(f, width) * _pack([c for g in row for c in g + (0,) * (slot - len(g))], width)
@@ -217,17 +227,18 @@ def weighted_squares(rows: Sequence[Sequence[IntPoly]], w: Sequence[IntPoly]) ->
     """sum_k w[k] * rows[m][k]^2 over Z[q] for every row m: the diagonal of
     bilinear(rowsᵀ, w, rowsᵀ).  Every operand is packed once, at one width
     wide enough for any row's sum, so each w[k] serves every row."""
-    terms = len(w)
-    len_r, max_r = _shape([f for row in rows for f in row])
-    len_w, max_w = _shape(w)
+    len_r = max(map(len, chain.from_iterable(rows)), default=0)
+    len_w = max(map(len, w), default=0)
     if not (len_r and len_w):
         return [() for _ in rows]
-    # a square has at most 2*len_r - 1 coefficients, each bounded by
-    # len_r * max_r^2; the sum over k is bounded in turn.
+    # a coefficient of row m's sum sums those of rows[m][k]^2 * w[k], each at
+    # most |rows[m][k]|_1 * |rows[m][k]|_inf * |w[k]|_1; the digits must also
+    # hold every coefficient of the operands
+    squares = [max([l1 * _linf([f]) for l1, f in zip(_l1(col), col)]) for col in zip(*rows)]
+    w1 = list(_l1(w))
+    top = max(_linf(chain.from_iterable(rows)), _linf(w))
+    width = _width(max(young_bound(zip(squares, w1)), top))
     len_rr = 2 * len_r - 1
-    max_rr = product_bound(1, len_r, max_r, len_r, max_r)
-    bound = product_bound(terms, len_rr, max_rr, len_w, max_w)
-    width = _width(max(bound, max_r, max_w))
     count = len_rr + len_w - 1
     ws = [_pack(f, width) for f in w]
     out = []

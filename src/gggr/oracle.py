@@ -34,9 +34,8 @@ GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
 Hermitian form.
 
-The entries live in F_q = F_p[x]/(f), held as tables, with f chosen so
-that its residue x is primitive; that makes the quotient a field without a
-test for irreducibility (see FiniteField).
+The entries live in F_q = F_p[x]/(f), held as tables by the fields module
+(see fields.FiniteField).
 
 The generalised Gelfand-Graev character Gamma_u of a unipotent u of Jordan
 type mu is built from one datum for GL and GU alike (Kawanaka, Generalized
@@ -58,125 +57,24 @@ import itertools
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
+from .fields import FiniteField, finite_field
 from .grouporders import check_eps, is_prime_power
 from .intpoly import exact_div
 from .partitions import Partition, conjugate, partitions_of
 
-#: Enumeration budget on |G|, from measured cost: it admits GL_3(4), with
-#: 181 440 elements (its report ~0.04-0.07 s and ~24 MiB peak in process, 2
-#: cores, Python 3.11; ~0.3 s and ~31 MiB in a fresh process where the
-#: certificate fails), and refuses GU_3(4), with 312 000 (~0.7 s and ~40 MiB
-#: to enumerate), and GL_3(5), with 1 488 000.
+#: Enumeration budget on |G|, from measured cost (fresh processes, 2 cores,
+#: Python 3.11.7): it admits GL_3(4), with 181 440 elements (enumerated and
+#: reported in ~0.05 s at ~18 MiB peak RSS; ~0.2 s where the certificate
+#: fails for want of the (2, 1) seeds), and refuses GU_3(4), with 312 000
+#: (~0.22 s and ~21 MiB to enumerate), and GL_3(5), with 1 488 000.  Past
+#: the unitary gate, GU_2(9) and GU_2(8) report in ~0.09 s and ~0.03 s.
 ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
 SUPPORTED_Q = (2, 3, 4, 5, 8, 9)
-
-
-# ---------------------------------------------------------------------------
-# Finite fields
-# ---------------------------------------------------------------------------
-
-
-class FiniteField:
-    """F_q for a prime power q = p^e, elements encoded as integers 0..q-1:
-    the residue sum_i c_i x^i (c_i digits base p) modulo ``modulus`` is
-    encoded as sum_i c_i p^i.  The modulus f is the first monic polynomial
-    of degree e over F_p (coefficients lowest first, counted up) with
-    f(0) != 0 whose residue x has q - 1 distinct nonzero powers.  Then every
-    nonzero residue is a power of the unit x, so F_p[x]/(f) is a field and
-    f is irreducible, indeed primitive (Lidl & Niederreiter, Finite Fields,
-    1997, chapter 3).  Addition is digit-wise; products, inverses and powers
-    are read off ``exp`` (k -> x^k) and ``log``.  Construction verifies the
-    field axioms outright."""
-
-    def __init__(self, q: int):
-        pe = is_prime_power(q)
-        if pe is None:
-            raise ValueError(f"{q} is not a prime power")
-        self.q = q
-        self.p, self.e = p, e = pe
-        digits = [p**i for i in range(e)]
-        self.add = [[sum((a // d + b // d) % p * d for d in digits) for b in range(q)]
-                    for a in range(q)]
-        self.modulus, self.exp = self._primitive()
-        self.log = log = [0] * q
-        for k, a in enumerate(self.exp):
-            log[a] = k
-        exp, units = self.exp, q - 1
-        self.mul = [[0] * q] + [
-            [0] + [exp[(log[a] + log[b]) % units] for b in range(1, q)] for a in range(1, q)
-        ]
-        self.neg = [self.mul[a][p - 1] for a in range(q)]  # p - 1 encodes -1
-        self.inv = [0] + [exp[-log[a] % units] for a in range(1, q)]
-        self._verify_axioms()
-
-    def _primitive(self) -> tuple[tuple[int, ...], list[int]]:
-        """The modulus, lowest coefficient first, and the codes of x^0, ...,
-        x^(q-2).  Times x, the residue with top digit d and the rest r is
-        r shifted up a digit, plus d*x^e = -d*(f - x^e)."""
-        q, p, e = self.q, self.p, self.e
-        top = p ** (e - 1)
-        for tail in itertools.product(range(p), repeat=e):
-            if not tail[0]:
-                continue
-            carry = [sum(-d * c % p * p**i for i, c in enumerate(tail)) for d in range(p)]
-            exp = [1]
-            for _ in range(q - 2):
-                a = exp[-1]
-                exp.append(self.add[a % top * p][carry[a // top]])
-            if 0 not in exp and len(set(exp)) == q - 1:
-                return tail + (1,), exp
-        raise ContractError(f"no primitive polynomial of degree {e} over F_{p}")
-
-    def _verify_axioms(self) -> None:
-        q = self.q
-        rng = range(q)
-        add, mul = self.add, self.mul
-        for a in rng:
-            if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
-                raise ContractError(f"F_{q}: identity axiom failed")
-            if add[a][self.neg[a]] != 0:
-                raise ContractError(f"F_{q}: negation axiom failed")
-            if a and mul[a][self.inv[a]] != 1:
-                raise ContractError(f"F_{q}: inverse axiom failed")
-        for a in rng:
-            for b in rng:
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise ContractError(f"F_{q}: commutativity failed")
-                for c in rng:
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise ContractError(f"F_{q}: additive associativity failed")
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise ContractError(f"F_{q}: multiplicative associativity failed")
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                        raise ContractError(f"F_{q}: distributivity failed")
-
-    def power(self, a: int, k: int) -> int:
-        return self.exp[self.log[a] * k % (self.q - 1)] if a else int(k == 0)
-
-    def frobenius(self, a: int) -> int:
-        return self.power(a, self.p)
-
-    def abs_trace(self, a: int, degree: Optional[int] = None) -> int:
-        """Trace from the subfield with p^degree elements (by default F_q
-        itself) down to the prime field, returned as an integer 0..p-1."""
-        acc, cur = 0, a
-        for _ in range(self.e if degree is None else degree):
-            acc = self.add[acc][cur]
-            cur = self.frobenius(cur)
-        if acc >= self.p:
-            raise ContractError(f"trace of {a} in F_{self.q} left the prime field: {acc}")
-        return acc
-
-
-@lru_cache(maxsize=None)
-def finite_field(q: int) -> FiniteField:
-    return FiniteField(q)
 
 
 # ---------------------------------------------------------------------------
@@ -579,46 +477,93 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
 
 
 def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> array:
-    """The codes of GL_n(F) (eps = 1) or GU_n(q0) (eps = -1), row by row,
-    each row picked from candidates (vector codes, increasing) that
-    narrow(candidates, state, v) narrows once row v is picked.  GL: vectors
-    outside the span of the rows so far, a set of codes widened by tables
-    of u + m and c*v.  GU: unit vectors orthogonal to them for the identity
-    Hermitian form h (g*g^* = 1, for square g the same as g^**g = 1), by a
-    table of h(v, .) per unit v; h(v, x) = 0 exactly when h(x, v) = 0."""
+    """The codes of GL_n(F) (eps = 1) or GU_n(q0) (eps = -1), row by row.
+    Each row is picked from candidates, increasing, and branch(candidates,
+    state) lists each pick v with the candidates of the next row.  A
+    candidate is a position in ``index``, the increasing codes of the
+    vectors a row may be.  The last two rows depend only on the candidates
+    of the second-to-last, so their codes are worked out once per candidate
+    list (in ``tails``) and shared by every prefix that leaves that list: the
+    ordered bases of one span for GL, of one orthogonal complement for GU.
+
+    GL: the vectors outside the span S of the rows so far.  Once per node
+    they are sorted into the lines of V/S, the line of x being the vectors
+    c*x + s with c != 0 and s in S (read off tables of u + m and of the
+    multiples c*x, built digit by digit).  A pick v takes the candidates off
+    its own line, one list shared by every v on that line (q + 1 lines at
+    the second-to-last row), and S + F*v is S with v's line.
+
+    GU: the unit vectors orthogonal to the rows so far for the identity
+    Hermitian form h (g*g^* = 1, for square g the same as g^**g = 1); h(v, x)
+    = 0 exactly when h(x, v) = 0.  For each unit v, the units orthogonal to
+    it are tabled as bytes by position, over the unit vectors only, from
+    per-coordinate tables: coordinate i of every unit translated by the row
+    of F.mul for bar(v_i).  h(v, x) = 0 exactly when the sum of the first
+    n - 1 terms equals -bar(v_(n-1))*x_(n-1); the two are compared for every
+    x at once as big integers, whose XOR has a zero byte exactly there."""
     add, mul, q = F.add, F.mul, F.q
     vectors = list(itertools.product(range(q), repeat=n))
     w = len(vectors)
     if eps == 1:
-        code = {v: i for i, v in enumerate(vectors)}
-        plus = [[code[tuple(add[a][b] for a, b in zip(u, m))] for u in vectors] for m in vectors]
-        multiples = [[code[tuple(mul[c][x] for x in v)] for c in range(q)] for v in vectors]
+        digits = [q ** (n - 1 - j) for j in range(n)]  # a vector's code, digit by digit
+        plus = [_concat([[add[a][x] * d for a in range(q)] for x, d in zip(m, digits)])
+                for m in vectors]  # code of m -> code of u -> code of u + m
+        multiples = [[sum(mul[c][x] * d for x, d in zip(v, digits)) for c in range(1, q)]
+                     for v in vectors]  # code of v -> the codes of c*v, c != 0
 
-        def narrow(candidates: list[int], span: set[int], v: int):
-            wider = {plus[m][x] for m in multiples[v] for x in span}
-            return [x for x in candidates if x not in wider], wider
+        def branch(candidates, span):
+            line, spans = [0] * w, [span]
+            for x in candidates:
+                if not line[x]:
+                    new = [plus[m][s] for m in multiples[x] for s in span]
+                    for y in new:
+                        line[y] = len(spans)
+                    spans.append(span + new)
+            off = [[x for x in candidates if line[x] != k] for k in range(len(spans))]
+            return [(v, off[line[v]], spans[line[v]]) for v in candidates]
 
-        first, state = list(range(1, w)), {0}
+        index, first, state = list(range(w)), range(1, w), [0]
     else:
         bar = [F.power(a, q0) for a in range(q)]
         norms = _sums(F, [[mul[bar[x]][x] for x in range(q)]] * n)
-        first, state = [v for v in range(w) if norms[v] == 1], None
-        herm = {v: bytes(_sums(F, [mul[bar[x]] for x in vectors[v]])) for v in first}
+        index, orth, state = [v for v in range(w) if norms[v] == 1], [], None
+        first = range(len(index))
+        columns = [bytes(column) for column in zip(*[vectors[v] for v in index])]
+        pad, units = bytes(256 - q), len(index)
+        scaled = [bytes(mul[b]) + pad for b in bar]  # x -> bar(a)*x, for each a
+        tables = [scaled] * (n - 1) + [[bytes(mul[F.neg[b]]) + pad for b in bar]]
+        for v in index:  # sum_(i<n-1) bar(v_i)*x_i against -bar(v_(n-1))*x_(n-1)
+            *terms, last = [c.translate(table[a])
+                            for c, table, a in zip(columns, tables, vectors[v])]
+            h = terms.pop() if terms else bytes(units)
+            for t in terms:
+                h = bytes([add[a][b] for a, b in zip(h, t)])
+            differ = int.from_bytes(h, "big") ^ int.from_bytes(last, "big")
+            orth.append(differ.to_bytes(units, "big").translate(b"\1" + bytes(255)))
 
-        def narrow(candidates: list[int], _, v: int):
-            h = herm[v]
-            return [x for x in candidates if not h[x]], None
+        def branch(candidates, _):
+            return [(i, [x for x in candidates if h[x]], None)
+                    for i in candidates for h in (orth[i],)]
 
     out = array("q")  # 8 bytes a code: every admitted code is below 4^16 (GU4(2))
+    tails = {}  # candidates of the second-to-last row -> codes of the last two rows
 
-    def extend(prefix: int, k: int, candidates: list[int], state) -> None:
-        if k == n - 1:
-            out.extend([prefix + v for v in candidates])
+    def extend(prefix, k, candidates, state):  # rows k, k + 1, ... after prefix
+        if k < n - 2:
+            for v, rest, nxt in branch(candidates, state):
+                extend((prefix + index[v]) * w, k + 1, rest, nxt)
             return
-        for v in candidates:
-            extend((prefix + v) * w, k + 1, *narrow(candidates, state, v))
+        key = tuple(candidates)
+        if key not in tails:
+            tails[key] = array("q", [index[v] * w + index[x]
+                                     for v, rest, _ in branch(candidates, state) for x in rest])
+        head = prefix * w
+        out.extend([head + tail for tail in tails[key]])
 
-    extend(0, 0, first, state)
+    if n == 1:
+        out.extend([index[x] for x in first])
+    else:
+        extend(0, 0, first, state)
     return out
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import gggr.fields as fields
 import gggr.green as green
 import gggr.grouporders as grouporders
 import gggr.intpoly as intpoly
@@ -265,13 +266,15 @@ def test_endo_numerator_fault_names_its_condition(inject, condition, change):
             }
 
 
-PRODUCT_BOUND = intpoly.product_bound
+YOUNG_BOUND = intpoly.young_bound
 
 
 def loose_bound(*args):
-    """``product_bound`` shifted down 16 bits: every operand still fits the
-    digits it sets, but the products outgrow them."""
-    return PRODUCT_BOUND(*args) >> 16
+    """``young_bound`` shifted down 32 bits: every operand still fits the
+    digits it sets, but the products outgrow them.  (Widths are whole machine
+    words, often set by the operands; 16 bits below the bound still picks the
+    same words for every product at n = 6.)"""
+    return YOUNG_BOUND(*args) >> 32
 
 
 @pytest.fixture
@@ -279,9 +282,37 @@ def loosen_bound(inject):
     """The Kronecker bound loosened, with X, which is built by a product,
     cleared besides every cache of ``inject``."""
     symfunc.x_matrix.cache_clear()
-    inject(intpoly, "product_bound", loose_bound)
+    inject(intpoly, "young_bound", loose_bound)
     yield
     symfunc.x_matrix.cache_clear()
+
+
+@pytest.fixture
+def loosen_bound_in(inject):
+    """Loosens the Kronecker bound only where the kernel it is given asks
+    for it, with X cleared as for ``loosen_bound``."""
+
+    def loosen(kernel):
+        def bound(terms):
+            caller = sys._getframe(1).f_code.co_name
+            return (loose_bound if caller == kernel else YOUNG_BOUND)(terms)
+
+        inject(intpoly, "young_bound", bound)
+
+    symfunc.x_matrix.cache_clear()
+    yield loosen
+    symfunc.x_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("kernel, n", [("bilinear", 7), ("weighted_squares", 6)])
+def test_kronecker_bound_carries_weight_in_each_kernel(loosen_bound_in, kernel, n):
+    # each kernel must take its width from the bound: loosened in one alone,
+    # the verification fails for every mu at an n where that width is the
+    # bound's and not the operands'
+    loosen_bound_in(kernel)
+    for eps in (1, -1):
+        report = verify_theorem(n, eps)
+        assert report.results and not any(r.passed for r in report.results)
 
 
 def test_kronecker_bound_carries_weight(loosen_bound, capsys):
@@ -332,11 +363,15 @@ def test_field_entry_fails_oracle_trace(field_f4, capsys):
 @pytest.mark.parametrize(
     "n, eps, q0, table, a, b, value, message",
     [
-        (2, 1, 4, "add", 0, 0, 1, "GL2(F4): an enumerated element is singular"),
-        (2, -1, 2, "add", 1, 1, 1, "GU2(F2): no trace-zero element in F_4"),
-        (2, -1, 2, "add", 0, 1, 2, "GU2(F2): no column 0 of a basis for the form"),
-        (2, -1, 2, "add", 2, 3, 0,
-         "GU2(F2): no column 1 of a basis for the form ((0, 1), (1, 0)) in F_4"),
+        pytest.param(2, 1, 4, "add", 2, 3, 0, "GL2(F4): an enumerated element is singular",
+                     id="GL2F4-singular"),
+        pytest.param(2, -1, 2, "add", 1, 1, 1, "GU2(F2): no trace-zero element in F_4",
+                     id="GU2F2-trace-zero"),
+        pytest.param(2, -1, 2, "add", 0, 1, 2, "GU2(F2): no column 0 of a basis for the form",
+                     id="GU2F2-column-0"),
+        pytest.param(2, -1, 2, "add", 2, 3, 0,
+                     "GU2(F2): no column 1 of a basis for the form ((0, 1), (1, 0)) in F_4",
+                     id="GU2F2-column-1"),
     ],
 )
 def test_field_entry_fails_oracle_construction(
@@ -355,14 +390,14 @@ def test_field_entry_fails_oracle_construction(
 @pytest.mark.parametrize(
     "n, eps, q0, table, a, b, value, message",
     [
-        (2, 1, 4, "add", 2, 3, 2, "^trace of 2 in F_4 left the prime field: 2$"),
+        pytest.param(2, 1, 4, "add", 2, 3, 2, "^trace of 2 in F_4 left the prime field: 2$",
+                     id="GL2F4-trace"),
         *(
-            # matched literally, with the id that the message itself gives
-            pytest.param(2, -1, 2, "add", a, b, value, re.escape(message),
-                         id=f"2--1-2-add-{a}-{b}-{value}-{message}")
-            for a, b, value, message in [
-                (0, 1, 2, "GU2(F2): no column 0 of a basis for the form ((0, 1), (1, 0)) in F_4"),
-                (1, 1, 1, "GU2(F2): no trace-zero element in F_4"),
+            pytest.param(2, -1, 2, "add", a, b, value, re.escape(message), id=name)
+            for name, a, b, value, message in [
+                ("GU2F2-column-0", 0, 1, 2,
+                 "GU2(F2): no column 0 of a basis for the form ((0, 1), (1, 0)) in F_4"),
+                ("GU2F2-trace-zero", 1, 1, 1, "GU2(F2): no trace-zero element in F_4"),
             ]
         ),
     ],
@@ -379,11 +414,44 @@ def test_field_entry_fails_whittaker_construction(
         oracle.gelfand_graev_inner(G)
 
 
+def corrupt_entry(field, table, entry, value):
+    """Set one entry of a table of ``field``: entry is (a,) or (a, b)."""
+    *row, last = entry
+    target = getattr(field, table)
+    for i in row:
+        target = target[i]
+    target[last] = value
+
+
+#: One corrupted entry of a private field per axiom, as (q, table, entry,
+#: value, axiom).  The checks run in this order, so each entry keeps every
+#: axiom before its own; distributivity precedes associativity for each a.
+AXIOM_FAULTS = [
+    pytest.param(4, "add", (0, 0), 1, "identity axiom", id="identity"),
+    pytest.param(9, "neg", (1,), 1, "negation axiom", id="negation"),
+    pytest.param(4, "inv", (2,), 2, "inverse axiom", id="inverse"),
+    pytest.param(4, "add", (1, 2), 2, "commutativity", id="commutativity"),
+    pytest.param(4, "mul", (2, 2), 1, "distributivity", id="distributivity"),
+    pytest.param(9, "add", (1, 1), 0, "additive associativity", id="additive-associativity"),
+    pytest.param(9, "mul", (3, 3), 0, "multiplicative associativity",
+                 id="multiplicative-associativity"),
+]
+
+
+@pytest.mark.parametrize("q, table, entry, value, axiom", AXIOM_FAULTS)
+def test_field_entry_fails_its_axiom(q, table, entry, value, axiom):
+    F = fields.FiniteField(q)  # private: the cached field stays intact
+    F._verify_axioms()
+    corrupt_entry(F, table, entry, value)
+    with pytest.raises(ContractError, match=f"^F_{q}: {re.escape(axiom)} failed$"):
+        F._verify_axioms()
+
+
 def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
     # Z/4 passed off as a prime field: no residue of Z/4 has three distinct
     # nonzero powers, so the search for a modulus fails as a check
     message = "no primitive polynomial of degree 1 over F_4"
-    monkeypatch.setattr(oracle, "is_prime_power", lambda q: (4, 1))
+    monkeypatch.setattr(fields, "is_prime_power", lambda q: (4, 1))
     oracle.finite_field.cache_clear()
     try:
         with pytest.raises(ContractError, match=f"^{message}$"):
@@ -758,6 +826,7 @@ def test_datum_fault_fails_gggr_inner_check(monkeypatch, capsys, fault):
          "left remainder 3"),
         (2, "gelfand_graev_inner", "induced inner product 30 / 9 left remainder 3"),
     ],
+    ids=["regular_rep_inner", "gelfand_graev_inner"],
 )
 def test_identity_class_size_fails_exact_division(size, inner, message):
     # GL2(3): 48/5 leaves a remainder; with size 2 the Gelfand-Graev sum is
@@ -915,8 +984,8 @@ def test_kronecker_bound_survives_python_O():
     script = inspect.getsource(loose_bound) + (
         "import gggr.intpoly\n"
         "from gggr.cli import main\n"
-        "PRODUCT_BOUND = gggr.intpoly.product_bound\n"
-        "gggr.intpoly.product_bound = loose_bound\n"
+        "YOUNG_BOUND = gggr.intpoly.young_bound\n"
+        "gggr.intpoly.young_bound = loose_bound\n"
         "sys.exit(main(['verify', '--n', '6', '--big', '--format', 'csv']))\n"
     )
     done = run_optimized(script)
@@ -925,6 +994,21 @@ def test_kronecker_bound_survives_python_O():
     rows = done.stdout.splitlines()
     assert rows[0] == "mu,degree,monic,pass"
     assert len(rows) == 12 and all(row.endswith(",False") for row in rows[1:])
+
+
+def test_axiom_check_survives_python_O():
+    script = inspect.getsource(corrupt_entry) + (
+        "import gggr.fields\n"
+        "F = gggr.fields.FiniteField(4)\n"
+        "corrupt_entry(F, 'mul', (2, 2), 1)\n"
+        "try:\n"
+        "    F._verify_axioms()\n"
+        "except gggr.fields.ContractError as error:\n"
+        "    sys.exit(str(error))\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 1, done.stderr
+    assert (done.stdout, done.stderr) == ("", "F_4: distributivity failed\n")
 
 
 def test_oracle_checks_survive_python_O():

@@ -15,11 +15,11 @@ from gggr.intpoly import (
     evaluate,
     exact_div,
     exact_quotient,
-    product_bound,
     signed,
     times_binomials,
     trim,
     weighted_squares,
+    young_bound,
 )
 
 
@@ -80,7 +80,7 @@ def test_coefficient_exactly_at_the_bound(sign, terms, length, coeff):
     a = [[(sign * coeff,) * length] for _ in range(terms)]
     w = [(1,)] * terms
     b = [[(1,) * length] for _ in range(terms)]
-    bound = product_bound(terms, length, coeff, length, 1)
+    bound = young_bound([(length * coeff, 1, 1)] * terms)
     assert bound == terms * length * coeff
     out = bilinear(a, w, b)
     assert out[0][0][length - 1] == sign * bound
@@ -88,7 +88,7 @@ def test_coefficient_exactly_at_the_bound(sign, terms, length, coeff):
     f = (sign * coeff,) * length
     g = (1,) * length
     product = bilinear([[f]], [(1,)], [[g]])[0][0]
-    assert product[length - 1] == sign * product_bound(1, length, coeff, length, 1)
+    assert product[length - 1] == sign * young_bound([(length * coeff, 1, 1)])
     assert product == schoolbook(f, g)
 
 
@@ -208,7 +208,7 @@ def test_products_at_each_machine_width_limit(width, sign):
         a = [[(sign * coeff,) * length] for _ in range(terms)]
         w = [(1,)] * terms
         b = [[(1,) * length] for _ in range(terms)]
-        assert product_bound(terms, length, coeff, length, 1) == value
+        assert young_bound([(length * coeff, 1, 1)] * terms) == value
         out = bilinear(a, w, b)
         assert out[0][0][length - 1] == sign * value
         assert out == reference_bilinear(a, w, b)
@@ -219,8 +219,8 @@ def test_products_at_each_machine_width_limit(width, sign):
         ([[(1,)]], [(sign * top,)], top),
         ([[(1, 1), (-1, -1)]], [(sign * quarter,)] * 2, top + 1),
     ):
-        square = product_bound(1, 2, 1, 2, 1) if value > top else 1
-        assert product_bound(len(weights), 2 * len(rows[0][0]) - 1, square, 1, abs(weights[0][0])) == value
+        norms = [(max(map(abs, f)) * sum(map(abs, f)), abs(g[0])) for f, g in zip(rows[0], weights)]
+        assert young_bound(norms) == value
         out = weighted_squares(rows, weights)
         assert max(map(abs, out[0])) == value
         assert out == reference_weighted_squares(rows, weights)
@@ -254,8 +254,7 @@ def test_weighted_squares_at_the_derived_bound():
         for sign in (1, -1):
             rows = [[(coeff,) * length] * terms]
             w = [(sign,)] * terms
-            square = product_bound(1, length, coeff, length, coeff)
-            bound = product_bound(terms, 2 * length - 1, square, 1, 1)
+            bound = young_bound([(coeff * length * coeff, 1)] * terms)
             assert bound == terms * length * coeff**2
             out = weighted_squares(rows, w)
             assert out[0][length - 1] == sign * bound

@@ -2,12 +2,14 @@
 Jordan types, and the induced-character inner products, cross-checked
 against Mackey's formula and the symbolic layer."""
 
+import hashlib
 import itertools
 import os
 import random
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -159,6 +161,13 @@ def test_frobenius_and_trace():
 def test_non_prime_power_field():
     with pytest.raises(ValueError):
         FiniteField(6)
+
+
+def test_field_past_a_byte_is_refused():
+    # the axioms are checked on rows of bytes, so F_256 is the largest field
+    assert FiniteField(256).q == 256
+    with pytest.raises(ValueError, match="^F_257 does not fit tables of bytes"):
+        FiniteField(257)
 
 
 def test_matrix_inverse_round_trip():
@@ -489,6 +498,58 @@ def admitted_groups():
             lambda n: oracle._group_size(n, eps, q0) <= oracle.ENUMERATION_CAP, itertools.count(1)
         )
     ]
+
+
+#: SHA-256 of the codes of each admitted group, as 8-byte little-endian
+#: integers, recorded from the enumeration that built a set of the span per
+#: picked row and a Hermitian table over all of F_q^n per unit vector.  The
+#: lines of V/span and the tables over unit vectors must give every code
+#: back in the same order.
+CODE_DIGESTS = {
+    (1, 1, 2): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (2, 1, 2): "fe93b55b5cd9fc752b0052fba6c192952b5b19d16006f334ab5c276ac11d25a2",
+    (3, 1, 2): "626b82ca68e1ed9786848acde4d194de1722bff5b23a93eb858947794b1e5759",
+    (4, 1, 2): "ccf9f4fbc30a9ec3546a8024ed87c759de7dfa8babfeb6db800bf1c7a5f20c64",
+    (1, 1, 3): "0c730b69905c5ef7a4ca5269f72365400bde2dd2c04eaf9bbb3d1c4a265a0131",
+    (2, 1, 3): "4053781b4576fe4f95650a19ecdde0bda4459463174e07782b25577988f38be1",
+    (3, 1, 3): "bc7804fc42e691d228e751d89a2debe000d2fe867ba4c348d7093f10d3da606b",
+    (1, 1, 4): "e2e2033ae7e19d680599d4eb0a1359a2b48ec5baac75066c317fbf85159c54ef",
+    (2, 1, 4): "0bf364febe476398045b35ec5d4a927eabb5332740ce28bf2709740f19437e8c",
+    (3, 1, 4): "64cdbf83673316f8338074812b1afe07dc76bcfbe454b59834735aad4d057a4f",
+    (1, 1, 5): "73e200e2b048c86d4e8c86b86bf62bbda84c7384e34e250b01aa30ab29d234a4",
+    (2, 1, 5): "db8cf86efd83440726e63ea6e51261c0640ecd0c865d4f0a80238e8012aaab78",
+    (1, 1, 8): "bca8b15e214f1957bbe2ab312dffa6660d09b86731e2dd43d123d7b1b2172b56",
+    (2, 1, 8): "2306b70ad775a6acd9b1996cf093c9ba71417caab62638094217320592474428",
+    (1, 1, 9): "808ae425ef1615c92cf1d1aa51060f80f18d74e3466639524eff94cdcf8564fa",
+    (2, 1, 9): "3571a3726688b89d278d3b9b62a961d183e1809419606830cc403dff0d17d50e",
+    (1, -1, 2): "e2e2033ae7e19d680599d4eb0a1359a2b48ec5baac75066c317fbf85159c54ef",
+    (2, -1, 2): "1174f73e4018e268ea2857851bb6ff13472db3bcc8267fed8e04b6b559a141a6",
+    (3, -1, 2): "3e71003aa32493851c2c43bb6d8945b5eccf8d26806d98b27facc06089cbcc9a",
+    (4, -1, 2): "e4f32e5915ade7ca2e6293c3944fc59a81e76e8ac08835eab9b2febad5e1eb40",
+    (1, -1, 3): "26e47e8496e1acc744c60261e700d280e159ccdf1b5452ad6441b99cf34f704f",
+    (2, -1, 3): "65843b1b822de2e9e4f3290b05ed0ba52e5303856907e0fa888446005b4078c6",
+    (3, -1, 3): "9078dc50c4696bf970840863926e4c7921f8033dcc5aa6bb40dd7df20466ec1a",
+    (1, -1, 4): "c2812f0012913e1878c7acbc07c5e7346cbf2ed4127813dcc02ed2d8a6fe8ef8",
+    (2, -1, 4): "ee616a0f63d8dd05d0a767acb4ac7a22e2e033ac171994c2be18581aa2a653be",
+    (1, -1, 5): "5ea6b7fce453617db5a55b0af2aa69ed6a5dd1aad32e28dee36ae2da8765217d",
+    (2, -1, 5): "85ea146ebeb22a9920d71b24e498b250fdacf4e4c22437d5443870fcc2019c94",
+    (1, -1, 8): "798730a224d26011136d58e75393747045f474a1f016886c2a73ae641e1a8c88",
+    (2, -1, 8): "3f0eb7eb8e87bdf1a6ffd21cb6f7706bb9b5e748a51f0aa7edfa4dc3b81435ca",
+    (1, -1, 9): "62117f5dc29d011f96d4f0672bb0f99058fb09976fba9f1b708b6e2b8a08ace1",
+    (2, -1, 9): "92427de2d74bb96eea448d3a58ff90e1330d5488479425cd9ffcd3a21a6fc5a0",
+}
+
+
+def test_code_digests_cover_the_admitted_groups():
+    assert list(CODE_DIGESTS) == admitted_groups()
+
+
+@pytest.mark.parametrize("n, eps, q0", admitted_groups())
+def test_codes_match_their_digest(n, eps, q0):
+    codes = array("q", enumerate_group(n, eps, q0).codes)
+    if sys.byteorder == "big":
+        codes.byteswap()
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == CODE_DIGESTS[n, eps, q0]
 
 
 def test_admitted_groups_are_the_ones_the_cap_admits():
