@@ -127,7 +127,3 @@ class FiniteField:
 def finite_field(q: int) -> FiniteField:
     return FiniteField(q)
 
-
-@lru_cache(maxsize=None)
-def finite_field(q: int) -> FiniteField:
-    return FiniteField(q)

@@ -18,17 +18,19 @@ needed.  Products and conjugations are read off the codes by tables, and an
 orbit grows breadth first from a seed (the standard orbit algorithm; Holt,
 Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
 
-oracle_report certifies its unipotent classes without a generating set.  It
-seeds them with the codes of U, which meets every unipotent class and no
-other, and takes conjugators one at a time until the seeds' orbits have
-pairwise distinct Jordan types and hold q0^(n(n-1)) elements.  Each orbit
-lies in one class, conjugation keeps the Jordan type, and a unipotent class
-is its Jordan type; so the orbits lie in distinct classes, which hold
-q0^(n(n-1)) elements in all (Steinberg), and each orbit is its whole class,
-whether or not the conjugators generate G.  This trusts the construction of
+unipotent_classes certifies the unipotent classes once, without a
+generating set.  It seeds them with the codes of U, Kawanaka's H for
+mu = (n), which meets every unipotent class and no other, and takes
+conjugators one at a time until the seeds' orbits have pairwise distinct
+Jordan types and hold q0^(n(n-1)) elements.  Each orbit lies in one class,
+conjugation keeps the Jordan type, and a unipotent class is its Jordan
+type; so the orbits lie in distinct classes, which hold q0^(n(n-1))
+elements in all (Steinberg), and each orbit is its whole class, whether or
+not the conjugators generate G.  This trusts the construction of
 the codes (each is an element of G) and the check of |G|; a scan that does
-not certify is a failed check.  Only classes() checks that the codes are
-closed under products, by the closure of a generating set.
+not certify is a failed check, and so is an element of a datum outside the
+certified classes.  Only classes() checks that the codes are closed under
+products, by the closure of a generating set.
 
 GU_n(q0) is realized inside GL_n(q0^2) as the fixed points of the twisted
 Frobenius g -> transpose(g^(q0))^{-1}, i.e. matrices unitary for the identity
@@ -46,9 +48,10 @@ h_i - h_j >= 2} with psi(1 + x) = zeta_p^Tr(sum f_ij*x_ji).  Then
 <Ind_H^G psi, Ind_H^G psi> = q0^(dim g_1) * <Gamma_u, Gamma_u>, with
 dim g_1 = #{(i, j) : h_i - h_j = 1}.  For GU the datum is built for a block
 Hermitian form J and carried into the identity-form group by a basis P with
-P^* P = J.  H is held on codes, a GU candidate is unitary for J exactly
-when its image is enumerated, and |H| is checked.  mu = (n) gives the
-Gelfand-Graev character and mu = (1^n) the regular one.
+P^* P = J.  H is held on codes, read entry by entry with no matrix per
+element; a GU candidate is unitary for J exactly when its image is
+enumerated, and |H| is checked.  mu = (n) gives the Gelfand-Graev
+character and mu = (1^n) the regular one.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ from .partitions import Partition, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost (fresh processes, 2 cores,
 #: Python 3.11.7): it admits GL_3(4), with 181 440 elements (enumerated and
-#: reported in ~0.05 s at ~18 MiB peak RSS; ~0.2 s where the certificate
-#: fails for want of the (2, 1) seeds), and refuses GU_3(4), with 312 000
-#: (~0.22 s and ~21 MiB to enumerate), and GL_3(5), with 1 488 000.  Past
+#: reported in ~0.06 s at ~19 MiB peak RSS; ~0.4 s where the certificate
+#: fails as its seeds miss the class of type (3)), and refuses GU_3(4), with
+#: 312 000 (~0.22 s and ~21 MiB to enumerate), and GL_3(5), with 1 488 000.  Past
 #: the unitary gate, GU_2(9) and GU_2(8) report in ~0.09 s and ~0.03 s.
 ENUMERATION_CAP = 200_000
 
@@ -417,18 +420,11 @@ class OracleGroup:
         col_counts = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
         return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
 
-    def unipotent_classes(self, seeds: Optional[Iterable[int]] = None) -> dict:
-        """The unipotent classes by Jordan type, certified on the split of the
-        codes ``seeds``, which must meet every unipotent class (by default H
-        for mu = (n)), or read off a final split."""
+    def unipotent_classes(self) -> dict:
+        """The unipotent classes by Jordan type, certified once on the split
+        of H for mu = (n), which meets every unipotent class."""
         if not self._classes:
-            top = Partition((self.n,))
-            self._certify(kawanaka_datum(self, top)[0] if seeds is None else seeds)
-        elif seeds is not None:
-            for idx in self._split(seeds, "seed"):
-                if self._classes[idx].jordan is None:
-                    rep = self._classes[idx].rep
-                    raise ContractError(f"{self.name}: the class of {rep} is not unipotent")
+            self._certify(kawanaka_datum(self, Partition((self.n,)))[0])
         return {cls.jordan: cls for cls in self._classes if cls.jordan is not None}
 
 
@@ -598,15 +594,17 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     it: H = U_(>=2) as a map from the code of each h to k with psi(h) =
     zeta_p^k, and dim g_1.  The trace in psi is from F_q0 to F_p.
 
-    The candidates 1 + x are coded at once, the identity's code plus the
-    digit of each entry x_ij in its place, and so is the field sum in psi.
-    For GU each block of size k carries the Hermitian form that pairs e_i
-    with e_(k-1-i), with entries +-1 for odd k and +-delta (delta +
-    bar(delta) = 0) for even k, so that f is skew for it.  A candidate goes
-    into G as P (1 + x) P^-1, for P with P^* P = J, by two products; 1 + x
-    is unitary for J exactly when that image is an enumerated element, and
-    only those are kept.  Each column of P is the first vector independent
-    of the ones before it with the prescribed Hermitian products; by Witt's
+    A candidate 1 + x goes into G as P (1 + x) P^-1 = 1 + sum x_ij *
+    P[:, i] * P^-1[j, :], with P = 1 for GL.  So the codes of the images
+    are built at once, entry by entry, each entry one field sum over the
+    positions (the identity's entry where no position reaches it), and so
+    is the field sum in psi; no candidate is made a matrix.  For GU each
+    block of size k carries the Hermitian form that pairs e_i with
+    e_(k-1-i), with entries +-1 for odd k and +-delta (delta + bar(delta) =
+    0) for even k, so that f is skew for it, and P^* P = J; 1 + x is
+    unitary for J exactly when its image is an enumerated element, and only
+    those are kept.  Each column of P is the first vector independent of
+    the ones before it with the prescribed Hermitian products; by Witt's
     theorem that never dead-ends.  An exhausted search is a ContractError,
     and so is an H whose size is not q0^#positions: U_(>=2)^F is an affine
     space of that dimension over F_q0."""
@@ -629,8 +627,7 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
             acc = add[acc][mul[bar[a]][b]]
         return acc
 
-    codes = _concat([[G.encode(mat_identity(n))]] + [  # the candidates 1 + x
-        [v * q ** (n * n - 1 - i * n - j) for v in range(q)] for i, j in positions])
+    P = P_inv = mat_identity(n)
     if G.eps == -1:
         delta = first((x for x in range(1, q) if add[x][bar[x]] == 0), "trace-zero element")
         form = [[0] * n for _ in range(n)]
@@ -654,11 +651,20 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
         P_inv = mat_inv(F, P)
         if P_inv is None:
             raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
-        codes = [G.encode(mat_mul(F, mat_mul(F, P, G.decode(c)), P_inv)) for c in codes]
+
+    base, codes = 0, [0] * q ** len(positions)  # candidate k's image: base + codes[k]
+    for r, c in itertools.product(range(n), repeat=2):
+        place = q ** (n * n - 1 - r * n - c)  # of entry (r, c) in a code
+        scales = [mul[P[r][i]][P_inv[j][c]] for i, j in positions]
+        if any(scales):
+            entries = _sums(F, [[int(r == c)]] + [mul[k] for k in scales])
+            codes = [a + x * place for a, x in zip(codes, entries)]
+        else:
+            base += int(r == c) * place
 
     degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
     sums = _sums(F, [range(q) if x in read else [0] * q for x in positions])
-    H = {c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._member(c)}
+    H = {base + c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._member(base + c)}
     if len(H) != G.q0 ** len(positions):
         raise ContractError(f"{G.name}: U_(>=2) for mu = {tuple(mu)} has {len(H)} elements, "
                             f"not {G.q0}^{len(positions)} = {G.q0 ** len(positions)}")
@@ -682,8 +688,7 @@ def _induced_inner(G: OracleGroup, H: dict[int, int]) -> int:
     mu = (n) gives U with a nondegenerate psi, the Gelfand-Graev character,
     and mu = (1^n) the trivial subgroup, the regular character."""
     p = G.field.p
-    if not G._classes:
-        G.unipotent_classes()
+    G.unipotent_classes()
     counts: dict[int, list[int]] = {}
     for k, idx in zip(H.values(), G._split(H, "Whittaker element")):
         counts.setdefault(idx, [0] * p)[k % p] += 1
@@ -744,8 +749,7 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
 
     check("group_order", group_order(n, eps)(q0), G.order)
-    top = kawanaka_datum(G, Partition((n,)))  # H is Sylow: it meets every unipotent class
-    uni = G.unipotent_classes(top[0])
+    uni = G.unipotent_classes()
     parts = partitions_of(n)
     check("unipotent_class_count", len(parts), len(uni))
     for la in parts:
@@ -757,8 +761,7 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
     check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
     for mu in parts:
-        H, dim_g1 = top if mu == (n,) else kawanaka_datum(G, mu)
-        inner = _induced_inner(G, H)
+        inner, dim_g1 = gggr_inner(G, mu)
         name = ("gelfand_graev_inner" if mu == (n,) else "regular_rep_inner" if len(mu) == n
                 else f"gggr_inner_{'_'.join(map(str, mu))}")
         check(name, int(endo_dim(mu, eps)(q0)) * q0**dim_g1, inner)

@@ -529,12 +529,12 @@ def test_conjugate_outside_the_group_fails(monkeypatch):
         G.classes()
 
 
-def drop_seed_class(unipotent_classes, parts):
-    """``OracleGroup.unipotent_classes`` with the seeds of Jordan type
-    ``parts`` left out, so the split never meets their class."""
+def drop_seed_class(certify, parts):
+    """``OracleGroup._certify`` with the seeds of Jordan type ``parts`` left
+    out, so the split never meets their class."""
 
-    def dropped(G, seeds=None):
-        return unipotent_classes(G, [h for h in seeds if G.jordan_type(G.decode(h)) != parts])
+    def dropped(G, seeds):
+        return certify(G, [h for h in seeds if G.jordan_type(G.decode(h)) != parts])
 
     return dropped
 
@@ -548,8 +548,8 @@ GL3_F2_DROPPED_SEEDS = (
 
 
 def test_dropped_seed_class_fails_the_class_counts(monkeypatch, capsys):
-    classes = drop_seed_class(oracle.OracleGroup.unipotent_classes, (2, 1))
-    monkeypatch.setattr(oracle.OracleGroup, "unipotent_classes", classes)
+    certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))
+    monkeypatch.setattr(oracle.OracleGroup, "_certify", certify)
     assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
     assert capsys.readouterr() == ("", f"gggr: check failed: {GL3_F2_DROPPED_SEEDS}\n")
 
@@ -558,8 +558,8 @@ def lose_class(unipotent_classes, parts):
     """``OracleGroup.unipotent_classes`` that loses the class of Jordan type
     ``parts`` from the certified split it returns."""
 
-    def lost(G, seeds=None):
-        return {la: cls for la, cls in unipotent_classes(G, seeds).items() if la != parts}
+    def lost(G):
+        return {la: cls for la, cls in unipotent_classes(G).items() if la != parts}
 
     return lost
 
@@ -1043,7 +1043,7 @@ def test_dropped_seed_class_survives_python_O():
         "import gggr.oracle\n"
         "from gggr.cli import main\n"
         "G = gggr.oracle.OracleGroup\n"
-        "G.unipotent_classes = drop_seed_class(G.unipotent_classes, (2, 1))\n"
+        "G._certify = drop_seed_class(G._certify, (2, 1))\n"
         "sys.exit(main(['oracle', '--n', '3', '--q', '2', '--format', 'csv']))\n"
     )
     done = run_optimized(script)
@@ -1061,7 +1061,7 @@ def test_dropped_seed_class_fails_within_bounds():
         "import resource, time, gggr.oracle\n"
         "from gggr.cli import main\n"
         "G = gggr.oracle.OracleGroup\n"
-        "G.unipotent_classes = drop_seed_class(G.unipotent_classes, (3,))\n"
+        "G._certify = drop_seed_class(G._certify, (3,))\n"
         "start = time.perf_counter()\n"
         "code = main(['oracle', '--n', '3', '--q', '4'])\n"
         "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
@@ -1294,6 +1294,54 @@ def test_exact_division_guard_can_fail():
         (5, "divmod_monic"),
         (6, "divmod_monic"),
     ]
+
+
+def rebound_names(tree):
+    """(line, name) of each top-level binding of a name that the module has
+    bound before, by def, class, assignment or import: the later one
+    silently replaces the earlier."""
+    seen, found = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [x.id for t in targets for x in ast.walk(t) if isinstance(x, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name in seen:
+                found.append((node.lineno, name))
+            seen.add(name)
+    return found
+
+
+def test_package_binds_each_top_level_name_once():
+    assert {
+        path.name: found
+        for path in sorted((SRC / "gggr").rglob("*.py"))
+        for found in [rebound_names(ast.parse(path.read_text(encoding="utf-8")))]
+        if found
+    } == {}
+
+
+def test_rebound_name_guard_can_fail():
+    source = (
+        "import os.path\n"
+        "from .fields import FiniteField as F\n"
+        "CAP = 1\n"
+        "def f(): pass\n"
+        "class F: pass\n"
+        "CAP: int = 2\n"
+        "async def f(): pass\n"
+        "os, rest = 1, 2\n"
+        "if x:\n"
+        "    CAP = 3\n"
+        "def g(CAP): pass\n"
+    )
+    assert rebound_names(ast.parse(source)) == [(5, "F"), (6, "CAP"), (7, "f"), (8, "os")]
 
 
 def test_package_raises_no_bare_arithmetic_or_assertion_error():

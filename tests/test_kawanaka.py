@@ -4,6 +4,7 @@ polynomials built from them."""
 import json
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -13,6 +14,7 @@ from gggr.green import green_poly
 from gggr.grouporders import centralizer_dim, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
+    _gamma_matrix,
     endo_dim,
     gggr_character,
     gggr_value,
@@ -204,3 +206,28 @@ def test_batched_gamma_matches_per_rho_sum():
                     assert gggr_value(mu, la, eps) == reference_gamma(mu, la, eps), (
                         mu, la, eps,
                     )
+
+
+def dominated(la, mu):
+    """Whether la <= mu in dominance: each partial sum of la, padded with
+    zeros to n parts, is at most mu's."""
+    n = sum(mu)
+    sums = [accumulate(tuple(p) + (0,) * (n - len(p))) for p in (la, mu)]
+    return all(a <= b for a, b in zip(*sums))
+
+
+def test_dominance_can_fail():
+    # (3, 3) and (4, 1, 1) are incomparable: 3 < 4 but 6 > 5
+    assert dominated((3, 3), (4, 2)) and not dominated((4, 2), (3, 3))
+    assert not dominated((3, 3), (4, 1, 1)) and not dominated((4, 1, 1), (3, 3))
+    assert dominated((1, 1, 1), (3,)) and not dominated((3,), (1, 1, 1))
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_gamma_is_supported_on_the_dominated_classes(eps):
+    # a generalised Gelfand-Graev character vanishes on the unipotent classes
+    # outside the closure of its own, which for GL_n and GU_n is {la <= mu}
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        support = [[any(g) for g in row] for row in _gamma_matrix(n, eps)]
+        assert support == [[dominated(la, mu) for la in parts] for mu in parts], n

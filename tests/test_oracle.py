@@ -447,11 +447,11 @@ def test_class_split_matches_conjugation_by_every_element(n, eps, q0):
     ids=lambda x: getattr(x, "__name__", None),
 )
 def test_unipotent_split_matches_the_reference_splits(n, eps, q0, reference):
-    # seeded with the Gelfand-Graev datum's H, as oracle_report seeds it, the
-    # split finds the unipotent classes of the full split, and it reaches the
-    # unipotent elements and no other, each in its class
+    # seeded with the Gelfand-Graev datum's H, the split finds the unipotent
+    # classes of the full split, and it reaches the unipotent elements and no
+    # other, each in its class
     G = enumerate_group(n, eps, q0)
-    uni = G.unipotent_classes(kawanaka_datum(G, P((n,)))[0])
+    uni = G.unipotent_classes()
     classes, class_of = reference(G)
     assert sorted((c.rep, c.size, c.jordan) for c in uni.values()) == sorted(
         c for c in classes if c[2] is not None
@@ -582,14 +582,11 @@ def test_report_never_runs_the_closure(monkeypatch, n, eps, q0):
 
 
 def test_certified_split_takes_no_new_class():
-    # after the certificate, a seed must lie in a certified class
+    # after the certificate, an element of H must lie in a certified class
     G = enumerate_group(2, 1, 3)
     uni = G.unipotent_classes()
-    assert G.unipotent_classes([G.encode(mat_identity(2))]) == uni
+    assert G.unipotent_classes() == uni
     g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
-    message = f"GL2(F3): seed {g} starts a class outside the certified split"
-    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-        G.unipotent_classes([G.encode(g)])
     message = f"GL2(F3): Whittaker element {g} starts a class outside the certified split"
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         oracle._induced_inner(G, {G.encode(g): 0})
@@ -600,14 +597,11 @@ def test_seeds_must_be_unipotent_elements():
     g = ((0, 1), (1, 0))  # order 2, not unipotent in characteristic 3
     message = f"GL2(F3): the class of {g} is not unipotent"
     with pytest.raises(ContractError, match=re.escape(message)):
-        G.unipotent_classes([G.encode(mat_identity(2)), G.encode(g)])
+        G._certify([G.encode(mat_identity(2)), G.encode(g)])
     singular = ((1, 1), (1, 1))
     singular_message = f"GL2(F3): seed {singular} is not in the group"
     with pytest.raises(ContractError, match=re.escape(singular_message)):
-        G.unipotent_classes([G.encode(singular)])
-    G.classes()  # the final split of every element refuses the same seed
-    with pytest.raises(ContractError, match=re.escape(message)):
-        G.unipotent_classes([G.encode(g)])
+        G._certify([G.encode(singular)])
 
 
 def reference_datum(G, mu):
@@ -681,10 +675,31 @@ def test_datum_on_codes_matches_the_matrix_datum(n, eps, q0):
         assert [(G.decode(h), k) for h, k in H.items()] == list(reference_datum(G, mu).items())
 
 
+@pytest.mark.parametrize("n, q0", [(3, 3), (4, 2)])
+def test_datum_makes_no_matrix_per_candidate(monkeypatch, n, q0):
+    # GU4(2)'s mu = (4) has 4^6 = 4 096 candidates and mu = (1^4) one: the
+    # images are read off the codes, so no datum decodes, multiplies or
+    # encodes a matrix
+    G, calls = enumerate_group(n, -1, q0), []
+
+    def counted(name, call):
+        def counting(*args):
+            calls.append(name)
+            return call(*args)
+        return counting
+
+    for owner, name in [(oracle, "mat_mul"), (oracle.OracleGroup, "decode"),
+                        (oracle.OracleGroup, "encode")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    sizes = [len(kawanaka_datum(G, mu)[0]) for mu in partitions_of(n)]
+    assert calls == []
+    assert (sizes[0], sizes[-1]) == (q0 ** (n * (n - 1) // 2), 1)  # U and the trivial group
+
+
 def test_report_makes_no_matrix_per_element(monkeypatch):
     # GL4(2): matrices are multiplied only for the Jordan type of each class
     # split, n products each, and to check each conjugator's inverse, and
-    # encoded only for each conjugator's inverse and each datum's identity
+    # encoded only for each conjugator's inverse
     groups, calls = [], {"mat_mul": 0, "encode": 0}
     times, encode = oracle.mat_mul, oracle.OracleGroup.encode
 
@@ -706,7 +721,7 @@ def test_report_makes_no_matrix_per_element(monkeypatch):
     assert oracle_report(4, 1, 2)["pass"]
     G = groups[-1]
     assert calls["mat_mul"] == 4 * len(G._classes) + len(G._conj)
-    assert calls["encode"] == len(G._conj) + len(partitions_of(4))
+    assert calls["encode"] == len(G._conj)
 
 
 def mackey_inner(G, H):
