@@ -4,7 +4,8 @@ F_q = F_p[x]/(f) with f chosen so that its residue x is primitive; that
 makes the quotient a field without a test for irreducibility (see
 FiniteField).  Elements are the integers 0..q-1, and addition, products,
 negatives and inverses are read off tables that construction checks against
-the field axioms.
+the field axioms.  Matrices over F_q are tuples of row tuples of elements,
+multiplied, inverted and ranked by the helpers at the end.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ class FiniteField:
     f(0) != 0 whose residue x has q - 1 distinct nonzero powers.  Then every
     nonzero residue is a power of the unit x, so F_p[x]/(f) is a field and
     f is irreducible, indeed primitive (Lidl & Niederreiter, Finite Fields,
-    1997, chapter 3).  Addition is digit-wise; products, inverses and powers
-    are read off ``exp`` (k -> x^k) and ``log``.
+    1997, chapter 3).  Addition is digit-wise, and its table is built a row
+    at a time: digit place d makes p^2 blocks of the table of the places
+    below it, block (c, j) plus (c + j mod p)*d, so each row is a Kronecker
+    sum of rotated digit rows.  Products, inverses and powers are read off
+    ``exp`` (k -> x^k) and ``log``.
 
     Construction verifies the field axioms outright, every one over every a,
     b and c, a whole table at a time in C: each row of ``add`` and ``mul``
@@ -46,9 +50,11 @@ class FiniteField:
             raise ValueError(f"F_{q} does not fit tables of bytes: q must be at most 256")
         self.q = q
         self.p, self.e = p, e = pe
-        digits = [p**i for i in range(e)]
-        self.add = [[sum((a // d + b // d) % p * d for d in digits) for b in range(q)]
-                    for a in range(q)]
+        rows = [[0]]  # the table of the places so far, place d the most significant
+        for d in (p**i for i in range(e)):
+            rows = [[(c + j) % p * d + x for j in range(p) for x in row]
+                    for c in range(p) for row in rows]
+        self.add = rows
         self.modulus, self.exp = self._primitive()
         self.log = log = [0] * q
         for k, a in enumerate(self.exp):
@@ -127,3 +133,60 @@ class FiniteField:
 def finite_field(q: int) -> FiniteField:
     return FiniteField(q)
 
+
+Mat = tuple[tuple[int, ...], ...]
+
+
+def mat_identity(n: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(F: FiniteField, A: Mat, B: Mat) -> Mat:
+    n = len(A)
+    mul, add = F.mul, F.add
+    out = []
+    for i in range(n):
+        row = []
+        Ai = A[i]
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = add[acc][mul[Ai[k]][B[k][j]]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _row_reduce(F: FiniteField, rows: list[list[int]], width: int) -> int:
+    """Gauss-Jordan elimination in place: rows become reduced row echelon on
+    their first ``width`` columns, and the number of pivots is returned."""
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = inv[rows[rank][col]]
+        rows[rank] = [mul[scale][x] for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                c = neg[rows[r][col]]
+                rows[r] = [add[x][mul[c][y]] for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def mat_inv(F: FiniteField, A: Mat) -> Optional[Mat]:
+    """Gauss-Jordan inverse, read off the reduced form of (A | 1), or None if
+    A is singular."""
+    n = len(A)
+    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if _row_reduce(F, aug, n) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_rank(F: FiniteField, A: Mat) -> int:
+    rows = [list(r) for r in A]
+    return _row_reduce(F, rows, len(rows[0]) if rows else 0)

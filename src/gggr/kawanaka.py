@@ -42,8 +42,8 @@ from .grouporders import (
     torus_order_coeffs,
 )
 from .intpoly import IntPoly, bilinear, evaluate, exact_quotient, scale, signed, weighted_squares
-from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
-from .polyring import RationalPoly, poly_to_json
+from .partitions import Partition, dominated, n_stat, partitions_of, weyl_centralizer_order
+from .polyring import RationalPoly, poly_to_json, pretty
 from .symfunc import x_matrix
 
 #: Symbolic verification caps used by the command-line driver, the same for
@@ -88,7 +88,11 @@ def _gamma_matrix(n: int, eps: int) -> tuple[tuple[IntPoly, ...], ...]:
 @lru_cache(maxsize=None)
 def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
     """n! * gamma_mu(la) for every la, each checked to give an integer
-    gamma_mu(la) at the sample prime powers."""
+    gamma_mu(la) at the sample prime powers, then to vanish unless la <= mu
+    in dominance: gamma_mu vanishes off the closure of the class of mu
+    (Kawanaka, Adv. Stud. Pure Math. 6, 1985; Lusztig, Adv. Math. 94,
+    1992), and for GL_n and GU_n that closure is the classes of the
+    la <= mu."""
     n = sum(mu)
     parts = partitions_of(n)
     row = _gamma_matrix(n, eps)[parts.index(mu)]
@@ -101,6 +105,12 @@ def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
                     f"gamma_{mu}({tuple(la)}) is not integral at q = {q0}:"
                     f" {Fraction(v, nfact)}"
                 )
+    for la, g in zip(parts, row):
+        if g and not dominated(la, mu):
+            raise ContractError(
+                f"gamma_{mu}({tuple(la)}) = {pretty(RationalPoly(g, 'q', nfact))} is not zero,"
+                f" but {tuple(la)} is not dominated by {mu}"
+            )
     return row
 
 

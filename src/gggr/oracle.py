@@ -14,9 +14,10 @@ to them.  An element is held as an integer code, its row codes concatenated
 with the first row most significant, where a row's code is its index in the
 lexicographic order of vectors.  The codes come out strictly increasing,
 membership is being one of them, and a matrix is decoded only where one is
-needed.  Products and conjugations are read off the codes by tables, and an
-orbit grows breadth first from a seed (the standard orbit algorithm; Holt,
-Eick & O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+needed.  Products and conjugations are read off the codes by tables, or
+matrix by matrix where a table would outnumber the codes, and an orbit
+grows breadth first from a seed (the standard orbit algorithm; Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
 
 unipotent_classes certifies the unipotent classes once, without a
 generating set.  It seeds them with the codes of U, Kawanaka's H for
@@ -57,13 +58,15 @@ character and mu = (1^n) the regular one.
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
-from .fields import FiniteField, finite_field
+from .fields import FiniteField, Mat, finite_field, mat_identity, mat_inv, mat_mul, mat_rank
 from .grouporders import check_eps, is_prime_power
 from .intpoly import exact_div
 from .partitions import Partition, conjugate, partitions_of
@@ -81,17 +84,19 @@ SUPPORTED_Q = (2, 3, 4, 5, 8, 9)
 
 
 # ---------------------------------------------------------------------------
-# Matrices over a finite field (tuples of row tuples of element codes)
+# Tables on codes
 # ---------------------------------------------------------------------------
-
-Mat = tuple[tuple[int, ...], ...]
 
 
 def _sums(F: FiniteField, tables) -> list[int]:
-    """x -> sum_k tables[k][x_k], added in mat_mul's order, for each vector x."""
+    """x -> sum_k tables[k][x_k], added in mat_mul's order, for each vector x;
+    an all-zero table repeats each sum so far, with no addition."""
     out = [0]
     for table in tables:
-        out = [F.add[a][y] for a in out for y in table]
+        if any(table):
+            out = [F.add[a][y] for a in out for y in table]
+        else:
+            out = [a for a in out for _ in table]
     return out
 
 
@@ -114,61 +119,6 @@ def _read(stage, codes):
         m = len(table)
         out = [x + table[c // d % m] for x, c in zip(out, codes)]
     return out
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(F: FiniteField, A: Mat, B: Mat) -> Mat:
-    n = len(A)
-    mul, add = F.mul, F.add
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = add[acc][mul[Ai[k]][B[k][j]]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _row_reduce(F: FiniteField, rows: list[list[int]], width: int) -> int:
-    """Gauss-Jordan elimination in place: rows become reduced row echelon on
-    their first ``width`` columns, and the number of pivots is returned."""
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = inv[rows[rank][col]]
-        rows[rank] = [mul[scale][x] for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                c = neg[rows[r][col]]
-                rows[r] = [add[x][mul[c][y]] for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def mat_inv(F: FiniteField, A: Mat) -> Optional[Mat]:
-    """Gauss-Jordan inverse, read off the reduced form of (A | 1), or None if
-    A is singular."""
-    n = len(A)
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if _row_reduce(F, aug, n) < n:
-        return None
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_rank(F: FiniteField, A: Mat) -> int:
-    rows = [list(r) for r in A]
-    return _row_reduce(F, rows, len(rows[0]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +198,10 @@ class OracleGroup:
     def _stage(self, t: Mat, transpose: bool, reads: int) -> list:
         """g -> g*t on codes, or g -> transpose(g*t), as tables (d, T) on blocks
         of rows for _read: blocks of ceil(n/2) rows, or of one where n such
-        tables would have more entries than the ``reads`` codes they serve.
-        The largest under the cap: 6 561 entries, a row of GU2(9); GL3(4)
-        reads halves of 4 096, GU3(3) and GU4(2) rows of 729 and 256."""
+        tables would have more entries than the ``reads`` codes they serve
+        (and where one would, _conjugation builds none).  The largest under
+        the cap: 6 561 entries, a row of GU2(9) in classes(); GL3(4) reads
+        halves of 4 096, GU3(3) and GU4(2) rows of 729 and 256."""
         F, n = self.field, self.n
         q, w = F.q, F.q**n
         rows = [0] * w  # code of v -> code of v*t
@@ -271,10 +222,12 @@ class OracleGroup:
         codes = self.codes
         return (codes[i] for i in itertools.chain((0,), range(len(codes) - 1, 0, -1)))
 
-    def _conjugation(self, s: Mat) -> list:
-        """h -> s^-1*h*s on codes, once s^-1 is checked to be enumerated and
-        the inverse: g -> transpose(g*s) -> transpose(transpose(g*s)*s'), s' =
-        transpose(s^-1), two _stage maps sized for unipotent codes."""
+    def _conjugation(self, s: Mat, reads: int) -> Callable[[list[int]], list[int]]:
+        """h -> s^-1*h*s on lists of codes, once s^-1 is checked to be
+        enumerated and the inverse.  Where a table of one row would have more
+        entries than the ``reads`` codes to map, each code goes through its
+        matrix; else g -> transpose(g*s) -> transpose(transpose(g*s)*s'), s' =
+        transpose(s^-1), two _stage maps."""
         F, n = self.field, self.n
         s_inv = mat_inv(F, s)
         if s_inv is None:
@@ -284,7 +237,11 @@ class OracleGroup:
                                 "is not an enumerated element")
         if mat_mul(F, s, s_inv) != mat_identity(n):
             raise ContractError(f"{self.name}: {s_inv} is not the inverse of {s}")
-        return [self._stage(m, True, self.q0 ** (n * n - n)) for m in (s, tuple(zip(*s_inv)))]
+        if F.q**n > reads:
+            return lambda codes: [self.encode(mat_mul(F, mat_mul(F, s_inv, self.decode(c)), s))
+                                  for c in codes]
+        first, second = [self._stage(m, True, reads) for m in (s, tuple(zip(*s_inv)))]
+        return lambda codes: _read(second, _read(first, codes))
 
     def _closure(self) -> list:
         """The conjugations of a generating set checked by closure: each
@@ -299,12 +256,12 @@ class OracleGroup:
         for code in self._candidates():
             if code not in self._class_of:
                 generators.append(self.decode(code))
-                self._conj.append([self._stage(generators[-1], False, self.order)])
+                self._conj.append(partial(_read, self._stage(generators[-1], False, self.order)))
                 self._close(list(self._class_of), self._conj[-1:], "product")
         if len(self._class_of) < self.order:
             raise ContractError(f"{self.name}: the generators reach {len(self._class_of)} of "
                                 f"{self.order} elements")
-        return [self._conjugation(t) for t in generators]
+        return [self._conjugation(t, self.order) for t in generators]
 
     def _split(self, seeds: Iterable[int], what: str = "element") -> list[int]:
         """The orbit of each enumerated seed code; a new seed starts an orbit,
@@ -325,17 +282,14 @@ class OracleGroup:
         return out
 
     def _close(self, codes: list[int], conj: list, what: str = "conjugate") -> None:
-        """Map ``codes`` by each of ``conj`` (lists of _stage maps), then each
+        """Map ``codes`` by each of ``conj`` (maps of lists of codes), then each
         new code by every map, until none is new.  An enumerated image joins
         the orbit of its preimage, or merges the two orbits."""
         class_of, orbits = self._class_of, self._orbits
         while codes:
             found = []
-            for stages in conj:
-                images = codes
-                for stage in stages:
-                    images = _read(stage, images)
-                for h, c in zip(codes, images):
+            for image in conj:
+                for h, c in zip(codes, image(codes)):
                     a, b = class_of[h], class_of.get(c)
                     if b is None:
                         if not self._member(c):
@@ -385,7 +339,7 @@ class OracleGroup:
         seeds, target, types, mapped = list(seeds), self.q0 ** (self.n * self.n - self.n), {}, 0
         for code in self._candidates():
             before = len(self._class_of), self._orbits.count([])
-            self._conj.append(self._conjugation(self.decode(code)))
+            self._conj.append(self._conjugation(self.decode(code), target))
             self._close(list(self._class_of), self._conj[-1:])
             self._split(seeds, "seed")
             mapped += len(self._class_of)
@@ -422,9 +376,11 @@ class OracleGroup:
 
     def unipotent_classes(self) -> dict:
         """The unipotent classes by Jordan type, certified once on the split
-        of H for mu = (n), which meets every unipotent class."""
+        of H for mu = (n), which meets every unipotent class; oracle_report
+        reads that datum, kept as ``_top``, for mu = (n)."""
         if not self._classes:
-            self._certify(kawanaka_datum(self, Partition((self.n,)))[0])
+            self._top = kawanaka_datum(self, Partition((self.n,)))
+            self._certify(self._top[0])
         return {cls.jordan: cls for cls in self._classes if cls.jordan is not None}
 
 
@@ -481,6 +437,9 @@ def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> array:
     of the second-to-last, so their codes are worked out once per candidate
     list (in ``tails``) and shared by every prefix that leaves that list: the
     ordered bases of one span for GL, of one orthogonal complement for GU.
+    A tail is held as one integer of 8-byte lanes in native byte order, so a
+    prefix adds its head to every lane by one addition, with no carry between
+    lanes as every code is below 4^16.
 
     GL: the vectors outside the span S of the rows so far.  Once per node
     they are sorted into the lines of V/S, the line of x being the vectors
@@ -543,6 +502,7 @@ def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> array:
 
     out = array("q")  # 8 bytes a code: every admitted code is below 4^16 (GU4(2))
     tails = {}  # candidates of the second-to-last row -> codes of the last two rows
+    ones = {}  # lanes -> the integer with 1 in each lane
 
     def extend(prefix, k, candidates, state):  # rows k, k + 1, ... after prefix
         if k < n - 2:
@@ -551,10 +511,13 @@ def _element_codes(F: FiniteField, n: int, eps: int, q0: int) -> array:
             return
         key = tuple(candidates)
         if key not in tails:
-            tails[key] = array("q", [index[v] * w + index[x]
-                                     for v, rest, _ in branch(candidates, state) for x in rest])
-        head = prefix * w
-        out.extend([head + tail for tail in tails[key]])
+            codes = array("q", [index[v] * w + index[x]
+                                for v, rest, _ in branch(candidates, state) for x in rest])
+            tails[key] = int.from_bytes(codes, sys.byteorder), len(codes)
+        codes, lanes = tails[key]
+        if lanes not in ones:
+            ones[lanes] = ((1 << 64 * lanes) - 1) // (2**64 - 1)
+        out.frombytes((codes + prefix * w * ones[lanes]).to_bytes(8 * lanes, sys.byteorder))
 
     if n == 1:
         out.extend([index[x] for x in first])
@@ -598,16 +561,19 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     P[:, i] * P^-1[j, :], with P = 1 for GL.  So the codes of the images
     are built at once, entry by entry, each entry one field sum over the
     positions (the identity's entry where no position reaches it), and so
-    is the field sum in psi; no candidate is made a matrix.  For GU each
-    block of size k carries the Hermitian form that pairs e_i with
-    e_(k-1-i), with entries +-1 for odd k and +-delta (delta + bar(delta) =
-    0) for even k, so that f is skew for it, and P^* P = J; 1 + x is
-    unitary for J exactly when its image is an enumerated element, and only
-    those are kept.  Each column of P is the first vector independent of
-    the ones before it with the prescribed Hermitian products; by Witt's
-    theorem that never dead-ends.  An exhausted search is a ContractError,
-    and so is an H whose size is not q0^#positions: U_(>=2)^F is an affine
-    space of that dimension over F_q0."""
+    is the field sum in psi; no candidate is made a matrix.  An entry that
+    one position reaches is a function of that position's x alone: such
+    entries are gathered per position and joined by one expansion, which is
+    every reached entry for GL.  For GU each block of size k carries the
+    Hermitian form that pairs e_i with e_(k-1-i), with entries +-1 for odd
+    k and +-delta (delta + bar(delta) = 0) for even k, so that f is skew for
+    it, and P^* P = J; 1 + x is unitary for J exactly when its image is an
+    enumerated element, and only those are kept.  Each column of P is the
+    first vector independent of the ones before it with the prescribed
+    Hermitian products; by Witt's theorem that never dead-ends.  An
+    exhausted search is a ContractError, and so is an H whose size is not
+    q0^#positions: U_(>=2)^F is an affine space of that dimension over
+    F_q0."""
     F, n, q = G.field, G.n, G.field.q
     add, mul, neg = F.add, F.mul, F.neg
     bar = [F.power(a, G.q0) for a in range(q)]
@@ -653,14 +619,20 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
             raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
 
     base, codes = 0, [0] * q ** len(positions)  # candidate k's image: base + codes[k]
+    parts = [[0] * q for _ in positions]  # x_p -> its share of a code
     for r, c in itertools.product(range(n), repeat=2):
-        place = q ** (n * n - 1 - r * n - c)  # of entry (r, c) in a code
+        place, one = q ** (n * n - 1 - r * n - c), int(r == c)  # of entry (r, c) in a code
         scales = [mul[P[r][i]][P_inv[j][c]] for i, j in positions]
-        if any(scales):
-            entries = _sums(F, [[int(r == c)]] + [mul[k] for k in scales])
+        reach = [p for p, k in enumerate(scales) if k]
+        if len(reach) == 1:  # a function of one position's x
+            p = reach[0]
+            parts[p] = [a + add[one][y] * place for a, y in zip(parts[p], mul[scales[p]])]
+        elif reach:
+            entries = _sums(F, [[one]] + [mul[k] for k in scales])
             codes = [a + x * place for a, x in zip(codes, entries)]
         else:
-            base += int(r == c) * place
+            base += one * place
+    codes = [a + b for a, b in zip(codes, _concat(parts))]
 
     degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
     sums = _sums(F, [range(q) if x in read else [0] * q for x in positions])
@@ -761,7 +733,8 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         )
     check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
     for mu in parts:
-        inner, dim_g1 = gggr_inner(G, mu)
+        H, dim_g1 = G._top if mu == (n,) else kawanaka_datum(G, mu)
+        inner = _induced_inner(G, H)
         name = ("gelfand_graev_inner" if mu == (n,) else "regular_rep_inner" if len(mu) == n
                 else f"gggr_inner_{'_'.join(map(str, mu))}")
         check(name, int(endo_dim(mu, eps)(q0)) * q0**dim_g1, inner)

@@ -94,6 +94,16 @@ def conjugate(la: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1)))
 
 
+def dominated(mu: Partition, la: Partition) -> bool:
+    """mu <= la in dominance order: each partial sum of mu is at most la's."""
+    a = b = 0
+    for x, y in zip(mu, tuple(la) + (0,) * len(mu)):
+        a, b = a + x, b + y
+        if a > b:
+            return False
+    return True
+
+
 def multiplicities(la: Partition) -> dict[int, int]:
     """Map part-size -> multiplicity, keys in decreasing order."""
     out: dict[int, int] = {}

@@ -27,7 +27,14 @@ from typing import Mapping
 
 from .errors import CapExceededError, ContractError
 from .intpoly import IntPoly, bilinear, exact_div, exact_quotient, scale, times_binomials, trim
-from .partitions import Partition, multiplicities, n_stat, partitions_of, weyl_centralizer_order
+from .partitions import (
+    Partition,
+    dominated,
+    multiplicities,
+    n_stat,
+    partitions_of,
+    weyl_centralizer_order,
+)
 from .polyring import RationalPoly
 
 #: Ceiling for ``hall_littlewood_expand``: expanding every p_rho with
@@ -228,16 +235,6 @@ def _b(la: Partition) -> IntPoly:
     return scale(times_binomials(0, exps, 1), (-1) ** len(exps))
 
 
-def _dominated(mu: Partition, la: Partition) -> bool:
-    """mu <= la in dominance order."""
-    a = b = 0
-    for x, y in zip(mu, la + (0,) * len(mu)):
-        a, b = a + x, b + y
-        if a > b:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[IntPoly, ...], ...]]:
     """X = R W^-1, rows rho, and W^T, with G = W^T diag(b) W, for the
@@ -283,7 +280,7 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
         for mu, row, f in zip(parts[j + 1 :], L[j + 1 :], col[1:]):
             what = f"G[{tuple(mu)}][{tuple(la)}] less the known terms / b_la(t)"
             entry = scale(exact_quotient(f, monic, what), sign)
-            if entry and not _dominated(mu, la):
+            if entry and not dominated(mu, la):
                 raise ContractError(
                     f"P_{tuple(la)} has a monomial {tuple(mu)} it does not dominate"
                 )

@@ -149,6 +149,57 @@ def test_green_sign_fails_orthogonality_off_the_diagonal(inject):
         assert rhs.coeffs == ()
 
 
+def flipped_torus(rho, eps):
+    """|T_(2,1)| negated, so one weight of the gamma product has the wrong
+    sign."""
+    t = grouporders.torus_order_coeffs(rho, eps)
+    return scale(t, -1) if rho == (2, 1) else t
+
+
+#: The support failure of mu = (2, 1) at n = 3 under ``flipped_torus``;
+#: (1, 1, 1) fails alike at la = (3).
+OFF_SUPPORT = {
+    1: "gamma_(2, 1)((3,)) = q^4 - q^3 - q^2 + q is not zero, but (3,) is not dominated by (2, 1)",
+    -1: "gamma_(2, 1)((3,)) = -q^4 - q^3 + q^2 + q is not zero, "
+        "but (3,) is not dominated by (2, 1)",
+}
+
+
+def test_flipped_torus_weight_fails_the_gamma_support(inject):
+    # with one torus weight negated, gamma_(2,1) and gamma_(1,1,1) take
+    # values on (3), outside the closure of their classes.  endo_dim is
+    # unmoved at n = 3, so monic, degree, division and samples all pass:
+    # the support check alone fails it (test_golden and
+    # test_batched_gamma_matches_per_rho_sum also see the changed gamma)
+    inject(kawanaka, "torus_order_coeffs", flipped_torus)
+    for eps in (1, -1):
+        report = verify_theorem(3, eps)
+        assert [r.failure for r in report.results] == [None, "contract", "contract"]
+        assert str(report.results[1].error) == OFF_SUPPORT[eps]
+        assert "is not dominated by (1, 1, 1)" in str(report.results[2].error)
+        with pytest.raises(ContractError, match=f"^{re.escape(OFF_SUPPORT[eps])}$"):
+            gggr_value(P((2, 1)), P((3,)), eps)
+    inject(kawanaka, "dominated", lambda la, mu: True)
+    for cache in CACHES:
+        cache.cache_clear()
+    assert verify_theorem(3, 1).passed and verify_theorem(3, -1).passed
+
+
+def test_gamma_support_check_survives_python_O():
+    script = inspect.getsource(flipped_torus) + (
+        "import gggr.grouporders as grouporders, gggr.kawanaka\n"
+        "from gggr.intpoly import scale\n"
+        "gggr.kawanaka.torus_order_coeffs = flipped_torus\n"
+        "for r in gggr.kawanaka.verify_theorem(3, 1).results:\n"
+        "    print(r.failure, r.error)\n"
+    )
+    done = run_optimized(script)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    rows = done.stdout.splitlines()
+    assert rows[:2] == ["None None", f"contract {OFF_SUPPORT[1]}"]
+    assert rows[2].startswith("contract gamma_(1, 1, 1)((3,)) = ")
+
+
 def torus_off_by_one(rho, eps):
     """|T_(2,1)| with 1 added to its constant term; still monic."""
     t = grouporders.torus_order_coeffs(rho, eps)
@@ -607,13 +658,18 @@ def test_datum_short_of_an_element_fails_the_size_check(monkeypatch, capsys):
 
 
 def leave_the_group(conjugation):
-    """``OracleGroup._conjugation`` with the first stage of the map built from
-    x = ((1, 1), (0, 1)) in place of the conjugator s: the map then sends h to
+    """``OracleGroup._conjugation`` with x = ((1, 1), (0, 1)) in place of the
+    conjugator s on the right, once s is checked: the map then sends h to
     s^-1*h*x, which for h in GU2(3) is not unitary."""
 
-    def leaving(G, s):
-        x = G._stage(((1, 1), (0, 1)), True, G.q0 ** (G.n * G.n - G.n))
-        return [x, conjugation(G, s)[1]]
+    def leaving(G, s, reads):
+        from gggr.fields import mat_inv, mat_mul
+
+        conjugation(G, s, reads)
+        F, x = G.field, ((1, 1), (0, 1))
+        s_inv = mat_inv(F, s)
+        return lambda codes: [G.encode(mat_mul(F, mat_mul(F, s_inv, G.decode(c)), x))
+                              for c in codes]
 
     return leaving
 

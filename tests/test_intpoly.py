@@ -226,6 +226,18 @@ def test_products_at_each_machine_width_limit(width, sign):
         assert out == reference_weighted_squares(rows, weights)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_operands_past_the_bound_set_the_width(width):
+    """An operand coefficient past the product bound still sets the digits:
+    a[0][0] = 2^(8*width - 1) meets only a zero row of b, so the bound is 1,
+    and a digit of the bound's width could not hold it."""
+    big = 1 << (8 * width - 1)
+    a, w, b = [[(big,)], [(1,)]], [(1,), (1,)], [[()], [(1,)]]
+    assert young_bound([(big, 1, 0), (1, 1, 1)]) == 1
+    assert bilinear(a, w, b) == reference_bilinear(a, w, b) == [[(1,)]]
+    assert bilinear([[(1,)], [(1,)]], [(big,), (1,)], [[()], [(1,)]]) == [[(1,)]]
+
+
 def test_weighted_squares_matches_schoolbook():
     rng = random.Random(1985)
     for _ in range(60):

@@ -106,6 +106,16 @@ def test_field_modulus_is_primitive(q):
         assert F.add[a][b] == code[tuple((c + d) % p for c, d in zip(digits[a], digits[b]))]
 
 
+def test_field_addition_is_digit_wise_for_every_table_size():
+    # built a row at a time as Kronecker sums of rotated digit rows, the table
+    # is the digit-by-digit sum mod p for every prime power with byte rows
+    for q in filter(is_prime_power, range(2, 257)):
+        F = FiniteField(q)
+        digits = [F.p**i for i in range(F.e)]
+        assert F.add == [[sum((a // d + b // d) % F.p * d for d in digits) for b in range(q)]
+                         for a in range(q)], q
+
+
 def test_field_f4_tables():
     # F_4 built on x^2 + x + 1; elements 0, 1, x=2, x+1=3
     F = finite_field(4)
@@ -405,9 +415,9 @@ def test_generator_counts(monkeypatch, n, eps, q0, count):
     # needs few
     conjugators, conjugation = [], oracle.OracleGroup._conjugation
 
-    def counted(G, s):
+    def counted(G, s, reads):
         conjugators.append(s)
-        return conjugation(G, s)
+        return conjugation(G, s, reads)
 
     monkeypatch.setattr(oracle.OracleGroup, "_conjugation", counted)
     assert oracle_report(n, eps, q0)["pass"]
@@ -463,22 +473,65 @@ def test_unipotent_split_matches_the_reference_splits(n, eps, q0, reference):
     assert [(c.rep, c.size, c.jordan) for c in G.classes()] == classes
 
 
+@pytest.mark.parametrize(
+    "n, eps, q0", [(2, -1, 3), (2, -1, 5), (2, 1, 3), (2, -1, 4), (2, -1, 8), (2, -1, 9)]
+)
+def test_direct_and_table_conjugation_agree(monkeypatch, n, eps, q0):
+    # a conjugation reads each code through its matrix where a table of one
+    # row would have more entries than the codes it maps, else by row
+    # tables; both give s^-1*h*s for every unipotent h.  The report's split
+    # reads q0^(n(n-1)) codes, so GU2 goes through matrices and GL2 by tables
+    G = enumerate_group(n, eps, q0)
+    G.unipotent_classes()
+    F, codes = G.field, sorted(G._class_of)
+    assert len(codes) == q0 ** (n * n - n)
+    assert (F.q**n > len(codes)) == (eps == -1) and F.q**n <= G.order
+    for s in [G.elements[0], G.elements[-1], *random.Random(q0).sample(G.elements, 3)]:
+        s_inv = mat_inv(F, s)
+        expected = [G.encode(mat_mul(F, mat_mul(F, s_inv, G.decode(h)), s)) for h in codes]
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_read", None)  # no table is read
+            assert G._conjugation(s, len(codes) if eps == -1 else 0)(codes) == expected
+        with monkeypatch.context() as m:
+            m.setattr(oracle.OracleGroup, "decode", None)  # no code is decoded
+            assert G._conjugation(s, G.order)(codes) == expected
+
+
+def test_report_builds_each_datum_once(monkeypatch):
+    # the certificate's datum for mu = (n) serves the report's check of mu = (n)
+    calls, datum = [], oracle.kawanaka_datum
+
+    def counted(G, mu):
+        calls.append(mu)
+        return datum(G, mu)
+
+    monkeypatch.setattr(oracle, "kawanaka_datum", counted)
+    for n, eps, q0 in [(2, -1, 5), (3, 1, 2), (4, 1, 2)]:
+        calls.clear()
+        assert oracle_report(n, eps, q0)["pass"]
+        assert calls == partitions_of(n)
+
+
 def test_report_conjugates_only_unipotent_codes(monkeypatch):
     # GL4(2) has 20 160 elements, 4096 of them unipotent: the report's split
     # reads each unipotent code once per conjugator, and no other code
-    groups, conjugated, read = [], [], oracle._read
+    groups, conjugated, conjugation = [], [], oracle.OracleGroup._conjugation
 
     def enumerate_kept(n, eps, q0):
         groups.append(enumerate_group(n, eps, q0))
         return groups[-1]
 
-    def counted(stage, codes):
-        if any(stage is first for first, _ in groups[-1]._conj or ()):
+    def counted(G, s, reads):
+        image = conjugation(G, s, reads)
+
+        def counting(codes):
             conjugated.extend(codes)
-        return read(stage, codes)
+            return image(codes)
+
+        return counting
 
     monkeypatch.setattr(oracle, "enumerate_group", enumerate_kept)
-    monkeypatch.setattr(oracle, "_read", counted)
+    monkeypatch.setattr(oracle.OracleGroup, "_conjugation", counted)
     assert oracle_report(4, 1, 2)["pass"]
     G = groups[-1]
     assert len(conjugated) <= len(G._conj) * 4096

@@ -7,6 +7,7 @@ from gggr.partitions import (
     DEFAULT_CAP,
     Partition,
     conjugate,
+    dominated,
     multiplicities,
     n_stat,
     partitions_of,
@@ -87,6 +88,21 @@ def test_conjugate_values():
     assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
     assert conjugate(Partition((4,))) == Partition((1, 1, 1, 1))
     assert conjugate(Partition(())) == Partition(())
+
+
+def test_dominance():
+    # (3, 3) and (4, 1, 1) are incomparable: 3 < 4 but 6 > 5
+    assert dominated((3, 3), (4, 2)) and not dominated((4, 2), (3, 3))
+    assert not dominated((3, 3), (4, 1, 1)) and not dominated((4, 1, 1), (3, 3))
+    assert dominated((1, 1, 1), (3,)) and not dominated((3,), (1, 1, 1))
+    for n in range(1, 9):
+        parts = partitions_of(n)
+        for mu in parts:
+            for la in parts:
+                # conjugation reverses dominance, and the order refines it
+                assert dominated(mu, la) == dominated(conjugate(la), conjugate(mu))
+                if dominated(mu, la):
+                    assert parts.index(la) <= parts.index(mu)
 
 
 def test_multiplicities():

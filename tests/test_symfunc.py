@@ -497,7 +497,6 @@ CHARACTER_ROUTE = (
 HALL_LITTLEWOOD_ROUTE = (
     "_monomial_count",
     "_b",
-    "_dominated",
     "_hl_factor",
     "hall_littlewood_expand",
 )
