@@ -76,7 +76,7 @@ from .partitions import Partition, conjugate, partitions_of
 #: reported in ~0.06 s at ~19 MiB peak RSS; ~0.4 s where the certificate
 #: fails as its seeds miss the class of type (3)), and refuses GU_3(4), with
 #: 312 000 (~0.22 s and ~21 MiB to enumerate), and GL_3(5), with 1 488 000.  Past
-#: the unitary gate, GU_2(9) and GU_2(8) report in ~0.09 s and ~0.03 s.
+#: the unitary gate, GU_2(9) and GU_2(8) report in ~0.05 s and ~0.03 s.
 ENUMERATION_CAP = 200_000
 
 #: Field sizes the oracle accepts as defining fields.
