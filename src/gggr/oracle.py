@@ -89,14 +89,10 @@ SUPPORTED_Q = (2, 3, 4, 5, 8, 9)
 
 
 def _sums(F: FiniteField, tables) -> list[int]:
-    """x -> sum_k tables[k][x_k], added in mat_mul's order, for each vector x;
-    an all-zero table repeats each sum so far, with no addition."""
+    """x -> sum_k tables[k][x_k], added in mat_mul's order, for each vector x."""
     out = [0]
     for table in tables:
-        if any(table):
-            out = [F.add[a][y] for a in out for y in table]
-        else:
-            out = [a for a in out for _ in table]
+        out = [F.add[a][y] for a in out for y in table]
     return out
 
 
@@ -561,19 +557,17 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     P[:, i] * P^-1[j, :], with P = 1 for GL.  So the codes of the images
     are built at once, entry by entry, each entry one field sum over the
     positions (the identity's entry where no position reaches it), and so
-    is the field sum in psi; no candidate is made a matrix.  An entry that
-    one position reaches is a function of that position's x alone: such
-    entries are gathered per position and joined by one expansion, which is
-    every reached entry for GL.  For GU each block of size k carries the
-    Hermitian form that pairs e_i with e_(k-1-i), with entries +-1 for odd
-    k and +-delta (delta + bar(delta) = 0) for even k, so that f is skew for
-    it, and P^* P = J; 1 + x is unitary for J exactly when its image is an
-    enumerated element, and only those are kept.  Each column of P is the
-    first vector independent of the ones before it with the prescribed
-    Hermitian products; by Witt's theorem that never dead-ends.  An
-    exhausted search is a ContractError, and so is an H whose size is not
-    q0^#positions: U_(>=2)^F is an affine space of that dimension over
-    F_q0."""
+    is the field sum in psi; no candidate is made a matrix.  psi's trace is
+    taken once per distinct sum among the kept candidates.  For GU each
+    block of size k carries the Hermitian form that pairs e_i with
+    e_(k-1-i), with entries +-1 for odd k and +-delta (delta + bar(delta) =
+    0) for even k, so that f is skew for it, and P^* P = J; 1 + x is
+    unitary for J exactly when its image is an enumerated element, and
+    only those are kept.  Each column of P is the first vector independent
+    of the ones before it with the prescribed Hermitian products; by Witt's
+    theorem that never dead-ends.  An exhausted search is a ContractError,
+    and so is an H whose size is not q0^#positions: U_(>=2)^F is an affine
+    space of that dimension over F_q0."""
     F, n, q = G.field, G.n, G.field.q
     add, mul, neg = F.add, F.mul, F.neg
     bar = [F.power(a, G.q0) for a in range(q)]
@@ -619,24 +613,20 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
             raise ContractError(f"{G.name}: the basis {P} for the form {J} is singular")
 
     base, codes = 0, [0] * q ** len(positions)  # candidate k's image: base + codes[k]
-    parts = [[0] * q for _ in positions]  # x_p -> its share of a code
     for r, c in itertools.product(range(n), repeat=2):
         place, one = q ** (n * n - 1 - r * n - c), int(r == c)  # of entry (r, c) in a code
         scales = [mul[P[r][i]][P_inv[j][c]] for i, j in positions]
-        reach = [p for p, k in enumerate(scales) if k]
-        if len(reach) == 1:  # a function of one position's x
-            p = reach[0]
-            parts[p] = [a + add[one][y] * place for a, y in zip(parts[p], mul[scales[p]])]
-        elif reach:
+        if any(scales):
             entries = _sums(F, [[one]] + [mul[k] for k in scales])
             codes = [a + x * place for a, x in zip(codes, entries)]
         else:
             base += one * place
-    codes = [a + b for a, b in zip(codes, _concat(parts))]
 
     degree = F.e if G.eps == 1 else F.e // 2  # F_q0 inside the entries' field
     sums = _sums(F, [range(q) if x in read else [0] * q for x in positions])
-    H = {base + c: F.abs_trace(s, degree) for c, s in zip(codes, sums) if G._member(base + c)}
+    kept = [(base + c, s) for c, s in zip(codes, sums) if G._member(base + c)]
+    trace = {s: F.abs_trace(s, degree) for s in dict.fromkeys(s for _, s in kept)}
+    H = {h: trace[s] for h, s in kept}
     if len(H) != G.q0 ** len(positions):
         raise ContractError(f"{G.name}: U_(>=2) for mu = {tuple(mu)} has {len(H)} elements, "
                             f"not {G.q0}^{len(positions)} = {G.q0 ** len(positions)}")

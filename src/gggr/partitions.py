@@ -28,7 +28,9 @@ class Partition(tuple):
     like the underlying tuple."""
 
     def __new__(cls, parts=()) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if any(type(p) is not int for p in parts):
+            raise ValueError(f"parts must be integers, got {parts!r}")
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

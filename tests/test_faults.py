@@ -1,21 +1,32 @@
 """Fault injection: a perturbed table makes the check that guards it fail.
 Verification reports the failure as FAIL records, and the command exits 1
 with a one-line message and no traceback, also under ``python -O`` (the
-package has no asserts)."""
+package has no asserts).
+
+A fault that also runs under ``python -O`` is written once, as a ``Fault``:
+``check`` injects it and runs its call in process, then runs a ``python
+-O`` script built from the same definition, and both runs must give the
+fault's exit code, stdout and stderr."""
 
 import ast
+import importlib
 import inspect
 import itertools
 import math
 import os
+import pkgutil
 import re
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+import gggr
 import gggr.fields as fields
 import gggr.green as green
 import gggr.grouporders as grouporders
@@ -30,59 +41,160 @@ from gggr.kawanaka import gggr_value, verify_theorem
 from gggr.partitions import Partition
 from gggr.polyring import RationalPoly
 from test_intpoly import add, schoolbook
-from test_symfunc import HALL_LITTLEWOOD_ROUTE
 
 P = Partition
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CACHES = (
-    green.green_matrix,
-    green._green,
-    green.green_table,
-    grouporders.group_order_coeffs,
-    grouporders.torus_order_coeffs,
-    grouporders._centralizer,
-    grouporders.class_size_coeffs,
-    kawanaka._gamma_matrix,
-    kawanaka._gamma_row,
-    kawanaka._gggr_value,
-    kawanaka._endo_numerators,
-    kawanaka._endo_dim,
-)
+#: Every lru_cache of the package, found by walking its modules.
+PACKAGE_CACHES = {
+    value
+    for module in pkgutil.iter_modules(gggr.__path__)
+    for value in vars(importlib.import_module(f"gggr.{module.name}")).values()
+    if hasattr(value, "cache_clear")
+}
 
 
-GREEN_MATRIX = green.green_matrix
-
-
-def perturbed_green(n):
-    """The Green table with 1 added to the constant term of Q_(n)^(n)."""
-    table = [list(row) for row in GREEN_MATRIX(n)]
-    entry = table[0][0]
-    table[0][0] = (entry[0] + 1,) + entry[1:]
-    return tuple(map(tuple, table))
+def clear_caches():
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture
 def inject(monkeypatch):
-    """Patch a table in place; every cache that could hold a value computed
-    from it is cleared before and after the test."""
-    for cache in CACHES:
-        cache.cache_clear()
-    yield monkeypatch.setattr
-    for cache in CACHES:
-        cache.cache_clear()
+    """``monkeypatch.setattr`` that first clears every cache of the package,
+    so that no value computed before the fault hides it.  The caches are
+    also cleared before and after the test, which drops a cached object that
+    the test corrupts."""
+
+    def setattr(owner, name, value):
+        clear_caches()
+        monkeypatch.setattr(owner, name, value)
+
+    clear_caches()
+    yield setattr
+    clear_caches()
 
 
-def test_every_cache_is_cleared_around_an_injection():
-    """A cache left out of CACHES would keep a value computed before the
-    fault was injected, and the fault would not show."""
-    defined = {
-        value
-        for module in (green, grouporders, kawanaka)
-        for value in vars(module).values()
-        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
-    }
-    assert defined == set(CACHES)
+class Fault(NamedTuple):
+    """One fault and what it must give.  ``patch`` injects it: a line
+    ``target = value`` that replaces an attribute, or a statement that
+    corrupts a cached object.  ``helpers`` are the functions of this module
+    that ``patch`` and ``call`` use; anything else they use comes from
+    ``PRELUDE``.  ``call`` is an expression, run as ``run`` runs it, which
+    must give the exit code ``code``, the stdout ``out`` (as a list, the
+    rows of a csv report that fail) and the stderr ``err``.  ``optimized``
+    says that the fault also runs under ``python -O``."""
+
+    patch: str
+    helpers: tuple
+    call: str
+    code: int = 1
+    out: str | list | None = ""
+    err: str = ""
+    optimized: bool = True
+
+
+#: The head of a fault's ``python -O`` script: the names that this module
+#: gives a fault in process.
+PRELUDE = """\
+import itertools, resource, sys, time
+if sys.flags.optimize != 1:
+    sys.exit(5)
+import gggr.fields as fields, gggr.green as green, gggr.grouporders as grouporders
+import gggr.intpoly as intpoly, gggr.kawanaka as kawanaka, gggr.oracle as oracle
+import gggr.symfunc as symfunc
+from gggr.cli import main
+from gggr.errors import ContractError
+from gggr.intpoly import scale
+from gggr.partitions import Partition as P
+"""
+
+
+def run(call, namespace):
+    """Evaluate a fault's call in namespace and return the exit code: an int
+    result is the code, as main's is; any other result is rows to print,
+    with code 0; a failed check prints its message, with code 1."""
+    try:
+        result = eval(call, namespace)
+    except ContractError as exc:
+        print(exc)
+        return 1
+    if isinstance(result, int):
+        return result
+    for row in result or ():
+        print(*row)
+    return 0
+
+
+def run_optimized(fault):
+    """Exit code, stdout and stderr of a fault's script, run under ``python
+    -O`` on this checkout's package: PRELUDE, the source of ``run`` and of
+    the fault's helpers, its patch line and its call."""
+    helpers = "".join(inspect.getsource(f) for f in (run, *fault.helpers))
+    script = f"{PRELUDE}{helpers}{fault.patch}\nsys.exit(run({fault.call!r}, globals()))\n"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def outcome(fault, code, out, err):
+    """A run's exit code, stdout and stderr, as the fault states them."""
+    if isinstance(fault.out, list):
+        out = [row for row in out.splitlines(True) if row.endswith(",False\n")]
+    return code, out, err
+
+
+def failed(message):
+    """The stderr of a command whose check failed with message."""
+    return f"gggr: check failed: {message}\n"
+
+
+@pytest.fixture
+def check(inject, capsys):
+    """Inject a fault in process and run its call, then, if it is
+    ``optimized``, run it under ``python -O``: each run must give the
+    fault's outcome.  The fault stays injected for the rest of the test."""
+
+    def check(fault):
+        namespace = dict(globals())
+        target, assign, value = fault.patch.partition(" = ")
+        if assign:
+            owner, name = target.rsplit(".", 1)
+            inject(eval(owner, namespace), name, eval(value, namespace))
+        else:
+            clear_caches()
+            exec(fault.patch, namespace)
+        capsys.readouterr()
+        code = run(fault.call, namespace)
+        expected = fault.code, fault.out, fault.err
+        assert outcome(fault, code, *capsys.readouterr()) == expected
+        if fault.optimized:
+            assert outcome(fault, *run_optimized(fault)) == expected
+
+    return check
+
+
+def test_fault_in_symfunc_fails_under_the_cache_fixture(inject):
+    # the caches hold the verified theorem at n = 3, X among them; the
+    # fixture clears them all, so a changed character of S_3 reaches it
+    assert verify_theorem(3, 1).passed
+    mn = symfunc.mn_character
+    inject(symfunc, "mn_character", lambda mu, rho: mn(mu, rho) + (mu == rho == (3,)))
+    assert not verify_theorem(3, 1).passed
+
+
+def perturbed_green(green_matrix):
+    """``green_matrix`` with 1 added to the constant term of Q_(n)^(n)."""
+
+    def perturbed(n):
+        table = [list(row) for row in green_matrix(n)]
+        entry = table[0][0]
+        table[0][0] = (entry[0] + 1,) + entry[1:]
+        return tuple(map(tuple, table))
+
+    return perturbed
 
 
 def all_fail(report, condition, error):
@@ -102,15 +214,24 @@ NOT_INTEGRAL = r"gamma_\(.*\)\(\(3,\)\) is not integral at q = [23]: -?\d+/3"
 
 
 def test_green_coefficient_fails_gamma_integrality(inject):
-    inject(kawanaka, "green_matrix", perturbed_green)
+    inject(kawanaka, "green_matrix", perturbed_green(green.green_matrix))
     with pytest.raises(ContractError, match=r"gamma_\(3,\)\(\(3,\)\) is not integral at q = 2"):
         gggr_value(P((3,)), P((3,)), 1)
     assert all_fail(verify_theorem(3, 1), "contract", NOT_INTEGRAL)
     assert all_fail(verify_theorem(3, -1), "contract", NOT_INTEGRAL)
 
 
-def test_green_coefficient_fails_verify_command(inject, capsys):
-    inject(kawanaka, "green_matrix", perturbed_green)
+#: The changed Q_(n)^(n) fails every mu of GU_4 in the verify command.
+GREEN_COEFFICIENT = Fault(
+    "kawanaka.green_matrix = perturbed_green(green.green_matrix)", (perturbed_green,),
+    "main(['verify', '--n', '4', '--eps', '-1', '--format', 'csv'])",
+    out='mu,degree,monic,pass\n(4),,False,False\n"(3,1)",,False,False\n"(2,2)",,False,False\n'
+        '"(2,1,1)",,False,False\n"(1,1,1,1)",,False,False\n',
+)
+
+
+def test_green_coefficient_fails_verify_command(check, capsys):
+    check(GREEN_COEFFICIENT)
     assert main(["verify", "--n", "3", "--format", "pretty"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL mu=(3):" in out and out.endswith("RESULT: FAIL\n")
@@ -121,7 +242,7 @@ def test_green_coefficient_fails_verify_command(inject, capsys):
 
 
 def test_green_coefficient_fails_orthogonality(inject):
-    inject(green, "green_matrix", perturbed_green)
+    inject(green, "green_matrix", perturbed_green(green.green_matrix))
     result = green.verify_orthogonality(3, -1)
     assert not result.ok
     rho, pi, lhs, rhs = result.witness
@@ -135,8 +256,10 @@ def test_green_coefficient_fails_orthogonality(inject):
 def test_green_sign_fails_orthogonality_off_the_diagonal(inject):
     """Q_(3)^(2,1) negated: every diagonal sum keeps its squares, so the first
     pair to fail is ((3), (2,1)), whose sum must vanish."""
+    green_matrix = green.green_matrix
+
     def perturbed(n):
-        table = [list(row) for row in GREEN_MATRIX(n)]
+        table = [list(row) for row in green_matrix(n)]
         table[0][1] = scale(table[0][1], -1)
         return tuple(map(tuple, table))
 
@@ -164,14 +287,22 @@ OFF_SUPPORT = {
         "but (3,) is not dominated by (2, 1)",
 }
 
+GAMMA_SUPPORT = Fault(
+    "kawanaka.torus_order_coeffs = flipped_torus", (flipped_torus,),
+    "[(r.failure, r.error) for r in kawanaka.verify_theorem(3, 1).results]",
+    code=0,
+    out=f"None None\ncontract {OFF_SUPPORT[1]}\ncontract gamma_(1, 1, 1)((3,)) = "
+        "q^6 - q^5 - q^4 + q^2 + q - 1 is not zero, but (3,) is not dominated by (1, 1, 1)\n",
+)
 
-def test_flipped_torus_weight_fails_the_gamma_support(inject):
+
+def test_flipped_torus_weight_fails_the_gamma_support(check, inject):
     # with one torus weight negated, gamma_(2,1) and gamma_(1,1,1) take
     # values on (3), outside the closure of their classes.  endo_dim is
     # unmoved at n = 3, so monic, degree, division and samples all pass:
     # the support check alone fails it (test_golden and
     # test_batched_gamma_matches_per_rho_sum also see the changed gamma)
-    inject(kawanaka, "torus_order_coeffs", flipped_torus)
+    check(GAMMA_SUPPORT)
     for eps in (1, -1):
         report = verify_theorem(3, eps)
         assert [r.failure for r in report.results] == [None, "contract", "contract"]
@@ -180,24 +311,7 @@ def test_flipped_torus_weight_fails_the_gamma_support(inject):
         with pytest.raises(ContractError, match=f"^{re.escape(OFF_SUPPORT[eps])}$"):
             gggr_value(P((2, 1)), P((3,)), eps)
     inject(kawanaka, "dominated", lambda la, mu: True)
-    for cache in CACHES:
-        cache.cache_clear()
     assert verify_theorem(3, 1).passed and verify_theorem(3, -1).passed
-
-
-def test_gamma_support_check_survives_python_O():
-    script = inspect.getsource(flipped_torus) + (
-        "import gggr.grouporders as grouporders, gggr.kawanaka\n"
-        "from gggr.intpoly import scale\n"
-        "gggr.kawanaka.torus_order_coeffs = flipped_torus\n"
-        "for r in gggr.kawanaka.verify_theorem(3, 1).results:\n"
-        "    print(r.failure, r.error)\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 0 and done.stderr == "", done.stderr
-    rows = done.stdout.splitlines()
-    assert rows[:2] == ["None None", f"contract {OFF_SUPPORT[1]}"]
-    assert rows[2].startswith("contract gamma_(1, 1, 1)((3,)) = ")
 
 
 def torus_off_by_one(rho, eps):
@@ -206,8 +320,14 @@ def torus_off_by_one(rho, eps):
     return (t[0] + 1,) + t[1:] if rho == (2, 1) else t
 
 
-def test_torus_order_fails_exact_division(inject):
-    inject(green, "torus_order_coeffs", torus_off_by_one)
+TORUS_DIVISION = Fault(
+    "green.torus_order_coeffs = torus_off_by_one", (torus_off_by_one,),
+    "green.verify_orthogonality(3, 1)", out="|G| / |T_rho| for (2, 1) left remainder (0, 4)\n",
+)
+
+
+def test_torus_order_fails_exact_division(check):
+    check(TORUS_DIVISION)
     for eps in (1, -1):
         with pytest.raises(NonExactDivisionError, match=r"\|T_rho\| for \(2, 1\) left remainder"):
             green.verify_orthogonality(3, eps)
@@ -258,11 +378,11 @@ def test_non_monic_centralizer_fails_verify_command(inject, capsys):
     # a doubled centralizer order of (2, 1) is no longer monic, so its class
     # size cannot be divided out: a failed check, never a usage error
     centralizer = grouporders._centralizer
-    inject(
-        grouporders,
-        "_centralizer",
-        lambda la, eps: scale(centralizer(la, eps), 2) if la == (2, 1) else centralizer(la, eps),
-    )
+
+    def doubled(la, eps):
+        return scale(centralizer(la, eps), 2 if la == (2, 1) else 1)
+
+    inject(grouporders, "_centralizer", doubled)
     with pytest.raises(ContractError, match="^divisor must be monic$"):
         grouporders.class_size(P((2, 1)), 1)
     assert all_fail(verify_theorem(3, 1), "contract", "divisor must be monic")
@@ -275,16 +395,13 @@ def test_non_monic_centralizer_fails_verify_command(inject, capsys):
     ] + ["RESULT: FAIL"]
 
 
-ENDO_NUMERATORS = kawanaka._endo_numerators
-
-
-def perturbed_numerators(change):
-    """``_endo_numerators`` with ``change`` applied to the numerator of
-    every mu, given it and |G|."""
+def perturbed_numerators(endo_numerators, change):
+    """``endo_numerators`` with ``change`` applied to the numerator of every
+    mu, given it and |G|."""
 
     def numerators(n, eps):
         order = grouporders.group_order_coeffs(n, eps)
-        return tuple(change(f, order) for f in ENDO_NUMERATORS(n, eps))
+        return tuple(change(f, order) for f in endo_numerators(n, eps))
 
     return numerators
 
@@ -302,9 +419,7 @@ def perturbed_numerators(change):
 )
 def test_endo_numerator_fault_names_its_condition(inject, condition, change):
     expected = {mu: kawanaka.endo_dim(mu, 1) for mu in symfunc.partitions_of(3)}
-    for cache in CACHES:
-        cache.cache_clear()
-    inject(kawanaka, "_endo_numerators", perturbed_numerators(change))
+    inject(kawanaka, "_endo_numerators", perturbed_numerators(kawanaka._endo_numerators, change))
     report = verify_theorem(3, 1)
     assert not report.passed
     for r in report.results:
@@ -317,56 +432,43 @@ def test_endo_numerator_fault_names_its_condition(inject, condition, change):
             }
 
 
-YOUNG_BOUND = intpoly.young_bound
+def loose_bound(young_bound, kernel=None):
+    """``young_bound`` shifted down 32 bits where ``kernel`` (by default any
+    caller) asks for it: every operand still fits the digits it sets, but the
+    products outgrow them.  (Widths are whole machine words, often set by the
+    operands; 16 bits below the bound still picks the same words for every
+    product at n = 6.)"""
 
+    def bound(terms):
+        loose = kernel in (None, sys._getframe(1).f_code.co_name)
+        return young_bound(terms) >> 32 if loose else young_bound(terms)
 
-def loose_bound(*args):
-    """``young_bound`` shifted down 32 bits: every operand still fits the
-    digits it sets, but the products outgrow them.  (Widths are whole machine
-    words, often set by the operands; 16 bits below the bound still picks the
-    same words for every product at n = 6.)"""
-    return YOUNG_BOUND(*args) >> 32
-
-
-@pytest.fixture
-def loosen_bound(inject):
-    """The Kronecker bound loosened, with X, which is built by a product,
-    cleared besides every cache of ``inject``."""
-    symfunc.x_matrix.cache_clear()
-    inject(intpoly, "young_bound", loose_bound)
-    yield
-    symfunc.x_matrix.cache_clear()
-
-
-@pytest.fixture
-def loosen_bound_in(inject):
-    """Loosens the Kronecker bound only where the kernel it is given asks
-    for it, with X cleared as for ``loosen_bound``."""
-
-    def loosen(kernel):
-        def bound(terms):
-            caller = sys._getframe(1).f_code.co_name
-            return (loose_bound if caller == kernel else YOUNG_BOUND)(terms)
-
-        inject(intpoly, "young_bound", bound)
-
-    symfunc.x_matrix.cache_clear()
-    yield loosen
-    symfunc.x_matrix.cache_clear()
+    return bound
 
 
 @pytest.mark.parametrize("kernel, n", [("bilinear", 7), ("weighted_squares", 6)])
-def test_kronecker_bound_carries_weight_in_each_kernel(loosen_bound_in, kernel, n):
+def test_kronecker_bound_carries_weight_in_each_kernel(inject, kernel, n):
     # each kernel must take its width from the bound: loosened in one alone,
     # the verification fails for every mu at an n where that width is the
     # bound's and not the operands'
-    loosen_bound_in(kernel)
+    inject(intpoly, "young_bound", loose_bound(intpoly.young_bound, kernel))
     for eps in (1, -1):
         report = verify_theorem(n, eps)
         assert report.results and not any(r.passed for r in report.results)
 
 
-def test_kronecker_bound_carries_weight(loosen_bound, capsys):
+KRONECKER_BOUND = Fault(
+    "intpoly.young_bound = loose_bound(intpoly.young_bound)", (loose_bound,),
+    "main(['verify', '--n', '6', '--big', '--format', 'csv'])",
+    out='mu,degree,monic,pass\n(6),7,False,False\n"(5,1)",9,False,False\n"(4,2)",11,False,False\n'
+        + "".join(f'"{mu}",,False,False\n' for mu in ["(4,1,1)", "(3,3)", "(3,2,1)", "(3,1,1,1)",
+                                                    "(2,2,2)", "(2,2,1,1)", "(2,1,1,1,1)",
+                                                    "(1,1,1,1,1,1)"]),
+)
+
+
+def test_kronecker_bound_carries_weight(check, capsys):
+    check(KRONECKER_BOUND)
     for eps in (1, -1):
         report = verify_theorem(6, eps)
         assert report.results and not any(r.passed for r in report.results)
@@ -376,38 +478,35 @@ def test_kronecker_bound_carries_weight(loosen_bound, capsys):
     assert err == "" and out.endswith('  "pass": false\n}\n')
 
 
-def corrupt_f4(field):
-    """x + (x + 1) = x in place of 1 in the addition table of F_4 (elements
-    0, 1, x, x + 1 encoded as 0..3), so the trace x + x^2 of x reads x."""
-    field.add[2][3] = 2
+def corrupt_entry(field, table, entry, value):
+    """``field`` with one entry of a table set: entry is (a,) or (a, b)."""
+    *row, last = entry
+    target = getattr(field, table)
+    for i in row:
+        target = target[i]
+    target[last] = value
+    return field
 
 
-@pytest.fixture
-def field_f4():
-    """The cached F_4, to be corrupted in place; the cache is cleared after."""
-    oracle.finite_field.cache_clear()
-    yield oracle.finite_field(4)
-    oracle.finite_field.cache_clear()
-
-
-#: What the corrupted F_4 of ``corrupt_f4`` trips in the GL2(4) report: the
-#: trace in psi of Kawanaka's datum.  The enumeration is no longer a group,
-#: which only the closure of classes() sees (GL2_F4_OUTSIDE).
+#: What the GL2(4) report trips when x + (x + 1) = x in the addition table of
+#: its F_4 (elements 0, 1, x, x + 1 encoded as 0..3), so that the trace
+#: x + x^2 of x reads x: the trace in psi of Kawanaka's datum.  The
+#: enumeration is no longer a group, which only the closure of classes()
+#: sees.
 GL2_F4_TRACE = "trace of 2 in F_4 left the prime field: 2"
-GL2_F4_OUTSIDE = (
-    "GL2(F4): the product ((2, 1), (3, 2)) of ((0, 3), (3, 2)) is not an enumerated element"
+CORRUPT_F4 = Fault(
+    "corrupt_entry(oracle.finite_field(4), 'add', (2, 3), 2)", (corrupt_entry,),
+    "main(['oracle', '--n', '2', '--q', '4'])", err=failed(GL2_F4_TRACE),
 )
 
 
-def test_field_entry_fails_oracle_trace(field_f4, capsys):
-    corrupt_f4(field_f4)
+def test_field_entry_fails_oracle_trace(check):
+    check(CORRUPT_F4)
     with pytest.raises(ContractError, match=f"^{re.escape(GL2_F4_TRACE)}$"):
         oracle.oracle_report(2, 1, 4)
-    assert main(["oracle", "--n", "2", "--q", "4"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"gggr: check failed: {GL2_F4_TRACE}\n"
-    with pytest.raises(ContractError, match=re.escape(GL2_F4_OUTSIDE)):
+    outside = ("GL2(F4): the product ((2, 1), (3, 2)) of ((0, 3), (3, 2)) is not an "
+               "enumerated element")
+    with pytest.raises(ContractError, match=re.escape(outside)):
         oracle.enumerate_group(2, 1, 4).classes()
 
 
@@ -418,26 +517,25 @@ def test_field_entry_fails_oracle_trace(field_f4, capsys):
                      id="GL2F4-singular"),
         pytest.param(2, -1, 2, "add", 1, 1, 1, "GU2(F2): no trace-zero element in F_4",
                      id="GU2F2-trace-zero"),
-        pytest.param(2, -1, 2, "add", 0, 1, 2, "GU2(F2): no column 0 of a basis for the form",
-                     id="GU2F2-column-0"),
-        pytest.param(2, -1, 2, "add", 2, 3, 0,
-                     "GU2(F2): no column 1 of a basis for the form ((0, 1), (1, 0)) in F_4",
-                     id="GU2F2-column-1"),
+        *(
+            pytest.param(2, -1, 2, "add", a, b, value,
+                         f"GU2(F2): no column {column} of a basis for the form ((0, 1), (1, 0)) "
+                         "in F_4", id=f"GU2F2-column-{column}")
+            for column, a, b, value in [(0, 0, 1, 2), (1, 2, 3, 0)]
+        ),
     ],
 )
-def test_field_entry_fails_oracle_construction(
-    field_f4, capsys, n, eps, q0, table, a, b, value, message
-):
+def test_field_entry_fails_oracle_construction(check, n, eps, q0, table, a, b, value, message):
     # each corruption breaks one step of the class split or of building
     # Kawanaka's datum, which must fail as a check, not as some other exception
-    getattr(field_f4, table)[a][b] = value
-    assert main(["oracle", "--n", str(n), "--q", str(q0), "--eps", f"{eps:+d}"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("gggr: check failed: ") and err.count("\n") == 1
-    assert message in err
+    check(Fault(
+        f"corrupt_entry(oracle.finite_field(4), {table!r}, ({a}, {b}), {value})", (corrupt_entry,),
+        f"main(['oracle', '--n', '{n}', '--q', '{q0}', '--eps', '{eps:+d}'])",
+        err=failed(message), optimized=False,
+    ))
 
 
+@pytest.mark.usefixtures("inject")
 @pytest.mark.parametrize(
     "n, eps, q0, table, a, b, value, message",
     [
@@ -453,25 +551,14 @@ def test_field_entry_fails_oracle_construction(
         ),
     ],
 )
-def test_field_entry_fails_whittaker_construction(
-    field_f4, n, eps, q0, table, a, b, value, message
-):
+def test_field_entry_fails_whittaker_construction(n, eps, q0, table, a, b, value, message):
     # the group is enumerated and split before the field is corrupted, so the
     # corruption reaches Kawanaka's datum, whose searches must fail as checks
     G = oracle.enumerate_group(n, eps, q0)
     G.classes()
-    getattr(field_f4, table)[a][b] = value
+    corrupt_entry(oracle.finite_field(4), table, (a, b), value)
     with pytest.raises(ContractError, match=message):
         oracle.gelfand_graev_inner(G)
-
-
-def corrupt_entry(field, table, entry, value):
-    """Set one entry of a table of ``field``: entry is (a,) or (a, b)."""
-    *row, last = entry
-    target = getattr(field, table)
-    for i in row:
-        target = target[i]
-    target[last] = value
 
 
 #: One corrupted entry of a private field per axiom, as (q, table, entry,
@@ -490,29 +577,23 @@ AXIOM_FAULTS = [
 
 
 @pytest.mark.parametrize("q, table, entry, value, axiom", AXIOM_FAULTS)
-def test_field_entry_fails_its_axiom(q, table, entry, value, axiom):
-    F = fields.FiniteField(q)  # private: the cached field stays intact
-    F._verify_axioms()
-    corrupt_entry(F, table, entry, value)
-    with pytest.raises(ContractError, match=f"^F_{q}: {re.escape(axiom)} failed$"):
-        F._verify_axioms()
+def test_field_entry_fails_its_axiom(check, q, table, entry, value, axiom):
+    fields.FiniteField(q)._verify_axioms()  # private: the cached field stays intact
+    check(Fault(
+        "", (corrupt_entry,),
+        f"corrupt_entry(fields.FiniteField({q}), {table!r}, {entry}, {value})._verify_axioms()",
+        out=f"F_{q}: {axiom} failed\n", optimized=axiom == "distributivity",
+    ))
 
 
-def test_field_without_a_primitive_modulus_fails(monkeypatch, capsys):
+def test_field_without_a_primitive_modulus_fails(check):
     # Z/4 passed off as a prime field: no residue of Z/4 has three distinct
     # nonzero powers, so the search for a modulus fails as a check
     message = "no primitive polynomial of degree 1 over F_4"
-    monkeypatch.setattr(fields, "is_prime_power", lambda q: (4, 1))
-    oracle.finite_field.cache_clear()
-    try:
-        with pytest.raises(ContractError, match=f"^{message}$"):
-            oracle.FiniteField(4)
-        assert main(["oracle", "--n", "2", "--q", "4"]) == 1
-    finally:
-        oracle.finite_field.cache_clear()
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"gggr: check failed: {message}\n"
+    check(Fault("fields.is_prime_power = lambda q: (4, 1)", (),
+                "main(['oracle', '--n', '2', '--q', '4'])", err=failed(message), optimized=False))
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        oracle.FiniteField(4)
 
 
 def test_whittaker_element_outside_the_split_fails():
@@ -546,35 +627,27 @@ def drop_element(enumerate_group, which):
     return enumerate_without
 
 
-#: What GL2(3) without the identity or its last element trips: in the
-#: report, which does not run the closure, and in the closure of classes(),
-#: where every product of generators must be enumerated, starting from the
-#: identity.
-GL2_F3_DROPPED = {
-    "identity": (
-        "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
-        "GL2(F3): the identity is not an enumerated element",
-    ),
-    "last": (
-        "GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
-        "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated element",
-    ),
-}
-
-
-@pytest.mark.parametrize("which", ["identity", "last"])
-def test_missing_element_fails_oracle_closure(monkeypatch, capsys, which):
-    report, closure = GL2_F3_DROPPED[which]
-    monkeypatch.setattr(oracle, "enumerate_group", drop_element(oracle.enumerate_group, which))
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {report}\n")
+@pytest.mark.parametrize("which, report, closure", [
+    pytest.param("identity", "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
+                 "GL2(F3): the identity is not an enumerated element", id="identity"),
+    pytest.param("last",
+                 "GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
+                 "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated "
+                 "element", id="last"),
+])
+def test_missing_element_fails_oracle_closure(check, which, report, closure):
+    # GL2(3) without the identity or its last element fails in the report,
+    # which does not run the closure, and in the closure of classes(), where
+    # every product of generators must be enumerated, from the identity on
+    check(Fault(f"oracle.enumerate_group = drop_element(oracle.enumerate_group, {which!r})",
+                (drop_element,), "main(['oracle', '--n', '2', '--q', '3'])", err=failed(report)))
     with pytest.raises(ContractError, match=f"^{re.escape(closure)}$"):
         oracle.enumerate_group(2, 1, 3).classes()
 
 
-def test_conjugate_outside_the_group_fails(monkeypatch):
+def test_conjugate_outside_the_group_fails(inject):
     # conjugating by a matrix that is not unitary leaves GU2(3)
-    monkeypatch.setattr(oracle, "mat_inv", lambda F, A: ((1, 1), (0, 1)))
+    inject(oracle, "mat_inv", lambda F, A: ((1, 1), (0, 1)))
     G = oracle.enumerate_group(2, -1, 3)
     with pytest.raises(ContractError, match="is not an enumerated element"):
         G.classes()
@@ -590,19 +663,45 @@ def drop_seed_class(certify, parts):
     return dropped
 
 
-#: What the GL3(2) report fails when its seeds miss the class of type (2, 1),
-#: 21 elements: the orbits hold 43 of the 64 unipotent elements, so the scan
-#: ends, once its conjugations have mapped |G| codes, without a certificate.
-GL3_F2_DROPPED_SEEDS = (
-    "GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, Jordan types 2"
+def test_dropped_seed_class_fails_the_class_counts(check):
+    # the GL3(2) report's seeds miss the class of type (2, 1), 21 elements:
+    # the orbits hold 43 of the 64 unipotent elements, so the scan ends, once
+    # its conjugations have mapped |G| codes, without a certificate
+    check(Fault(
+        "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))",
+        (drop_seed_class,), "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
+        err=failed("GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, "
+                   "Jordan types 2"),
+    ))
+
+
+def measured(argv):
+    """``main(argv)``, followed on stdout by its wall time in seconds and the
+    peak RSS of the process in KiB."""
+    start = time.perf_counter()
+    code = main(argv)
+    print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return code
+
+
+#: GL3(4) without the seeds of type (3): its 181 440 elements bound how many
+#: codes the certificate's conjugators may map before the scan fails.
+GL3_F4_DROPPED_SEEDS = Fault(
+    "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (3,))",
+    (drop_seed_class, measured), "measured(['oracle', '--n', '3', '--q', '4'])", out=None,
+    err=failed("GL3(F4): split not certified: conjugators 2, elements 316 of 4096, orbits 2, "
+               "Jordan types 2"),
 )
 
 
-def test_dropped_seed_class_fails_the_class_counts(monkeypatch, capsys):
-    certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))
-    monkeypatch.setattr(oracle.OracleGroup, "_certify", certify)
-    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {GL3_F2_DROPPED_SEEDS}\n")
+def test_dropped_seed_class_fails_within_bounds():
+    # the report fails in ~0.3 s at ~31 MiB peak, not after trying every
+    # element
+    code, out, err = run_optimized(GL3_F4_DROPPED_SEEDS)
+    assert (code, err) == (GL3_F4_DROPPED_SEEDS.code, GL3_F4_DROPPED_SEEDS.err)
+    seconds, peak_kib = map(float, out.split())
+    assert seconds < 10
+    assert peak_kib < 100 * 1024
 
 
 def lose_class(unipotent_classes, parts):
@@ -615,24 +714,16 @@ def lose_class(unipotent_classes, parts):
     return lost
 
 
-#: The rows that fail when the GL3(2) report loses the class of type (2, 1),
-#: 21 elements: both counts over the classes see it gone.
-GL3_F2_LOST_CLASS = [
-    "unipotent_class_count,3,2,False\n",
-    "class_size_2_1,21,0,False\n",
-    "unipotent_count,64,43,False\n",
-]
-
-
-def test_lost_class_fails_the_class_checks(monkeypatch, capsys):
-    classes = lose_class(oracle.OracleGroup.unipotent_classes, (2, 1))
-    monkeypatch.setattr(oracle.OracleGroup, "unipotent_classes", classes)
-    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
-        GL3_F2_LOST_CLASS
-    )
+def test_lost_class_fails_the_class_checks(check):
+    # the GL3(2) report loses the class of type (2, 1), 21 elements: both
+    # counts over the classes see it gone
+    check(Fault(
+        "oracle.OracleGroup.unipotent_classes = "
+        "lose_class(oracle.OracleGroup.unipotent_classes, (2, 1))", (lose_class,),
+        "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
+        out=["unipotent_class_count,3,2,False\n", "class_size_2_1,21,0,False\n",
+             "unipotent_count,64,43,False\n"], optimized=False,
+    ))
 
 
 def forget_member(member):
@@ -646,15 +737,17 @@ def forget_member(member):
 
 
 GL2_F3_SHORT_DATUM = "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3"
+FORGET_MEMBER = Fault(
+    "oracle.OracleGroup._member = forget_member(oracle.OracleGroup._member)", (forget_member,),
+    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_SHORT_DATUM),
+)
 
 
-def test_datum_short_of_an_element_fails_the_size_check(monkeypatch, capsys):
+def test_datum_short_of_an_element_fails_the_size_check(check):
     # |U_(>=2)^F| = q0^#positions, checked as a count of the kept candidates
-    monkeypatch.setattr(oracle.OracleGroup, "_member", forget_member(oracle.OracleGroup._member))
+    check(FORGET_MEMBER)
     with pytest.raises(ContractError, match=re.escape(GL2_F3_SHORT_DATUM)):
         oracle.oracle_report(2, 1, 3)
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_SHORT_DATUM}\n")
 
 
 def leave_the_group(conjugation):
@@ -684,14 +777,20 @@ def leaving_message():
     return f"GU2(F3): the conjugate {c} of ((1, 0), (0, 1)) is not an enumerated element"
 
 
-def test_conjugation_leaving_the_group_fails(monkeypatch, capsys):
+GU2_F3_LEAVING = Fault(
+    "oracle.OracleGroup._conjugation = leave_the_group(oracle.OracleGroup._conjugation)",
+    (leave_the_group,), "main(['oracle', '--n', '2', '--q', '3', '--eps', '-1'])",
+    err=failed("GU2(F3): the conjugate ((0, 1), (1, 1)) of ((1, 0), (0, 1)) is not an "
+               "enumerated element"),
+)
+
+
+def test_conjugation_leaving_the_group_fails(check):
     message = leaving_message()
-    conjugation = leave_the_group(oracle.OracleGroup._conjugation)
-    monkeypatch.setattr(oracle.OracleGroup, "_conjugation", conjugation)
+    assert GU2_F3_LEAVING.err == failed(message)
+    check(GU2_F3_LEAVING)
     with pytest.raises(ContractError, match=re.escape(message)):
         oracle.oracle_report(2, -1, 3)
-    assert main(["oracle", "--n", "2", "--q", "3", "--eps", "-1"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
 
 
 def hold_conjugators(candidates, k):
@@ -716,14 +815,16 @@ HELD_CONJUGATORS = {
 
 
 @pytest.mark.parametrize("n, q0, k", list(HELD_CONJUGATORS))
-def test_held_conjugators_fail_the_certificate(monkeypatch, capsys, n, q0, k):
+def test_held_conjugators_fail_the_certificate(check, inject, n, q0, k):
     message, candidates = HELD_CONJUGATORS[n, q0, k], oracle.OracleGroup._candidates
-    monkeypatch.setattr(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k))
+    check(Fault(
+        f"oracle.OracleGroup._candidates = hold_conjugators(oracle.OracleGroup._candidates, {k})",
+        (hold_conjugators,), f"main(['oracle', '--n', '{n}', '--q', '{q0}'])",
+        err=failed(message), optimized=(n, q0) == (2, 3),
+    ))
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         oracle.oracle_report(n, 1, q0)
-    assert main(["oracle", "--n", str(n), "--q", str(q0)]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
-    monkeypatch.setattr(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
+    inject(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
     assert oracle.oracle_report(n, 1, q0)["pass"]
 
 
@@ -743,20 +844,21 @@ GL2_F3_NEW_CLASS = (
 )
 
 
-def test_later_seed_outside_the_certified_split_fails(monkeypatch, capsys):
+def test_later_seed_outside_the_certified_split_fails(check):
     # the certificate is seeded with mu = (n) alone; the data of the other mu
     # may not start a class after it
-    monkeypatch.setattr(oracle, "kawanaka_datum", add_involution(oracle.kawanaka_datum))
+    check(Fault(
+        "oracle.kawanaka_datum = add_involution(oracle.kawanaka_datum)", (add_involution,),
+        "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_NEW_CLASS), optimized=False,
+    ))
     with pytest.raises(ContractError, match=f"^{re.escape(GL2_F3_NEW_CLASS)}$"):
         oracle.oracle_report(2, 1, 3)
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_NEW_CLASS}\n")
 
 
-def test_classes_of_one_jordan_type_fail(monkeypatch):
+def test_classes_of_one_jordan_type_fail(inject):
     # with every Jordan type read as (1, 1) no scan certifies GL2(3): its two
     # conjugators split all 9 unipotent elements, into 2 orbits of that type
-    monkeypatch.setattr(oracle.OracleGroup, "jordan_type", lambda G, g: Partition((1, 1)))
+    inject(oracle.OracleGroup, "jordan_type", lambda G, g: Partition((1, 1)))
     G = oracle.enumerate_group(2, 1, 3)
     message = ("GL2(F3): split not certified: conjugators 2, elements 9 of 9, orbits 2, "
                "Jordan types 1")
@@ -771,15 +873,16 @@ def identity_inverse(F, A):
 
 
 GL2_F3_WRONG_INVERSE = "GL2(F3): ((1, 0), (0, 1)) is not the inverse of ((0, 1), (1, 0))"
+IDENTITY_INVERSE = Fault(
+    "oracle.mat_inv = identity_inverse", (identity_inverse,),
+    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_WRONG_INVERSE),
+)
 
 
-def test_wrong_inverse_fails(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "mat_inv", identity_inverse)
-    G = oracle.enumerate_group(2, 1, 3)
+def test_wrong_inverse_fails(check):
+    check(IDENTITY_INVERSE)
     with pytest.raises(ContractError, match=re.escape(GL2_F3_WRONG_INVERSE)):
-        G.classes()
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n")
+        oracle.enumerate_group(2, 1, 3).classes()
 
 
 def identity_class(G):
@@ -814,15 +917,16 @@ GL2_F3_IRRATIONAL = (
     "GL2(F3): the sum of psi over the class of ((0, 1), (2, 2)) is not rational: "
     "exponent counts [0, 2, 0]"
 )
+MERGE_EXPONENTS = Fault(
+    "oracle.kawanaka_datum = merge_exponents(oracle.kawanaka_datum)", (merge_exponents,),
+    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_IRRATIONAL),
+)
 
 
-def test_irrational_class_sum_fails(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "kawanaka_datum", merge_exponents(oracle.kawanaka_datum))
-    G = oracle.enumerate_group(2, 1, 3)
+def test_irrational_class_sum_fails(check):
+    check(MERGE_EXPONENTS)
     with pytest.raises(ContractError, match=re.escape(GL2_F3_IRRATIONAL)):
-        oracle.gelfand_graev_inner(G)
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
-    assert capsys.readouterr() == ("", f"gggr: check failed: {GL2_F3_IRRATIONAL}\n")
+        oracle.gelfand_graev_inner(oracle.enumerate_group(2, 1, 3))
 
 
 def drop_dim_g1(kawanaka_datum):
@@ -849,30 +953,19 @@ def shift_last_exponent(kawanaka_datum):
     return shifted
 
 
-GL3_F2_DATUM_FAULTS = {
-    "drop_dim_g1": (
-        "gggr_inner_2_1,11,44,False\n",
-        "",
-    ),
-    "shift_last_exponent": (
-        "",
-        "gggr: check failed: GL3(F2): induced inner product 240 / 64 left remainder 48\n",
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", [drop_dim_g1, shift_last_exponent])
-def test_datum_fault_fails_gggr_inner_check(monkeypatch, capsys, fault):
-    # a fault in Kawanaka's datum makes the per-mu check fail, as a mismatch
-    # or as a failed check of the class sum, and the command exits 1
-    monkeypatch.setattr(oracle, "kawanaka_datum", fault(oracle.kawanaka_datum))
-    assert main(["oracle", "--n", "3", "--q", "2", "--format", "csv"]) == 1
-    out, err = capsys.readouterr()
-    mismatch, message = GL3_F2_DATUM_FAULTS[fault.__name__]
-    assert [row for row in out.splitlines(True) if row.endswith(",False\n")] == (
-        [mismatch] if mismatch else []
-    )
-    assert err == message
+@pytest.mark.parametrize("fault, rows, err", [
+    pytest.param(drop_dim_g1, ["gggr_inner_2_1,11,44,False\n"], "", id="drop_dim_g1"),
+    pytest.param(shift_last_exponent, [],
+                 failed("GL3(F2): induced inner product 240 / 64 left remainder 48"),
+                 id="shift_last_exponent"),
+])
+def test_datum_fault_fails_gggr_inner_check(check, fault, rows, err):
+    # a fault in Kawanaka's datum makes the per-mu check of the GL3(2) report
+    # fail, as a mismatch or as a failed check of the class sum
+    check(Fault(
+        f"oracle.kawanaka_datum = {fault.__name__}(oracle.kawanaka_datum)", (fault,),
+        "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])", out=rows, err=err,
+    ))
 
 
 @pytest.mark.parametrize(
@@ -894,45 +987,18 @@ def test_identity_class_size_fails_exact_division(size, inner, message):
         getattr(oracle, inner)(G)
 
 
-def test_empty_datum_fails_as_a_check(monkeypatch, capsys):
+def test_empty_datum_fails_as_a_check(inject, capsys):
     # an empty H for mu = (1, 1), past the certificate that mu = (2) seeds,
     # leaves the induced inner product 0 / |H|^2 = 0 / 0: a failed check,
     # not a ZeroDivisionError
     datum = oracle.kawanaka_datum
-    monkeypatch.setattr(
-        oracle, "kawanaka_datum", lambda G, mu: datum(G, mu) if len(mu) == 1 else ({}, 0)
-    )
+    inject(oracle, "kawanaka_datum", lambda G, mu: datum(G, mu) if len(mu) == 1 else ({}, 0))
     assert main(["oracle", "--n", "2", "--q", "3"]) == 1
     message = "GL2(F3): induced inner product 0 / 0 divides by zero"
-    assert capsys.readouterr() == ("", f"gggr: check failed: {message}\n")
+    assert capsys.readouterr() == ("", failed(message))
 
 
 # -- the Hall-Littlewood factorisation ----------------------------------------
-
-
-HL_CACHES = (symfunc._hl_factor, symfunc._monomial_count)
-
-
-@pytest.fixture
-def hl_inject(monkeypatch):
-    """Like ``inject``, for the caches of the Hall-Littlewood route."""
-    for cache in HL_CACHES:
-        cache.cache_clear()
-    yield monkeypatch.setattr
-    for cache in HL_CACHES:
-        cache.cache_clear()
-
-
-def test_every_hall_littlewood_cache_is_cleared_around_an_injection():
-    """A cache of the Hall-Littlewood route left out of HL_CACHES would keep
-    a value computed before the fault was injected, and the fault would not
-    show."""
-    defined = {
-        value
-        for value in map(vars(symfunc).get, HALL_LITTLEWOOD_ROUTE)
-        if hasattr(value, "cache_clear")
-    }
-    assert defined == set(HL_CACHES)
 
 
 def hl_fails(n, message):
@@ -944,9 +1010,9 @@ def hl_fails(n, message):
         assert str(info.value) == message
 
 
-def test_monomial_count_off_by_one_fails_gram_divisibility(hl_inject):
+def test_monomial_count_off_by_one_fails_gram_divisibility(inject):
     count = symfunc._monomial_count
-    hl_inject(
+    inject(
         symfunc,
         "_monomial_count",
         lambda rho, mu: count(rho, mu) + (tuple(rho) == tuple(mu) == (3, 1)),
@@ -959,29 +1025,41 @@ def test_monomial_count_off_by_one_fails_gram_divisibility(hl_inject):
     [(4, "n! * G / 4! left remainder 3"), (16, "4! / z_rho of (2, 2) left remainder 8")],
     ids=["4", "16"],
 )
-def test_changed_z_rho_fails(hl_inject, z, message):
+def test_changed_z_rho_fails(inject, z, message):
     z_rho = symfunc.weyl_centralizer_order
     assert z_rho(P((2, 2))) == 8
-    hl_inject(symfunc, "weyl_centralizer_order", lambda rho: z if rho == (2, 2) else z_rho(rho))
+    inject(symfunc, "weyl_centralizer_order", lambda rho: z if rho == (2, 2) else z_rho(rho))
     hl_fails(4, message)
 
 
-def test_perturbed_b_fails_pivot_check(hl_inject):
-    b = symfunc._b
-    hl_inject(symfunc, "_b", lambda la: (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la))
-    hl_fails(4, "the pivot of (2, 1, 1) is not b_la(t)")
+def perturbed_b(b):
+    """``_b`` with 1 added to the constant term of b_(2,1,1)(t)."""
+
+    def perturbed(la):
+        return (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la)
+
+    return perturbed
 
 
-BILINEAR = symfunc.bilinear
+PIVOT = "the pivot of (2, 1, 1) is not b_la(t)"
+PERTURBED_PIVOT = Fault(
+    "symfunc._b = perturbed_b(symfunc._b)", (perturbed_b,),
+    "symfunc.hall_littlewood_expand(P((4,)))", out=f"{PIVOT}\n",
+)
 
 
-def perturbed_gram(mu, la, delta):
+def test_perturbed_b_fails_pivot_check(check):
+    check(PERTURBED_PIVOT)
+    hl_fails(4, PIVOT)
+
+
+def perturbed_gram(bilinear, mu, la, delta):
     """``bilinear`` with delta added, times n!, to G[mu][la] and G[la][mu] of
     the Gram product R^T diag(n!/z_rho(t)) R, the one call whose two factors
     are the same matrix; the column solves are left alone."""
 
-    def bilinear(a, w, b):
-        out = BILINEAR(a, w, b)
+    def perturbed(a, w, b):
+        out = bilinear(a, w, b)
         if a is not b:
             return out
         parts = symfunc.partitions_of(sum(mu))
@@ -990,272 +1068,27 @@ def perturbed_gram(mu, la, delta):
             out[i][j] = add(out[i][j], scale(delta, fact))
         return out
 
-    return bilinear
+    return perturbed
 
 
-def test_gram_entry_fails_exact_division(hl_inject):
+def test_gram_entry_fails_exact_division(inject):
     # b_(2,2)(t) = (1 - t)(1 - t^2) does not divide the entry plus 1
-    hl_inject(symfunc, "bilinear", perturbed_gram(P((2, 1, 1)), P((2, 2)), (1,)))
+    inject(symfunc, "bilinear", perturbed_gram(symfunc.bilinear, P((2, 1, 1)), P((2, 2)), (1,)))
     hl_fails(4, "G[(2, 1, 1)][(2, 2)] less the known terms / b_la(t) left remainder (1,)")
 
 
-def test_gram_entry_fails_dominance(hl_inject):
+def test_gram_entry_fails_dominance(inject):
     # (3, 3) and (4, 1, 1) are incomparable; adding b_(4,1,1)(t) to their
     # entry makes W[(4, 1, 1)][(3, 3)] = 1 with every division exact
     la = P((4, 1, 1))
-    hl_inject(symfunc, "bilinear", perturbed_gram(P((3, 3)), la, symfunc._b(la)))
+    inject(symfunc, "bilinear", perturbed_gram(symfunc.bilinear, P((3, 3)), la, symfunc._b(la)))
     hl_fails(6, "P_(4, 1, 1) has a monomial (3, 3) it does not dominate")
-
-
-def run_optimized(script):
-    """Run a script under ``python -O`` on this checkout's package."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", "import sys\n"
-         "if sys.flags.optimize != 1: sys.exit(5)\n" + script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-
-
-def test_checks_survive_python_O():
-    script = (
-        "import gggr.green, gggr.kawanaka\n"
-        "from gggr.cli import main\n"
-        "def bad(n):\n"
-        "    t = [list(r) for r in gggr.green.green_matrix(n)]\n"
-        "    t[0][0] = (t[0][0][0] + 1,) + t[0][0][1:]\n"
-        "    return tuple(map(tuple, t))\n"
-        "gggr.kawanaka.green_matrix = bad\n"
-        "sys.exit(main(['verify', '--n', '4', '--eps', '-1', '--format', 'csv']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stderr == ""
-    rows = done.stdout.splitlines()
-    assert rows[0] == "mu,degree,monic,pass"
-    assert len(rows) == 6 and all(row.endswith(",False") for row in rows[1:])
-
-
-def test_kronecker_bound_survives_python_O():
-    script = inspect.getsource(loose_bound) + (
-        "import gggr.intpoly\n"
-        "from gggr.cli import main\n"
-        "YOUNG_BOUND = gggr.intpoly.young_bound\n"
-        "gggr.intpoly.young_bound = loose_bound\n"
-        "sys.exit(main(['verify', '--n', '6', '--big', '--format', 'csv']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stderr == ""
-    rows = done.stdout.splitlines()
-    assert rows[0] == "mu,degree,monic,pass"
-    assert len(rows) == 12 and all(row.endswith(",False") for row in rows[1:])
-
-
-def test_axiom_check_survives_python_O():
-    script = inspect.getsource(corrupt_entry) + (
-        "import gggr.fields\n"
-        "F = gggr.fields.FiniteField(4)\n"
-        "corrupt_entry(F, 'mul', (2, 2), 1)\n"
-        "try:\n"
-        "    F._verify_axioms()\n"
-        "except gggr.fields.ContractError as error:\n"
-        "    sys.exit(str(error))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert (done.stdout, done.stderr) == ("", "F_4: distributivity failed\n")
-
-
-def test_oracle_checks_survive_python_O():
-    script = inspect.getsource(corrupt_f4) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "corrupt_f4(gggr.oracle.finite_field(4))\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '4']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F4_TRACE}\n"
-
-
-@pytest.mark.parametrize("which", ["identity", "last"])
-def test_oracle_closure_survives_python_O(which):
-    script = inspect.getsource(drop_element) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        f"gggr.oracle.enumerate_group = drop_element(gggr.oracle.enumerate_group, {which!r})\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F3_DROPPED[which][0]}\n"
-
-
-def test_dropped_seed_class_survives_python_O():
-    script = inspect.getsource(drop_seed_class) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "G = gggr.oracle.OracleGroup\n"
-        "G._certify = drop_seed_class(G._certify, (2, 1))\n"
-        "sys.exit(main(['oracle', '--n', '3', '--q', '2', '--format', 'csv']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL3_F2_DROPPED_SEEDS}\n"
-
-
-def test_dropped_seed_class_fails_within_bounds():
-    # GL3(4) without the seeds of type (3): its 181 440 elements bound how
-    # many codes the certificate's conjugators may map before the scan
-    # fails, so the report fails in ~0.3 s at ~31 MiB peak, not after trying
-    # every element
-    script = inspect.getsource(drop_seed_class) + (
-        "import resource, time, gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "G = gggr.oracle.OracleGroup\n"
-        "G._certify = drop_seed_class(G._certify, (3,))\n"
-        "start = time.perf_counter()\n"
-        "code = main(['oracle', '--n', '3', '--q', '4'])\n"
-        "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-        "sys.exit(code)\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    message = ("GL3(F4): split not certified: conjugators 2, elements 316 of 4096, orbits 2, "
-               "Jordan types 2")
-    assert done.stderr == f"gggr: check failed: {message}\n"
-    seconds, peak_kib = map(float, done.stdout.split())
-    assert seconds < 10
-    assert peak_kib < 100 * 1024
-
-
-def test_datum_size_check_survives_python_O():
-    script = inspect.getsource(forget_member) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "G = gggr.oracle.OracleGroup\n"
-        "G._member = forget_member(G._member)\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F3_SHORT_DATUM}\n"
-
-
-def test_conjugation_check_survives_python_O():
-    script = inspect.getsource(leave_the_group) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "G = gggr.oracle.OracleGroup\n"
-        "G._conjugation = leave_the_group(G._conjugation)\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3', '--eps', '-1']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {leaving_message()}\n"
-
-
-def test_certificate_survives_python_O():
-    script = inspect.getsource(hold_conjugators) + (
-        "import itertools, gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "G = gggr.oracle.OracleGroup\n"
-        "G._candidates = hold_conjugators(G._candidates, 1)\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {HELD_CONJUGATORS[2, 3, 1]}\n"
-
-
-def test_inverse_check_survives_python_O():
-    script = inspect.getsource(identity_inverse) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "gggr.oracle.mat_inv = identity_inverse\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F3_WRONG_INVERSE}\n"
-
-
-def test_rationality_check_survives_python_O():
-    script = inspect.getsource(merge_exponents) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        "gggr.oracle.kawanaka_datum = merge_exponents(gggr.oracle.kawanaka_datum)\n"
-        "sys.exit(main(['oracle', '--n', '2', '--q', '3']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
-    assert done.stderr == f"gggr: check failed: {GL2_F3_IRRATIONAL}\n"
-
-
-@pytest.mark.parametrize("fault", [drop_dim_g1, shift_last_exponent])
-def test_datum_fault_survives_python_O(fault):
-    script = inspect.getsource(fault) + (
-        "import gggr.oracle\n"
-        "from gggr.cli import main\n"
-        f"gggr.oracle.kawanaka_datum = {fault.__name__}(gggr.oracle.kawanaka_datum)\n"
-        "sys.exit(main(['oracle', '--n', '3', '--q', '2', '--format', 'csv']))\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    mismatch, message = GL3_F2_DATUM_FAULTS[fault.__name__]
-    assert [row for row in done.stdout.splitlines(True) if row.endswith(",False\n")] == (
-        [mismatch] if mismatch else []
-    )
-    assert done.stderr == message
-
-
-def test_torus_division_survives_python_O():
-    script = inspect.getsource(torus_off_by_one) + (
-        "import gggr.green, gggr.grouporders as grouporders\n"
-        "from gggr.errors import NonExactDivisionError\n"
-        "gggr.green.torus_order_coeffs = torus_off_by_one\n"
-        "try:\n"
-        "    gggr.green.verify_orthogonality(3, 1)\n"
-        "except NonExactDivisionError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(1)\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stderr == ""
-    assert done.stdout.startswith("|G| / |T_rho| for (2, 1) left remainder ")
-
-
-def test_hall_littlewood_checks_survive_python_O():
-    script = (
-        "import gggr.symfunc as s\n"
-        "from gggr.errors import ContractError\n"
-        "b = s._b\n"
-        "s._b = lambda la: (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la)\n"
-        "try:\n"
-        "    s.hall_littlewood_expand(s.Partition((4,)))\n"
-        "except ContractError as exc:\n"
-        "    print(exc)\n"
-        "    sys.exit(1)\n"
-    )
-    done = run_optimized(script)
-    assert done.returncode == 1, done.stderr
-    assert done.stderr == ""
-    assert done.stdout == "the pivot of (2, 1, 1) is not b_la(t)\n"
 
 
 def untyped_checks(tree):
     """(line, kind) of each assert and each read of __debug__, which python
-    -O strips or turns false, and of each raised bare ArithmeticError or
+    -O strips or turns false, of each read of sys.flags, by which code could
+    tell that -O is on, and of each raised bare ArithmeticError or
     AssertionError, which verification cannot tell from a failed check;
     checks raise ContractError instead."""
     for node in ast.walk(tree):
@@ -1263,6 +1096,12 @@ def untyped_checks(tree):
             yield node.lineno, "assert"
         elif "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None)):
             yield node.lineno, "__debug__"
+        elif isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) == (
+            "sys", "flags"
+        ) or isinstance(node, ast.ImportFrom) and node.module == "sys" and "flags" in {
+            alias.name for alias in node.names
+        }:
+            yield node.lineno, "sys.flags"
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id in ("ArithmeticError", "AssertionError"):
@@ -1284,9 +1123,10 @@ def test_package_has_no_assert_statements():
 
 def test_package_runs_the_same_under_python_O():
     # no check of the package can vanish under -O: it has no assert and
-    # reads no __debug__, so every check stays, not only the faults above
-    # that run under -O
+    # reads neither __debug__ nor sys.flags, so every check stays, not only
+    # the faults above that run under -O
     assert package_checks("assert") == package_checks("__debug__") == []
+    assert package_checks("sys.flags") == []
 
 
 def test_python_O_guard_can_fail():
@@ -1296,9 +1136,12 @@ def test_python_O_guard_can_fail():
         "    check()\n"
         "flag = sys.__debug__\n"
         "raise ContractError('typed')\n"
+        "level = sys.flags.optimize\n"
+        "from sys import flags, byteorder\n"
+        "order = sys.byteorder\n"
     )
-    assert list(untyped_checks(ast.parse(source))) == [
-        (1, "assert"), (2, "__debug__"), (4, "__debug__")
+    assert sorted(untyped_checks(ast.parse(source))) == [
+        (1, "assert"), (2, "__debug__"), (4, "__debug__"), (6, "sys.flags"), (7, "sys.flags")
     ]
 
 

@@ -52,7 +52,12 @@ def test_partition_validation():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+    # a float, a character or a bool is refused, not truncated to an int
+    for parts in [(2.5, 1), "21", (True,), (2, 1.0), (3, "1")]:
+        with pytest.raises(ValueError, match="^parts must be integers, got "):
+            Partition(parts)
     assert Partition(()) == ()
+    assert Partition(x for x in (2, 1)) == (2, 1)
 
 
 def test_cap():
