@@ -4,9 +4,9 @@ with a one-line message and no traceback, also under ``python -O`` (the
 package has no asserts).
 
 A fault that also runs under ``python -O`` is written once, as a ``Fault``:
-``check`` injects it and runs its call in process, then runs a ``python
--O`` script built from the same definition, and both runs must give the
-fault's exit code, stdout and stderr."""
+``check`` injects it and runs its call in process, and its ``-O`` test runs
+a ``python -O`` script built from the same definition; both runs must give
+the fault's exit code, stdout and stderr."""
 
 import ast
 import importlib
@@ -82,8 +82,7 @@ class Fault(NamedTuple):
     that ``patch`` and ``call`` use; anything else they use comes from
     ``PRELUDE``.  ``call`` is an expression, run as ``run`` runs it, which
     must give the exit code ``code``, the stdout ``out`` (as a list, the
-    rows of a csv report that fail) and the stderr ``err``.  ``optimized``
-    says that the fault also runs under ``python -O``."""
+    rows of a csv report that fail) and the stderr ``err``."""
 
     patch: str
     helpers: tuple
@@ -91,7 +90,6 @@ class Fault(NamedTuple):
     code: int = 1
     out: str | list | None = ""
     err: str = ""
-    optimized: bool = True
 
 
 #: The head of a fault's ``python -O`` script: the names that this module
@@ -146,6 +144,18 @@ def outcome(fault, code, out, err):
     return code, out, err
 
 
+def optimized_test(faults):
+    """A test that runs a fault, or each fault of a dict by its id, under
+    ``python -O``: each run must give the fault's outcome."""
+
+    def test(fault):
+        assert outcome(fault, *run_optimized(fault)) == (fault.code, fault.out, fault.err)
+
+    if isinstance(faults, Fault):
+        return lambda: test(faults)
+    return pytest.mark.parametrize("fault", faults.values(), ids=list(faults))(test)
+
+
 def failed(message):
     """The stderr of a command whose check failed with message."""
     return f"gggr: check failed: {message}\n"
@@ -153,8 +163,7 @@ def failed(message):
 
 @pytest.fixture
 def check(inject, capsys):
-    """Inject a fault in process and run its call, then, if it is
-    ``optimized``, run it under ``python -O``: each run must give the
+    """Inject a fault in process and run its call, which must give the
     fault's outcome.  The fault stays injected for the rest of the test."""
 
     def check(fault):
@@ -168,10 +177,7 @@ def check(inject, capsys):
             exec(fault.patch, namespace)
         capsys.readouterr()
         code = run(fault.call, namespace)
-        expected = fault.code, fault.out, fault.err
-        assert outcome(fault, code, *capsys.readouterr()) == expected
-        if fault.optimized:
-            assert outcome(fault, *run_optimized(fault)) == expected
+        assert outcome(fault, code, *capsys.readouterr()) == (fault.code, fault.out, fault.err)
 
     return check
 
@@ -531,7 +537,7 @@ def test_field_entry_fails_oracle_construction(check, n, eps, q0, table, a, b, v
     check(Fault(
         f"corrupt_entry(oracle.finite_field(4), {table!r}, ({a}, {b}), {value})", (corrupt_entry,),
         f"main(['oracle', '--n', '{n}', '--q', '{q0}', '--eps', '{eps:+d}'])",
-        err=failed(message), optimized=False,
+        err=failed(message),
     ))
 
 
@@ -564,26 +570,32 @@ def test_field_entry_fails_whittaker_construction(n, eps, q0, table, a, b, value
 #: One corrupted entry of a private field per axiom, as (q, table, entry,
 #: value, axiom).  The checks run in this order, so each entry keeps every
 #: axiom before its own; distributivity precedes associativity for each a.
+DISTRIBUTIVITY = (4, "mul", (2, 2), 1, "distributivity")
 AXIOM_FAULTS = [
     pytest.param(4, "add", (0, 0), 1, "identity axiom", id="identity"),
     pytest.param(9, "neg", (1,), 1, "negation axiom", id="negation"),
     pytest.param(4, "inv", (2,), 2, "inverse axiom", id="inverse"),
     pytest.param(4, "add", (1, 2), 2, "commutativity", id="commutativity"),
-    pytest.param(4, "mul", (2, 2), 1, "distributivity", id="distributivity"),
+    pytest.param(*DISTRIBUTIVITY, id="distributivity"),
     pytest.param(9, "add", (1, 1), 0, "additive associativity", id="additive-associativity"),
     pytest.param(9, "mul", (3, 3), 0, "multiplicative associativity",
                  id="multiplicative-associativity"),
 ]
 
 
+def axiom_fault(q, table, entry, value, axiom):
+    """A private F_q with one entry of a table set fails the check of axiom."""
+    return Fault(
+        "", (corrupt_entry,),
+        f"corrupt_entry(fields.FiniteField({q}), {table!r}, {entry}, {value})._verify_axioms()",
+        out=f"F_{q}: {axiom} failed\n",
+    )
+
+
 @pytest.mark.parametrize("q, table, entry, value, axiom", AXIOM_FAULTS)
 def test_field_entry_fails_its_axiom(check, q, table, entry, value, axiom):
     fields.FiniteField(q)._verify_axioms()  # private: the cached field stays intact
-    check(Fault(
-        "", (corrupt_entry,),
-        f"corrupt_entry(fields.FiniteField({q}), {table!r}, {entry}, {value})._verify_axioms()",
-        out=f"F_{q}: {axiom} failed\n", optimized=axiom == "distributivity",
-    ))
+    check(axiom_fault(q, table, entry, value, axiom))
 
 
 def test_field_without_a_primitive_modulus_fails(check):
@@ -591,7 +603,7 @@ def test_field_without_a_primitive_modulus_fails(check):
     # nonzero powers, so the search for a modulus fails as a check
     message = "no primitive polynomial of degree 1 over F_4"
     check(Fault("fields.is_prime_power = lambda q: (4, 1)", (),
-                "main(['oracle', '--n', '2', '--q', '4'])", err=failed(message), optimized=False))
+                "main(['oracle', '--n', '2', '--q', '4'])", err=failed(message)))
     with pytest.raises(ContractError, match=f"^{message}$"):
         oracle.FiniteField(4)
 
@@ -627,20 +639,29 @@ def drop_element(enumerate_group, which):
     return enumerate_without
 
 
-@pytest.mark.parametrize("which, report, closure", [
-    pytest.param("identity", "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
-                 "GL2(F3): the identity is not an enumerated element", id="identity"),
-    pytest.param("last",
-                 "GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
-                 "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated "
-                 "element", id="last"),
-])
-def test_missing_element_fails_oracle_closure(check, which, report, closure):
+#: What GL2(3) without the identity or its last element fails: its report,
+#: and the closure of classes().
+GL2_F3_DROPPED = {
+    "identity": ("GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
+                 "GL2(F3): the identity is not an enumerated element"),
+    "last": ("GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
+             "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated "
+             "element"),
+}
+DROP_ELEMENT = {
+    which: Fault(f"oracle.enumerate_group = drop_element(oracle.enumerate_group, {which!r})",
+                 (drop_element,), "main(['oracle', '--n', '2', '--q', '3'])", err=failed(report))
+    for which, (report, _) in GL2_F3_DROPPED.items()
+}
+
+
+@pytest.mark.parametrize("which", list(GL2_F3_DROPPED))
+def test_missing_element_fails_oracle_closure(check, which):
     # GL2(3) without the identity or its last element fails in the report,
     # which does not run the closure, and in the closure of classes(), where
     # every product of generators must be enumerated, from the identity on
-    check(Fault(f"oracle.enumerate_group = drop_element(oracle.enumerate_group, {which!r})",
-                (drop_element,), "main(['oracle', '--n', '2', '--q', '3'])", err=failed(report)))
+    check(DROP_ELEMENT[which])
+    closure = GL2_F3_DROPPED[which][1]
     with pytest.raises(ContractError, match=f"^{re.escape(closure)}$"):
         oracle.enumerate_group(2, 1, 3).classes()
 
@@ -663,16 +684,19 @@ def drop_seed_class(certify, parts):
     return dropped
 
 
+#: The GL3(2) report's seeds miss the class of type (2, 1), 21 elements: the
+#: orbits hold 43 of the 64 unipotent elements, so the scan ends, once its
+#: conjugations have mapped |G| codes, without a certificate.
+GL3_F2_DROPPED_SEEDS = Fault(
+    "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))",
+    (drop_seed_class,), "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
+    err=failed("GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, "
+               "Jordan types 2"),
+)
+
+
 def test_dropped_seed_class_fails_the_class_counts(check):
-    # the GL3(2) report's seeds miss the class of type (2, 1), 21 elements:
-    # the orbits hold 43 of the 64 unipotent elements, so the scan ends, once
-    # its conjugations have mapped |G| codes, without a certificate
-    check(Fault(
-        "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))",
-        (drop_seed_class,), "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
-        err=failed("GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, "
-                   "Jordan types 2"),
-    ))
+    check(GL3_F2_DROPPED_SEEDS)
 
 
 def measured(argv):
@@ -722,7 +746,7 @@ def test_lost_class_fails_the_class_checks(check):
         "lose_class(oracle.OracleGroup.unipotent_classes, (2, 1))", (lose_class,),
         "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
         out=["unipotent_class_count,3,2,False\n", "class_size_2_1,21,0,False\n",
-             "unipotent_count,64,43,False\n"], optimized=False,
+             "unipotent_count,64,43,False\n"],
     ))
 
 
@@ -814,14 +838,19 @@ HELD_CONJUGATORS = {
 }
 
 
+def held_conjugators(n, q0, k):
+    """The fault that holds the candidates of GL_n(q0)'s report at k."""
+    return Fault(
+        f"oracle.OracleGroup._candidates = hold_conjugators(oracle.OracleGroup._candidates, {k})",
+        (hold_conjugators,), f"main(['oracle', '--n', '{n}', '--q', '{q0}'])",
+        err=failed(HELD_CONJUGATORS[n, q0, k]),
+    )
+
+
 @pytest.mark.parametrize("n, q0, k", list(HELD_CONJUGATORS))
 def test_held_conjugators_fail_the_certificate(check, inject, n, q0, k):
     message, candidates = HELD_CONJUGATORS[n, q0, k], oracle.OracleGroup._candidates
-    check(Fault(
-        f"oracle.OracleGroup._candidates = hold_conjugators(oracle.OracleGroup._candidates, {k})",
-        (hold_conjugators,), f"main(['oracle', '--n', '{n}', '--q', '{q0}'])",
-        err=failed(message), optimized=(n, q0) == (2, 3),
-    ))
+    check(held_conjugators(n, q0, k))
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         oracle.oracle_report(n, 1, q0)
     inject(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
@@ -849,7 +878,7 @@ def test_later_seed_outside_the_certified_split_fails(check):
     # may not start a class after it
     check(Fault(
         "oracle.kawanaka_datum = add_involution(oracle.kawanaka_datum)", (add_involution,),
-        "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_NEW_CLASS), optimized=False,
+        "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_NEW_CLASS),
     ))
     with pytest.raises(ContractError, match=f"^{re.escape(GL2_F3_NEW_CLASS)}$"):
         oracle.oracle_report(2, 1, 3)
@@ -953,19 +982,24 @@ def shift_last_exponent(kawanaka_datum):
     return shifted
 
 
-@pytest.mark.parametrize("fault, rows, err", [
-    pytest.param(drop_dim_g1, ["gggr_inner_2_1,11,44,False\n"], "", id="drop_dim_g1"),
-    pytest.param(shift_last_exponent, [],
-                 failed("GL3(F2): induced inner product 240 / 64 left remainder 48"),
-                 id="shift_last_exponent"),
-])
-def test_datum_fault_fails_gggr_inner_check(check, fault, rows, err):
-    # a fault in Kawanaka's datum makes the per-mu check of the GL3(2) report
-    # fail, as a mismatch or as a failed check of the class sum
-    check(Fault(
+#: A fault in Kawanaka's datum makes the per-mu check of the GL3(2) report
+#: fail, as a mismatch or as a failed check of the class sum.
+DATUM_FAULTS = {
+    fault.__name__: Fault(
         f"oracle.kawanaka_datum = {fault.__name__}(oracle.kawanaka_datum)", (fault,),
         "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])", out=rows, err=err,
-    ))
+    )
+    for fault, rows, err in [
+        (drop_dim_g1, ["gggr_inner_2_1,11,44,False\n"], ""),
+        (shift_last_exponent, [],
+         failed("GL3(F2): induced inner product 240 / 64 left remainder 48")),
+    ]
+}
+
+
+@pytest.mark.parametrize("fault", DATUM_FAULTS.values(), ids=list(DATUM_FAULTS))
+def test_datum_fault_fails_gggr_inner_check(check, fault):
+    check(fault)
 
 
 @pytest.mark.parametrize(
@@ -1051,6 +1085,26 @@ PERTURBED_PIVOT = Fault(
 def test_perturbed_b_fails_pivot_check(check):
     check(PERTURBED_PIVOT)
     hl_fails(4, PIVOT)
+
+
+#: The faults that also run under ``python -O``, each by the name of its test.
+globals().update({name: optimized_test(faults) for name, faults in {
+    "test_checks_survive_python_O": GREEN_COEFFICIENT,
+    "test_gamma_support_check_survives_python_O": GAMMA_SUPPORT,
+    "test_torus_division_survives_python_O": TORUS_DIVISION,
+    "test_kronecker_bound_survives_python_O": KRONECKER_BOUND,
+    "test_oracle_checks_survive_python_O": CORRUPT_F4,
+    "test_axiom_check_survives_python_O": axiom_fault(*DISTRIBUTIVITY),
+    "test_oracle_closure_survives_python_O": DROP_ELEMENT,
+    "test_dropped_seed_class_survives_python_O": GL3_F2_DROPPED_SEEDS,
+    "test_datum_size_check_survives_python_O": FORGET_MEMBER,
+    "test_conjugation_check_survives_python_O": GU2_F3_LEAVING,
+    "test_certificate_survives_python_O": held_conjugators(2, 3, 1),
+    "test_inverse_check_survives_python_O": IDENTITY_INVERSE,
+    "test_rationality_check_survives_python_O": MERGE_EXPONENTS,
+    "test_datum_fault_survives_python_O": DATUM_FAULTS,
+    "test_hall_littlewood_checks_survive_python_O": PERTURBED_PIVOT,
+}.items()})
 
 
 def perturbed_gram(bilinear, mu, la, delta):
