@@ -94,14 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None if green else 1,
             help="specialize t -> eps*q; omit for the generic table in t" if green else None,
         )
+    samples = ",".join(map(str, DEFAULT_SAMPLES))
     cmd["verify"].add_argument(
         "--q-samples",
         type=_arg_samples,
         default=DEFAULT_SAMPLES,
         metavar="Q,Q,...",
         help="prime powers at which each endomorphism dimension must be a "
-        "positive integer (default 2,3,4,5; gamma's integrality is always "
-        "checked at 2,3,4,5)",
+        f"positive integer (default {samples}; gamma's integrality is always "
+        f"checked at {samples})",
     )
     for name in ("gggr", "endo", "verify"):
         cmd[name].add_argument(

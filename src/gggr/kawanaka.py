@@ -9,9 +9,11 @@ the value, on the unipotent class of type la,
                     * sgn_eps(rho) * |T_rho(q)|
                     * X_rho^mu(eps q) * Q_rho^la(eps q)
 
-(|T_rho(q)| = q^n e_rho(1/(eps q)) is the order of the maximal torus)
-
-and vanishes off unipotent classes.  The self-intersection number
+with |T_rho(q)| = q^n e_rho(1/(eps q)) the order of the maximal torus, and
+vanishes off unipotent classes.  As q^k - eps^k = eps^k ((eps q)^k - 1) and
+sgn_eps = eps^{floor(n/2)} sgn, the GU_n value is the GL_n one at q -> -q
+times (-1)^{n_stat(mu) + n + floor(n/2)} (Ennola duality), so the sum over rho
+is one GL_n product per n.  The self-intersection number
 
     <gamma_mu, gamma_mu> = (1/|G|) * sum_la |class la| * gamma_mu(la)^2
 
@@ -59,30 +61,22 @@ DEFAULT_SAMPLES = (2, 3, 4, 5)
 
 
 @lru_cache(maxsize=None)
-def _gamma_matrix(n: int, eps: int) -> tuple[tuple[IntPoly, ...], ...]:
-    """n! * gamma_mu(la) for every mu, la |- n, rows mu and columns la in
-    canonical order.  With the 1/|W_rho| weights cleared by n!, the sum over
-    rho is one matrix product over Z[q]:
+def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """n! * gamma_mu(la) of GL_n(q) for every mu, la |- n, rows mu and
+    columns la in canonical order.  With the 1/|W_rho| weights cleared by
+    n!, the sum over rho is one matrix product over Z[q]:
 
-        n! * eps^{n(mu)} * gamma_mu(la)
-            = sum_rho X_rho^mu(eps q) * w_rho(q) * Q_rho^la(eps q),
-        w_rho = sgn_eps(rho) * (n! / |W_rho|) * |T_rho(q)|."""
-    parts = partitions_of(n)
+        n! * gamma_mu(la) = sum_rho X_rho^mu(q) * w_rho(q) * Q_rho^la(q),
+        w_rho = sgn(rho) * (n! / |W_rho|) * |T_rho(q)|."""
     nfact = factorial(n)
-    xs = [[signed(x, eps) for x in row] for row in x_matrix(n)]
-    qs = [[signed(g, eps) for g in row] for row in green_matrix(n)]
     weights = [
         scale(
-            torus_order_coeffs(tuple(rho), eps),
-            sgn_eps(rho, eps) * (nfact // weyl_centralizer_order(rho)),
+            torus_order_coeffs(tuple(rho), 1),
+            sgn_eps(rho, 1) * (nfact // weyl_centralizer_order(rho)),
         )
-        for rho in parts
+        for rho in partitions_of(n)
     ]
-    sums = bilinear(xs, weights, qs)
-    return tuple(
-        tuple(scale(g, eps ** (n_stat(mu) % 2)) for g in row)
-        for mu, row in zip(parts, sums)
-    )
+    return tuple(map(tuple, bilinear(x_matrix(n), weights, green_matrix(n))))
 
 
 @lru_cache(maxsize=None)
@@ -92,10 +86,13 @@ def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
     in dominance: gamma_mu vanishes off the closure of the class of mu
     (Kawanaka, Adv. Stud. Pure Math. 6, 1985; Lusztig, Adv. Math. 94,
     1992), and for GL_n and GU_n that closure is the classes of the
-    la <= mu."""
+    la <= mu.  The row is the GL_n row at eps q times
+    eps^{n_stat(mu) + n + floor(n/2)}, by q^k - eps^k = eps^k ((eps q)^k - 1)
+    and sgn_eps = eps^{floor(n/2)} sgn."""
     n = sum(mu)
     parts = partitions_of(n)
-    row = _gamma_matrix(n, eps)[parts.index(mu)]
+    sign = eps ** (n_stat(mu) + n + n // 2)
+    row = tuple(scale(signed(g, eps), sign) for g in _gamma_matrix(n)[parts.index(mu)])
     nfact = factorial(n)
     for la, g in zip(parts, row):
         for q0 in DEFAULT_SAMPLES:
@@ -170,7 +167,8 @@ def _endo_numerators(n: int, eps: int) -> tuple[IntPoly, ...]:
     for every mu |- n in canonical order, as one product in which each class
     size is packed once."""
     sizes = [class_size_coeffs(tuple(la), eps) for la in partitions_of(n)]
-    return tuple(weighted_squares(_gamma_matrix(n, eps), sizes))
+    rows = [[signed(g, eps) for g in row] for row in _gamma_matrix(n)]
+    return tuple(weighted_squares(rows, sizes))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ integer tuples in `intpoly` and wraps only its results.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -79,11 +80,16 @@ def poly_to_json(f: RationalPoly) -> dict:
     return {"var": f.var, "val": val, "coeffs": [[str(c // g), str(f.den // g)] for c, g in pairs]}
 
 
+_WIRE_INTEGER = re.compile("0|-?[1-9][0-9]*")
+
+
 def _integer(x) -> int:
-    """A JSON integer or decimal string; a float is refused, not truncated."""
-    if type(x) not in (int, str):
-        raise ValueError(f"not an integer: {x!r}")
-    return int(x)
+    """A JSON integer, or a decimal string as ``poly_to_json`` writes it
+    (ASCII digits, no leading zero, no sign but a leading minus); a float is
+    refused, not truncated."""
+    if type(x) is int or (type(x) is str and _WIRE_INTEGER.fullmatch(x)):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
 
 
 def poly_from_json(data: dict) -> RationalPoly:

@@ -124,6 +124,12 @@ def test_sample_that_is_no_prime_power_exits_2(capsys):
     assert code == 3 and out == "" and err.startswith("gggr: cap exceeded: ")
 
 
+def test_n_that_is_no_integer_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--n", "x")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "gggr verify: error: argument --n: not an integer: 'x'"
+
+
 def test_empty_sample_list_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--q-samples", "")
     assert code == 2 and out == ""

@@ -318,6 +318,12 @@ def test_flipped_torus_weight_fails_the_gamma_support(check, inject):
             gggr_value(P((2, 1)), P((3,)), eps)
     inject(kawanaka, "dominated", lambda la, mu: True)
     assert verify_theorem(3, 1).passed and verify_theorem(3, -1).passed
+    # the support test reads the same rows, with a dominance order of its own
+    from test_kawanaka import test_gamma_is_supported_on_the_dominated_classes as supported
+
+    for eps in (1, -1):
+        with pytest.raises(AssertionError):
+            supported(eps)
 
 
 def torus_off_by_one(rho, eps):
@@ -857,6 +863,15 @@ def test_held_conjugators_fail_the_certificate(check, inject, n, q0, k):
     assert oracle.oracle_report(n, 1, q0)["pass"]
 
 
+def test_generators_short_of_the_group_fail_the_closure(inject):
+    # held at its first 2 candidates, the closure of classes() reaches a
+    # third of GL2(3) from the identity
+    inject(oracle.OracleGroup, "_candidates", hold_conjugators(oracle.OracleGroup._candidates, 2))
+    message = "GL2(F3): the generators reach 16 of 48 elements"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        oracle.enumerate_group(2, 1, 3).classes()
+
+
 def add_involution(kawanaka_datum):
     """``kawanaka_datum`` with ((0, 1), (1, 0)) added to H for every mu but
     (n): an element of order 2, in no unipotent class of GL2(3)."""
@@ -1019,6 +1034,17 @@ def test_identity_class_size_fails_exact_division(size, inner, message):
     G._classes[idx] = G._classes[idx]._replace(size=size)
     with pytest.raises(NonExactDivisionError, match=f"^{re.escape(f'GL2(F3): {message}')}$"):
         getattr(oracle, inner)(G)
+
+
+def test_singular_form_basis_fails_the_datum(inject):
+    # once GU2(2) is split, a mat_inv that finds no inverse leaves the basis
+    # that carries the group's hermitian form to Kawanaka's without one
+    G = oracle.enumerate_group(2, -1, 2)
+    G.unipotent_classes()
+    inject(oracle, "mat_inv", lambda F, A: None)
+    message = "GU2(F2): the basis ((0, 1), (1, 0)) for the form ((1, 0), (0, 1)) is singular"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        oracle.gggr_inner(G, P((1, 1)))
 
 
 def test_empty_datum_fails_as_a_check(inject, capsys):

@@ -1,7 +1,10 @@
 from functools import reduce
 
+import pytest
+
 from gggr.grouporders import (
     centralizer_dim,
+    check_eps,
     class_size,
     e_poly,
     group_order,
@@ -150,3 +153,14 @@ def test_ennola_group_order():
         fl = group_order(n, 1)
         for q0 in (2, 3, 5):
             assert fu(q0) == abs(fl(-q0))
+
+
+@pytest.mark.parametrize("eps", [0, 2, -2])
+def test_check_eps_refuses_all_but_plus_and_minus_one(eps):
+    with pytest.raises(ValueError, match=f"^eps must be \\+1 or -1, got {eps}$"):
+        check_eps(eps)
+
+
+def test_group_order_refuses_n_below_one():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        group_order(0, 1)

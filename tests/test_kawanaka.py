@@ -1,6 +1,7 @@
 """The character values gamma_mu(la) and the endomorphism-dimension
 polynomials built from them."""
 
+import hashlib
 import json
 from fractions import Fraction
 from functools import reduce
@@ -9,12 +10,13 @@ from math import lcm
 
 import pytest
 
+import gggr.kawanaka as kawanaka
 from gggr.errors import CapExceededError
 from gggr.green import green_poly
 from gggr.grouporders import centralizer_dim, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
-    _gamma_matrix,
+    _gamma_row,
     endo_dim,
     gggr_character,
     gggr_value,
@@ -23,6 +25,7 @@ from gggr.kawanaka import (
 from gggr.partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
 from gggr.polyring import RationalPoly
 from gggr.symfunc import x_poly
+from test_faults import clear_caches
 from test_intpoly import add, schoolbook
 
 P = Partition
@@ -229,5 +232,69 @@ def test_gamma_is_supported_on_the_dominated_classes(eps):
     # outside the closure of its own, which for GL_n and GU_n is {la <= mu}
     for n in range(1, 9):
         parts = partitions_of(n)
-        support = [[any(g) for g in row] for row in _gamma_matrix(n, eps)]
+        support = [[any(g) for g in _gamma_row(tuple(mu), eps)] for mu in parts]
         assert support == [[dominated(la, mu) for la in parts] for mu in parts], n
+
+
+#: SHA-256 of every _gamma_row(mu, eps) and endo_dim(mu, eps) for n <= 10 and
+#: both eps, as the product that took eps into its X, Q and torus tables gave
+#: them; reading the unitary rows off the split product must not move one.
+GAMMA_ENDO_SHA256 = "ec93a1ada86ffa16d9114c6379b6d547cccf2b6c3a32626a317a60a5f1dd9fd9"
+
+
+def test_gamma_rows_and_endo_dims_match_their_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for eps in (1, -1):
+            for mu in partitions_of(n):
+                f = endo_dim(mu, eps)
+                row = _gamma_row(tuple(mu), eps)
+                digest.update(repr((n, eps, tuple(mu), row, f.nums, f.den)).encode())
+    assert digest.hexdigest() == GAMMA_ENDO_SHA256
+
+
+@pytest.fixture
+def cleared():
+    """Every cache of the package cleared before and after the test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def recorded(monkeypatch, name):
+    """Replace kawanaka's ``name`` by a wrapper that records the arguments of
+    each call, and return the list they go to."""
+    calls, f = [], getattr(kawanaka, name)
+    monkeypatch.setattr(kawanaka, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+def test_one_gamma_product_per_n_serves_both_families(cleared, monkeypatch):
+    calls = recorded(monkeypatch, "bilinear")
+    assert verify_theorem(6, 1).passed and verify_theorem(6, -1).passed
+    assert len(calls) == 1
+
+
+def test_gamma_product_reads_the_split_tables_only(cleared, monkeypatch):
+    # the unitary rows are the split product read at -q: the torus orders and
+    # signs are the split ones, and only gamma entries are signed, never an
+    # X or a Q table
+    signed, tori, signs = (
+        recorded(monkeypatch, name) for name in ("signed", "torus_order_coeffs", "sgn_eps")
+    )
+    for n in range(1, 7):
+        for eps in (1, -1):
+            assert verify_theorem(n, eps).passed
+    assert tori and signs and {eps for _, eps in tori + signs} == {1}
+    gamma = {id(g) for n in range(1, 7) for row in kawanaka._gamma_matrix(n) for g in row}
+    assert signed and all(id(g) in gamma for g, _ in signed)
+
+
+def test_gggr_value_refuses_classes_of_another_size():
+    with pytest.raises(ValueError, match=r"^\|mu\| = 2 but \|la\| = 3$"):
+        gggr_value(P((2,)), P((2, 1)), 1)
+
+
+def test_verify_refuses_n_below_one():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        verify_theorem(0, 1)

@@ -136,3 +136,8 @@ def test_class_size_sum_identity():
     for n in range(1, 16):
         s = sum(Fraction(1, weyl_centralizer_order(rho)) for rho in partitions_of(n))
         assert s == 1
+
+
+def test_partitions_of_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        partitions_of(-1)

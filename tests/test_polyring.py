@@ -141,6 +141,13 @@ def test_json_rejects_zero_denominator():
         ({"var": 5, "val": 0, "coeffs": [["1", "1"]]}, "not the wire format: "),
         ({"var": "q", "val": 0, "coeffs": [[None, 1]]}, "not an integer: None"),
         ({"var": "q", "val": None, "coeffs": [["1", "1"]]}, "not an integer: None"),
+        # a decimal string is read only in the form poly_to_json writes
+        ({"var": "q", "val": 0, "coeffs": [["1_0", "1"]]}, "not an integer: '1_0'"),
+        ({"var": "q", "val": 0, "coeffs": [[" 7 ", "1"]]}, "not an integer: ' 7 '"),
+        ({"var": "q", "val": 0, "coeffs": [["+3", "1"]]}, "not an integer: '+3'"),
+        ({"var": "q", "val": "\u0661\u0662", "coeffs": []}, "not an integer: '\u0661\u0662'"),
+        ({"var": "q", "val": 0, "coeffs": [["1", "007"]]}, "not an integer: '007'"),
+        ({"var": "q", "val": 0, "coeffs": [["-0", "1"]]}, "not an integer: '-0'"),
     ],
 )
 def test_json_refuses_what_is_not_the_wire_format(data, message):

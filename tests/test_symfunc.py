@@ -527,3 +527,10 @@ def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
             assert hall_littlewood_expand(rho) == expected[rho]
     finally:
         symfunc._hl_factor.cache_clear()
+
+
+def test_mn_character_and_x_poly_refuse_sizes_that_differ():
+    with pytest.raises(ValueError, match=r"^\|mu\| = 2 but \|rho\| = 1$"):
+        mn_character(Partition((2,)), Partition((1,)))
+    with pytest.raises(ValueError, match=r"^\|rho\| = 2 but \|la\| = 3$"):
+        x_poly(Partition((2,)), Partition((3,)))
