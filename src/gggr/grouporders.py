@@ -13,19 +13,19 @@ from typing import Optional
 
 from .errors import ContractError
 from .intpoly import IntPoly, exact_quotient, scale, times_binomials
-from .partitions import Partition, conjugate, multiplicities, n_stat
+from .partitions import Partition, check_n, conjugate, multiplicities, n_stat
 from .polyring import RationalPoly
 
 
 def check_eps(eps: int) -> int:
-    if eps not in (1, -1):
+    if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return eps
 
 
 def is_prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, e) with q = p^e, or None."""
-    if q < 2:
+    """(p, e) with q = p^e, or None, also for a q that is not an int."""
+    if type(q) is not int or q < 2:
         return None
     for p in range(2, q + 1):
         if p * p > q and q > p:
@@ -48,8 +48,7 @@ def group_order_coeffs(n: int, eps: int) -> IntPoly:
 def group_order(n: int, eps: int) -> RationalPoly:
     """|GL_n(q)| or |GU_n(q)| as a monic degree-n^2 polynomial in q."""
     check_eps(eps)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_n(n, 1)
     return RationalPoly(group_order_coeffs(n, eps), "q")
 
 

@@ -43,8 +43,24 @@ from .grouporders import (
     sgn_eps,
     torus_order_coeffs,
 )
-from .intpoly import IntPoly, bilinear, evaluate, exact_quotient, scale, signed, weighted_squares
-from .partitions import Partition, dominated, n_stat, partitions_of, weyl_centralizer_order
+from .intpoly import (
+    IntPoly,
+    bilinear,
+    evaluate,
+    exact_div,
+    exact_quotient,
+    scale,
+    signed,
+    weighted_squares,
+)
+from .partitions import (
+    Partition,
+    check_n,
+    dominated,
+    n_stat,
+    partitions_of,
+    weyl_centralizer_order,
+)
 from .polyring import RationalPoly, poly_to_json, pretty
 from .symfunc import x_matrix
 
@@ -69,13 +85,10 @@ def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
         n! * gamma_mu(la) = sum_rho X_rho^mu(q) * w_rho(q) * Q_rho^la(q),
         w_rho = sgn(rho) * (n! / |W_rho|) * |T_rho(q)|."""
     nfact = factorial(n)
-    weights = [
-        scale(
-            torus_order_coeffs(tuple(rho), 1),
-            sgn_eps(rho, 1) * (nfact // weyl_centralizer_order(rho)),
-        )
-        for rho in partitions_of(n)
-    ]
+    weights = []
+    for rho in partitions_of(n):
+        cls = exact_div(nfact, weyl_centralizer_order(rho), f"{n}! / |W_rho| of {tuple(rho)}")
+        weights.append(scale(torus_order_coeffs(tuple(rho), 1), sgn_eps(rho, 1) * cls))
     return tuple(map(tuple, bilinear(x_matrix(n), weights, green_matrix(n))))
 
 
@@ -276,8 +289,7 @@ def verify_theorem(
     gamma_mu(la), which endo_dim requires first, is always checked at
     DEFAULT_SAMPLES.  The report lists mu in canonical partition order."""
     check_eps(eps)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_n(n, 1)
     q_samples = tuple(q_samples)
     if not q_samples:
         raise ValueError("no q sample to check")

@@ -69,7 +69,7 @@ from .errors import CapExceededError, ContractError
 from .fields import FiniteField, Mat, finite_field, mat_identity, mat_inv, mat_mul, mat_rank
 from .grouporders import check_eps, is_prime_power
 from .intpoly import exact_div
-from .partitions import Partition, conjugate, partitions_of
+from .partitions import Partition, check_n, conjugate, partitions_of
 
 #: Enumeration budget on |G|, from measured cost (fresh processes, 2 cores,
 #: Python 3.11.7): it admits GL_3(4), with 181 440 elements (enumerated and
@@ -404,9 +404,8 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     """The size of the field that the entries of GL_n(q0) or GU_n(q0) live
     in, once the arguments and the enumeration cap on |G| are checked."""
     check_eps(eps)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if q0 not in SUPPORTED_Q:
+    check_n(n, 1)
+    if type(q0) is not int or q0 not in SUPPORTED_Q:
         raise ValueError(f"q0 must be one of {SUPPORTED_Q}, got {q0}")
     name = f"{'GL' if eps == 1 else 'GU'}{n}(F{q0})"
     # q0^i - eps^i >= q0^(i-1), so |G| >= q0^(n(n-1)) >= 2^(n(n-1)): past the

@@ -54,11 +54,19 @@ class Partition(tuple):
         return list(self)
 
 
+def check_n(n: int, least: int) -> None:
+    """Refuse an n that is not an int of at least ``least``: a float or a
+    bool is refused, as ``Partition`` refuses them for its parts."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n in descending lexicographic order, for n up to
     DEFAULT_CAP."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_n(n, 0)
     if n > DEFAULT_CAP:
         raise CapExceededError(f"partitions_of({n}) exceeds cap {DEFAULT_CAP}")
     return list(_partitions(n))

@@ -93,11 +93,15 @@ def _integer(x) -> int:
 
 
 def poly_from_json(data: dict) -> RationalPoly:
+    if type(data) != dict:
+        raise ValueError(f"not the wire format: {data!r}")
     missing = [key for key in ("var", "val", "coeffs") if key not in data]
     if missing:
         raise ValueError(f"no {', '.join(map(repr, missing))} in {data!r}")
     var, val, coeffs = data["var"], _integer(data["val"]), data["coeffs"]
-    if type(var) != str or type(coeffs) != list or any(type(c) != list for c in coeffs):
+    if type(var) != str or type(coeffs) != list or any(
+        type(c) != list or len(c) != 2 for c in coeffs
+    ):
         raise ValueError(f"not the wire format: {data!r}")
     if val < 0:
         raise ValueError(f"negative valuation {val}: not a polynomial")

@@ -38,7 +38,8 @@ from .partitions import (
 from .polyring import RationalPoly
 
 #: Ceiling for ``hall_littlewood_expand``: expanding every p_rho with
-#: rho |- 10 takes ~0.15 s (2 cores, Python 3.11), n = 11 ~0.4 s, n = 12 ~1.5 s.
+#: rho |- 10 takes ~0.14 s, n = 11 0.3-0.5 s, n = 12 0.9-1.5 s (fresh
+#: processes, 2 cores, Python 3.11).
 HL_CAP = 10
 
 
@@ -236,19 +237,16 @@ def _b(la: Partition) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[IntPoly, ...], ...]]:
-    """X = R W^-1, rows rho, and W^T, with G = W^T diag(b) W, for the
-    partitions of n.
+def _hl_factor(n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """X = R W^-1, rows rho, for the partitions of n.  With L = W^T, G = L
+    diag(b) L^T and R = X L^T, so the rows of G and of R stack into one
+    system [G; R] = Y L^T with Y = [L diag(b); X], solved column by column:
 
-    One loop over the columns j finds column j of L = W^T and column j of X
-    for every rho at once, each as one ``bilinear`` sum of products in which
-    the known column enters with weight 1 and the earlier columns k with
-    weight -L[j][k]:
+        Y[i][j] = [G; R][i][j] - sum_{k<j} Y[i][k] L[j][k],
 
-        L[i][j] b_j = G[i][j] - sum_{k<j} L[i][k] b_k L[j][k]   (i >= j),
-        X[rho][j]   = R[rho][j] - sum_{k<j} X[rho][k] L[j][k].
-
-    X and W^T for n = 10 take ~0.15 s in all (2 cores, Python 3.11)."""
+    one ``bilinear`` per column over the rows of G from j on and every row
+    of R.  Y[j][j] is the pivot b_j, L[i][j] = Y[i][j] / b_j below it, and
+    X is the R-block.  X for n = 10 takes ~0.13 s (2 cores, Python 3.11)."""
     parts = partitions_of(n)
     fact = factorial(n)
     R = [[trim((_monomial_count(rho, mu),)) for mu in parts] for rho in parts]
@@ -262,19 +260,18 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
         [tuple(exact_div(c, fact, what) for c in f) for f in row]
         for row in bilinear(R, weights, R)  # n! * G
     ]
-    # LDL^T column by column; L = W^T is lower unitriangular, L[i][k] = W[k][i].
-    L: list[list[IntPoly]] = [[] for _ in parts]
-    X: list[list[IntPoly]] = [[] for _ in parts]
-    pivots: list[IntPoly] = []
+    stacked = gram + R  # so stacked[j:] is the rows of G from j on and all of R
+    Y: list[list[IntPoly]] = [[] for _ in stacked]
+    L: list[list[IntPoly]] = [[] for _ in parts]  # L[i][k] = W[k][i], k < i
     for j, la in enumerate(parts):
         minus = [[(1,)]] + [[scale(l, -1)] for l in L[j]]
-        known = [[row[j] for row in gram[j:]]] + [[row[k] for row in L[j:]] for k in range(j)]
-        col = [f for f, in bilinear(known, [(1,)] + pivots, minus)]
+        known = [[row[j] for row in stacked[j:]]] + [[row[k] for row in Y[j:]] for k in range(j)]
+        col = [f for f, in bilinear(known, [(1,)] * (j + 1), minus)]
+        for row, f in zip(Y[j:], col):
+            row.append(f)
         pivot = col[0]
         if pivot != _b(la):
             raise ContractError(f"the pivot of {tuple(la)} is not b_la(t)")
-        pivots.append(pivot)
-        L[j].append((1,))
         sign = pivot[-1]  # b_la(t) has leading coefficient +-1
         monic = scale(pivot, sign)
         for mu, row, f in zip(parts[j + 1 :], L[j + 1 :], col[1:]):
@@ -285,10 +282,7 @@ def _hl_factor(n: int) -> tuple[tuple[tuple[IntPoly, ...], ...], tuple[tuple[Int
                     f"P_{tuple(la)} has a monomial {tuple(mu)} it does not dominate"
                 )
             row.append(entry)
-        known = [[row[j] for row in R]] + [[row[k] for row in X] for k in range(j)]
-        for row, (entry,) in zip(X, bilinear(known, [(1,)] * (j + 1), minus)):
-            row.append(entry)
-    return tuple(map(tuple, X)), tuple(map(tuple, L))
+    return tuple(map(tuple, Y[len(parts) :]))
 
 
 def hall_littlewood_expand(rho: Partition) -> dict[Partition, RationalPoly]:
@@ -302,5 +296,5 @@ def hall_littlewood_expand(rho: Partition) -> dict[Partition, RationalPoly]:
     if n > HL_CAP:
         raise CapExceededError(f"hall_littlewood_expand at n = {n} exceeds cap {HL_CAP}")
     parts = partitions_of(n)
-    row = _hl_factor(n)[0][parts.index(rho)]
+    row = _hl_factor(n)[parts.index(rho)]
     return {la: RationalPoly(c, "t") for la, c in zip(parts, row) if c}

@@ -33,6 +33,7 @@ import gggr.grouporders as grouporders
 import gggr.intpoly as intpoly
 import gggr.kawanaka as kawanaka
 import gggr.oracle as oracle
+import gggr.partitions as partitions
 import gggr.symfunc as symfunc
 from gggr.cli import main
 from gggr.errors import ContractError, NonExactDivisionError
@@ -100,7 +101,7 @@ if sys.flags.optimize != 1:
     sys.exit(5)
 import gggr.fields as fields, gggr.green as green, gggr.grouporders as grouporders
 import gggr.intpoly as intpoly, gggr.kawanaka as kawanaka, gggr.oracle as oracle
-import gggr.symfunc as symfunc
+import gggr.partitions as partitions, gggr.symfunc as symfunc
 from gggr.cli import main
 from gggr.errors import ContractError
 from gggr.intpoly import scale
@@ -360,6 +361,29 @@ def test_class_size_fails_exact_division(inject):
     witness = report.results[0].to_json()["witness"]
     assert witness["condition"] == "division"
     assert witness["error"] == message
+
+
+def doubled_w_22(rho):
+    """|W_rho| with |W_(2,2)| = 8 doubled to 16, which does not divide 4!."""
+    return 16 if rho == (2, 2) else partitions.weyl_centralizer_order(rho)
+
+
+W_RHO = "4! / |W_rho| of (2, 2) left remainder 8"
+W_RHO_DIVISION = Fault(
+    "kawanaka.weyl_centralizer_order = doubled_w_22", (doubled_w_22,),
+    "[(r.failure, r.error) for r in kawanaka.verify_theorem(4, 1).results]",
+    code=0, out=f"division {W_RHO}\n" * 5,
+)
+
+
+def test_w_rho_fails_exact_division(check, capsys):
+    # n! / |W_rho| weights every rho of the gamma product, so all of n = 4 fails
+    check(W_RHO_DIVISION)
+    assert all_fail(verify_theorem(4, -1), "division", re.escape(W_RHO))
+    assert main(["verify", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count(f'"error": "{W_RHO}"') == 5 and out.endswith('"pass": false\n}\n')
+    assert err == ""
 
 
 def test_green_negative_power_is_typed(inject):
@@ -1118,6 +1142,7 @@ globals().update({name: optimized_test(faults) for name, faults in {
     "test_checks_survive_python_O": GREEN_COEFFICIENT,
     "test_gamma_support_check_survives_python_O": GAMMA_SUPPORT,
     "test_torus_division_survives_python_O": TORUS_DIVISION,
+    "test_w_rho_division_survives_python_O": W_RHO_DIVISION,
     "test_kronecker_bound_survives_python_O": KRONECKER_BOUND,
     "test_oracle_checks_survive_python_O": CORRUPT_F4,
     "test_axiom_check_survives_python_O": axiom_fault(*DISTRIBUTIVITY),

@@ -155,7 +155,7 @@ def test_ennola_group_order():
             assert fu(q0) == abs(fl(-q0))
 
 
-@pytest.mark.parametrize("eps", [0, 2, -2])
+@pytest.mark.parametrize("eps", [0, 2, -2, 1.0, -1.0, True])
 def test_check_eps_refuses_all_but_plus_and_minus_one(eps):
     with pytest.raises(ValueError, match=f"^eps must be \\+1 or -1, got {eps}$"):
         check_eps(eps)
@@ -164,3 +164,10 @@ def test_check_eps_refuses_all_but_plus_and_minus_one(eps):
 def test_group_order_refuses_n_below_one():
     with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         group_order(0, 1)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_group_order_refuses_an_n_that_is_no_int(n):
+    with pytest.raises(ValueError) as info:
+        group_order(n, 1)
+    assert str(info.value) == f"n must be an integer, got {n}"

@@ -164,7 +164,7 @@ def test_verify_custom_samples():
     assert report.passed
 
 
-@pytest.mark.parametrize("q0", [0, 1, 6])
+@pytest.mark.parametrize("q0", [0, 1, 6, 2.0, True])
 def test_verify_refuses_a_sample_that_is_no_prime_power(q0):
     """No group GL_n(q0) exists, so q0 is a usage error, not a failed mu."""
     for eps in (1, -1):
@@ -298,3 +298,19 @@ def test_gggr_value_refuses_classes_of_another_size():
 def test_verify_refuses_n_below_one():
     with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         verify_theorem(0, 1)
+
+
+@pytest.mark.parametrize(
+    "n, eps, message",
+    [
+        (3.0, 1, "n must be an integer, got 3.0"),
+        (True, 1, "n must be an integer, got True"),
+        (3, 1.0, "eps must be +1 or -1, got 1.0"),
+        (3, True, "eps must be +1 or -1, got True"),
+    ],
+)
+def test_verify_refuses_a_size_or_family_that_is_no_int(n, eps, message):
+    """A float or a bool is a usage error at the check, not a crash deeper in."""
+    with pytest.raises(ValueError) as info:
+        verify_theorem(n, eps)
+    assert str(info.value) == message

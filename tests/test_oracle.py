@@ -867,6 +867,20 @@ def test_unsupported_unitary_oracle_fails_before_enumerating(monkeypatch, capsys
         oracle_report(2, -1, 6)
 
 
+@pytest.mark.parametrize(
+    "n, q0, message",
+    [
+        (2, 2.0, "q0 must be one of (2, 3, 4, 5, 8, 9), got 2.0"),
+        (2, True, "q0 must be one of (2, 3, 4, 5, 8, 9), got True"),
+        (2.0, 2, "n must be an integer, got 2.0"),
+    ],
+)
+def test_oracle_report_refuses_arguments_that_are_no_ints(n, q0, message):
+    with pytest.raises(ValueError) as info:
+        oracle_report(n, 1, q0)
+    assert str(info.value) == message
+
+
 def test_regular_rep_inner():
     G = enumerate_group(2, 1, 3)
     assert regular_rep_inner(G) == 48 == G.order

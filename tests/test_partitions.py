@@ -141,3 +141,10 @@ def test_class_size_sum_identity():
 def test_partitions_of_refuses_a_negative_size():
     with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         partitions_of(-1)
+
+
+@pytest.mark.parametrize("n", [2.0, True, False])
+def test_partitions_of_refuses_a_float_or_a_bool(n):
+    with pytest.raises(ValueError) as info:
+        partitions_of(n)
+    assert str(info.value) == f"n must be an integer, got {n}"

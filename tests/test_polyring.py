@@ -139,6 +139,16 @@ def test_json_rejects_zero_denominator():
         ({"var": "q", "val": 0, "coeffs": [5]}, "not the wire format: "),
         ({"var": "q", "val": 0, "coeffs": ["12"]}, "not the wire format: "),
         ({"var": 5, "val": 0, "coeffs": [["1", "1"]]}, "not the wire format: "),
+        (None, "not the wire format: None"),
+        ([], "not the wire format: []"),
+        (
+            {"var": "q", "val": 0, "coeffs": [["1"]]},
+            "not the wire format: {'var': 'q', 'val': 0, 'coeffs': [['1']]}",
+        ),
+        (
+            {"var": "q", "val": 0, "coeffs": [["1", "1", "1"]]},
+            "not the wire format: {'var': 'q', 'val': 0, 'coeffs': [['1', '1', '1']]}",
+        ),
         ({"var": "q", "val": 0, "coeffs": [[None, 1]]}, "not an integer: None"),
         ({"var": "q", "val": None, "coeffs": [["1", "1"]]}, "not an integer: None"),
         # a decimal string is read only in the form poly_to_json writes

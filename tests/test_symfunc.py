@@ -268,7 +268,7 @@ X_MATRIX_SHA256 = {
 
 X_ROUTES = {
     "characters": symfunc.x_matrix,
-    "hall_littlewood": lambda n: symfunc._hl_factor(n)[0],
+    "hall_littlewood": symfunc._hl_factor,
 }
 
 
@@ -281,7 +281,7 @@ X_ROUTES = {
 def test_x_matrix_digest(n, route):
     """Both routes give the same X, byte for byte.  X(10), the largest table
     that ``verify --big`` reads, takes ~0.3 s by characters and charge and
-    ~0.2 s by the Hall-Littlewood factorisation."""
+    ~0.13 s by the Hall-Littlewood factorisation."""
     digest = hashlib.sha256(repr(X_ROUTES[route](n)).encode()).hexdigest()
     assert digest == X_MATRIX_SHA256[n]
 
@@ -527,6 +527,34 @@ def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
             assert hall_littlewood_expand(rho) == expected[rho]
     finally:
         symfunc._hl_factor.cache_clear()
+
+
+def test_hall_littlewood_factor_is_one_solve(monkeypatch):
+    """From cleared caches, X(6) takes p(6) + 1 = 12 ``bilinear`` calls: the
+    Gram product, then one per column j with j + 1 unit weights, so no
+    b_la(t) enters as a weight."""
+    weights = []
+    bilinear = symfunc.bilinear
+
+    def counted(a, w, b):
+        weights.append(w)
+        return bilinear(a, w, b)
+
+    monkeypatch.setattr(symfunc, "bilinear", counted)
+    symfunc._hl_factor.cache_clear()
+    try:
+        symfunc._hl_factor(6)
+    finally:
+        symfunc._hl_factor.cache_clear()
+    assert len(weights) == len(partitions_of(6)) + 1 == 12
+    assert weights[1:] == [[(1,)] * (j + 1) for j in range(11)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_hall_littlewood_factor_returns_x_alone(n):
+    X = symfunc._hl_factor(n)
+    assert len(X) == len(partitions_of(n)) and {len(row) for row in X} == {len(X)}
+    assert X == symfunc.x_matrix(n)
 
 
 def test_mn_character_and_x_poly_refuse_sizes_that_differ():
