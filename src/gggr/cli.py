@@ -100,9 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_arg_samples,
         default=DEFAULT_SAMPLES,
         metavar="Q,Q,...",
-        help="prime powers at which each endomorphism dimension must be a "
-        f"positive integer (default {samples}; gamma's integrality is always "
-        f"checked at {samples})",
+        help="prime powers at which each endomorphism dimension must be "
+        f"positive (default {samples})",
     )
     for name in ("gggr", "endo", "verify"):
         cmd[name].add_argument(

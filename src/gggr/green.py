@@ -24,7 +24,7 @@ from .grouporders import (
     torus_order_coeffs,
 )
 from .intpoly import IntPoly, bilinear, exact_quotient, scale, signed, trim
-from .partitions import Partition, n_stat, partitions_of, weyl_centralizer_order
+from .partitions import Partition, check_n, n_stat, partitions_of, weyl_centralizer_order
 from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
 
@@ -52,6 +52,8 @@ def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
 
 def green_poly(rho: Partition, la: Partition) -> RationalPoly:
     """Q_rho^la(t); constant term 1, degree at most n_stat(la)."""
+    if rho.n != la.n:
+        raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
     return _green(tuple(rho), tuple(la))
 
 
@@ -120,6 +122,7 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
     division by the monic |T_rho|.  The left sides for all pairs are one
     matrix product Qᵀ · diag(|class la|) · Q over Z[q]."""
     check_eps(eps)
+    check_n(n, 1)
     parts = partitions_of(n)
     table = green_matrix(n)
     by_la = [[signed(row[j], eps) for row in table] for j in range(len(parts))]

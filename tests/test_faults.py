@@ -20,7 +20,6 @@ import resource
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -192,13 +191,14 @@ def test_fault_in_symfunc_fails_under_the_cache_fixture(inject):
     assert not verify_theorem(3, 1).passed
 
 
-def perturbed_green(green_matrix):
-    """``green_matrix`` with 1 added to the constant term of Q_(n)^(n)."""
+def perturbed_green(green_matrix, delta=(1,), at=0):
+    """``green_matrix`` with ``delta`` added to Q_rho^rho for the rho at index
+    ``at``: by default 1 added to the constant term of Q_(n)^(n)."""
 
     def perturbed(n):
         table = [list(row) for row in green_matrix(n)]
-        entry = table[0][0]
-        table[0][0] = (entry[0] + 1,) + entry[1:]
+        pairs = itertools.zip_longest(table[at][at], delta, fillvalue=0)
+        table[at][at] = tuple(a + b for a, b in pairs)
         return tuple(map(tuple, table))
 
     return perturbed
@@ -217,15 +217,17 @@ def all_fail(report, condition, error):
     )
 
 
-NOT_INTEGRAL = r"gamma_\(.*\)\(\(3,\)\) is not integral at q = [23]: -?\d+/3"
+#: The changed Q_(3)^(3) leaves gamma_(3)((3)) out of Z[q], which fails the
+#: whole gamma product of n = 3: the unitary rows are read off the split one.
+NOT_INTEGRAL = "n! * gamma_(3,)((3,)) of GL_3 / 3! left remainder 4"
 
 
 def test_green_coefficient_fails_gamma_integrality(inject):
     inject(kawanaka, "green_matrix", perturbed_green(green.green_matrix))
-    with pytest.raises(ContractError, match=r"gamma_\(3,\)\(\(3,\)\) is not integral at q = 2"):
+    with pytest.raises(NonExactDivisionError, match=f"^{re.escape(NOT_INTEGRAL)}$"):
         gggr_value(P((3,)), P((3,)), 1)
-    assert all_fail(verify_theorem(3, 1), "contract", NOT_INTEGRAL)
-    assert all_fail(verify_theorem(3, -1), "contract", NOT_INTEGRAL)
+    assert all_fail(verify_theorem(3, 1), "division", re.escape(NOT_INTEGRAL))
+    assert all_fail(verify_theorem(3, -1), "division", re.escape(NOT_INTEGRAL))
 
 
 #: The changed Q_(n)^(n) fails every mu of GU_4 in the verify command.
@@ -245,7 +247,25 @@ def test_green_coefficient_fails_verify_command(check, capsys):
     assert err == ""
     assert main(["gggr", "--mu", "3"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and "check failed" in err and "not integral" in err
+    assert out == "" and err == failed(NOT_INTEGRAL)
+
+
+#: (q - 2)(q - 3)(q - 4)(q - 5) added to Q_(1^n)^(1^n): it vanishes at every
+#: default sample, so only gamma's coefficients, not its values there, can
+#: show that n! * gamma_mu((1^n)) is no longer divisible by n!.
+SAMPLE_BLIND = "n! * gamma_(3,)((1, 1, 1)) of GL_3 / 3! left remainder 4"
+SAMPLE_BLIND_GREEN = Fault(
+    "kawanaka.green_matrix = perturbed_green(green.green_matrix, (120, -154, 71, -14, 1), -1)",
+    (perturbed_green,),
+    "[(r.failure, r.error) for r in kawanaka.verify_theorem(3, -1).results]",
+    code=0, out=f"division {SAMPLE_BLIND}\n" * 3,
+)
+
+
+def test_green_change_that_vanishes_at_the_samples_fails(check):
+    check(SAMPLE_BLIND_GREEN)
+    for eps in (1, -1):
+        assert all_fail(verify_theorem(3, eps), "division", re.escape(SAMPLE_BLIND))
 
 
 def test_green_coefficient_fails_orthogonality(inject):
@@ -352,7 +372,7 @@ def test_class_size_fails_exact_division(inject):
         return (size[0] + 1,) + size[1:] if la == (3,) else size
 
     inject(kawanaka, "class_size_coeffs", perturbed_sizes)
-    message = "sum_la |class la| gamma_(3,)(la)^2 / |G| left remainder (36, -72, 36)"
+    message = "sum_la |class la| gamma_(3,)(la)^2 / |G| left remainder (1, -2, 1)"
     with pytest.raises(NonExactDivisionError, match=f"^{re.escape(message)}$"):
         kawanaka.endo_dim(P((3,)), 1)
     report = verify_theorem(3, 1)
@@ -449,8 +469,8 @@ def perturbed_numerators(endo_numerators, change):
         ("monic", lambda f, order: scale(f, 2)),
         # q times the numerator: endo_dim is monic of one degree more
         ("degree", lambda f, order: (0,) + f),
-        # plus |G|: endo_dim gains 1/(3!)^2, so it is an integer at no sample
-        ("sample", lambda f, order: tuple(a + b for a, b in zip(f, order)) + f[len(order) :]),
+        # less 1000 |G|: endo_dim less 1000, negative at q = 2 for every mu |- 3
+        ("sample", lambda f, order: add(f, scale(order, -1000))),
     ],
 )
 def test_endo_numerator_fault_names_its_condition(inject, condition, change):
@@ -462,7 +482,7 @@ def test_endo_numerator_fault_names_its_condition(inject, condition, change):
         witness = r.to_json()["witness"]
         assert r.polynomial and r.failure == witness["condition"] == condition
         if condition == "sample":
-            value = expected[r.mu](2) + Fraction(1, 36)
+            value = expected[r.mu](2) - 1000
             assert witness == {
                 "condition": "sample", "q": 2, "value": [value.numerator, value.denominator]
             }
@@ -482,34 +502,43 @@ def loose_bound(young_bound, kernel=None):
     return bound
 
 
-@pytest.mark.parametrize("kernel, n", [("bilinear", 7), ("weighted_squares", 6)])
+@pytest.mark.parametrize("kernel, n", [("bilinear", 7), ("weighted_squares", 10)])
 def test_kronecker_bound_carries_weight_in_each_kernel(inject, kernel, n):
     # each kernel must take its width from the bound: loosened in one alone,
-    # the verification fails for every mu at an n where that width is the
-    # bound's and not the operands'
+    # the verification fails at an n where that width is the bound's and not
+    # the operands'.  The gamma product fails every mu of its n; the endo
+    # numerators, of squares of values in Z[q], first outgrow their digits
+    # at n = 10, for two mu
     inject(intpoly, "young_bound", loose_bound(intpoly.young_bound, kernel))
+    parts = partitions.partitions_of(n)
+    failing = parts if kernel == "bilinear" else [P((4, 3, 1, 1, 1)), P((4, 2, 2, 1, 1))]
     for eps in (1, -1):
-        report = verify_theorem(n, eps)
-        assert report.results and not any(r.passed for r in report.results)
+        report = verify_theorem(n, eps, cap=n)
+        assert [r.mu for r in report.results] == parts
+        assert {r.mu: r.failure for r in report.results if not r.passed} == dict.fromkeys(
+            failing, "division"
+        )
 
 
 KRONECKER_BOUND = Fault(
     "intpoly.young_bound = loose_bound(intpoly.young_bound)", (loose_bound,),
-    "main(['verify', '--n', '6', '--big', '--format', 'csv'])",
-    out='mu,degree,monic,pass\n(6),7,False,False\n"(5,1)",9,False,False\n"(4,2)",11,False,False\n'
-        + "".join(f'"{mu}",,False,False\n' for mu in ["(4,1,1)", "(3,3)", "(3,2,1)", "(3,1,1,1)",
-                                                    "(2,2,2)", "(2,2,1,1)", "(2,1,1,1,1)",
-                                                    "(1,1,1,1,1,1)"]),
+    "main(['verify', '--n', '7', '--big', '--format', 'csv'])",
+    out="mu,degree,monic,pass\n(7),,False,False\n"
+        + "".join(f'"{mu}",,False,False\n' for mu in [
+            "(6,1)", "(5,2)", "(5,1,1)", "(4,3)", "(4,2,1)", "(4,1,1,1)", "(3,3,1)", "(3,2,2)",
+            "(3,2,1,1)", "(3,1,1,1,1)", "(2,2,2,1)", "(2,2,1,1,1)", "(2,1,1,1,1,1)",
+            "(1,1,1,1,1,1,1)",
+        ]),
 )
 
 
 def test_kronecker_bound_carries_weight(check, capsys):
     check(KRONECKER_BOUND)
     for eps in (1, -1):
-        report = verify_theorem(6, eps)
+        report = verify_theorem(7, eps)
         assert report.results and not any(r.passed for r in report.results)
         assert all(r.to_json()["witness"]["condition"] for r in report.results)
-    assert main(["verify", "--n", "6", "--big"]) == 1
+    assert main(["verify", "--n", "7", "--big"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and out.endswith('  "pass": false\n}\n')
 
@@ -1140,6 +1169,7 @@ def test_perturbed_b_fails_pivot_check(check):
 #: The faults that also run under ``python -O``, each by the name of its test.
 globals().update({name: optimized_test(faults) for name, faults in {
     "test_checks_survive_python_O": GREEN_COEFFICIENT,
+    "test_sample_blind_gamma_check_survives_python_O": SAMPLE_BLIND_GREEN,
     "test_gamma_support_check_survives_python_O": GAMMA_SUPPORT,
     "test_torus_division_survives_python_O": TORUS_DIVISION,
     "test_w_rho_division_survives_python_O": W_RHO_DIVISION,

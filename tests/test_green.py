@@ -4,7 +4,10 @@ closed form at the identity class, and the orthogonality relation."""
 import json
 from functools import reduce
 
+import pytest
+
 from gggr.green import green_poly, green_table, verify_orthogonality
+from gggr.kawanaka import verify_theorem
 from gggr.partitions import Partition, n_stat, partitions_of
 from gggr.polyring import RationalPoly, poly_from_json
 from test_intpoly import schoolbook
@@ -109,3 +112,27 @@ def test_orthogonality_small():
         for eps in (1, -1):
             result = verify_orthogonality(n, eps)
             assert result.ok, result.witness
+
+
+def test_green_poly_refuses_classes_of_another_size():
+    with pytest.raises(ValueError) as info:
+        green_poly(P((2,)), P((1,)))
+    assert str(info.value) == "|rho| = 2 but |la| = 1"
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (0, "n must be >= 1, got 0"),
+        (3.0, "n must be an integer, got 3.0"),
+        (True, "n must be an integer, got True"),
+    ],
+)
+def test_orthogonality_refuses_what_verify_refuses(n, message):
+    """No GL_n or GU_n exists for these n: the relation over the one empty
+    partition would pass vacuously."""
+    for eps in (1, -1):
+        for check in (verify_orthogonality, verify_theorem):
+            with pytest.raises(ValueError) as info:
+                check(n, eps)
+            assert str(info.value) == message

@@ -6,14 +6,15 @@ import json
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 import gggr.kawanaka as kawanaka
 from gggr.errors import CapExceededError
 from gggr.green import green_poly
-from gggr.grouporders import centralizer_dim, group_order, sgn_eps
+from gggr.intpoly import scale
+from gggr.grouporders import centralizer_dim, class_size, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
     _gamma_row,
@@ -78,14 +79,29 @@ def test_trivial_mu_is_regular_representation():
 
 
 def test_values_are_integral_polynomials():
-    for n in range(1, 5):
+    # every gamma_mu(la) and every endo_dim is in Z[q], not only integral at
+    # some samples
+    for n in range(1, 9):
         for eps in (1, -1):
             for mu in partitions_of(n):
+                assert endo_dim(mu, eps).den == 1, (mu, eps)
                 for la in partitions_of(n):
-                    v = gggr_value(mu, la, eps)
-                    assert all(
-                        c.denominator == 1 for c in v.coeffs
-                    ), (mu, la, eps)
+                    assert gggr_value(mu, la, eps).den == 1, (mu, la, eps)
+
+
+def test_endo_numerators_are_the_sums_of_squared_values():
+    # the numerator of endo_dim is sum_la |class la| * gamma_mu(la)^2 over
+    # Z[q], with no power of n! in it
+    for n in range(1, 6):
+        for eps in (1, -1):
+            parts = partitions_of(n)
+            for mu, numerator in zip(parts, kawanaka._endo_numerators(n, eps)):
+                expected = ()
+                for la in parts:
+                    g = gggr_value(mu, la, eps).nums
+                    term = schoolbook(class_size(la, eps).nums, schoolbook(g, g))
+                    expected = add(expected, term)
+                assert numerator == expected, (mu, eps)
 
 
 def test_gggr_character_json():
@@ -236,9 +252,10 @@ def test_gamma_is_supported_on_the_dominated_classes(eps):
         assert support == [[dominated(la, mu) for la in parts] for mu in parts], n
 
 
-#: SHA-256 of every _gamma_row(mu, eps) and endo_dim(mu, eps) for n <= 10 and
-#: both eps, as the product that took eps into its X, Q and torus tables gave
-#: them; reading the unitary rows off the split product must not move one.
+#: SHA-256 of every _gamma_row(mu, eps), times n!, and endo_dim(mu, eps) for
+#: n <= 10 and both eps, as the product that took eps into its X, Q and torus
+#: tables gave them; reading the unitary rows off the split product must not
+#: move one, and neither must dividing that product by n!.
 GAMMA_ENDO_SHA256 = "ec93a1ada86ffa16d9114c6379b6d547cccf2b6c3a32626a317a60a5f1dd9fd9"
 
 
@@ -248,7 +265,7 @@ def test_gamma_rows_and_endo_dims_match_their_digest():
         for eps in (1, -1):
             for mu in partitions_of(n):
                 f = endo_dim(mu, eps)
-                row = _gamma_row(tuple(mu), eps)
+                row = tuple(scale(g, factorial(n)) for g in _gamma_row(tuple(mu), eps))
                 digest.update(repr((n, eps, tuple(mu), row, f.nums, f.den)).encode())
     assert digest.hexdigest() == GAMMA_ENDO_SHA256
 
