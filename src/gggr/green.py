@@ -85,7 +85,7 @@ class GreenTable(NamedTuple):
             for la in self.order:
                 poly = self.entries[(rho, la)]
                 if eps is not None:
-                    poly = RationalPoly(signed(poly.nums, eps), "q", poly.den)
+                    poly = RationalPoly(signed(poly.nums, eps), "q")
                 cols.append({"lambda": la.to_json(), "poly": poly_to_json(poly)})
             rows.append({"rho": rho.to_json(), "cols": cols})
         out = {"n": self.n}

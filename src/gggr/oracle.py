@@ -704,7 +704,6 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
     checks = []
 
     def check(name: str, expected: int, actual: int) -> None:
-        expected = int(expected)
         checks.append(
             {"check": name, "expected": expected, "actual": actual, "ok": expected == actual}
         )
@@ -717,7 +716,7 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         cls = uni.get(la)
         check(
             f"class_size_{'_'.join(map(str, la))}",
-            int(class_size(la, eps)(q0)),
+            class_size(la, eps)(q0),
             0 if cls is None else cls.size,
         )
     check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
@@ -726,6 +725,6 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
         inner = _induced_inner(G, H)
         name = ("gelfand_graev_inner" if mu == (n,) else "regular_rep_inner" if len(mu) == n
                 else f"gggr_inner_{'_'.join(map(str, mu))}")
-        check(name, int(endo_dim(mu, eps)(q0)) * q0**dim_g1, inner)
+        check(name, endo_dim(mu, eps)(q0) * q0**dim_g1, inner)
     return {"group": G.name, "n": n, "eps": eps, "q0": q0, "order": G.order,
             "checks": checks, "pass": all(c["ok"] for c in checks)}

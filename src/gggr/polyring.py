@@ -1,9 +1,10 @@
 """Exact univariate polynomials: the package's one public polynomial type.
 
 Everything the package returns (Green polynomials, character values, order
-formulas, endomorphism dimensions) is a `RationalPoly`, with no floats and
-no negative powers.  Its variable tags the wire format and the printing:
-``t`` for the Hall–Littlewood / Green variable, ``q`` for the field size.
+formulas, endomorphism dimensions) is a `RationalPoly` with integer
+coefficients, no floats and no negative powers.  Its variable tags the wire
+format and the printing: ``t`` for the Hall–Littlewood / Green variable,
+``q`` for the field size.
 
 A `RationalPoly` is a value with no arithmetic: the pipeline computes on
 integer tuples in `intpoly` and wraps only its results.
@@ -12,34 +13,27 @@ integer tuples in `intpoly` and wraps only its results.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .intpoly import IntPoly, evaluate, trim
 
 
 class RationalPoly:
-    """The coefficient of x^k is ``nums[k] / den``, with no trailing zeros,
-    ``den`` > 0 and the pair reduced by its gcd; zero is ``()`` over 1."""
+    """Integer coefficients: x^k has ``nums[k]``, with no trailing zeros, and
+    zero is ``()``.  The name is the wire format's, of [num, den] pairs."""
 
-    __slots__ = ("nums", "den", "var")
+    __slots__ = ("nums", "var")
 
-    def __init__(self, nums: Sequence[int] = (), var: str = "t", den: int = 1):
-        if not all(isinstance(c, int) for c in (den, *nums)):
-            raise TypeError(f"not integers: {nums!r} / {den!r}")
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        nums = trim(nums)
-        g = gcd(den, *nums)
-        self.nums: IntPoly = tuple(c // g for c in nums) if g > 1 else nums
-        self.den = den // g
+    def __init__(self, nums: Sequence[int] = (), var: str = "t"):
+        if not all(type(c) is int for c in nums):  # a bool would be written "True"
+            raise TypeError(f"not integers: {nums!r}")
+        self.nums: IntPoly = trim(nums)
         self.var = var
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as fractions, lowest degree first."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+    def coeffs(self) -> IntPoly:
+        """``nums``: the coefficients, lowest degree first."""
+        return self.nums
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -50,34 +44,32 @@ class RationalPoly:
         return len(self.nums) - 1
 
     def is_monic(self) -> bool:
-        return bool(self.nums) and self.nums[-1] == self.den
+        return bool(self.nums) and self.nums[-1] == 1
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
+    def coeff(self, k: int) -> int:
+        return self.nums[k] if 0 <= k < len(self.nums) else 0
 
     def __eq__(self, other) -> bool:
-        key = (self.var, self.nums, self.den)
-        return isinstance(other, RationalPoly) and key == (other.var, other.nums, other.den)
+        return isinstance(other, RationalPoly) and (self.var, self.nums) == (other.var, other.nums)
 
     def __hash__(self):
-        return hash((self.var, self.nums, self.den))
+        return hash((self.var, self.nums))
 
     def __repr__(self) -> str:
         return f"RationalPoly({pretty(self)!r})"
 
-    def __call__(self, x) -> Fraction:
-        """Exact evaluation at a rational point."""
-        return Fraction(evaluate(self.nums, x), self.den)
+    def __call__(self, x):
+        """Exact evaluation by Horner: an int at an int, a Fraction at a Fraction."""
+        return evaluate(self.nums, x)
 
 
 def poly_to_json(f: RationalPoly) -> dict:
-    """Wire format: {"var": ..., "val": v, "coeffs": [[num, den], ...]} where v
+    """Wire format: {"var": ..., "val": v, "coeffs": [[num, "1"], ...]} where v
     is the lowest exponent with a nonzero coefficient (0 for the zero
-    polynomial) and the reduced coefficients run from x^v upwards as decimal
-    strings."""
+    polynomial) and the coefficients run from x^v upwards as decimal strings,
+    each over the denominator 1."""
     val = next((k for k, c in enumerate(f.nums) if c), 0)
-    pairs = ((c, gcd(c, f.den)) for c in f.nums[val:])
-    return {"var": f.var, "val": val, "coeffs": [[str(c // g), str(f.den // g)] for c, g in pairs]}
+    return {"var": f.var, "val": val, "coeffs": [[str(c), "1"] for c in f.nums[val:]]}
 
 
 _WIRE_INTEGER = re.compile("0|-?[1-9][0-9]*")
@@ -93,6 +85,7 @@ def _integer(x) -> int:
 
 
 def poly_from_json(data: dict) -> RationalPoly:
+    """The inverse of ``poly_to_json``: a denominator other than 1 is refused."""
     if type(data) != dict:
         raise ValueError(f"not the wire format: {data!r}")
     missing = [key for key in ("var", "val", "coeffs") if key not in data]
@@ -107,11 +100,9 @@ def poly_from_json(data: dict) -> RationalPoly:
         raise ValueError(f"negative valuation {val}: not a polynomial")
     pairs = [(_integer(num), _integer(den)) for num, den in coeffs]
     for k, (num, den) in enumerate(pairs, val):
-        if not den:
-            raise ValueError(f"zero denominator in {num}/0 {var}^{k}")
-    common = lcm(*(den for _, den in pairs))
-    nums = [0] * val + [num * (common // den) for num, den in pairs]
-    return RationalPoly(nums, var, common)
+        if den != 1:
+            raise ValueError(f"denominator {den} in {num}/{den} {var}^{k}: not an integer")
+    return RationalPoly([0] * val + [num for num, _ in pairs], var)
 
 
 def pretty(f: RationalPoly) -> str:
@@ -119,7 +110,7 @@ def pretty(f: RationalPoly) -> str:
     if f.is_zero():
         return "0"
     out = ""
-    for k, c in reversed(list(enumerate(f.coeffs))):
+    for k, c in reversed(list(enumerate(f.nums))):
         if c:
             pw = "" if k == 0 else f.var if k == 1 else f"{f.var}^{k}"
             mag = "" if abs(c) == 1 and pw else str(abs(c))

@@ -122,6 +122,8 @@ def _next_letter(
 
 def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
+    if mu.n != la.n:
+        raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
     return RationalPoly(_kostka_foulkes(tuple(la)).get(tuple(mu), ()), "t")
 
 

@@ -268,6 +268,25 @@ def test_green_change_that_vanishes_at_the_samples_fails(check):
         assert all_fail(verify_theorem(3, eps), "division", re.escape(SAMPLE_BLIND))
 
 
+#: 1 added to Q_(1^7)^(1^7): the gamma product of n = 7 fails for every mu.
+EVERY_MU = "n! * gamma_(7,)((1, 1, 1, 1, 1, 1, 1)) of GL_7 / 7! left remainder 5039"
+
+
+def test_failing_gamma_product_is_built_once_per_verify(inject):
+    # a failure is not cached, so each mu that asked for the product would
+    # build it again, to the same witness: 15 products per call at n = 7
+    inject(kawanaka, "green_matrix", perturbed_green(green.green_matrix, (1,), -1))
+    calls = []
+    bilinear = kawanaka.bilinear
+    inject(kawanaka, "bilinear", lambda *args: calls.append(args) or bilinear(*args))
+    for eps in (1, -1):
+        calls.clear()
+        report = verify_theorem(7, eps)
+        assert len(calls) == 1
+        assert len(report.results) == 15
+        assert all_fail(report, "division", re.escape(EVERY_MU))
+
+
 def test_green_coefficient_fails_orthogonality(inject):
     inject(green, "green_matrix", perturbed_green(green.green_matrix))
     result = green.verify_orthogonality(3, -1)
@@ -483,9 +502,7 @@ def test_endo_numerator_fault_names_its_condition(inject, condition, change):
         assert r.polynomial and r.failure == witness["condition"] == condition
         if condition == "sample":
             value = expected[r.mu](2) - 1000
-            assert witness == {
-                "condition": "sample", "q": 2, "value": [value.numerator, value.denominator]
-            }
+            assert witness == {"condition": "sample", "q": 2, "value": [value, 1]}
 
 
 def loose_bound(young_bound, kernel=None):

@@ -1,32 +1,32 @@
 """The polynomial value type: normal form, evaluation, the JSON wire format
-and printing.  It has no arithmetic of its own; a guard keeps it that way."""
+and printing.  It has integer coefficients and no arithmetic of its own;
+guards keep it that way."""
 
+import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
-from math import lcm
+from pathlib import Path
 
 import pytest
 
 import gggr
-import gggr.green as green
-import gggr.grouporders as grouporders
-import gggr.kawanaka as kawanaka
-import gggr.partitions as partitions
 import gggr.polyring as polyring
-import gggr.symfunc as symfunc
 from gggr.polyring import RationalPoly, poly_from_json, poly_to_json, pretty
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rand_poly(rng, var="t", max_deg=6):
     deg = rng.randrange(-1, max_deg + 1)
     if deg < 0:
         return RationalPoly((), var)
-    coeffs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(deg)]
-    coeffs.append(Fraction(rng.randrange(1, 10)))
-    den = lcm(*(c.denominator for c in coeffs))
-    return RationalPoly([int(c * den) for c in coeffs], var, den)
+    coeffs = [rng.randrange(-9, 10) for _ in range(deg)]
+    return RationalPoly(coeffs + [rng.randrange(1, 10)], var)
 
 
 def test_constructors_and_degree():
@@ -35,7 +35,8 @@ def test_constructors_and_degree():
     assert RationalPoly([0, -1, 0, 1], "t").degree == 3
     assert RationalPoly((0, 0, 0, 0, 2), "t").coeff(4) == 2
     assert RationalPoly((0, 0, 0, 0, 2), "t").coeff(5) == 0
-    assert RationalPoly((0, 0, 0, 0, 2), "t", 3).coeff(4) == Fraction(2, 3)
+    assert type(RationalPoly((0, 0, 0, 0, 2), "t").coeff(4)) is int
+    assert RationalPoly((0, -3, 2), "t").coeffs == (0, -3, 2)
     assert RationalPoly((-1, 1), "t").is_monic()
     assert not RationalPoly((0, 2), "t").is_monic()
     assert not RationalPoly((), "t").is_monic()
@@ -50,47 +51,55 @@ def test_trailing_zeros_stripped():
 
 def test_equality_and_hash_see_the_variable():
     f, g = RationalPoly((1, 2), "t"), RationalPoly((1, 2), "q")
-    assert f != g
-    assert f == RationalPoly((2, 4), "t", 2)
+    assert f != g and f != RationalPoly((2, 4), "t")
     assert len({f, g, RationalPoly([1, 2, 0], "t")}) == 2
 
 
-def test_pair_is_reduced_by_its_gcd():
-    f, g = RationalPoly((2, 4), "q", 6), RationalPoly((1, 2), "q", 3)
-    assert f == g and hash(f) == hash(g)
-    assert (f.nums, f.den) == ((1, 2), 3)
-    assert f.coeffs == (Fraction(1, 3), Fraction(2, 3))
-    assert f.is_monic() is False and RationalPoly((-1, 3), "q", 3).is_monic()
-
-
 def test_zero_has_denominator_one():
-    for zero in (RationalPoly((), "q"), RationalPoly((0, 0), "q", 7)):
-        assert (zero.nums, zero.den) == ((), 1)
+    # zero is the empty tuple, and on the wire even a zero coefficient is
+    # written over 1
+    for zero in (RationalPoly((), "q"), RationalPoly((0, 0), "q")):
+        assert zero.nums == () and zero.coeffs == ()
         assert zero == RationalPoly((), "q") and zero.is_zero()
+    assert poly_from_json({"var": "q", "val": 0, "coeffs": [["0", "1"]]}) == RationalPoly((), "q")
+    with pytest.raises(ValueError, match=r"^denominator 7 in 0/7 q\^0: not an integer$"):
+        poly_from_json({"var": "q", "val": 0, "coeffs": [["0", "7"]]})
 
 
 @pytest.mark.parametrize("den", [0, -2])
 def test_denominator_must_be_positive(den):
-    with pytest.raises(ValueError, match=f"^denominator must be positive, got {den}$"):
-        RationalPoly((1, 2), "q", den)
+    # there is no denominator but the 1 the wire format writes: the reader
+    # refuses a zero or negative one, even where the pair is an integer
+    data = {"var": "q", "val": 0, "coeffs": [["1", "1"], [str(2 * den), str(den)]]}
+    with pytest.raises(ValueError, match=rf"^denominator {den} in {2 * den}/{den} q\^1: "):
+        poly_from_json(data)
 
 
 @pytest.mark.parametrize(
     "nums, den", [((Fraction(1), 2), 1), ((1.0, 2), 1), (("1", 2), 1), ((1, 2), Fraction(3))]
 )
 def test_numerators_and_denominator_must_be_integers(nums, den):
+    # every coefficient must be an int: one of integral value is refused too,
+    # whether it is given so or comes of scaling ints by an integral Fraction
     with pytest.raises(TypeError, match="^not integers: "):
-        RationalPoly(nums, "q", den)
+        RationalPoly([c * den for c in nums], "q")
+
+
+def test_bool_coefficients_are_refused():
+    # poly_to_json would write True as "True", which poly_from_json refuses
+    with pytest.raises(TypeError, match=r"^not integers: \(True, 2\)$"):
+        RationalPoly((True, 2), "q")
 
 
 def test_evaluation():
-    # against the power sum sum_k c_k x^k, at integer and rational points
+    # against the power sum sum_k c_k x^k, exactly at integer and rational points
     rng = random.Random(99)
     for _ in range(50):
         f = rand_poly(rng)
         for x in (0, 1, -1, 5, Fraction(3, 2)):
             value = f(x)
-            assert isinstance(value, Fraction)
+            # Horner starts from the int 0, which the zero polynomial returns
+            assert type(value) is (Fraction if type(x) is Fraction and f.nums else int)
             assert value == sum(c * Fraction(x) ** k for k, c in enumerate(f.coeffs))
 
 
@@ -99,28 +108,36 @@ def test_json_round_trip():
     rng = random.Random(31337)
     for _ in range(60):
         f = rand_poly(rng, var="q")
-        f = RationalPoly((0,) * rng.randrange(4) + f.nums, "q", f.den)
+        f = RationalPoly((0,) * rng.randrange(4) + f.nums, "q")
         data = json.loads(json.dumps(poly_to_json(f)))
         low = next((k for k, c in enumerate(f.coeffs) if c), 0)
         assert data["val"] == low
         assert len(data["coeffs"]) == len(f.coeffs) - low
+        assert all(den == "1" for _, den in data["coeffs"])
         assert poly_from_json(data) == f
 
 
 def test_json_reader_clears_to_one_denominator():
-    # -1/2 + q^2/3 = (-3 + 2q^2) / 6
-    data = {"var": "q", "val": 0, "coeffs": [["-1", "2"], ["0", "1"], ["1", "3"]]}
+    # the one denominator is 1: the reader takes integer coefficients over 1
+    # and refuses any other, naming the first such coefficient and its power
+    data = {"var": "q", "val": 0, "coeffs": [["-3", "1"], ["0", "1"], ["2", "1"]]}
     f = poly_from_json(data)
-    assert (f.nums, f.den) == ((-3, 0, 2), 6)
-    assert poly_to_json(f) == data
-    # unreduced and negative denominators read as the values they stand for
-    g = poly_from_json({"var": "q", "val": 1, "coeffs": [["2", "-4"], ["3", "3"]]})
-    assert (g.nums, g.den) == ((0, -1, 2), 2)
+    assert f.nums == (-3, 0, 2) and poly_to_json(f) == data
+    data = {"var": "q", "val": 0, "coeffs": [["-1", "2"], ["0", "1"], ["1", "3"]]}
+    with pytest.raises(ValueError, match=r"^denominator 2 in -1/2 q\^0: not an integer$"):
+        poly_from_json(data)
+    # unreduced and negative denominators are refused too, not read as values
+    data = {"var": "q", "val": 1, "coeffs": [["1", "1"], ["3", "3"]]}
+    with pytest.raises(ValueError, match=r"^denominator 3 in 3/3 q\^2: not an integer$"):
+        poly_from_json(data)
+    data = {"var": "q", "val": 1, "coeffs": [["2", "-4"]]}
+    with pytest.raises(ValueError, match=r"^denominator -4 in 2/-4 q\^1: not an integer$"):
+        poly_from_json(data)
 
 
 def test_json_rejects_zero_denominator():
     data = {"var": "q", "val": 2, "coeffs": [["1", "1"], ["5", "0"]]}
-    with pytest.raises(ValueError, match=r"^zero denominator in 5/0 q\^3$"):
+    with pytest.raises(ValueError, match=r"^denominator 0 in 5/0 q\^3: not an integer$"):
         poly_from_json(data)
 
 
@@ -169,8 +186,8 @@ def test_json_refuses_what_is_not_the_wire_format(data, message):
 
 
 def test_json_reads_integers_and_decimal_strings():
-    assert poly_from_json({"var": "q", "val": 1, "coeffs": [[1, "2"], ["-3", 1]]}) == (
-        RationalPoly((0, 1, -6), "q", 2)
+    assert poly_from_json({"var": "q", "val": 1, "coeffs": [[1, "1"], ["-3", 1]]}) == (
+        RationalPoly((0, 1, -3), "q")
     )
 
 
@@ -191,11 +208,11 @@ def test_json_rejects_negative_valuation():
 
 
 def test_json_shape():
-    data = poly_to_json(RationalPoly((-1, 0, 2), "t", 2))
+    data = poly_to_json(RationalPoly((-1, 0, 2), "t"))
     assert data == {
         "var": "t",
         "val": 0,
-        "coeffs": [["-1", "2"], ["0", "1"], ["1", "1"]],
+        "coeffs": [["-1", "1"], ["0", "1"], ["2", "1"]],
     }
 
 
@@ -209,7 +226,7 @@ def test_pretty():
     assert pretty(q(1, 1)) == "q + 1"
     assert pretty(q(0, -1)) == "-q"
     assert pretty(q(0, 2, 1)) == "q^2 + 2q"
-    assert pretty(RationalPoly((0, 2, -15), "q", 6)) == "-5/2q^2 + 1/3q"
+    assert pretty(RationalPoly((0, 2, -15), "q")) == "-15q^2 + 2q"
 
 
 def test_no_second_polynomial_arithmetic():
@@ -224,30 +241,35 @@ def test_no_second_polynomial_arithmetic():
     for name in ("div_rem", "exact_div", "substitute_signed", "Scalar"):
         assert not hasattr(polyring, name), name
     assert not hasattr(gggr, "VariableMismatchError")
+    assert RationalPoly.__slots__ == ("nums", "var")
 
 
-def test_fraction_stays_at_the_edges(monkeypatch):
-    """The pipeline computes on integers to the end: with every cache cold,
-    proving the theorem at n = 6 and writing the Green table and every
-    gamma_mu build no Fraction.  Reading a coefficient out does, which shows
-    that the count works."""
-    for module in (partitions, symfunc, grouporders, green, kawanaka):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-    calls = []
-    new = Fraction.__new__
+def test_cli_import_loads_no_fractions():
+    """The coefficients are ints from the kernels to the wire: importing the
+    command line loads neither fractions nor decimal (with site off, so
+    nothing else loads them first)."""
+    script = "import sys, gggr.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    for eps in (1, -1):
-        assert kawanaka.verify_theorem(6, eps).passed
-    assert green.green_table(6).to_json(1)["rows"]
-    for mu in partitions.partitions_of(6):
-        assert kawanaka.gggr_character(mu, -1).to_json()["values"]
-    assert calls == []
-    assert RationalPoly((1,), "q", 2).coeffs
-    assert calls == [(1, 2)]
+def test_no_module_imports_fractions():
+    # not at the top of a module and not inside a function either
+    found = []
+    for path in sorted((SRC / "gggr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names if name == "fractions"]
+    assert found == []

@@ -217,6 +217,13 @@ def test_kostka_foulkes_basics():
             assert kostka_foulkes(P((n,)), la) == T(*(0,) * n_stat(la), 1)
 
 
+def test_kostka_foulkes_refuses_partitions_of_another_size():
+    # once 0, as if (2) were a shape no tableau of content (1) reaches
+    with pytest.raises(ValueError) as info:
+        kostka_foulkes(P((2,)), P((1,)))
+    assert str(info.value) == "|mu| = 2 but |la| = 1"
+
+
 def test_kostka_foulkes_frozen():
     assert kostka_foulkes(P((2, 1)), P((1, 1, 1))) == T(0, 1, 1)
     assert kostka_foulkes(P((2, 2)), P((2, 1, 1))) == T(0, 1)
