@@ -52,6 +52,7 @@ def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
 
 def green_poly(rho: Partition, la: Partition) -> RationalPoly:
     """Q_rho^la(t); constant term 1, degree at most n_stat(la)."""
+    rho, la = Partition(rho), Partition(la)
     if rho.n != la.n:
         raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
     return _green(tuple(rho), tuple(la))

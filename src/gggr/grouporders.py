@@ -61,7 +61,7 @@ def torus_order(rho: Partition, eps: int) -> RationalPoly:
     """|T_rho(q)| = prod_i (q^{rho_i} - eps^{rho_i}): the order of the maximal
     torus labelled by rho, monic of degree n."""
     check_eps(eps)
-    return RationalPoly(torus_order_coeffs(tuple(rho), eps), "q")
+    return RationalPoly(torus_order_coeffs(tuple(Partition(rho)), eps), "q")
 
 
 def e_poly(la: Partition) -> RationalPoly:
@@ -76,6 +76,7 @@ def sgn_eps(la: Partition, eps: int) -> int:
     r parts; for eps = +1 this is just the sign of a permutation of cycle
     type la."""
     check_eps(eps)
+    la = Partition(la)
     n, r = la.n, la.length
     return eps ** (n // 2) * (-1) ** (n + r)
 
@@ -120,4 +121,5 @@ def class_size(la: Partition, eps: int) -> RationalPoly:
 def centralizer_dim(la: Partition) -> int:
     """dim C_G(u) = n + 2 * n_stat(la) for u unipotent of Jordan type la;
     the degree target for the endomorphism-algebra dimension polynomial."""
+    la = Partition(la)
     return la.n + 2 * n_stat(la)

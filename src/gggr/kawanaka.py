@@ -23,7 +23,9 @@ endomorphism algebra of the underlying representation as a polynomial in q.
 The main verification target: that quotient is monic of degree
 n + 2*n_stat(mu), the centralizer dimension of the class.  gamma_mu and
 endo_dim are in Z[q]: n! must divide each coefficient of the Kawanaka product,
-and a product that leaves a remainder fails every mu of its n.
+and each gamma_mu(la) must vanish unless la <= mu in dominance.  Both checks
+run once per n on the GL_n product, so a product that fails either fails
+every mu of its n, for both families.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from .symfunc import x_matrix
 
 #: Symbolic verification caps used by the command-line driver, the same for
 #: both families (their cost is equal to within measurement noise).  A
-#: `verify` run at VERIFY_CAP takes ~0.15 s, at n = 9 ~0.3 s and at
-#: VERIFY_CAP_BIG ~0.9-1.3 s (fresh processes, 2 cores, Python 3.11).
+#: `verify` run at VERIFY_CAP takes ~0.12-0.19 s, at n = 9 ~0.24-0.41 s and
+#: at VERIFY_CAP_BIG ~0.66-1.26 s (fresh processes, 2 cores, Python 3.11.7).
 VERIFY_CAP = 8
 VERIFY_CAP_BIG = 10
 
@@ -84,40 +86,32 @@ def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
         w_rho = sgn(rho) * (n! / |W_rho|) * |T_rho(q)|,
 
     and gamma_mu(la) is in Z[q] (Kawanaka, Adv. Stud. Pure Math. 6, 1985), so
-    n! must divide every coefficient of the product."""
+    n! must divide every coefficient of the product.  Each quotient must
+    vanish unless la <= mu in dominance: gamma_mu vanishes off the closure of
+    the class of mu (Lusztig, Adv. Math. 94, 1992), which for GL_n and GU_n
+    is the classes of the la <= mu.  A GU_n entry is a GL_n one at -q with a
+    sign, so it vanishes where the GL_n one does, and both checks run here
+    once per n for both families."""
     nfact = factorial(n)
-    parts = partitions_of(n)
+    parts = [tuple(p) for p in partitions_of(n)]
     weights = []
     for rho in parts:
-        cls = exact_div(nfact, weyl_centralizer_order(rho), f"{n}! / |W_rho| of {tuple(rho)}")
-        weights.append(scale(torus_order_coeffs(tuple(rho), 1), sgn_eps(rho, 1) * cls))
+        cls = exact_div(nfact, weyl_centralizer_order(rho), f"{n}! / |W_rho| of {rho}")
+        weights.append(scale(torus_order_coeffs(rho, 1), sgn_eps(rho, 1) * cls))
     rows = []
     for mu, row in zip(parts, bilinear(x_matrix(n), weights, green_matrix(n))):
-        whats = (f"n! * gamma_{tuple(mu)}({tuple(la)}) of GL_{n} / {n}!" for la in parts)
-        rows.append(tuple(tuple(exact_div(c, nfact, w) for c in g) for g, w in zip(row, whats)))
+        gammas = []
+        for la, g in zip(parts, row):
+            what = f"n! * gamma_{mu}({la}) of GL_{n} / {n}!"
+            g = tuple(exact_div(c, nfact, what) for c in g)
+            if g and not dominated(la, mu):
+                raise ContractError(
+                    f"gamma_{mu}({la}) of GL_{n} = {pretty(RationalPoly(g, 'q'))} is not zero,"
+                    f" but {la} is not dominated by {mu}"
+                )
+            gammas.append(g)
+        rows.append(tuple(gammas))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _gamma_row(mu: tuple[int, ...], eps: int) -> tuple[IntPoly, ...]:
-    """gamma_mu(la) for every la, each checked to vanish unless la <= mu in
-    dominance: gamma_mu vanishes off the closure of the class of mu
-    (Kawanaka, Adv. Stud. Pure Math. 6, 1985; Lusztig, Adv. Math. 94,
-    1992), and for GL_n and GU_n that closure is the classes of the
-    la <= mu.  The row is the GL_n row at eps q times
-    eps^{n_stat(mu) + n + floor(n/2)}, by q^k - eps^k = eps^k ((eps q)^k - 1)
-    and sgn_eps = eps^{floor(n/2)} sgn."""
-    n = sum(mu)
-    parts = partitions_of(n)
-    sign = eps ** (n_stat(mu) + n + n // 2)
-    row = tuple(scale(signed(g, eps), sign) for g in _gamma_matrix(n)[parts.index(mu)])
-    for la, g in zip(parts, row):
-        if g and not dominated(la, mu):
-            raise ContractError(
-                f"gamma_{mu}({tuple(la)}) = {pretty(RationalPoly(g, 'q'))} is not zero,"
-                f" but {tuple(la)} is not dominated by {mu}"
-            )
-    return row
 
 
 def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
@@ -132,9 +126,13 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
 
 @lru_cache(maxsize=None)
 def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> RationalPoly:
+    """The GL_n entry of _gamma_matrix at eps q, times
+    eps^{n_stat(mu) + n + floor(n/2)}, by q^k - eps^k = eps^k ((eps q)^k - 1)
+    and sgn_eps = eps^{floor(n/2)} sgn."""
     n = sum(mu_t)
-    g = _gamma_row(mu_t, eps)[partitions_of(n).index(la_t)]
-    return RationalPoly(g, "q")
+    parts = partitions_of(n)
+    g = _gamma_matrix(n)[parts.index(mu_t)][parts.index(la_t)]
+    return RationalPoly(scale(signed(g, eps), eps ** (n_stat(mu_t) + n + n // 2)), "q")
 
 
 class GGGRCharacter(NamedTuple):
@@ -183,7 +181,6 @@ def _endo_numerators(n: int, eps: int) -> tuple[IntPoly, ...]:
 def _endo_dim(mu_t: tuple[int, ...], eps: int) -> IntPoly:
     """endo_dim(mu), over Z[q]."""
     n = sum(mu_t)
-    _gamma_row(mu_t, eps)  # gamma_mu must be in Z[q] and vanish off its support first
     numerator = _endo_numerators(n, eps)[partitions_of(n).index(mu_t)]
     what = f"sum_la |class la| gamma_{mu_t}(la)^2 / |G|"
     return exact_quotient(numerator, group_order_coeffs(n, eps), what)

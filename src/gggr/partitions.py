@@ -28,6 +28,8 @@ class Partition(tuple):
     like the underlying tuple."""
 
     def __new__(cls, parts=()) -> "Partition":
+        if type(parts) is Partition:  # checked when it was made
+            return parts
         parts = tuple(parts)
         if any(type(p) is not int for p in parts):
             raise ValueError(f"parts must be integers, got {parts!r}")
@@ -94,7 +96,7 @@ def n_stat(la: Partition) -> int:
     For a unipotent element of Jordan type la the centralizer dimension in
     GL_n is n + 2 * n_stat(la).
     """
-    return sum(i * part for i, part in enumerate(la))
+    return sum(i * part for i, part in enumerate(Partition(la)))
 
 
 def conjugate(la: Partition) -> Partition:

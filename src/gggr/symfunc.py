@@ -51,6 +51,7 @@ HL_CAP = 10
 def mn_character(mu: Partition, rho: Partition) -> int:
     """Irreducible character chi^mu of S_n evaluated on cycle type rho,
     by the Murnaghan-Nakayama border-strip recursion."""
+    mu, rho = Partition(mu), Partition(rho)
     if mu.n != rho.n:
         raise ValueError(f"|mu| = {mu.n} but |rho| = {rho.n}")
     return _mn(tuple(mu), tuple(rho))
@@ -122,6 +123,7 @@ def _next_letter(
 
 def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
+    mu, la = Partition(mu), Partition(la)
     if mu.n != la.n:
         raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
     return RationalPoly(_kostka_foulkes(tuple(la)).get(tuple(mu), ()), "t")
@@ -147,7 +149,7 @@ def _kostka_foulkes(la: tuple[int, ...]) -> Mapping[tuple[int, ...], IntPoly]:
         return MappingProxyType({(): (1,)})
     n = sum(la)
     step = n + 1
-    size = n_stat(Partition(la)) + 1
+    size = n_stat(la) + 1
     column: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * size)
 
     def grow(i: int, inner: list[int], rounds: list[tuple[int, int]], total: int) -> None:
@@ -195,6 +197,7 @@ def x_poly(rho: Partition, la: Partition) -> RationalPoly:
     """X_rho^la(t) = sum_mu chi^mu(rho) K_{mu,la}(t): the coefficient of the
     Hall-Littlewood P_la in the power sum p_rho.  Monic of degree n_stat(la);
     at t = 1 it degenerates to the permutation-character value."""
+    rho, la = Partition(rho), Partition(la)
     if rho.n != la.n:
         raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
     parts = partitions_of(rho.n)
@@ -294,6 +297,7 @@ def hall_littlewood_expand(rho: Partition) -> dict[Partition, RationalPoly]:
     This is the independent cross-check for ``x_poly``: the two must agree
     coefficient for coefficient.
     """
+    rho = Partition(rho)
     n = rho.n
     if n > HL_CAP:
         raise CapExceededError(f"hall_littlewood_expand at n = {n} exceeds cap {HL_CAP}")

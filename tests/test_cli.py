@@ -315,3 +315,16 @@ def test_only_the_oracle_command_imports_the_oracle():
         "__init__.py": ["__getattr__"],
         "cli.py": ["_execute"],
     }
+
+
+def test_modules_parse_with_the_declared_python_floor():
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml declares, which refuses newer syntax such as except*."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    version = tuple(map(int, floor.groups()))
+    assert version == (3, 10)
+    for path in sorted((SRC / "gggr").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)

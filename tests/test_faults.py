@@ -325,20 +325,18 @@ def flipped_torus(rho, eps):
     return scale(t, -1) if rho == (2, 1) else t
 
 
-#: The support failure of mu = (2, 1) at n = 3 under ``flipped_torus``;
-#: (1, 1, 1) fails alike at la = (3).
-OFF_SUPPORT = {
-    1: "gamma_(2, 1)((3,)) = q^4 - q^3 - q^2 + q is not zero, but (3,) is not dominated by (2, 1)",
-    -1: "gamma_(2, 1)((3,)) = -q^4 - q^3 + q^2 + q is not zero, "
-        "but (3,) is not dominated by (2, 1)",
-}
+#: The support failure under ``flipped_torus``: the first off-support entry
+#: of the GL_3 product, which every mu of n = 3 fails with, for both eps.
+OFF_SUPPORT = (
+    "gamma_(2, 1)((3,)) of GL_3 = q^4 - q^3 - q^2 + q is not zero, "
+    "but (3,) is not dominated by (2, 1)"
+)
 
 GAMMA_SUPPORT = Fault(
     "kawanaka.torus_order_coeffs = flipped_torus", (flipped_torus,),
     "[(r.failure, r.error) for r in kawanaka.verify_theorem(3, 1).results]",
     code=0,
-    out=f"None None\ncontract {OFF_SUPPORT[1]}\ncontract gamma_(1, 1, 1)((3,)) = "
-        "q^6 - q^5 - q^4 + q^2 + q - 1 is not zero, but (3,) is not dominated by (1, 1, 1)\n",
+    out=f"contract {OFF_SUPPORT}\n" * 3,
 )
 
 
@@ -346,19 +344,19 @@ def test_flipped_torus_weight_fails_the_gamma_support(check, inject):
     # with one torus weight negated, gamma_(2,1) and gamma_(1,1,1) take
     # values on (3), outside the closure of their classes.  endo_dim is
     # unmoved at n = 3, so monic, degree, division and samples all pass:
-    # the support check alone fails it (test_golden and
+    # the support check alone fails it, once on the GL_3 product, so every
+    # mu of n = 3 fails alike (test_golden and
     # test_batched_gamma_matches_per_rho_sum also see the changed gamma)
     check(GAMMA_SUPPORT)
     for eps in (1, -1):
         report = verify_theorem(3, eps)
-        assert [r.failure for r in report.results] == [None, "contract", "contract"]
-        assert str(report.results[1].error) == OFF_SUPPORT[eps]
-        assert "is not dominated by (1, 1, 1)" in str(report.results[2].error)
-        with pytest.raises(ContractError, match=f"^{re.escape(OFF_SUPPORT[eps])}$"):
-            gggr_value(P((2, 1)), P((3,)), eps)
+        assert [r.failure for r in report.results] == ["contract"] * 3
+        assert [str(r.error) for r in report.results] == [OFF_SUPPORT] * 3
+        with pytest.raises(ContractError, match=f"^{re.escape(OFF_SUPPORT)}$"):
+            gggr_value((2, 1), (3,), eps)
     inject(kawanaka, "dominated", lambda la, mu: True)
     assert verify_theorem(3, 1).passed and verify_theorem(3, -1).passed
-    # the support test reads the same rows, with a dominance order of its own
+    # the support test reads the same values, with a dominance order of its own
     from test_kawanaka import test_gamma_is_supported_on_the_dominated_classes as supported
 
     for eps in (1, -1):

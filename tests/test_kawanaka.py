@@ -17,7 +17,6 @@ from gggr.intpoly import scale
 from gggr.grouporders import centralizer_dim, class_size, group_order, sgn_eps
 from gggr.kawanaka import (
     DEFAULT_SAMPLES,
-    _gamma_row,
     endo_dim,
     gggr_character,
     gggr_value,
@@ -249,14 +248,15 @@ def test_gamma_is_supported_on_the_dominated_classes(eps):
     # outside the closure of its own, which for GL_n and GU_n is {la <= mu}
     for n in range(1, 9):
         parts = partitions_of(n)
-        support = [[any(g) for g in _gamma_row(tuple(mu), eps)] for mu in parts]
+        support = [[not gggr_value(mu, la, eps).is_zero() for la in parts] for mu in parts]
         assert support == [[dominated(la, mu) for la in parts] for mu in parts], n
 
 
-#: SHA-256 of every _gamma_row(mu, eps), times n!, and endo_dim(mu, eps) for
-#: n <= 10 and both eps, as the product that took eps into its X, Q and torus
-#: tables gave them; reading the unitary rows off the split product must not
-#: move one, and neither must dividing that product by n!.
+#: SHA-256 of every row of values gggr_value(mu, la, eps), times n!, and
+#: endo_dim(mu, eps) for n <= 10 and both eps, as the product that took eps
+#: into its X, Q and torus tables gave them; reading the unitary rows off the
+#: split product must not move one, and neither must dividing that product by
+#: n!.
 GAMMA_ENDO_SHA256 = "ec93a1ada86ffa16d9114c6379b6d547cccf2b6c3a32626a317a60a5f1dd9fd9"
 
 
@@ -266,7 +266,9 @@ def test_gamma_rows_and_endo_dims_match_their_digest():
         for eps in (1, -1):
             for mu in partitions_of(n):
                 f = endo_dim(mu, eps)
-                row = tuple(scale(g, factorial(n)) for g in _gamma_row(tuple(mu), eps))
+                row = tuple(
+                    scale(gggr_value(mu, la, eps).nums, factorial(n)) for la in partitions_of(n)
+                )
                 digest.update(repr((n, eps, tuple(mu), row, f.nums, 1)).encode())
     assert digest.hexdigest() == GAMMA_ENDO_SHA256
 
@@ -291,6 +293,14 @@ def test_one_gamma_product_per_n_serves_both_families(cleared, monkeypatch):
     calls = recorded(monkeypatch, "bilinear")
     assert verify_theorem(6, 1).passed and verify_theorem(6, -1).passed
     assert len(calls) == 1
+
+
+def test_gamma_support_is_checked_once_per_entry_for_both_families(cleared, monkeypatch):
+    # the support check runs on the split product, once for each of its
+    # non-zero entries: the unitary rows are read off it and not checked again
+    calls = recorded(monkeypatch, "dominated")
+    assert verify_theorem(6, 1).passed and verify_theorem(6, -1).passed
+    assert len(calls) == sum(1 for row in kawanaka._gamma_matrix(6) for g in row if g)
 
 
 def test_gamma_product_reads_the_split_tables_only(cleared, monkeypatch):

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+import gggr
 from gggr.errors import CapExceededError
+from gggr.green import green_poly
 from gggr.partitions import (
     DEFAULT_CAP,
     Partition,
@@ -148,3 +150,47 @@ def test_partitions_of_refuses_a_float_or_a_bool(n):
     with pytest.raises(ValueError) as info:
         partitions_of(n)
     assert str(info.value) == f"n must be an integer, got {n}"
+
+
+def test_partition_of_a_partition_is_itself():
+    # callers read every argument through Partition, so one already checked
+    # is not checked again
+    la = Partition((2, 1))
+    assert Partition(la) is la
+    assert type(Partition((2, 1))) is Partition and Partition((2, 1)) is not la
+
+
+#: Each public function that takes partitions, called with its argument
+#: under test from one tuple and valid partitions of 3 elsewhere (the
+#: kawanaka ones are in test_values_refuse_a_tuple_that_is_no_partition).
+PARTITION_READERS = {
+    "torus_order": lambda p: gggr.torus_order(p, 1),
+    "sgn_eps": lambda p: gggr.sgn_eps(p, -1),
+    "centralizer_dim": gggr.centralizer_dim,
+    "n_stat": n_stat,
+    "class_size": lambda p: gggr.class_size(p, -1),
+    "unipotent_centralizer_order": lambda p: gggr.unipotent_centralizer_order(p, 1),
+    "green_poly-rho": lambda p: green_poly(p, (2, 1)),
+    "green_poly-la": lambda p: green_poly((3,), p),
+    "x_poly-rho": lambda p: gggr.x_poly(p, (2, 1)),
+    "x_poly-la": lambda p: gggr.x_poly((3,), p),
+    "mn_character-mu": lambda p: gggr.mn_character(p, (1, 1, 1)),
+    "mn_character-rho": lambda p: gggr.mn_character((2, 1), p),
+    "kostka_foulkes-mu": lambda p: gggr.kostka_foulkes(p, (1, 1, 1)),
+    "kostka_foulkes-la": lambda p: gggr.kostka_foulkes((2, 1), p),
+    "hall_littlewood_expand": gggr.hall_littlewood_expand,
+}
+
+
+@pytest.mark.parametrize("call", PARTITION_READERS.values(), ids=PARTITION_READERS)
+def test_public_functions_read_partitions_through_partition(call):
+    # a valid tuple works as its Partition does; any other is refused as
+    # Partition refuses it, not misread or asked for .n
+    assert call((2, 1)) == call(Partition((2, 1)))
+    for parts, message in [
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+        ((3, 0), "parts must be positive, got (3, 0)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call(parts)
+        assert str(info.value) == message
