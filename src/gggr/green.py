@@ -42,7 +42,7 @@ def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
             top = n_stat(la)
             if len(x) > top + 1:
                 raise ContractError(
-                    f"Green polynomial Q_{tuple(rho)}^{tuple(la)} has negative powers:"
+                    f"Green polynomial Q_{rho}^{la} has negative powers:"
                     f" deg X = {len(x) - 1} > n(la) = {top}"
                 )
             row.append(trim((0,) * (top + 1 - len(x)) + x[::-1]))
@@ -55,11 +55,11 @@ def green_poly(rho: Partition, la: Partition) -> RationalPoly:
     rho, la = Partition(rho), Partition(la)
     if rho.n != la.n:
         raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
-    return _green(tuple(rho), tuple(la))
+    return _green(rho, la)
 
 
 @lru_cache(maxsize=None)
-def _green(rho: tuple[int, ...], la: tuple[int, ...]) -> RationalPoly:
+def _green(rho: Partition, la: Partition) -> RationalPoly:
     parts = partitions_of(sum(rho))
     entry = green_matrix(sum(rho))[parts.index(rho)][parts.index(la)]
     return RationalPoly(entry, "t")
@@ -127,12 +127,12 @@ def verify_orthogonality(n: int, eps: int) -> OrthogonalityResult:
     parts = partitions_of(n)
     table = green_matrix(n)
     by_la = [[signed(row[j], eps) for row in table] for j in range(len(parts))]
-    sizes = [class_size_coeffs(tuple(la), eps) for la in parts]
+    sizes = [class_size_coeffs(la, eps) for la in parts]
     sums = bilinear(by_la, sizes, by_la)
     grp = group_order_coeffs(n, eps)
     for i, rho in enumerate(parts):
-        torus = torus_order_coeffs(tuple(rho), eps)
-        quot = exact_quotient(grp, torus, f"|G| / |T_rho| for {tuple(rho)}")
+        torus = torus_order_coeffs(rho, eps)
+        quot = exact_quotient(grp, torus, f"|G| / |T_rho| for {rho}")
         diagonal = scale(quot, weyl_centralizer_order(rho))
         for j, pi in enumerate(parts):
             expected = diagonal if i == j else ()

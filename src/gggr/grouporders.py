@@ -53,7 +53,7 @@ def group_order(n: int, eps: int) -> RationalPoly:
 
 
 @lru_cache(maxsize=None)
-def torus_order_coeffs(rho: tuple[int, ...], eps: int) -> IntPoly:
+def torus_order_coeffs(rho: Partition, eps: int) -> IntPoly:
     return times_binomials(0, rho, eps)
 
 
@@ -61,7 +61,7 @@ def torus_order(rho: Partition, eps: int) -> RationalPoly:
     """|T_rho(q)| = prod_i (q^{rho_i} - eps^{rho_i}): the order of the maximal
     torus labelled by rho, monic of degree n."""
     check_eps(eps)
-    return RationalPoly(torus_order_coeffs(tuple(Partition(rho)), eps), "q")
+    return RationalPoly(torus_order_coeffs(Partition(rho), eps), "q")
 
 
 def e_poly(la: Partition) -> RationalPoly:
@@ -82,10 +82,9 @@ def sgn_eps(la: Partition, eps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _centralizer(la: tuple[int, ...], eps: int) -> IntPoly:
-    la_p = Partition(la)
-    mults = multiplicities(la_p).values()
-    shift = sum(c * c for c in conjugate(la_p)) - sum(m * (m + 1) // 2 for m in mults)
+def _centralizer(la: Partition, eps: int) -> IntPoly:
+    mults = multiplicities(la).values()
+    shift = sum(c * c for c in conjugate(la)) - sum(m * (m + 1) // 2 for m in mults)
     if shift < 0:
         raise ContractError(
             f"centralizer order for {la} has a negative power q^{shift}"
@@ -102,11 +101,11 @@ def unipotent_centralizer_order(la: Partition, eps: int) -> RationalPoly:
 
     monic of degree n + 2*n_stat(la)."""
     check_eps(eps)
-    return RationalPoly(_centralizer(tuple(la), eps), "q")
+    return RationalPoly(_centralizer(Partition(la), eps), "q")
 
 
 @lru_cache(maxsize=None)
-def class_size_coeffs(la: tuple[int, ...], eps: int) -> IntPoly:
+def class_size_coeffs(la: Partition, eps: int) -> IntPoly:
     """|G| / |centralizer|, an exact division by a monic polynomial."""
     grp = group_order_coeffs(sum(la), eps)
     return exact_quotient(grp, _centralizer(la, eps), f"class size for {la}")
@@ -115,7 +114,7 @@ def class_size_coeffs(la: tuple[int, ...], eps: int) -> IntPoly:
 def class_size(la: Partition, eps: int) -> RationalPoly:
     """|G| / |centralizer|, an exact polynomial division."""
     check_eps(eps)
-    return RationalPoly(class_size_coeffs(tuple(la), eps), "q")
+    return RationalPoly(class_size_coeffs(Partition(la), eps), "q")
 
 
 def centralizer_dim(la: Partition) -> int:

@@ -93,7 +93,7 @@ def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     sign, so it vanishes where the GL_n one does, and both checks run here
     once per n for both families."""
     nfact = factorial(n)
-    parts = [tuple(p) for p in partitions_of(n)]
+    parts = partitions_of(n)
     weights = []
     for rho in parts:
         cls = exact_div(nfact, weyl_centralizer_order(rho), f"{n}! / |W_rho| of {rho}")
@@ -121,18 +121,18 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
     mu, la = Partition(mu), Partition(la)
     if mu.n != la.n:
         raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
-    return _gggr_value(tuple(mu), tuple(la), eps)
+    return _gggr_value(mu, la, eps)
 
 
 @lru_cache(maxsize=None)
-def _gggr_value(mu_t: tuple[int, ...], la_t: tuple[int, ...], eps: int) -> RationalPoly:
+def _gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
     """The GL_n entry of _gamma_matrix at eps q, times
     eps^{n_stat(mu) + n + floor(n/2)}, by q^k - eps^k = eps^k ((eps q)^k - 1)
     and sgn_eps = eps^{floor(n/2)} sgn."""
-    n = sum(mu_t)
+    n = sum(mu)
     parts = partitions_of(n)
-    g = _gamma_matrix(n)[parts.index(mu_t)][parts.index(la_t)]
-    return RationalPoly(scale(signed(g, eps), eps ** (n_stat(mu_t) + n + n // 2)), "q")
+    g = _gamma_matrix(n)[parts.index(mu)][parts.index(la)]
+    return RationalPoly(scale(signed(g, eps), eps ** (n_stat(mu) + n + n // 2)), "q")
 
 
 class GGGRCharacter(NamedTuple):
@@ -164,7 +164,7 @@ def endo_dim(mu: Partition, eps: int) -> RationalPoly:
     """dim End of the generalised Gelfand-Graev representation attached to
     mu: the exact quotient of sum_la |class la| gamma_mu(la)^2 by |G|."""
     check_eps(eps)
-    return RationalPoly(_endo_dim(tuple(Partition(mu)), eps), "q")
+    return RationalPoly(_endo_dim(Partition(mu), eps), "q")
 
 
 @lru_cache(maxsize=None)
@@ -172,17 +172,17 @@ def _endo_numerators(n: int, eps: int) -> tuple[IntPoly, ...]:
     """sum_la |class la| * gamma_mu(la)^2 = |G| <gamma_mu, gamma_mu> for every
     mu |- n in canonical order, as one product in which each class size is
     packed once."""
-    sizes = [class_size_coeffs(tuple(la), eps) for la in partitions_of(n)]
+    sizes = [class_size_coeffs(la, eps) for la in partitions_of(n)]
     rows = [[signed(g, eps) for g in row] for row in _gamma_matrix(n)]
     return tuple(weighted_squares(rows, sizes))
 
 
 @lru_cache(maxsize=None)
-def _endo_dim(mu_t: tuple[int, ...], eps: int) -> IntPoly:
+def _endo_dim(mu: Partition, eps: int) -> IntPoly:
     """endo_dim(mu), over Z[q]."""
-    n = sum(mu_t)
-    numerator = _endo_numerators(n, eps)[partitions_of(n).index(mu_t)]
-    what = f"sum_la |class la| gamma_{mu_t}(la)^2 / |G|"
+    n = sum(mu)
+    numerator = _endo_numerators(n, eps)[partitions_of(n).index(mu)]
+    what = f"sum_la |class la| gamma_{mu}(la)^2 / |G|"
     return exact_quotient(numerator, group_order_coeffs(n, eps), what)
 
 
@@ -276,8 +276,8 @@ def verify_theorem(
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
     n + 2*n_stat(mu), and is positive at each q0 of q_samples; an empty
-    q_samples, or a q0 that is not a prime power, raises ValueError.  The
-    report lists mu in canonical partition order."""
+    q_samples, a q0 that is not a prime power, or a cap that is not an int
+    raises ValueError.  The report lists mu in canonical partition order."""
     check_eps(eps)
     check_n(n, 1)
     q_samples = tuple(q_samples)
@@ -286,6 +286,8 @@ def verify_theorem(
     for q0 in q_samples:
         if is_prime_power(q0) is None:
             raise ValueError(f"{q0} is not a prime power")
+    if cap is not None and type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     limit = cap if cap is not None else VERIFY_CAP
     if n > limit:
         raise CapExceededError(

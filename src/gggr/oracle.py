@@ -122,6 +122,11 @@ def _read(stage, codes):
 # ---------------------------------------------------------------------------
 
 
+def _group_name(n: int, eps: int, q0: int) -> str:
+    """GL_n(q0) or GU_n(q0) as messages and reports name it, e.g. GL3(F2)."""
+    return f"{'GL' if eps == 1 else 'GU'}{n}(F{q0})"
+
+
 class ConjClass(NamedTuple):
     rep: Mat
     size: int
@@ -131,6 +136,7 @@ class ConjClass(NamedTuple):
 class OracleGroup:
     def __init__(self, n: int, eps: int, q0: int, field: FiniteField, codes: Sequence[int]):
         self.n, self.eps, self.q0 = n, eps, q0
+        self.name = _group_name(n, eps, q0)
         self.field = field  # entries live here: F_q0 for GL, F_{q0^2} for GU
         self.codes = codes  # e -> the code of g_e, increasing
         self._restart([])
@@ -155,10 +161,6 @@ class OracleGroup:
     def elements(self) -> Sequence[Mat]:
         """The elements in order, each decoded when read; len() decodes none."""
         return _Decoded(self)
-
-    @property
-    def name(self) -> str:
-        return f"{'GL' if self.eps == 1 else 'GU'}{self.n}(F{self.q0})"
 
     def encode(self, g: Mat) -> int:
         """The code of g: its entries, first row first, as the digits base q
@@ -368,7 +370,7 @@ class OracleGroup:
         if ranks[-1] != 0:
             return None
         col_counts = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
-        return conjugate(Partition(tuple(c for c in col_counts if c > 0)))
+        return conjugate(Partition(c for c in col_counts if c > 0))
 
     def unipotent_classes(self) -> dict:
         """The unipotent classes by Jordan type, certified once on the split
@@ -407,7 +409,7 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
     check_n(n, 1)
     if type(q0) is not int or q0 not in SUPPORTED_Q:
         raise ValueError(f"q0 must be one of {SUPPORTED_Q}, got {q0}")
-    name = f"{'GL' if eps == 1 else 'GU'}{n}(F{q0})"
+    name = _group_name(n, eps, q0)
     # q0^i - eps^i >= q0^(i-1), so |G| >= q0^(n(n-1)) >= 2^(n(n-1)): past the
     # cap's bit length that bound refuses G before |G| is multiplied out
     if n * (n - 1) >= ENUMERATION_CAP.bit_length():
@@ -627,7 +629,7 @@ def kawanaka_datum(G: OracleGroup, mu: Partition) -> tuple[dict[int, int], int]:
     trace = {s: F.abs_trace(s, degree) for s in dict.fromkeys(s for _, s in kept)}
     H = {h: trace[s] for h, s in kept}
     if len(H) != G.q0 ** len(positions):
-        raise ContractError(f"{G.name}: U_(>=2) for mu = {tuple(mu)} has {len(H)} elements, "
+        raise ContractError(f"{G.name}: U_(>=2) for mu = {mu} has {len(H)} elements, "
                             f"not {G.q0}^{len(positions)} = {G.q0 ** len(positions)}")
     return H, dim_g1
 

@@ -24,8 +24,8 @@ DEFAULT_CAP = 30
 
 class Partition(tuple):
     """A partition of a non-negative integer, stored as a weakly decreasing
-    tuple of positive parts.  Immutable, hashable, compares lexicographically
-    like the underlying tuple."""
+    tuple of positive parts.  It prints, compares and hashes as that tuple,
+    so a Partition and its equal tuple share one lru_cache slot."""
 
     def __new__(cls, parts=()) -> "Partition":
         if type(parts) is Partition:  # checked when it was made
@@ -48,9 +48,6 @@ class Partition(tuple):
     def length(self) -> int:
         """Number of (positive) parts."""
         return len(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({tuple(self)!r})"
 
     def to_json(self) -> list[int]:
         return list(self)
@@ -85,7 +82,7 @@ def _partitions_iter(n: int, largest: int) -> Iterator[Partition]:
         return
     for first in range(min(n, largest), 0, -1):
         for rest in _partitions_iter(n - first, first):
-            yield Partition((first,) + tuple(rest))
+            yield Partition((first,) + rest)
 
 
 def n_stat(la: Partition) -> int:
@@ -103,13 +100,13 @@ def conjugate(la: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not la:
         return Partition(())
-    return Partition(tuple(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1)))
+    return Partition(sum(1 for p in la if p >= j) for j in range(1, la[0] + 1))
 
 
 def dominated(mu: Partition, la: Partition) -> bool:
     """mu <= la in dominance order: each partial sum of mu is at most la's."""
     a = b = 0
-    for x, y in zip(mu, tuple(la) + (0,) * len(mu)):
+    for x, y in zip(mu, la + (0,) * len(mu)):
         a, b = a + x, b + y
         if a > b:
             return False

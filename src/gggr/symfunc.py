@@ -54,7 +54,7 @@ def mn_character(mu: Partition, rho: Partition) -> int:
     mu, rho = Partition(mu), Partition(rho)
     if mu.n != rho.n:
         raise ValueError(f"|mu| = {mu.n} but |rho| = {rho.n}")
-    return _mn(tuple(mu), tuple(rho))
+    return _mn(mu, rho)
 
 
 @lru_cache(maxsize=None)
@@ -126,11 +126,11 @@ def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     mu, la = Partition(mu), Partition(la)
     if mu.n != la.n:
         raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
-    return RationalPoly(_kostka_foulkes(tuple(la)).get(tuple(mu), ()), "t")
+    return RationalPoly(_kostka_foulkes(la).get(mu, ()), "t")
 
 
 @lru_cache(maxsize=None)
-def _kostka_foulkes(la: tuple[int, ...]) -> Mapping[tuple[int, ...], IntPoly]:
+def _kostka_foulkes(la: Partition) -> Mapping[tuple[int, ...], IntPoly]:
     """{mu: K_{mu,la}(t)} for every shape mu that dominates la: t^charge
     counted over every semistandard tableau of content la, walked letter by
     letter.
@@ -257,7 +257,7 @@ def _hl_factor(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     R = [[trim((_monomial_count(rho, mu),)) for mu in parts] for rho in parts]
     weights = []
     for rho in parts:
-        cls = exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {tuple(rho)}")
+        cls = exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {rho}")
         # n!/z_rho(t) = (n!/z_rho) * (-1)^len(rho) * prod_i (t^rho_i - 1)
         weights.append(scale(times_binomials(0, rho, 1), cls * (-1) ** len(rho)))
     what = f"n! * G / {n}!"
@@ -276,16 +276,14 @@ def _hl_factor(n: int) -> tuple[tuple[IntPoly, ...], ...]:
             row.append(f)
         pivot = col[0]
         if pivot != _b(la):
-            raise ContractError(f"the pivot of {tuple(la)} is not b_la(t)")
+            raise ContractError(f"the pivot of {la} is not b_la(t)")
         sign = pivot[-1]  # b_la(t) has leading coefficient +-1
         monic = scale(pivot, sign)
         for mu, row, f in zip(parts[j + 1 :], L[j + 1 :], col[1:]):
-            what = f"G[{tuple(mu)}][{tuple(la)}] less the known terms / b_la(t)"
+            what = f"G[{mu}][{la}] less the known terms / b_la(t)"
             entry = scale(exact_quotient(f, monic, what), sign)
             if entry and not dominated(mu, la):
-                raise ContractError(
-                    f"P_{tuple(la)} has a monomial {tuple(mu)} it does not dominate"
-                )
+                raise ContractError(f"P_{la} has a monomial {mu} it does not dominate")
             row.append(entry)
     return tuple(map(tuple, Y[len(parts) :]))
 

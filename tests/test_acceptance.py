@@ -3,8 +3,8 @@
 One test function per acceptance criterion, so a verbose pytest run prints
 exactly one pass/fail line for each; every check is exact (integer, Fraction,
 or polynomial equality), no tolerances anywhere.  Criterion 5 runs to n = 8;
-its n = 9, 10 legs take ~0.7 s more and are opt-in: set GGGR_BIG=1 to include
-them.  The same switch adds GL3(4) to criterion 7 (~0.9 s more).
+its n = 9, 10 legs take ~0.5 s more and are opt-in: set GGGR_BIG=1 to include
+them.  The same switch adds GL3(4) to criterion 7 (~0.06 s more).
 """
 
 import json

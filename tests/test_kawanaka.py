@@ -195,6 +195,16 @@ def test_verify_refuses_an_empty_sample_list():
             verify_theorem(3, eps, q_samples=())
 
 
+@pytest.mark.parametrize("cap", [2.5, True, "9"])
+def test_verify_refuses_a_cap_that_is_no_int(cap):
+    """A float, a bool or a str cap is a usage error that names the cap, as
+    such an n or eps is, not a cap compared as given or read as 1."""
+    for eps in (1, -1):
+        with pytest.raises(ValueError) as info:
+            verify_theorem(3, eps, cap=cap)
+        assert str(info.value) == f"cap must be an integer, got {cap!r}"
+
+
 def reference_gamma(mu, la, eps):
     """gamma_mu(la) as the per-rho sum of Fraction-weighted polynomial
     products that the batched integer kernel replaces, with schoolbook

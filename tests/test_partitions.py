@@ -3,6 +3,7 @@ import math
 import pytest
 
 import gggr
+import gggr.kawanaka as kawanaka
 from gggr.errors import CapExceededError
 from gggr.green import green_poly
 from gggr.partitions import (
@@ -158,6 +159,21 @@ def test_partition_of_a_partition_is_itself():
     la = Partition((2, 1))
     assert Partition(la) is la
     assert type(Partition((2, 1))) is Partition and Partition((2, 1)) is not la
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (3,), ()])
+def test_partition_prints_as_its_tuple(parts):
+    # every message and report shows a partition as (2, 1), never wrapped
+    la = Partition(parts)
+    assert repr(la) == repr(parts) and str(la) == str(parts) and f"{la}" == f"{parts}"
+
+
+def test_partition_and_its_tuple_share_a_cache_slot():
+    kawanaka._endo_dim.cache_clear()
+    kawanaka.endo_dim(Partition((2, 1)), 1)
+    kawanaka._endo_dim((2, 1), 1)
+    info = kawanaka._endo_dim.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 #: Each public function that takes partitions, called with its argument
