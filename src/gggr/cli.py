@@ -28,9 +28,7 @@ from typing import Optional
 
 from .errors import CapExceededError, ContractError
 from .green import green_table
-from .kawanaka import (
-    DEFAULT_SAMPLES, VERIFY_CAP, VERIFY_CAP_BIG, endo_dim, gggr_character, verify_theorem,
-)
+from .kawanaka import VERIFY_CAP, VERIFY_CAP_BIG, endo_dim, gggr_character, verify_theorem
 from .partitions import Partition, partitions_of
 from .polyring import poly_from_json, poly_to_json, pretty
 
@@ -54,13 +52,6 @@ def _arg_mu(text: str) -> Partition:
         return Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
-
-
-def _arg_samples(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad sample list {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,15 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None if green else 1,
             help="specialize t -> eps*q; omit for the generic table in t" if green else None,
         )
-    samples = ",".join(map(str, DEFAULT_SAMPLES))
-    cmd["verify"].add_argument(
-        "--q-samples",
-        type=_arg_samples,
-        default=DEFAULT_SAMPLES,
-        metavar="Q,Q,...",
-        help="prime powers at which each endomorphism dimension must be "
-        f"positive (default {samples})",
-    )
     for name in ("gggr", "endo", "verify"):
         cmd[name].add_argument(
             "--big", action="store_true", help=f"raise the size cap to {VERIFY_CAP_BIG}"
@@ -224,7 +206,7 @@ def _execute(args: argparse.Namespace):
     if args.command == "gggr":
         return gggr_character(args.mu, args.eps).to_json(), _gggr_rows
     if args.command == "verify":
-        report = verify_theorem(n, args.eps, q_samples=args.q_samples, cap=cap)
+        report = verify_theorem(n, args.eps, cap=cap)
         return report.to_json(), _verify_rows
     polys = {mu: endo_dim(mu, args.eps) for mu in partitions_of(n)}
     results = [

@@ -15,7 +15,23 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import ContractError
-from .grouporders import is_prime_power
+
+
+def is_prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, e) with q = p^e, or None, also for a q that is not an int."""
+    if type(q) is not int or q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q and q > p:
+            break
+        if q % p == 0:
+            e = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                e += 1
+            return (p, e) if m == 1 else None
+    return (q, 1)
 
 
 class FiniteField:

@@ -9,7 +9,6 @@ the GL one, e.g. |GU_n| = q^{n(n-1)/2} prod_i (q^i - (-1)^i).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .errors import ContractError
 from .intpoly import IntPoly, exact_quotient, scale, times_binomials
@@ -21,23 +20,6 @@ def check_eps(eps: int) -> int:
     if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return eps
-
-
-def is_prime_power(q: int) -> Optional[tuple[int, int]]:
-    """(p, e) with q = p^e, or None, also for a q that is not an int."""
-    if type(q) is not int or q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q and q > p:
-            break
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return (q, 1)
 
 
 @lru_cache(maxsize=None)

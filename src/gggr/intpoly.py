@@ -200,16 +200,11 @@ def bilinear(
         return [[() for _ in range(cols)] for _ in range(rows_out)]
     # a coefficient of out[m][l] sums those of a[k][m] * w[k] * b[k][l], each
     # at most |a[k][m]|_1 * |w[k]|_1 * |b[k][l]|_inf; the digits must also
-    # hold every coefficient of the operands, which the l1 norms bound, so
-    # the l_inf norms of a and w are scanned only where those norms exceed
-    # the bound
+    # hold every coefficient of the operands, which the l1 norms bound
     a1 = [max(_l1(row)) for row in a]
     w1 = list(_l1(w))
     b_inf = list(map(_linf, b))
-    bound = young_bound(zip(a1, w1, b_inf))
-    if bound < max(*a1, *w1, *b_inf):
-        bound = max(bound, _linf(chain.from_iterable(a)), _linf(w), *b_inf)
-    width = _width(bound)
+    width = _width(max(young_bound(zip(a1, w1, b_inf)), *a1, *w1, *b_inf))
     len_aw = len_a + len_w - 1
     slot = len_aw + len_b - 1
     rows = [

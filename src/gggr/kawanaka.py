@@ -41,7 +41,6 @@ from .grouporders import (
     check_eps,
     class_size_coeffs,
     group_order_coeffs,
-    is_prime_power,
     sgn_eps,
     torus_order_coeffs,
 )
@@ -72,8 +71,8 @@ from .symfunc import x_matrix
 VERIFY_CAP = 8
 VERIFY_CAP_BIG = 10
 
-#: The default prime powers at which verify_theorem requires endo_dim > 0.
-DEFAULT_SAMPLES = (2, 3, 4, 5)
+#: The prime powers q0 at which verify_theorem requires endo_dim > 0.
+SAMPLES = (2, 3, 4, 5)
 
 
 @lru_cache(maxsize=None)
@@ -256,36 +255,25 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _mu_result(mu: Partition, eps: int, samples: tuple[int, ...]) -> MuResult:
+def _mu_result(mu: Partition, eps: int) -> MuResult:
     target = centralizer_dim(mu)
     try:
         poly = endo_dim(mu, eps)
     except ContractError as exc:
         return MuResult(mu, None, None, target, False, False, error=exc)
-    values = ((q0, poly(q0)) for q0 in samples)
+    values = ((q0, poly(q0)) for q0 in SAMPLES)
     bad = next(((q0, v) for q0, v in values if v <= 0), None)
     return MuResult(mu, poly, poly.degree, target, poly.is_monic(), True, bad)
 
 
-def verify_theorem(
-    n: int,
-    eps: int,
-    q_samples: tuple[int, ...] = DEFAULT_SAMPLES,
-    cap: Optional[int] = None,
-) -> VerificationReport:
+def verify_theorem(n: int, eps: int, cap: Optional[int] = None) -> VerificationReport:
     """Check, for every unipotent type mu of size n, that the endomorphism
     dimension polynomial exists (exact division), is monic, has degree
-    n + 2*n_stat(mu), and is positive at each q0 of q_samples; an empty
-    q_samples, a q0 that is not a prime power, or a cap that is not an int
-    raises ValueError.  The report lists mu in canonical partition order."""
+    n + 2*n_stat(mu), and is positive at q0 = 2, 3, 4, 5; a cap that is not
+    an int raises ValueError.  The report lists mu in canonical partition
+    order."""
     check_eps(eps)
     check_n(n, 1)
-    q_samples = tuple(q_samples)
-    if not q_samples:
-        raise ValueError("no q sample to check")
-    for q0 in q_samples:
-        if is_prime_power(q0) is None:
-            raise ValueError(f"{q0} is not a prime power")
     if cap is not None and type(cap) is not int:
         raise ValueError(f"cap must be an integer, got {cap!r}")
     limit = cap if cap is not None else VERIFY_CAP
@@ -301,5 +289,5 @@ def verify_theorem(
             MuResult(mu, None, None, centralizer_dim(mu), False, False, error=exc) for mu in parts
         )
     else:
-        results = tuple(_mu_result(mu, eps, q_samples) for mu in parts)
+        results = tuple(_mu_result(mu, eps) for mu in parts)
     return VerificationReport(n, eps, results)

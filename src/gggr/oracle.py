@@ -66,8 +66,10 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError
-from .fields import FiniteField, Mat, finite_field, mat_identity, mat_inv, mat_mul, mat_rank
-from .grouporders import check_eps, is_prime_power
+from .fields import (
+    FiniteField, Mat, finite_field, is_prime_power, mat_identity, mat_inv, mat_mul, mat_rank,
+)
+from .grouporders import check_eps
 from .intpoly import exact_div
 from .partitions import Partition, check_n, conjugate, partitions_of
 

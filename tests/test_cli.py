@@ -114,26 +114,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, )[0] == 2
 
 
-def test_sample_that_is_no_prime_power_exits_2(capsys):
-    # the library checks the samples; the command maps its ValueError to exit 2
-    assert run(capsys, "verify", "--n", "2", "--q-samples", "2,6") == (
-        2, "", "gggr: 6 is not a prime power\n"
-    )
-    # the cap is checked before the samples
-    code, out, err = run(capsys, "verify", "--n", "9", "--q-samples", "6")
-    assert code == 3 and out == "" and err.startswith("gggr: cap exceeded: ")
+def test_verify_takes_no_sample_flag(capsys):
+    # verify checks endo_dim > 0 at the fixed q0 = 2, 3, 4, 5 only
+    code, out, err = run(capsys, "verify", "--n", "3", "--q-samples", "2,3")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "gggr: error: unrecognized arguments: --q-samples 2,3"
 
 
 def test_n_that_is_no_integer_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--n", "x")
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == "gggr verify: error: argument --n: not an integer: 'x'"
-
-
-def test_empty_sample_list_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "--n", "2", "--q-samples", "")
-    assert code == 2 and out == ""
-    assert "bad sample list ''" in err
 
 
 @pytest.mark.parametrize("eps, value", [("+1", 1), ("1", 1), ("-1", -1)])
@@ -155,7 +146,7 @@ def test_eps_rejects_everything_else(capsys, eps):
         ("green", ["-h", "--n", "--eps", "--format", "--output"]),
         ("gggr", ["-h", "--mu", "--eps", "--big", "--format", "--output"]),
         ("endo", ["-h", "--n", "--eps", "--big", "--format", "--output"]),
-        ("verify", ["-h", "--n", "--eps", "--q-samples", "--big", "--format", "--output"]),
+        ("verify", ["-h", "--n", "--eps", "--big", "--format", "--output"]),
         ("oracle", ["-h", "--n", "--q", "--eps", "--format", "--output"]),
     ],
 )
@@ -263,13 +254,13 @@ def test_startup_loads_no_dataclasses_or_inspect():
 
 
 def test_symbolic_commands_leave_the_oracle_unloaded():
-    """Only `oracle` loads the oracle module; the symbolic commands, the
-    prime-power check of the --q-samples values included, run without it."""
+    """Only `oracle` loads the oracle module; the symbolic commands run
+    without it."""
     script = (
         "import contextlib, io, sys\n"
         "from gggr.cli import main\n"
         "for argv in (['green', '--n', '3'], ['gggr', '--mu', '2,1'], ['endo', '--n', '3'],\n"
-        "             ['verify', '--n', '3', '--q-samples', '2,3,7'],\n"
+        "             ['verify', '--n', '3'],\n"
         "             ['oracle', '--n', '2', '--q', '3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
@@ -315,6 +306,24 @@ def test_only_the_oracle_command_imports_the_oracle():
         "__init__.py": ["__getattr__"],
         "cli.py": ["_execute"],
     }
+
+
+def test_package_imports_only_the_standard_library():
+    """The package runs on the standard library alone: every absolute import
+    names a standard module, and pyproject.toml declares no dependency."""
+    for path in sorted((SRC / "gggr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", project, re.M) == ["[]"]
 
 
 def test_modules_parse_with_the_declared_python_floor():

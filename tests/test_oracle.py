@@ -3,6 +3,7 @@ Jordan types, and the induced-character inner products, cross-checked
 against Mackey's formula and the symbolic layer."""
 
 import hashlib
+import importlib
 import itertools
 import os
 import random
@@ -47,6 +48,15 @@ def test_is_prime_power():
     assert is_prime_power(1) is None
     assert is_prime_power(6) is None
     assert is_prime_power(12) is None
+
+
+def test_is_prime_power_lives_in_fields():
+    """Only the oracle's fields and its unitary gate read prime powers: no
+    symbolic module defines or imports is_prime_power."""
+    assert importlib.import_module("gggr.fields").is_prime_power(9) == (3, 2)
+    for module in ("partitions", "intpoly", "polyring", "symfunc", "grouporders", "green",
+                   "kawanaka"):
+        assert not hasattr(importlib.import_module(f"gggr.{module}"), "is_prime_power"), module
 
 
 #: Every field the oracle builds: F_q0 for GL_n(q0) and F_(q0^2) for GU_n(q0).
