@@ -24,7 +24,7 @@ from .grouporders import (
     torus_order_coeffs,
 )
 from .intpoly import IntPoly, bilinear, exact_quotient, scale, signed, trim
-from .partitions import Partition, check_n, n_stat, partitions_of, weyl_centralizer_order
+from .partitions import Partition, check_n, n_stat, partitions_of, same_size, weyl_centralizer_order
 from .polyring import RationalPoly, poly_to_json
 from .symfunc import x_matrix
 
@@ -52,9 +52,7 @@ def green_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
 
 def green_poly(rho: Partition, la: Partition) -> RationalPoly:
     """Q_rho^la(t); constant term 1, degree at most n_stat(la)."""
-    rho, la = Partition(rho), Partition(la)
-    if rho.n != la.n:
-        raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
+    rho, la = same_size(rho=rho, la=la)
     return _green(rho, la)
 
 

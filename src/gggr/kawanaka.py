@@ -59,6 +59,7 @@ from .partitions import (
     dominated,
     n_stat,
     partitions_of,
+    same_size,
     weyl_centralizer_order,
 )
 from .polyring import RationalPoly, poly_to_json, pretty
@@ -117,9 +118,7 @@ def gggr_value(mu: Partition, la: Partition, eps: int) -> RationalPoly:
     """gamma_mu evaluated on the unipotent class of type la, as an exact
     polynomial in q."""
     check_eps(eps)
-    mu, la = Partition(mu), Partition(la)
-    if mu.n != la.n:
-        raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
+    mu, la = same_size(mu=mu, la=la)
     return _gggr_value(mu, la, eps)
 
 

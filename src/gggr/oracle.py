@@ -81,9 +81,6 @@ from .partitions import Partition, check_n, conjugate, partitions_of
 #: the unitary gate, GU_2(9) and GU_2(8) report in ~0.05 s and ~0.03 s.
 ENUMERATION_CAP = 200_000
 
-#: Field sizes the oracle accepts as defining fields.
-SUPPORTED_Q = (2, 3, 4, 5, 8, 9)
-
 
 # ---------------------------------------------------------------------------
 # Tables on codes
@@ -187,7 +184,7 @@ class OracleGroup:
         if len(self._class_of) < self.order:  # afresh, after any seeded split
             self._restart(self._closure())
             self._split(self.codes)
-            self._seal({})
+            self._seal(self._live())
         return self._classes
 
     def class_index(self) -> dict[Mat, int]:
@@ -305,30 +302,24 @@ class OracleGroup:
                         orbits[b] = []
             codes, conj = found, self._conj
 
-    def _seal(self, types: dict) -> None:
-        """Make the orbits left by merging the classes, with the Jordan types
-        read so far (else off the reps), and the split final."""
-        live = [i for i, orbit in enumerate(self._orbits) if orbit]
-        if len(live) < len(self._orbits):
-            self._class_of = {c: k for k, i in enumerate(live) for c in self._orbits[i]}
-        self._classes = []
-        for i in live:
-            rep = self.decode(min(self._orbits[i]))
-            jordan = types[i] if types else self.jordan_type(rep)
-            self._classes.append(ConjClass(rep, len(self._orbits[i]), jordan))
+    def _live(self, unipotent: bool = False) -> list[ConjClass]:
+        """The orbits left by merging, as classes: the matrix of its smallest
+        code, its size and its Jordan type each.  Where ``unipotent``, an
+        orbit that is not is a ContractError."""
+        out = []
+        for orbit in filter(None, self._orbits):
+            rep = self.decode(min(orbit))
+            out.append(ConjClass(rep, len(orbit), self.jordan_type(rep)))
+            if unipotent and out[-1].jordan is None:
+                raise ContractError(f"{self.name}: the class of {rep} is not unipotent")
+        return out
 
-    def _distinct(self, types: dict) -> bool:
-        """Whether the orbits have pairwise distinct Jordan types, read into
-        ``types`` for each orbit not read yet; one not unipotent is a
-        ContractError."""
-        live = [i for i, orbit in enumerate(self._orbits) if orbit]
-        for i in live:
-            if i not in types:
-                rep = self.decode(min(self._orbits[i]))
-                types[i] = self.jordan_type(rep)
-                if types[i] is None:
-                    raise ContractError(f"{self.name}: the class of {rep} is not unipotent")
-        return len({types[i] for i in live}) == len(live)
+    def _seal(self, classes: list[ConjClass]) -> None:
+        """Make the split final, its classes the live orbits as _live reads them."""
+        live = [orbit for orbit in self._orbits if orbit]
+        if len(live) < len(self._orbits):
+            self._class_of = {c: k for k, orbit in enumerate(live) for c in orbit}
+        self._classes = classes
 
     def _certify(self, seeds: Iterable[int]) -> None:
         """Split the seeds under conjugators from _candidates, one at a time,
@@ -336,7 +327,7 @@ class OracleGroup:
         Jordan types, and seal the split.  Past q0^(n(n-1)) elements, or once
         the conjugations have mapped |G| codes, the scan fails."""
         self._restart([])
-        seeds, target, types, mapped = list(seeds), self.q0 ** (self.n * self.n - self.n), {}, 0
+        seeds, target, mapped = list(seeds), self.q0 ** (self.n * self.n - self.n), 0
         for code in self._candidates():
             before = len(self._class_of), self._orbits.count([])
             self._conj.append(self._conjugation(self.decode(code), target))
@@ -344,17 +335,17 @@ class OracleGroup:
             self._split(seeds, "seed")
             mapped += len(self._class_of)
             after = len(self._class_of), self._orbits.count([])
-            if after[0] == target and self._distinct(types):
-                return self._seal(types)
+            classes = self._live(unipotent=True) if after[0] == target else []
+            if classes and len({c.jordan for c in classes}) == len(classes):
+                return self._seal(classes)
             if after == before:  # a conjugation that changes no orbit is not kept
                 self._conj.pop()
             if after[0] > target or mapped > self.order:
                 break
-        self._distinct(types)
-        live = [types[i] for i, orbit in enumerate(self._orbits) if orbit]
+        types = [c.jordan for c in self._live(unipotent=True)]
         raise ContractError(f"{self.name}: split not certified: conjugators {len(self._conj)}, "
-                            f"elements {len(self._class_of)} of {target}, orbits {len(live)}, "
-                            f"Jordan types {len(set(live))}")
+                            f"elements {len(self._class_of)} of {target}, orbits {len(types)}, "
+                            f"Jordan types {len(set(types))}")
 
     def jordan_type(self, g: Mat) -> Optional[Partition]:
         """Jordan type of a unipotent element (None if g is not unipotent),
@@ -406,11 +397,12 @@ def _group_size(n: int, eps: int, q0: int) -> int:
 
 def _ambient_size(n: int, eps: int, q0: int) -> int:
     """The size of the field that the entries of GL_n(q0) or GU_n(q0) live
-    in, once the arguments and the enumeration cap on |G| are checked."""
+    in (FiniteField takes at most 256), once eps, n and q0 are checked: q0 an
+    int of at least 2, |G| within the enumeration cap, and only then, so that
+    a huge q0 is never trial-divided, q0 a prime power."""
     check_eps(eps)
     check_n(n, 1)
-    if type(q0) is not int or q0 not in SUPPORTED_Q:
-        raise ValueError(f"q0 must be one of {SUPPORTED_Q}, got {q0}")
+    check_n(q0, 2, "q0")
     name = _group_name(n, eps, q0)
     # q0^i - eps^i >= q0^(i-1), so |G| >= q0^(n(n-1)) >= 2^(n(n-1)): past the
     # cap's bit length that bound refuses G before |G| is multiplied out
@@ -424,6 +416,8 @@ def _ambient_size(n: int, eps: int, q0: int) -> int:
         raise CapExceededError(
             f"enumerating {size} elements of {name} exceeds cap {ENUMERATION_CAP}"
         )
+    if is_prime_power(q0) is None:
+        raise ValueError(f"q0 must be a prime power, got {q0}")
     return q0 if eps == 1 else q0 * q0
 
 

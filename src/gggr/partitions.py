@@ -53,13 +53,21 @@ class Partition(tuple):
         return list(self)
 
 
-def check_n(n: int, least: int) -> None:
-    """Refuse an n that is not an int of at least ``least``: a float or a
-    bool is refused, as ``Partition`` refuses them for its parts."""
+def check_n(n: int, least: int, name: str = "n") -> None:
+    """Refuse an n (or the int called ``name``) that is not an int of at least
+    ``least``: a float or a bool is refused, as ``Partition`` refuses them."""
     if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < least:
-        raise ValueError(f"n must be >= {least}, got {n}")
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
+def same_size(**named) -> tuple[Partition, Partition]:
+    """``mu, rho = same_size(mu=mu, rho=rho)``: both as Partitions, of one n."""
+    (x, a), (y, b) = [(name, Partition(parts)) for name, parts in named.items()]
+    if a.n != b.n:
+        raise ValueError(f"|{x}| = {a.n} but |{y}| = {b.n}")
+    return a, b
 
 
 def partitions_of(n: int) -> list[Partition]:

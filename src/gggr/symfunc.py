@@ -33,6 +33,7 @@ from .partitions import (
     multiplicities,
     n_stat,
     partitions_of,
+    same_size,
     weyl_centralizer_order,
 )
 from .polyring import RationalPoly
@@ -51,9 +52,7 @@ HL_CAP = 10
 def mn_character(mu: Partition, rho: Partition) -> int:
     """Irreducible character chi^mu of S_n evaluated on cycle type rho,
     by the Murnaghan-Nakayama border-strip recursion."""
-    mu, rho = Partition(mu), Partition(rho)
-    if mu.n != rho.n:
-        raise ValueError(f"|mu| = {mu.n} but |rho| = {rho.n}")
+    mu, rho = same_size(mu=mu, rho=rho)
     return _mn(mu, rho)
 
 
@@ -123,9 +122,7 @@ def _next_letter(
 
 def kostka_foulkes(mu: Partition, la: Partition) -> RationalPoly:
     """K_{mu,la}(t) = sum over SSYT of shape mu, content la of t^charge."""
-    mu, la = Partition(mu), Partition(la)
-    if mu.n != la.n:
-        raise ValueError(f"|mu| = {mu.n} but |la| = {la.n}")
+    mu, la = same_size(mu=mu, la=la)
     return RationalPoly(_kostka_foulkes(la).get(mu, ()), "t")
 
 
@@ -197,9 +194,7 @@ def x_poly(rho: Partition, la: Partition) -> RationalPoly:
     """X_rho^la(t) = sum_mu chi^mu(rho) K_{mu,la}(t): the coefficient of the
     Hall-Littlewood P_la in the power sum p_rho.  Monic of degree n_stat(la);
     at t = 1 it degenerates to the permutation-character value."""
-    rho, la = Partition(rho), Partition(la)
-    if rho.n != la.n:
-        raise ValueError(f"|rho| = {rho.n} but |la| = {la.n}")
+    rho, la = same_size(rho=rho, la=la)
     parts = partitions_of(rho.n)
     return RationalPoly(x_matrix(rho.n)[parts.index(rho)][parts.index(la)], "t")
 

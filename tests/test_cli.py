@@ -108,7 +108,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify", "--n", "3", "--eps", "2")[0] == 2
     assert run(capsys, "gggr", "--mu", "1,2")[0] == 2
     assert run(capsys, "gggr", "--mu", "2,1", "--n", "4")[0] == 2
-    assert run(capsys, "verify", "--n", "2", "--q-samples", "2,6")[0] == 2
+    assert run(capsys, "verify", "--n", "3", "--format", "xml")[0] == 2
     assert run(capsys, "oracle", "--n", "2", "--q", "6")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, )[0] == 2

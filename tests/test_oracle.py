@@ -10,7 +10,9 @@ import random
 import re
 import subprocess
 import sys
+import time
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,11 @@ from gggr.oracle import (
 from gggr.partitions import Partition, partitions_of
 
 P = Partition
+
+#: Six defining fields whose groups the code digests below cover (31 groups,
+#: GL and GU, n = 1..4).  The oracle admits more: every prime power within
+#: the enumeration cap whose entries' field has at most 256 elements.
+DIGEST_Q = (2, 3, 4, 5, 8, 9)
 
 
 def test_is_prime_power():
@@ -257,7 +264,7 @@ def test_enumeration_caps():
 
 
 def test_group_size_matches_order_polynomial():
-    for n, eps, q0 in itertools.product((1, 2, 3, 4), (1, -1), oracle.SUPPORTED_Q):
+    for n, eps, q0 in itertools.product((1, 2, 3, 4), (1, -1), DIGEST_Q):
         assert oracle._group_size(n, eps, q0) == group_order(n, eps)(q0), (n, eps, q0)
 
 
@@ -550,13 +557,13 @@ def test_report_conjugates_only_unipotent_codes(monkeypatch):
 
 
 def admitted_groups():
-    """Every (n, eps, q0) that SUPPORTED_Q and ENUMERATION_CAP admit, built
-    from them so that the list cannot drift: 31 groups, GL and GU, n = 1..4.
+    """Every (n, eps, q0) with q0 in DIGEST_Q that ENUMERATION_CAP admits,
+    built from them so that the list cannot drift: 31 groups, GL and GU, n = 1..4.
     |G| grows with n, so n runs until |G| passes the cap."""
     return [
         (n, eps, q0)
         for eps in (1, -1)
-        for q0 in oracle.SUPPORTED_Q
+        for q0 in DIGEST_Q
         for n in itertools.takewhile(
             lambda n: oracle._group_size(n, eps, q0) <= oracle.ENUMERATION_CAP, itertools.count(1)
         )
@@ -624,7 +631,7 @@ def test_admitted_groups_are_the_ones_the_cap_admits():
 
     groups = admitted_groups()
     assert len(groups) == 31 and max(n for n, _, _ in groups) == 4
-    assert groups == [(n, eps, q0) for eps in (1, -1) for q0 in oracle.SUPPORTED_Q
+    assert groups == [(n, eps, q0) for eps in (1, -1) for q0 in DIGEST_Q
                       for n in range(1, 8) if admitted(n, eps, q0)]
 
 
@@ -873,15 +880,15 @@ def test_unsupported_unitary_oracle_fails_before_enumerating(monkeypatch, capsys
     # supported configurations, and invalid ones, still go the usual way
     with pytest.raises(RuntimeError, match="enumerated"):
         oracle_report(2, -1, 3)
-    with pytest.raises(ValueError, match="q0 must be one of"):
+    with pytest.raises(ValueError, match="q0 must be a prime power"):
         oracle_report(2, -1, 6)
 
 
 @pytest.mark.parametrize(
     "n, q0, message",
     [
-        (2, 2.0, "q0 must be one of (2, 3, 4, 5, 8, 9), got 2.0"),
-        (2, True, "q0 must be one of (2, 3, 4, 5, 8, 9), got True"),
+        (2, 2.0, "q0 must be an integer, got 2.0"),
+        (2, True, "q0 must be an integer, got True"),
         (2.0, 2, "n must be an integer, got 2.0"),
     ],
 )
@@ -889,6 +896,83 @@ def test_oracle_report_refuses_arguments_that_are_no_ints(n, q0, message):
     with pytest.raises(ValueError) as info:
         oracle_report(n, 1, q0)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, eps", itertools.product((1, 2), (1, -1)))
+@pytest.mark.parametrize("q0", [10**18, 10**15 + 37])
+def test_huge_q0_is_refused_by_the_cap_at_once(n, eps, q0):
+    # the cap comes before the prime-power check: trial division of the
+    # prime 10^15 + 37 alone takes seconds
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        oracle_report(n, eps, q0)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n, eps", itertools.product((1, 2), (1, -1)))
+@pytest.mark.parametrize(
+    "q0, message",
+    [(6, "q0 must be a prime power, got 6"), (1, "q0 must be >= 2, got 1"),
+     (0, "q0 must be >= 2, got 0"), (-3, "q0 must be >= 2, got -3")],
+)
+def test_q0_that_is_no_prime_power_is_refused(n, eps, q0, message):
+    with pytest.raises(ValueError) as info:
+        oracle_report(n, eps, q0)
+    assert str(info.value) == message
+
+
+def test_gu2_17_is_refused_by_the_field_tables(monkeypatch, capsys):
+    # 17 is a prime and |GU2(17)| = 88 128 is within the cap, but the
+    # entries would live in F_289, past FiniteField's 256
+    def no_enumeration(F, n, eps, q0):
+        raise RuntimeError(f"enumerated ({n}, {eps}, {q0})")
+
+    monkeypatch.setattr(oracle, "_element_codes", no_enumeration)
+    assert oracle._ambient_size(2, -1, 17) == 289
+    message = "F_289 does not fit tables of bytes: q must be at most 256"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_report(2, -1, 17)
+    assert main(["oracle", "--n", "2", "--q", "17", "--eps", "-1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+#: The GL2 and GU2 that the enumeration cap, the field tables and the
+#: unitary gate admit past DIGEST_Q.
+WIDER_GROUPS = [(2, 1, q0) for q0 in (7, 11, 13, 16, 17, 19)] + [(2, -1, q0) for q0 in (7, 11, 13)]
+
+
+@pytest.mark.parametrize("n, eps, q0", WIDER_GROUPS)
+def test_report_passes_on_wider_fields(n, eps, q0):
+    assert oracle_report(n, eps, q0)["pass"]
+
+
+def interpolate(points):
+    """The coefficients, lowest first and exact, of the polynomial of degree
+    below len(points) through ``points`` (Lagrange), with no trailing zeros."""
+    out = [Fraction(0)] * len(points)
+    for i, (x, y) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(y)
+        for j, (xj, _) in enumerate(points):
+            if j != i:  # basis times (q - xj)
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                scale /= x - xj
+        out = [c + scale * b for c, b in zip(out, basis)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("eps, fit, sixth", [(1, (2, 3, 4, 5, 7), 8), (-1, (2, 3, 5, 7, 11), 13)])
+def test_brute_force_alone_pins_every_endo_dim_for_n_2(eps, fit, sixth):
+    # dim g_1 = 0 for both mu |- 2, so the brute-force actual of
+    # gelfand_graev_inner (mu = (2)) and regular_rep_inner (mu = (1, 1)) is
+    # endo_dim(q0) itself; endo_dim has degree at most 4, so five points pin it
+    actual = {q0: {c["check"]: c["actual"] for c in oracle_report(2, eps, q0)["checks"]}
+              for q0 in fit + (sixth,)}
+    for mu, check in [((2,), "gelfand_graev_inner"), ((1, 1), "regular_rep_inner")]:
+        coeffs = interpolate([(q0, actual[q0][check]) for q0 in fit])
+        assert tuple(coeffs) == endo_dim(P(mu), eps).coeffs, (mu, coeffs)
+        assert sum(c * sixth**k for k, c in enumerate(coeffs)) == actual[sixth][check], mu
 
 
 def test_regular_rep_inner():

@@ -210,3 +210,21 @@ def test_public_functions_read_partitions_through_partition(call):
         with pytest.raises(ValueError) as info:
             call(parts)
         assert str(info.value) == message
+
+
+#: The public functions that take two partitions of one n, and the message
+#: that each gives, naming its own arguments, for partitions of 2 and of 1.
+SIZE_CHECKS = {
+    "mn_character": (gggr.mn_character, "|mu| = 2 but |rho| = 1"),
+    "kostka_foulkes": (gggr.kostka_foulkes, "|mu| = 2 but |la| = 1"),
+    "x_poly": (gggr.x_poly, "|rho| = 2 but |la| = 1"),
+    "green_poly": (green_poly, "|rho| = 2 but |la| = 1"),
+    "gggr_value": (lambda a, b: gggr.gggr_value(a, b, 1), "|mu| = 2 but |la| = 1"),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZE_CHECKS.values(), ids=SIZE_CHECKS)
+def test_partitions_of_two_sizes_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call((2,), (1,))
+    assert str(info.value) == message
