@@ -67,9 +67,9 @@ def times_binomials(shift: int, exps, eps: int) -> IntPoly:
 
 def exact_quotient(f: IntPoly, g: IntPoly, what: str) -> IntPoly:
     """f / g for a monic g, a division that must be exact.  Every divisor of
-    the pipeline is monic by construction (a group or centralizer order, a
-    pivot scaled by its sign), so one that is not is a failed check; so is a
-    remainder, which the error names after ``what``."""
+    the pipeline is monic by construction (a group, torus or centralizer
+    order), so one that is not is a failed check; so is a remainder, which
+    the error names after ``what``."""
     if not g or g[-1] != 1:
         raise ContractError("divisor must be monic")
     rem = list(f)

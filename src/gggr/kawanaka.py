@@ -282,8 +282,8 @@ def verify_theorem(n: int, eps: int, cap: Optional[int] = None) -> VerificationR
         )
     parts = partitions_of(n)
     try:
-        _gamma_matrix(n)
-    except ContractError as exc:  # lru_cache keeps no failure: every mu shares this one
+        _endo_numerators(n, eps)
+    except ContractError as exc:  # lru_cache keeps no failure: build it once, for every mu
         results = tuple(
             MuResult(mu, None, None, centralizer_dim(mu), False, False, error=exc) for mu in parts
         )

@@ -1,19 +1,14 @@
 """Symmetric-function machinery: S_n characters, Kostka-Foulkes polynomials,
-and the transition coefficients between power sums and Hall-Littlewood
-polynomials.
+and two independent routes to X_rho^la(t), the coefficient of the
+Hall-Littlewood P_la in the power sum p_rho.  Their agreement is the central
+self-check of the whole package.
 
-Two genuinely independent routes to the same coefficients live here.
-
-* ``x_poly(rho, la)`` computes X_rho^la(t) = sum_mu chi^mu(rho) K_{mu,la}(t)
-  from Murnaghan-Nakayama characters and the charge statistic.
-* ``hall_littlewood_expand(rho)`` expands the power sum p_rho in the
-  Hall-Littlewood P basis from the monomial coefficients of p_rho and an
-  LDL^T factorisation of the Hall-Littlewood Gram matrix over Z[t].  It
-  shares nothing with the first route except the partition and integer
-  polynomial primitives: no characters, no tableaux, no charge.
-
-Their agreement (X_rho^la equals the coefficient of P_la in p_rho) is the
-central self-check of the whole package.
+* ``x_poly(rho, la)`` is sum_mu chi^mu(rho) K_{mu,la}(t), from
+  Murnaghan-Nakayama characters and the charge statistic.
+* ``hall_littlewood_expand(rho)`` sums the monomial expansion W of each P_la
+  over tableaux by horizontal strips, solves R = X W for the monomial
+  coefficients R of p_rho, and certifies W and X by the Gram identity.  It
+  shares only the partition and integer polynomial primitives with x_poly.
 """
 
 from __future__ import annotations
@@ -21,12 +16,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
+from itertools import product, zip_longest
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapExceededError, ContractError
-from .intpoly import IntPoly, bilinear, exact_div, exact_quotient, scale, times_binomials, trim
+from .intpoly import IntPoly, bilinear, exact_div, scale, trim
 from .partitions import (
     Partition,
     dominated,
@@ -38,9 +34,8 @@ from .partitions import (
 )
 from .polyring import RationalPoly
 
-#: Ceiling for ``hall_littlewood_expand``: expanding every p_rho with
-#: rho |- 10 takes ~0.14 s, n = 11 0.3-0.5 s, n = 12 0.9-1.5 s (fresh
-#: processes, 2 cores, Python 3.11).
+#: Ceiling for ``hall_littlewood_expand``: every p_rho with rho |- 10 takes 0.12-0.14 s,
+#: n = 11 0.3-0.4 s, n = 12 0.9-1.3 s (fresh processes, 2 cores, Python 3.11).
 HL_CAP = 10
 
 
@@ -74,12 +69,8 @@ def _mn(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
         if nb < 0 or nb in occupied:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_mu = tuple(
-            p for j, c in enumerate(new_beta) if (p := c - (ell - 1 - j)) > 0
-        )
+        new_beta = sorted([c for c in beta if c != b] + [nb], reverse=True)
+        new_mu = tuple(p for j, c in enumerate(new_beta) if (p := c - (ell - 1 - j)) > 0)
         total += (-1) ** height * _mn(new_mu, rest)
     return total
 
@@ -200,20 +191,8 @@ def x_poly(rho: Partition, la: Partition) -> RationalPoly:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: Hall-Littlewood expansion by a Gram-matrix factorisation
+# Independent oracle: Hall-Littlewood expansion by horizontal strips
 # ---------------------------------------------------------------------------
-#
-# Matrices are indexed by the partitions of n in canonical order, which
-# refines dominance.  In the monomial basis p_rho = sum_mu R[rho][mu] m_mu and
-# P_la = sum_mu W[la][mu] m_mu, W unitriangular (Macdonald III.2).  The
-# Hall-Littlewood scalar product has <p_rho, p_sigma> = delta z_rho(t) with
-# 1/z_rho(t) = prod_i (1 - t^rho_i) / z_rho, and <P_la, P_mu> = delta / b_la(t)
-# (III.4).  So the Gram matrix of the basis dual to the m_mu is
-#
-#     G = R^T diag(1/z_rho(t)) R = W^T diag(b_la(t)) W,
-#
-# the unique LDL^T factorisation of G, found by exact division over Z[t]; and
-# p_rho = sum_la (R W^-1)[rho][la] P_la.
 
 
 @lru_cache(maxsize=None)
@@ -230,66 +209,86 @@ def _monomial_count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def _b(la: Partition) -> IntPoly:
-    """b_la(t) = prod_i phi_{m_i(la)}(t), with phi_m(t) = (1 - t)...(1 - t^m)."""
-    exps = [k for m in multiplicities(la).values() for k in range(1, m + 1)]
-    return scale(times_binomials(0, exps, 1), (-1) ** len(exps))
+def _one_minus(f: IntPoly, exps) -> IntPoly:
+    """f(t) * prod_{e in exps} (1 - t^e)."""
+    for e in exps:
+        f = [a - b for a, b in zip([*f, *[0] * e], [*[0] * e, *f])]
+    return trim(f)
+
+
+def _b(la: Partition, f: IntPoly = (1,)) -> IntPoly:
+    """f(t) * b_la(t), with b_la = prod_i phi_{m_i(la)} and phi_m(t) = (1 - t)...(1 - t^m)."""
+    return _one_minus(f, [k for m in multiplicities(la).values() for k in range(1, m + 1)])
+
+
+@lru_cache(maxsize=None)
+def _strips(mu: tuple[int, ...], k: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """Each la with la/mu a horizontal strip of k cells, and the e with psi_{la/mu}(t) =
+    prod (1 - t^e): e = m_j(mu) for each column j >= 1 the strip skips as it fills j + 1
+    (Macdonald III (5.8')); the top row r of length j fills j + 1, row r + m_j(mu) fills j."""
+    rows, mult, out = mu + (0,), multiplicities(mu), []
+    for take in product(*(range(min(k, a - b) + 1) for a, b in zip((rows[0] + k,) + mu, rows))):
+        if sum(take) == k:  # row r grows by take[r], to at most the length of row r - 1
+            la = [a + b for a, b in zip(rows, take)]
+            exps = tuple(mult[m] for r, m in enumerate(mu) if la[r] > m > la[r + mult[m]])
+            out.append((Partition(la[: len(mu) + (la[-1] > 0)]), exps))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _hl_monomials(nu: tuple[int, ...]) -> Mapping[Partition, IntPoly]:
+    """{la: W[la][nu]} where W[la][nu] != 0: the coefficient of m_nu in P_la, the sum over
+    tableaux T of shape la and content nu of psi_T(t), the product of psi over T's strips
+    (Macdonald III (5.11')).  psi needs no history, so the column of nu grows that of nu
+    less its last part by every strip of that size.  W must be unitriangular, vanish unless
+    nu <= la and have deg W[la][nu] <= n(nu) - n(la), or it raises ``ContractError``."""
+    if not nu:
+        return MappingProxyType({Partition(): (1,)})
+    grown: defaultdict[Partition, list[int]] = defaultdict(list)
+    for mu, f in _hl_monomials(Partition(nu[:-1])).items():
+        for la, exps in _strips(mu, nu[-1]):
+            g = _one_minus(f, exps)
+            grown[la] = [a + b for a, b in zip_longest(grown[la], g, fillvalue=0)]
+    column = {la: g for la, f in grown.items() if (g := trim(f))}
+    if column.get(nu) != (1,):
+        raise ContractError(f"W[{nu}][{nu}] is not 1")
+    top = n_stat(nu)
+    for la, f in column.items():
+        if not dominated(nu, la):
+            raise ContractError(f"W[{la}][{nu}] is not zero, but {nu} is not dominated by {la}")
+        if len(f) - 1 > (bound := top - n_stat(la)):
+            raise ContractError(f"deg W[{la}][{nu}] = {len(f) - 1} exceeds n(nu) - n(la) = {bound}")
+    return MappingProxyType(column)
 
 
 @lru_cache(maxsize=None)
 def _hl_factor(n: int) -> tuple[tuple[IntPoly, ...], ...]:
-    """X = R W^-1, rows rho, for the partitions of n.  With L = W^T, G = L
-    diag(b) L^T and R = X L^T, so the rows of G and of R stack into one
-    system [G; R] = Y L^T with Y = [L diag(b); X], solved column by column:
-
-        Y[i][j] = [G; R][i][j] - sum_{k<j} Y[i][k] L[j][k],
-
-    one ``bilinear`` per column over the rows of G from j on and every row
-    of R.  Y[j][j] is the pivot b_j, L[i][j] = Y[i][j] / b_j below it, and
-    X is the R-block.  X for n = 10 takes ~0.13 s (2 cores, Python 3.11)."""
+    """X, rows rho, with R = X W for p_rho = sum_mu R[rho][mu] m_mu: one solve, column j
+    X[.][j] = R[.][j] - sum_{k<j} X[.][k] W[k][j] by one ``bilinear``.  As <p_rho, p_sigma>
+    = delta z_rho / prod_i (1 - t^rho_i) and <P_la, P_mu> = delta / b_la(t) (Macdonald
+    III.4), R^T diag(n!/z_rho(t)) R = W^T diag(n! b) W, so R^T diag(n!/z_rho(t)) X =
+    W^T diag(n! b) must hold, or it raises ``ContractError``: it certifies W, b and X."""
     parts = partitions_of(n)
-    fact = factorial(n)
+    W = [[column.get(la, ()) for column in map(_hl_monomials, parts)] for la in parts]
     R = [[trim((_monomial_count(rho, mu),)) for mu in parts] for rho in parts]
-    weights = []
-    for rho in parts:
-        cls = exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {rho}")
-        # n!/z_rho(t) = (n!/z_rho) * (-1)^len(rho) * prod_i (t^rho_i - 1)
-        weights.append(scale(times_binomials(0, rho, 1), cls * (-1) ** len(rho)))
-    what = f"n! * G / {n}!"
-    gram = [
-        [tuple(exact_div(c, fact, what) for c in f) for f in row]
-        for row in bilinear(R, weights, R)  # n! * G
-    ]
-    stacked = gram + R  # so stacked[j:] is the rows of G from j on and all of R
-    Y: list[list[IntPoly]] = [[] for _ in stacked]
-    L: list[list[IntPoly]] = [[] for _ in parts]  # L[i][k] = W[k][i], k < i
-    for j, la in enumerate(parts):
-        minus = [[(1,)]] + [[scale(l, -1)] for l in L[j]]
-        known = [[row[j] for row in stacked[j:]]] + [[row[k] for row in Y[j:]] for k in range(j)]
-        col = [f for f, in bilinear(known, [(1,)] * (j + 1), minus)]
-        for row, f in zip(Y[j:], col):
-            row.append(f)
-        pivot = col[0]
-        if pivot != _b(la):
-            raise ContractError(f"the pivot of {la} is not b_la(t)")
-        sign = pivot[-1]  # b_la(t) has leading coefficient +-1
-        monic = scale(pivot, sign)
-        for mu, row, f in zip(parts[j + 1 :], L[j + 1 :], col[1:]):
-            what = f"G[{mu}][{la}] less the known terms / b_la(t)"
-            entry = scale(exact_quotient(f, monic, what), sign)
-            if entry and not dominated(mu, la):
-                raise ContractError(f"P_{la} has a monomial {mu} it does not dominate")
-            row.append(entry)
-    return tuple(map(tuple, Y[len(parts) :]))
+    columns: list[list[IntPoly]] = []  # columns[k][r] = X[r][k]
+    for j in range(len(parts)):
+        known = [k for k in range(j) if W[k][j]]
+        minus = [[(1,)]] + [[scale(W[k][j], -1)] for k in known]
+        b = [[row[j] for row in R]] + [columns[k] for k in known]
+        columns.append(bilinear(minus, [(1,)] * len(b), b)[0] if known else b[0])
+    fact = factorial(n)
+    z = [exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {rho}") for rho in parts]
+    gram = bilinear(R, [_one_minus((c,), rho) for c, rho in zip(z, parts)], list(zip(*columns)))
+    for (j, mu), (i, la) in product(enumerate(parts), repeat=2):
+        if gram[j][i] != (W[i][j] and _b(la, scale(W[i][j], fact))):
+            raise ContractError(f"R^T diag(n!/z_rho(t)) X != W^T diag(n! b) at [{mu}][{la}]")
+    return tuple(zip(*columns))
 
 
 def hall_littlewood_expand(rho: Partition) -> dict[Partition, RationalPoly]:
-    """Expand the power sum p_rho in the Hall-Littlewood P basis:
-    returns {la: c_la(t)} with p_rho = sum_la c_la(t) P_la(x; t).
-
-    This is the independent cross-check for ``x_poly``: the two must agree
-    coefficient for coefficient.
-    """
+    """Expand the power sum p_rho in the Hall-Littlewood P basis: {la: c_la(t)} with
+    p_rho = sum_la c_la(t) P_la(x; t), the independent cross-check of ``x_poly``."""
     rho = Partition(rho)
     n = rho.n
     if n > HL_CAP:

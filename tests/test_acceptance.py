@@ -3,7 +3,8 @@
 One test function per acceptance criterion, so a verbose pytest run prints
 exactly one pass/fail line for each; every check is exact (integer, Fraction,
 or polynomial equality), no tolerances anywhere.  Criterion 5 runs to n = 8;
-its n = 9, 10 legs take ~0.5 s more and are opt-in: set GGGR_BIG=1 to include
+its n = 9, 10 legs, and the Hall-Littlewood route's own checks at n = 11 and
+12, past its cap, take ~2 s more and are opt-in: set GGGR_BIG=1 to include
 them.  The same switch adds GL3(4) to criterion 7 (~0.06 s more).
 """
 
@@ -12,6 +13,7 @@ import os
 import time
 from fractions import Fraction
 
+import gggr.symfunc as symfunc
 from gggr.cli import main
 from gggr.green import verify_orthogonality
 from gggr.grouporders import group_order
@@ -19,6 +21,7 @@ from gggr.kawanaka import endo_dim, gggr_value
 from gggr.oracle import oracle_report
 from gggr.partitions import (
     Partition,
+    dominated,
     n_stat,
     partitions_of,
     weyl_centralizer_order,
@@ -79,14 +82,28 @@ def test_criterion_4_green_orthogonality():
 
 
 def test_criterion_5_dual_symmetric_function_routes():
-    top = 10 if os.environ.get("GGGR_BIG") == "1" else 8
+    big = os.environ.get("GGGR_BIG") == "1"
+    top = 10 if big else 8
     for n in range(1, top + 1):
         for rho in partitions_of(n):
             coords = hall_littlewood_expand(rho)
             assert set(coords) == set(partitions_of(n))
             for la, coeff in coords.items():
                 assert coeff == x_poly(rho, la), (rho, la)
-    print(f"criterion 5: PASS (character route == Gram factorisation route, n <= {top})")
+    # past HL_CAP, where the character route takes seconds: W unitriangular,
+    # zero unless nu <= la, of degree at most n(nu) - n(la), and the solve
+    # certified by R^T diag(n!/z_rho(t)) X = W^T diag(n! b), which _hl_factor
+    # checks
+    past = (11, 12) if big else ()
+    for n in past:
+        for nu in partitions_of(n):
+            column = symfunc._hl_monomials(nu)
+            assert column[nu] == (1,), nu
+            for la, w in column.items():
+                assert w and dominated(nu, la) and len(w) - 1 <= n_stat(nu) - n_stat(la), (la, nu)
+        assert len(symfunc._hl_factor(n)) == len(partitions_of(n))
+    legs = f"; W and its certificate at n = {', '.join(map(str, past))}" if past else ""
+    print(f"criterion 5: PASS (character route == Hall-Littlewood route, n <= {top}{legs})")
 
 
 def test_criterion_6_x_degree_law():

@@ -12,7 +12,6 @@ import ast
 import importlib
 import inspect
 import itertools
-import math
 import os
 import pkgutil
 import re
@@ -285,6 +284,22 @@ def test_failing_gamma_product_is_built_once_per_verify(inject):
         assert len(calls) == 1
         assert len(report.results) == 15
         assert all_fail(report, "division", re.escape(EVERY_MU))
+
+
+def test_failing_numerators_are_built_once_per_verify(inject):
+    # a failure is not cached, so each mu that asked for the numerators would
+    # build them again, to the same witness: 7 calls at n = 5
+    calls = []
+
+    def failing(rows, w):
+        calls.append(rows)
+        raise ContractError("the sums of squares failed")
+
+    inject(kawanaka, "weighted_squares", failing)
+    report = verify_theorem(5, 1)
+    assert len(calls) == 1
+    assert len(report.results) == 7 and len({id(r.error) for r in report.results}) == 1
+    assert all_fail(report, "contract", "the sums of squares failed")
 
 
 def test_green_coefficient_fails_orthogonality(inject):
@@ -1145,7 +1160,7 @@ def test_empty_datum_fails_as_a_check(inject, capsys):
     assert capsys.readouterr() == ("", failed(message))
 
 
-# -- the Hall-Littlewood factorisation ----------------------------------------
+# -- the Hall-Littlewood route -------------------------------------------------
 
 
 def hl_fails(n, message):
@@ -1157,38 +1172,73 @@ def hl_fails(n, message):
         assert str(info.value) == message
 
 
-def test_monomial_count_off_by_one_fails_gram_divisibility(inject):
+def certificate_fails_at(mu, la):
+    """The message of the certificate R^T diag(n!/z_rho(t)) X = W^T diag(n! b)
+    where it fails first, at row mu and column la."""
+    return f"R^T diag(n!/z_rho(t)) X != W^T diag(n! b) at [{mu}][{la}]"
+
+
+def test_monomial_count_off_by_one_fails_the_certificate(inject):
     count = symfunc._monomial_count
     inject(
         symfunc,
         "_monomial_count",
         lambda rho, mu: count(rho, mu) + (tuple(rho) == tuple(mu) == (3, 1)),
     )
-    hl_fails(4, "n! * G / 4! left remainder 8")
+    hl_fails(4, certificate_fails_at((4,), (3, 1)))
+
+
+def changed_z(weyl_centralizer_order, rho, z):
+    """``weyl_centralizer_order`` with z_rho = z for the one rho."""
+    return lambda sigma: z if sigma == rho else weyl_centralizer_order(sigma)
 
 
 @pytest.mark.parametrize(
     "z, message",
-    [(4, "n! * G / 4! left remainder 3"), (16, "4! / z_rho of (2, 2) left remainder 8")],
+    [(4, certificate_fails_at((4,), (4,))), (16, "4! / z_rho of (2, 2) left remainder 8")],
     ids=["4", "16"],
 )
 def test_changed_z_rho_fails(inject, z, message):
-    z_rho = symfunc.weyl_centralizer_order
-    assert z_rho(P((2, 2))) == 8
-    inject(symfunc, "weyl_centralizer_order", lambda rho: z if rho == (2, 2) else z_rho(rho))
+    assert symfunc.weyl_centralizer_order(P((2, 2))) == 8
+    inject(symfunc, "weyl_centralizer_order", changed_z(symfunc.weyl_centralizer_order, (2, 2), z))
     hl_fails(4, message)
 
 
-def perturbed_b(b):
-    """``_b`` with 1 added to the constant term of b_(2,1,1)(t)."""
+def test_changed_z_rho_fails_the_certificate_and_orthogonality(inject):
+    """Both checks read z_rho = |W_rho|: they hold unchanged for n <= 6, and
+    z_(2,2) = 4 for 8, read wherever the package reads
+    ``partitions.weyl_centralizer_order``, fails both at n = 4."""
+    for n in range(1, 7):
+        assert symfunc._hl_factor(n) == symfunc.x_matrix(n)
+        assert green.verify_orthogonality(n, 1).ok and green.verify_orthogonality(n, -1).ok
+    z_rho = partitions.weyl_centralizer_order
+    modules = (partitions, symfunc, green, kawanaka)
+    readers = [m for m in modules if m.weyl_centralizer_order is z_rho]
+    assert readers == list(modules)
+    for module in readers:
+        inject(module, "weyl_centralizer_order", changed_z(z_rho, (2, 2), 4))
+    hl_fails(4, certificate_fails_at((4,), (4,)))
+    for eps in (1, -1):
+        result = green.verify_orthogonality(4, eps)
+        assert not result.ok and result.witness[:2] == (P((2, 2)), P((2, 2)))
 
-    def perturbed(la):
-        return (b(la)[0] + 1,) + b(la)[1:] if la == (2, 1, 1) else b(la)
+
+def perturbed_b(b):
+    """``_b`` with 1 added to b_(2,1,1)(t): f(t) (b_(2,1,1)(t) + 1) for the
+    product f(t) b_(2,1,1)(t)."""
+
+    def perturbed(la, f=(1,)):
+        g = b(la, f)
+        if la != (2, 1, 1):
+            return g
+        return tuple(x + y for x, y in itertools.zip_longest(g, f, fillvalue=0))
 
     return perturbed
 
 
-PIVOT = "the pivot of (2, 1, 1) is not b_la(t)"
+#: The certificate's diagonal entry [la][la] is n! b_la(t), the pivot of the
+#: Gram matrix R^T diag(1/z_rho(t)) R = W^T diag(b) W, as W[la][la] = 1.
+PIVOT = certificate_fails_at((2, 1, 1), (2, 1, 1))
 PERTURBED_PIVOT = Fault(
     "symfunc._b = perturbed_b(symfunc._b)", (perturbed_b,),
     "symfunc.hall_littlewood_expand(P((4,)))", out=f"{PIVOT}\n",
@@ -1198,6 +1248,83 @@ PERTURBED_PIVOT = Fault(
 def test_perturbed_b_fails_pivot_check(check):
     check(PERTURBED_PIVOT)
     hl_fails(4, PIVOT)
+
+
+def changed_strip(strips, mu, k, la, exps):
+    """``_strips`` with psi_{la/mu}(t) = prod_{e in exps} (1 - t^e) for the
+    strip la/mu of k cells, which it adds if la/mu is no horizontal strip."""
+
+    def changed(m, j):
+        out = dict(strips(m, j))
+        if (m, j) == (mu, k):
+            out[la] = exps
+        return tuple(out.items())
+
+    return changed
+
+
+def strip_fault(mu, k, la, exps, message):
+    """A fault in one strip of ``_strips``, which p_(2) must report."""
+    return Fault(
+        f"symfunc._strips = changed_strip(symfunc._strips, {mu}, {k}, {la}, {exps})",
+        (changed_strip,), "symfunc.hall_littlewood_expand(P((2,)))", out=f"{message}\n",
+    )
+
+
+#: psi_{(2)/(1)}(t) = 1 - t, with its one factor dropped: W[(2)][(1,1)] = 1
+#: keeps the shape and degree of W, and the certificate fails.
+DROPPED_PSI = strip_fault((1,), 1, (2,), (), certificate_fails_at((2,), (1, 1)))
+#: psi_{(2)/(1)}(t) = (1 - t)(1 - t^3): W[(2)][(1,1)] of degree 4.
+RAISED_DEGREE = strip_fault(
+    (1,), 1, (2,), (1, 3), "deg W[(2,)][(1, 1)] = 4 exceeds n(nu) - n(la) = 1"
+)
+#: (1,1)/() as a strip of 2 cells, which puts the monomial m_(2) in P_(1,1).
+VERTICAL_STRIP = strip_fault(
+    (), 2, (1, 1), (), "W[(1, 1)][(2,)] is not zero, but (2,) is not dominated by (1, 1)"
+)
+#: psi_{(1,1)/(1)}(t) = 1 - t, not 1: W[(1,1)][(1,1)] = 1 - t.
+DIAGONAL_NOT_ONE = strip_fault((1,), 1, (1, 1), (1,), "W[(1, 1)][(1, 1)] is not 1")
+
+
+def test_dropped_psi_factor_fails_the_certificate(check):
+    check(DROPPED_PSI)
+    hl_fails(4, certificate_fails_at((4,), (1, 1, 1, 1)))
+
+
+def test_w_entry_past_its_degree_bound_fails(check):
+    check(RAISED_DEGREE)
+    hl_fails(4, "deg W[(2,)][(1, 1)] = 4 exceeds n(nu) - n(la) = 1")
+
+
+def test_w_entry_outside_dominance_fails(check):
+    check(VERTICAL_STRIP)
+    hl_fails(4, "W[(1, 1)][(2,)] is not zero, but (2,) is not dominated by (1, 1)")
+
+
+def test_w_diagonal_other_than_one_fails(check):
+    check(DIAGONAL_NOT_ONE)
+    hl_fails(4, "W[(1, 1)][(1, 1)] is not 1")
+
+
+#: Each check of the Hall-Littlewood route, made to fail.
+HALL_LITTLEWOOD_FAULTS = {
+    "psi": DROPPED_PSI,
+    "degree": RAISED_DEGREE,
+    "dominance": VERTICAL_STRIP,
+    "unitriangular": DIAGONAL_NOT_ONE,
+    "b": PERTURBED_PIVOT,
+    "z_rho": Fault(
+        "symfunc.weyl_centralizer_order ="
+        " changed_z(symfunc.weyl_centralizer_order, (2, 2), 4)",
+        (changed_z,), "symfunc.hall_littlewood_expand(P((4,)))",
+        out=f"{certificate_fails_at((4,), (4,))}\n",
+    ),
+}
+
+
+def test_hall_littlewood_checks_survive_python_O():
+    for fault in HALL_LITTLEWOOD_FAULTS.values():
+        assert outcome(fault, *run_optimized(fault)) == (fault.code, fault.out, fault.err)
 
 
 #: The faults that also run under ``python -O``, each by the name of its test.
@@ -1218,40 +1345,7 @@ globals().update({name: optimized_test(faults) for name, faults in {
     "test_inverse_check_survives_python_O": IDENTITY_INVERSE,
     "test_rationality_check_survives_python_O": MERGE_EXPONENTS,
     "test_datum_fault_survives_python_O": DATUM_FAULTS,
-    "test_hall_littlewood_checks_survive_python_O": PERTURBED_PIVOT,
 }.items()})
-
-
-def perturbed_gram(bilinear, mu, la, delta):
-    """``bilinear`` with delta added, times n!, to G[mu][la] and G[la][mu] of
-    the Gram product R^T diag(n!/z_rho(t)) R, the one call whose two factors
-    are the same matrix; the column solves are left alone."""
-
-    def perturbed(a, w, b):
-        out = bilinear(a, w, b)
-        if a is not b:
-            return out
-        parts = symfunc.partitions_of(sum(mu))
-        fact = math.factorial(sum(mu))
-        for i, j in ((parts.index(mu), parts.index(la)), (parts.index(la), parts.index(mu))):
-            out[i][j] = add(out[i][j], scale(delta, fact))
-        return out
-
-    return perturbed
-
-
-def test_gram_entry_fails_exact_division(inject):
-    # b_(2,2)(t) = (1 - t)(1 - t^2) does not divide the entry plus 1
-    inject(symfunc, "bilinear", perturbed_gram(symfunc.bilinear, P((2, 1, 1)), P((2, 2)), (1,)))
-    hl_fails(4, "G[(2, 1, 1)][(2, 2)] less the known terms / b_la(t) left remainder (1,)")
-
-
-def test_gram_entry_fails_dominance(inject):
-    # (3, 3) and (4, 1, 1) are incomparable; adding b_(4,1,1)(t) to their
-    # entry makes W[(4, 1, 1)][(3, 3)] = 1 with every division exact
-    la = P((4, 1, 1))
-    inject(symfunc, "bilinear", perturbed_gram(symfunc.bilinear, P((3, 3)), la, symfunc._b(la)))
-    hl_fails(6, "P_(4, 1, 1) has a monomial (3, 3) it does not dominate")
 
 
 def untyped_checks(tree):

@@ -288,7 +288,7 @@ X_ROUTES = {
 def test_x_matrix_digest(n, route):
     """Both routes give the same X, byte for byte.  X(10), the largest table
     that ``verify --big`` reads, takes ~0.3 s by characters and charge and
-    ~0.13 s by the Hall-Littlewood factorisation."""
+    ~0.1 s by horizontal strips and one triangular solve."""
     digest = hashlib.sha256(repr(X_ROUTES[route](n)).encode()).hexdigest()
     assert digest == X_MATRIX_SHA256[n]
 
@@ -319,9 +319,9 @@ def test_x_poly_at_one_multinomial():
 
 
 def test_hall_littlewood_against_x_poly():
-    """The dual route: expand p_rho in Hall-Littlewood P's by the Gram-matrix
-    factorisation and compare every coefficient with x_poly, from n = 0,
-    where p_() = P_() = 1."""
+    """The dual route: expand p_rho in Hall-Littlewood P's by horizontal
+    strips and one triangular solve, and compare every coefficient with
+    x_poly, from n = 0, where p_() = P_() = 1."""
     for n in range(8):
         for rho in partitions_of(n):
             coords = hall_littlewood_expand(rho)
@@ -336,8 +336,8 @@ def test_hall_littlewood_cap():
         hall_littlewood_expand(P((HL_CAP + 1,)))
 
 
-# A test-only copy of the n-variable symmetrization route that the
-# Gram-matrix factorisation replaced.  Multivariate polynomials in x_1..x_n
+# A test-only copy of the n-variable symmetrization route that
+# ``hall_littlewood_expand`` replaced.  Multivariate polynomials in x_1..x_n
 # are dicts {exponent tuple: coefficient tuple in t}, with schoolbook
 # products; P_la is computed from
 #
@@ -444,8 +444,9 @@ def _padded(mu, n):
     return tuple(mu) + (0,) * (n - mu.length)
 
 
-def reference_hall_littlewood_expand(rho):
-    n = rho.n
+def reference_hall_littlewood_p(n):
+    """{la: {mu: the coefficient of m_mu in P_la}} for every la |- n, read off
+    P_la in n variables."""
     parts = partitions_of(n)
     roots = _root_product(n)
     hl = {}
@@ -460,6 +461,13 @@ def reference_hall_littlewood_expand(rho):
         hl[la] = {
             mu: _exact_quotient(f[_padded(mu, n)], v) for mu in parts if _padded(mu, n) in f
         }
+    return hl
+
+
+def reference_hall_littlewood_expand(rho):
+    n = rho.n
+    parts = partitions_of(n)
+    hl = reference_hall_littlewood_p(n)
     power = {(0,) * n: 1}
     for part in rho:
         out = {}
@@ -491,6 +499,30 @@ def test_hall_littlewood_matches_symmetrization():
             assert list(new.items()) == list(reference_hall_littlewood_expand(rho).items())
 
 
+def test_strips_give_the_monomial_expansion_of_p_la():
+    """W by horizontal strips is, row by row, the monomial expansion of each
+    P_la that the n-variable symmetrization reads off, for n <= 4."""
+    for n in range(1, 5):
+        columns = {nu: symfunc._hl_monomials(nu) for nu in partitions_of(n)}
+        for la, row in reference_hall_littlewood_p(n).items():
+            strips = {nu: column[la] for nu, column in columns.items() if la in column}
+            assert strips == row, la
+
+
+def test_strips_specialise_to_kostka_numbers_and_monomials():
+    """P_la(x; 0) is the Schur function s_la and P_la(x; 1) the monomial m_la
+    (Macdonald III.2), so W[la][nu] at t = 0 is the number of tableaux of
+    shape la and content nu, K_{la,nu}(1), and at t = 1 is 1 if la = nu and
+    0 otherwise, for n <= 8."""
+    for n in range(9):
+        for nu in partitions_of(n):
+            column = symfunc._hl_monomials(nu)
+            for la in partitions_of(n):
+                w = T(*column.get(la, ()))
+                assert w(0) == kostka_foulkes(la, nu)(1), (la, nu)
+                assert w(1) == (la == nu), (la, nu)
+
+
 #: Every function of the module, by route.
 CHARACTER_ROUTE = (
     "mn_character",
@@ -503,7 +535,10 @@ CHARACTER_ROUTE = (
 )
 HALL_LITTLEWOOD_ROUTE = (
     "_monomial_count",
+    "_one_minus",
     "_b",
+    "_strips",
+    "_hl_monomials",
     "_hl_factor",
     "hall_littlewood_expand",
 )
@@ -527,19 +562,24 @@ def test_hall_littlewood_shares_nothing_with_the_character_route(monkeypatch):
     assert defined == set(CHARACTER_ROUTE) | set(HALL_LITTLEWOOD_ROUTE)
     for name in CHARACTER_ROUTE:
         monkeypatch.setattr(symfunc, name, unreachable)
-    symfunc._hl_factor.cache_clear()
-    symfunc._monomial_count.cache_clear()
+    clear_hall_littlewood_caches()
     try:
         for rho in partitions_of(6):
             assert hall_littlewood_expand(rho) == expected[rho]
     finally:
-        symfunc._hl_factor.cache_clear()
+        clear_hall_littlewood_caches()
+
+
+def clear_hall_littlewood_caches():
+    for name in HALL_LITTLEWOOD_ROUTE:
+        getattr(getattr(symfunc, name), "cache_clear", lambda: None)()
 
 
 def test_hall_littlewood_factor_is_one_solve(monkeypatch):
-    """From cleared caches, X(6) takes p(6) + 1 = 12 ``bilinear`` calls: the
-    Gram product, then one per column j with j + 1 unit weights, so no
-    b_la(t) enters as a weight."""
+    """From cleared caches, X(6) takes p(6) = 11 ``bilinear`` calls: one per
+    column j >= 1, with a unit weight for R's column and one for each k < j
+    with W[k][j] != 0 (column 0 is R's own), then the certificate, weighted by
+    n!/z_rho(t), so no b_la(t) enters as a weight."""
     weights = []
     bilinear = symfunc.bilinear
 
@@ -548,13 +588,17 @@ def test_hall_littlewood_factor_is_one_solve(monkeypatch):
         return bilinear(a, w, b)
 
     monkeypatch.setattr(symfunc, "bilinear", counted)
-    symfunc._hl_factor.cache_clear()
+    clear_hall_littlewood_caches()
     try:
         symfunc._hl_factor(6)
     finally:
-        symfunc._hl_factor.cache_clear()
-    assert len(weights) == len(partitions_of(6)) + 1 == 12
-    assert weights[1:] == [[(1,)] * (j + 1) for j in range(11)]
+        clear_hall_littlewood_caches()
+    parts = partitions_of(6)
+    known = [sum(la in symfunc._hl_monomials(nu) for la in parts[:j]) for j, nu in enumerate(parts)]
+    assert len(weights) == len(parts) == 11
+    assert weights[:-1] == [[(1,)] * (k + 1) for k in known[1:]]
+    z = [math.factorial(6) // weyl_centralizer_order(rho) for rho in parts]
+    assert weights[-1] == [symfunc._one_minus((c,), rho) for c, rho in zip(z, parts)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 6])
