@@ -157,16 +157,19 @@ def _verify_rows(doc: dict):
 
 
 def _oracle_rows(doc: dict):
+    """The checks; a csv report has a witness column if any check has one."""
+    witnessed = any("witness" in c for c in doc["checks"])
     items = [
         (
-            [c["check"], c["expected"], c["actual"], c["ok"]],
+            [c["check"], c["expected"], c["actual"], c["ok"]] + [c.get("witness")] * witnessed,
+            f"FAIL {c['check']}: {c['witness']}" if "witness" in c else
             f"{'ok' if c['ok'] else 'MISMATCH'} {c['check']}:"
             f" expected {c['expected']}, got {c['actual']}",
         )
         for c in doc["checks"]
     ]
     title = f"Brute-force cross-check, {doc['group']}, |G|={doc['order']}"
-    return title, ["check", "expected", "actual", "ok"], items
+    return title, ["check", "expected", "actual", "ok"] + ["witness"] * witnessed, items
 
 
 def _render(doc: dict, fmt: str, rows) -> str:

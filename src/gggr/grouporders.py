@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .errors import ContractError
 from .intpoly import IntPoly, exact_quotient, scale, times_binomials
-from .partitions import Partition, check_n, conjugate, multiplicities, n_stat
+from .partitions import Partition, b_exponents, check_n, conjugate, n_stat
 from .polyring import RationalPoly
 
 
@@ -24,7 +24,7 @@ def check_eps(eps: int) -> int:
 
 @lru_cache(maxsize=None)
 def group_order_coeffs(n: int, eps: int) -> IntPoly:
-    return times_binomials(n * (n - 1) // 2, range(1, n + 1), eps)
+    return times_binomials((0,) * (n * (n - 1) // 2) + (1,), range(1, n + 1), eps)
 
 
 def group_order(n: int, eps: int) -> RationalPoly:
@@ -36,7 +36,7 @@ def group_order(n: int, eps: int) -> RationalPoly:
 
 @lru_cache(maxsize=None)
 def torus_order_coeffs(rho: Partition, eps: int) -> IntPoly:
-    return times_binomials(0, rho, eps)
+    return times_binomials((1,), rho, eps)
 
 
 def torus_order(rho: Partition, eps: int) -> RationalPoly:
@@ -50,7 +50,7 @@ def e_poly(la: Partition) -> RationalPoly:
     """e_la(t) = prod_i (1 - t^{la_i}), so that |T_rho| = q^n * e_rho(1/(eps q)).
     The package does not call it: it is kept because the span table of the
     benchmark (`bench/spans.py` LAYERS) wraps it by name."""
-    return RationalPoly(scale(times_binomials(0, la, 1), (-1) ** len(la)), "t")
+    return RationalPoly(scale(times_binomials((1,), la, 1), (-1) ** len(la)), "t")
 
 
 def sgn_eps(la: Partition, eps: int) -> int:
@@ -65,13 +65,13 @@ def sgn_eps(la: Partition, eps: int) -> int:
 
 @lru_cache(maxsize=None)
 def _centralizer(la: Partition, eps: int) -> IntPoly:
-    mults = multiplicities(la).values()
-    shift = sum(c * c for c in conjugate(la)) - sum(m * (m + 1) // 2 for m in mults)
+    exps = b_exponents(la)
+    shift = sum(c * c for c in conjugate(la)) - sum(exps)
     if shift < 0:
         raise ContractError(
             f"centralizer order for {la} has a negative power q^{shift}"
         )
-    return times_binomials(shift, [k for m in mults for k in range(1, m + 1)], eps)
+    return times_binomials((0,) * shift + (1,), exps, eps)
 
 
 def unipotent_centralizer_order(la: Partition, eps: int) -> RationalPoly:

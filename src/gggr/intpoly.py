@@ -53,10 +53,11 @@ def evaluate(f: IntPoly, x: int) -> int:
     return acc
 
 
-def times_binomials(shift: int, exps, eps: int) -> IntPoly:
-    """q^shift * prod_{k in exps} (q^k - eps^k)."""
-    out = [0] * shift + [1]
-    for k in exps:
+def times_binomials(f: IntPoly, exps, eps: int) -> IntPoly:
+    """f * prod_{k in exps} (q^k - eps^k), the package's one product by
+    binomials: each factor is monic, so the product needs no trimming."""
+    out = list(f)
+    for k in exps if f else ():
         c = eps**k
         nxt = [0] * k + out
         for i, a in enumerate(out):

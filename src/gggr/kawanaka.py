@@ -36,14 +36,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ContractError, NonExactDivisionError
 from .green import green_matrix
-from .grouporders import (
-    centralizer_dim,
-    check_eps,
-    class_size_coeffs,
-    group_order_coeffs,
-    sgn_eps,
-    torus_order_coeffs,
-)
+from .grouporders import centralizer_dim, check_eps, class_size_coeffs, group_order_coeffs
 from .intpoly import (
     IntPoly,
     bilinear,
@@ -53,15 +46,7 @@ from .intpoly import (
     signed,
     weighted_squares,
 )
-from .partitions import (
-    Partition,
-    check_n,
-    dominated,
-    n_stat,
-    partitions_of,
-    same_size,
-    weyl_centralizer_order,
-)
+from .partitions import Partition, check_n, dominated, n_stat, partitions_of, same_size, z_weights
 from .polyring import RationalPoly, poly_to_json, pretty
 from .symfunc import x_matrix
 
@@ -83,9 +68,12 @@ def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     sum over rho is one matrix product over Z[q]:
 
         n! * gamma_mu(la) = sum_rho X_rho^mu(q) * w_rho(q) * Q_rho^la(q),
-        w_rho = sgn(rho) * (n! / |W_rho|) * |T_rho(q)|,
+        w_rho = sgn(rho) * (n! / |W_rho|) * |T_rho(q)| = (-1)^n * n!/z_rho(q),
 
-    and gamma_mu(la) is in Z[q] (Kawanaka, Adv. Stud. Pure Math. 6, 1985), so
+    as sgn(rho) = (-1)^{n - l(rho)} and |T_rho(q)| = (-1)^{l(rho)} prod_i
+    (1 - q^{rho_i}): n!/z_rho(t) is the Hall-Littlewood weight of
+    ``z_weights``, which the Hall-Littlewood certificate reads too.
+    gamma_mu(la) is in Z[q] (Kawanaka, Adv. Stud. Pure Math. 6, 1985), so
     n! must divide every coefficient of the product.  Each quotient must
     vanish unless la <= mu in dominance: gamma_mu vanishes off the closure of
     the class of mu (Lusztig, Adv. Math. 94, 1992), which for GL_n and GU_n
@@ -94,10 +82,7 @@ def _gamma_matrix(n: int) -> tuple[tuple[IntPoly, ...], ...]:
     once per n for both families."""
     nfact = factorial(n)
     parts = partitions_of(n)
-    weights = []
-    for rho in parts:
-        cls = exact_div(nfact, weyl_centralizer_order(rho), f"{n}! / |W_rho| of {rho}")
-        weights.append(scale(torus_order_coeffs(rho, 1), sgn_eps(rho, 1) * cls))
+    weights = [scale(w, (-1) ** n) for w in z_weights(n)]
     rows = []
     for mu, row in zip(parts, bilinear(x_matrix(n), weights, green_matrix(n))):
         gammas = []

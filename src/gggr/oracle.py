@@ -691,7 +691,8 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
     mu |- n the inner product <Ind_H^G psi, Ind_H^G psi> of Kawanaka's datum
     against endo_dim(mu, eps)(q0) * q0^(dim g_1).  The checks for (n) and
     (1^n), where dim g_1 = 0, are named gelfand_graev_inner and
-    regular_rep_inner, the others gggr_inner_<parts>."""
+    regular_rep_inner, the others gggr_inner_<parts>.  A check that raises
+    ContractError fails with its message as witness; the others still run."""
     from .grouporders import class_size, group_order
     from .kawanaka import endo_dim
 
@@ -701,28 +702,42 @@ def oracle_report(n: int, eps: int, q0: int) -> dict:
     G = enumerate_group(n, eps, q0)
     checks = []
 
-    def check(name: str, expected: int, actual: int) -> None:
-        checks.append(
-            {"check": name, "expected": expected, "actual": actual, "ok": expected == actual}
-        )
+    def check(name: str, values) -> None:
+        try:
+            expected, actual = values()
+            record = {"ok": expected == actual}
+        except ContractError as exc:
+            expected = actual = None
+            record = {"ok": False, "witness": str(exc)}
+        checks.append({"check": name, "expected": expected, "actual": actual, **record})
 
-    check("group_order", group_order(n, eps)(q0), G.order)
-    uni = G.unipotent_classes()
+    check("group_order", lambda: (group_order(n, eps)(q0), G.order))
+    try:
+        uni, failed = G.unipotent_classes(), None
+    except ContractError as exc:
+        uni, failed = {}, exc
+
+    def split() -> dict:
+        if failed:
+            raise failed
+        return uni
+
+    def inner(mu: Partition) -> tuple[int, int]:
+        split()
+        H, dim_g1 = G._top if mu == (n,) else kawanaka_datum(G, mu)
+        return endo_dim(mu, eps)(q0) * q0**dim_g1, _induced_inner(G, H)
+
     parts = partitions_of(n)
-    check("unipotent_class_count", len(parts), len(uni))
+    check("unipotent_class_count", lambda: (len(parts), len(split())))
     for la in parts:
-        cls = uni.get(la)
         check(
             f"class_size_{'_'.join(map(str, la))}",
-            class_size(la, eps)(q0),
-            0 if cls is None else cls.size,
+            lambda la=la: (class_size(la, eps)(q0), getattr(split().get(la), "size", 0)),
         )
-    check("unipotent_count", q0 ** (n * (n - 1)), sum(c.size for c in uni.values()))
+    check("unipotent_count", lambda: (q0 ** (n * (n - 1)), sum(c.size for c in split().values())))
     for mu in parts:
-        H, dim_g1 = G._top if mu == (n,) else kawanaka_datum(G, mu)
-        inner = _induced_inner(G, H)
         name = ("gelfand_graev_inner" if mu == (n,) else "regular_rep_inner" if len(mu) == n
                 else f"gggr_inner_{'_'.join(map(str, mu))}")
-        check(name, endo_dim(mu, eps)(q0) * q0**dim_g1, inner)
+        check(name, lambda mu=mu: inner(mu))
     return {"group": G.name, "n": n, "eps": eps, "q0": q0, "order": G.order,
             "checks": checks, "pass": all(c["ok"] for c in checks)}

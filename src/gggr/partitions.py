@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapExceededError
+from .intpoly import IntPoly, exact_div, times_binomials
 
 #: Ceiling on n for pure partition combinatorics.  p(30) = 5604, which is
 #: still cheap; anything far beyond that is a sign the caller is misusing the
@@ -137,3 +138,21 @@ def weyl_centralizer_order(rho: Partition) -> int:
     for part, mult in multiplicities(rho).items():
         z *= part**mult * math.factorial(mult)
     return z
+
+
+def b_exponents(la: Partition) -> tuple[int, ...]:
+    """The k of b_la(t) = prod_i prod_{k=1}^{m_i(la)} (1 - t^k), one for each
+    factor; they also give the unipotent centralizer orders."""
+    return tuple(k for m in multiplicities(la).values() for k in range(1, m + 1))
+
+
+def z_weights(n: int) -> list[IntPoly]:
+    """n!/z_rho(t) = (n!/z_rho) * prod_i (1 - t^{rho_i}) for each rho |- n in
+    canonical order, z_rho(t) = <p_rho, p_rho> (Macdonald III.4): at t = q, (-1)^n
+    times it is Kawanaka's torus weight sgn(rho) * (n!/|W_rho|) * |T_rho(q)|."""
+    fact = math.factorial(n)
+    weights = []
+    for rho in partitions_of(n):
+        c = exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {rho}")
+        weights.append(times_binomials(((-1) ** len(rho) * c,), rho, 1))
+    return weights

@@ -22,15 +22,16 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapExceededError, ContractError
-from .intpoly import IntPoly, bilinear, exact_div, scale, trim
+from .intpoly import IntPoly, bilinear, scale, times_binomials, trim
 from .partitions import (
     Partition,
+    b_exponents,
     dominated,
     multiplicities,
     n_stat,
     partitions_of,
     same_size,
-    weyl_centralizer_order,
+    z_weights,
 )
 from .polyring import RationalPoly
 
@@ -209,16 +210,10 @@ def _monomial_count(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def _one_minus(f: IntPoly, exps) -> IntPoly:
-    """f(t) * prod_{e in exps} (1 - t^e)."""
-    for e in exps:
-        f = [a - b for a, b in zip([*f, *[0] * e], [*[0] * e, *f])]
-    return trim(f)
-
-
 def _b(la: Partition, f: IntPoly = (1,)) -> IntPoly:
     """f(t) * b_la(t), with b_la = prod_i phi_{m_i(la)} and phi_m(t) = (1 - t)...(1 - t^m)."""
-    return _one_minus(f, [k for m in multiplicities(la).values() for k in range(1, m + 1)])
+    exps = b_exponents(la)
+    return scale(times_binomials(f, exps, 1), (-1) ** len(exps))
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +242,8 @@ def _hl_monomials(nu: tuple[int, ...]) -> Mapping[Partition, IntPoly]:
     grown: defaultdict[Partition, list[int]] = defaultdict(list)
     for mu, f in _hl_monomials(Partition(nu[:-1])).items():
         for la, exps in _strips(mu, nu[-1]):
-            g = _one_minus(f, exps)
-            grown[la] = [a + b for a, b in zip_longest(grown[la], g, fillvalue=0)]
+            g, sign = times_binomials(f, exps, 1), (-1) ** len(exps)  # psi = sign prod (t^e - 1)
+            grown[la] = [a + sign * b for a, b in zip_longest(grown[la], g, fillvalue=0)]
     column = {la: g for la, f in grown.items() if (g := trim(f))}
     if column.get(nu) != (1,):
         raise ContractError(f"W[{nu}][{nu}] is not 1")
@@ -278,8 +273,7 @@ def _hl_factor(n: int) -> tuple[tuple[IntPoly, ...], ...]:
         b = [[row[j] for row in R]] + [columns[k] for k in known]
         columns.append(bilinear(minus, [(1,)] * len(b), b)[0] if known else b[0])
     fact = factorial(n)
-    z = [exact_div(fact, weyl_centralizer_order(rho), f"{n}! / z_rho of {rho}") for rho in parts]
-    gram = bilinear(R, [_one_minus((c,), rho) for c, rho in zip(z, parts)], list(zip(*columns)))
+    gram = bilinear(R, z_weights(n), list(zip(*columns)))
     for (j, mu), (i, la) in product(enumerate(parts), repeat=2):
         if gram[j][i] != (W[i][j] and _b(la, scale(W[i][j], fact))):
             raise ContractError(f"R^T diag(n!/z_rho(t)) X != W^T diag(n! b) at [{mu}][{la}]")

@@ -9,9 +9,12 @@ a ``python -O`` script built from the same definition; both runs must give
 the fault's exit code, stdout and stderr."""
 
 import ast
+import csv
 import importlib
 import inspect
+import io
 import itertools
+import json
 import os
 import pkgutil
 import re
@@ -137,9 +140,11 @@ def run_optimized(fault):
 
 
 def outcome(fault, code, out, err):
-    """A run's exit code, stdout and stderr, as the fault states them."""
+    """A run's exit code, stdout and stderr, as the fault states them: for a
+    list, the csv rows whose fourth cell (a record's pass, a check's ok) is
+    False."""
     if isinstance(fault.out, list):
-        out = [row for row in out.splitlines(True) if row.endswith(",False\n")]
+        out = [row for row in out.splitlines(True) if next(csv.reader([row]))[3] == "False"]
     return code, out, err
 
 
@@ -158,6 +163,42 @@ def optimized_test(faults):
 def failed(message):
     """The stderr of a command whose check failed with message."""
     return f"gggr: check failed: {message}\n"
+
+
+def witnessed(witness, *names):
+    """The csv rows of the oracle checks ``names``, each failed with
+    ``witness``: no expected or actual value, ok False."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([name, None, None, False, witness]
+                                                   for name in names)
+    return buf.getvalue().splitlines(True)
+
+
+def split_checks(n):
+    """The checks of an oracle report on GL_n or GU_n that read its certified
+    split, in order: every check but group_order."""
+    parts = partitions.partitions_of(n)
+    name = "_".join
+    return ["unipotent_class_count", *(f"class_size_{name(map(str, la))}" for la in parts),
+            "unipotent_count", "gelfand_graev_inner",
+            *(f"gggr_inner_{name(map(str, mu))}" for mu in parts[1:-1]), "regular_rep_inner"]
+
+
+def split_failed(n, witness):
+    """The csv rows of an oracle report on GL_n or GU_n whose certified split
+    failed with ``witness``."""
+    return witnessed(witness, *split_checks(n))
+
+
+def witnesses(report):
+    """{check: witness} for the checks of an oracle report that failed with
+    a witness."""
+    return {c["check"]: c["witness"] for c in report["checks"] if "witness" in c}
+
+
+def oracle_csv(n, q0, eps=1):
+    """The call of the oracle command on GL_n(q0) or GU_n(q0), as csv."""
+    return f"main(['oracle', '--n', '{n}', '--q', '{q0}', '--eps', '{eps:+d}', '--format', 'csv'])"
 
 
 @pytest.fixture
@@ -333,11 +374,15 @@ def test_green_sign_fails_orthogonality_off_the_diagonal(inject):
         assert rhs.coeffs == ()
 
 
-def flipped_torus(rho, eps):
-    """|T_(2,1)| negated, so one weight of the gamma product has the wrong
-    sign."""
-    t = grouporders.torus_order_coeffs(rho, eps)
-    return scale(t, -1) if rho == (2, 1) else t
+def flipped_torus(z_weights):
+    """``z_weights`` with the weight of (2, 1) negated, as if |T_(2,1)| were,
+    so one weight of the gamma product has the wrong sign."""
+
+    def flipped(n):
+        weights = zip(partitions.partitions_of(n), z_weights(n))
+        return [scale(w, -1) if rho == (2, 1) else w for rho, w in weights]
+
+    return flipped
 
 
 #: The support failure under ``flipped_torus``: the first off-support entry
@@ -348,7 +393,7 @@ OFF_SUPPORT = (
 )
 
 GAMMA_SUPPORT = Fault(
-    "kawanaka.torus_order_coeffs = flipped_torus", (flipped_torus,),
+    "kawanaka.z_weights = flipped_torus(kawanaka.z_weights)", (flipped_torus,),
     "[(r.failure, r.error) for r in kawanaka.verify_theorem(3, 1).results]",
     code=0,
     out=f"contract {OFF_SUPPORT}\n" * 3,
@@ -415,21 +460,24 @@ def test_class_size_fails_exact_division(inject):
     assert witness["error"] == message
 
 
-def doubled_w_22(rho):
-    """|W_rho| with |W_(2,2)| = 8 doubled to 16, which does not divide 4!."""
-    return 16 if rho == (2, 2) else partitions.weyl_centralizer_order(rho)
+def changed_z(weyl_centralizer_order, rho, z):
+    """``weyl_centralizer_order`` with z_rho = z for the one rho."""
+    return lambda sigma: z if sigma == rho else weyl_centralizer_order(sigma)
 
 
-W_RHO = "4! / |W_rho| of (2, 2) left remainder 8"
+#: z_(2,2) = |W_(2,2)| = 8 doubled to 16, which does not divide 4!, where
+#: the weights n!/z_rho(t) are built.
+W_RHO = "4! / z_rho of (2, 2) left remainder 8"
 W_RHO_DIVISION = Fault(
-    "kawanaka.weyl_centralizer_order = doubled_w_22", (doubled_w_22,),
+    "partitions.weyl_centralizer_order ="
+    " changed_z(partitions.weyl_centralizer_order, (2, 2), 16)", (changed_z,),
     "[(r.failure, r.error) for r in kawanaka.verify_theorem(4, 1).results]",
     code=0, out=f"division {W_RHO}\n" * 5,
 )
 
 
 def test_w_rho_fails_exact_division(check, capsys):
-    # n! / |W_rho| weights every rho of the gamma product, so all of n = 4 fails
+    # n!/z_rho(t) weights every rho of the gamma product, so all of n = 4 fails
     check(W_RHO_DIVISION)
     assert all_fail(verify_theorem(4, -1), "division", re.escape(W_RHO))
     assert main(["verify", "--n", "4"]) == 1
@@ -602,22 +650,26 @@ def corrupt_entry(field, table, entry, value):
     return field
 
 
-#: What the GL2(4) report trips when x + (x + 1) = x in the addition table of
-#: its F_4 (elements 0, 1, x, x + 1 encoded as 0..3), so that the trace
-#: x + x^2 of x reads x: the trace in psi of Kawanaka's datum.  The
-#: enumeration is no longer a group, which only the closure of classes()
-#: sees.
+#: What the GL2(4) report's certified split trips when x + (x + 1) = x in
+#: the addition table of its F_4 (elements 0, 1, x, x + 1 encoded as 0..3),
+#: so that the trace x + x^2 of x reads x: the trace in psi of Kawanaka's
+#: datum, which seeds the split.  Every check that reads the split fails
+#: with it, and the group order still passes.  The enumeration is no longer
+#: a group, which only the closure of classes() sees.
 GL2_F4_TRACE = "trace of 2 in F_4 left the prime field: 2"
 CORRUPT_F4 = Fault(
     "corrupt_entry(oracle.finite_field(4), 'add', (2, 3), 2)", (corrupt_entry,),
-    "main(['oracle', '--n', '2', '--q', '4'])", err=failed(GL2_F4_TRACE),
+    oracle_csv(2, 4), out=split_failed(2, GL2_F4_TRACE),
 )
 
 
 def test_field_entry_fails_oracle_trace(check):
     check(CORRUPT_F4)
-    with pytest.raises(ContractError, match=f"^{re.escape(GL2_F4_TRACE)}$"):
-        oracle.oracle_report(2, 1, 4)
+    report = oracle.oracle_report(2, 1, 4)
+    assert witnesses(report) == dict.fromkeys(split_checks(2), GL2_F4_TRACE)
+    assert report["checks"][0] == {
+        "check": "group_order", "expected": 180, "actual": 180, "ok": True
+    }
     outside = ("GL2(F4): the product ((2, 1), (3, 2)) of ((0, 3), (3, 2)) is not an "
                "enumerated element")
     with pytest.raises(ContractError, match=re.escape(outside)):
@@ -625,27 +677,30 @@ def test_field_entry_fails_oracle_trace(check):
 
 
 @pytest.mark.parametrize(
-    "n, eps, q0, table, a, b, value, message",
+    "n, eps, q0, table, a, b, value, orders, message",
     [
-        pytest.param(2, 1, 4, "add", 2, 3, 0, "GL2(F4): an enumerated element is singular",
+        pytest.param(2, 1, 4, "add", 2, 3, 0, [], "GL2(F4): an enumerated element is singular",
                      id="GL2F4-singular"),
-        pytest.param(2, -1, 2, "add", 1, 1, 1, "GU2(F2): no trace-zero element in F_4",
-                     id="GU2F2-trace-zero"),
+        pytest.param(2, -1, 2, "add", 1, 1, 1, [(18, 45)],
+                     "GU2(F2): no trace-zero element in F_4", id="GU2F2-trace-zero"),
         *(
-            pytest.param(2, -1, 2, "add", a, b, value,
+            pytest.param(2, -1, 2, "add", a, b, value, orders,
                          f"GU2(F2): no column {column} of a basis for the form ((0, 1), (1, 0)) "
                          "in F_4", id=f"GU2F2-column-{column}")
-            for column, a, b, value in [(0, 0, 1, 2), (1, 2, 3, 0)]
+            for column, a, b, value, orders in [(0, 0, 1, 2, [(18, 0)]), (1, 2, 3, 0, [])]
         ),
     ],
 )
-def test_field_entry_fails_oracle_construction(check, n, eps, q0, table, a, b, value, message):
+def test_field_entry_fails_oracle_construction(
+    check, n, eps, q0, table, a, b, value, orders, message
+):
     # each corruption breaks one step of the class split or of building
-    # Kawanaka's datum, which must fail as a check, not as some other exception
+    # Kawanaka's datum, which must fail as a check, not as some other
+    # exception; where it also changes the enumerated group, its order fails
     check(Fault(
         f"corrupt_entry(oracle.finite_field(4), {table!r}, ({a}, {b}), {value})", (corrupt_entry,),
-        f"main(['oracle', '--n', '{n}', '--q', '{q0}', '--eps', '{eps:+d}'])",
-        err=failed(message),
+        oracle_csv(n, q0, eps),
+        out=[f"group_order,{e},{a},False,\n" for e, a in orders] + split_failed(n, message),
     ))
 
 
@@ -747,19 +802,24 @@ def drop_element(enumerate_group, which):
     return enumerate_without
 
 
-#: What GL2(3) without the identity or its last element fails: its report,
-#: and the closure of classes().
+#: What GL2(3) without the identity or its last element fails: the checks
+#: of its report after its order, 47 for 48, and the closure of classes().
+#: Without the identity the datum of (2) that seeds the split is short;
+#: without the last element the split holds, and the inner products that
+#: read |G| fail.
 GL2_F3_DROPPED = {
-    "identity": ("GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3",
+    "identity": (split_failed(2, "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3"),
                  "GL2(F3): the identity is not an enumerated element"),
-    "last": ("GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 left remainder 7",
+    "last": ([*witnessed("GL2(F3): the class of ((0, 1), (2, 2)): |G| / |class| = 47 / 8 "
+                         "left remainder 7", "gelfand_graev_inner"),
+              "regular_rep_inner,48,47,False,\n"],
              "GL2(F3): the product ((2, 2), (2, 1)) of ((1, 0), (2, 2)) is not an enumerated "
              "element"),
 }
 DROP_ELEMENT = {
     which: Fault(f"oracle.enumerate_group = drop_element(oracle.enumerate_group, {which!r})",
-                 (drop_element,), "main(['oracle', '--n', '2', '--q', '3'])", err=failed(report))
-    for which, (report, _) in GL2_F3_DROPPED.items()
+                 (drop_element,), oracle_csv(2, 3), out=["group_order,48,47,False,\n", *rows])
+    for which, (rows, _) in GL2_F3_DROPPED.items()
 }
 
 
@@ -797,9 +857,9 @@ def drop_seed_class(certify, parts):
 #: conjugations have mapped |G| codes, without a certificate.
 GL3_F2_DROPPED_SEEDS = Fault(
     "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (2, 1))",
-    (drop_seed_class,), "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])",
-    err=failed("GL3(F2): split not certified: conjugators 2, elements 43 of 64, orbits 2, "
-               "Jordan types 2"),
+    (drop_seed_class,), oracle_csv(3, 2),
+    out=split_failed(3, "GL3(F2): split not certified: conjugators 2, elements 43 of 64, "
+                        "orbits 2, Jordan types 2"),
 )
 
 
@@ -820,9 +880,9 @@ def measured(argv):
 #: codes the certificate's conjugators may map before the scan fails.
 GL3_F4_DROPPED_SEEDS = Fault(
     "oracle.OracleGroup._certify = drop_seed_class(oracle.OracleGroup._certify, (3,))",
-    (drop_seed_class, measured), "measured(['oracle', '--n', '3', '--q', '4'])", out=None,
-    err=failed("GL3(F4): split not certified: conjugators 2, elements 316 of 4096, orbits 2, "
-               "Jordan types 2"),
+    (drop_seed_class, measured), "measured(['oracle', '--n', '3', '--q', '4', '--format', 'csv'])",
+    out=split_failed(3, "GL3(F4): split not certified: conjugators 2, elements 316 of 4096, "
+                        "orbits 2, Jordan types 2"),
 )
 
 
@@ -830,8 +890,10 @@ def test_dropped_seed_class_fails_within_bounds():
     # the report fails in ~0.3 s at ~31 MiB peak, not after trying every
     # element
     code, out, err = run_optimized(GL3_F4_DROPPED_SEEDS)
-    assert (code, err) == (GL3_F4_DROPPED_SEEDS.code, GL3_F4_DROPPED_SEEDS.err)
-    seconds, peak_kib = map(float, out.split())
+    *rows, last = out.splitlines(True)
+    fault = GL3_F4_DROPPED_SEEDS
+    assert outcome(fault, code, "".join(rows), err) == (fault.code, fault.out, fault.err)
+    seconds, peak_kib = map(float, last.split())
     assert seconds < 10
     assert peak_kib < 100 * 1024
 
@@ -871,15 +933,15 @@ def forget_member(member):
 GL2_F3_SHORT_DATUM = "GL2(F3): U_(>=2) for mu = (2,) has 2 elements, not 3^1 = 3"
 FORGET_MEMBER = Fault(
     "oracle.OracleGroup._member = forget_member(oracle.OracleGroup._member)", (forget_member,),
-    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_SHORT_DATUM),
+    oracle_csv(2, 3), out=split_failed(2, GL2_F3_SHORT_DATUM),
 )
 
 
 def test_datum_short_of_an_element_fails_the_size_check(check):
     # |U_(>=2)^F| = q0^#positions, checked as a count of the kept candidates
     check(FORGET_MEMBER)
-    with pytest.raises(ContractError, match=re.escape(GL2_F3_SHORT_DATUM)):
-        oracle.oracle_report(2, 1, 3)
+    report = oracle.oracle_report(2, 1, 3)
+    assert witnesses(report) == dict.fromkeys(split_checks(2), GL2_F3_SHORT_DATUM)
 
 
 def leave_the_group(conjugation):
@@ -911,18 +973,18 @@ def leaving_message():
 
 GU2_F3_LEAVING = Fault(
     "oracle.OracleGroup._conjugation = leave_the_group(oracle.OracleGroup._conjugation)",
-    (leave_the_group,), "main(['oracle', '--n', '2', '--q', '3', '--eps', '-1'])",
-    err=failed("GU2(F3): the conjugate ((0, 1), (1, 1)) of ((1, 0), (0, 1)) is not an "
-               "enumerated element"),
+    (leave_the_group,), oracle_csv(2, 3, -1),
+    out=split_failed(2, "GU2(F3): the conjugate ((0, 1), (1, 1)) of ((1, 0), (0, 1)) is not "
+                        "an enumerated element"),
 )
 
 
 def test_conjugation_leaving_the_group_fails(check):
     message = leaving_message()
-    assert GU2_F3_LEAVING.err == failed(message)
+    assert GU2_F3_LEAVING.out == split_failed(2, message)
     check(GU2_F3_LEAVING)
-    with pytest.raises(ContractError, match=re.escape(message)):
-        oracle.oracle_report(2, -1, 3)
+    report = oracle.oracle_report(2, -1, 3)
+    assert witnesses(report) == dict.fromkeys(split_checks(2), message)
 
 
 def hold_conjugators(candidates, k):
@@ -950,8 +1012,7 @@ def held_conjugators(n, q0, k):
     """The fault that holds the candidates of GL_n(q0)'s report at k."""
     return Fault(
         f"oracle.OracleGroup._candidates = hold_conjugators(oracle.OracleGroup._candidates, {k})",
-        (hold_conjugators,), f"main(['oracle', '--n', '{n}', '--q', '{q0}'])",
-        err=failed(HELD_CONJUGATORS[n, q0, k]),
+        (hold_conjugators,), oracle_csv(n, q0), out=split_failed(n, HELD_CONJUGATORS[n, q0, k]),
     )
 
 
@@ -959,8 +1020,7 @@ def held_conjugators(n, q0, k):
 def test_held_conjugators_fail_the_certificate(check, inject, n, q0, k):
     message, candidates = HELD_CONJUGATORS[n, q0, k], oracle.OracleGroup._candidates
     check(held_conjugators(n, q0, k))
-    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-        oracle.oracle_report(n, 1, q0)
+    assert witnesses(oracle.oracle_report(n, 1, q0)) == dict.fromkeys(split_checks(n), message)
     inject(oracle.OracleGroup, "_candidates", hold_conjugators(candidates, k + 1))
     assert oracle.oracle_report(n, 1, q0)["pass"]
 
@@ -974,13 +1034,13 @@ def test_generators_short_of_the_group_fail_the_closure(inject):
         oracle.enumerate_group(2, 1, 3).classes()
 
 
-def add_involution(kawanaka_datum):
-    """``kawanaka_datum`` with ((0, 1), (1, 0)) added to H for every mu but
-    (n): an element of order 2, in no unipotent class of GL2(3)."""
+def add_to_datum(kawanaka_datum, parts, element):
+    """``kawanaka_datum`` with ``element`` added to H, with psi trivial on it,
+    for mu = ``parts`` alone."""
 
     def added(G, mu):
         H, dim_g1 = kawanaka_datum(G, mu)
-        return ({**H, G.encode(((0, 1), (1, 0))): 0} if len(mu) > 1 else H), dim_g1
+        return ({**H, G.encode(element): 0} if mu == parts else H), dim_g1
 
     return added
 
@@ -992,13 +1052,13 @@ GL2_F3_NEW_CLASS = (
 
 def test_later_seed_outside_the_certified_split_fails(check):
     # the certificate is seeded with mu = (n) alone; the data of the other mu
-    # may not start a class after it
+    # may not start a class after it: ((0, 1), (1, 0)), of order 2, lies in
+    # no unipotent class of GL2(3)
     check(Fault(
-        "oracle.kawanaka_datum = add_involution(oracle.kawanaka_datum)", (add_involution,),
-        "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_NEW_CLASS),
+        "oracle.kawanaka_datum = add_to_datum(oracle.kawanaka_datum, (1, 1), ((0, 1), (1, 0)))",
+        (add_to_datum,), oracle_csv(2, 3), out=witnessed(GL2_F3_NEW_CLASS, "regular_rep_inner"),
     ))
-    with pytest.raises(ContractError, match=f"^{re.escape(GL2_F3_NEW_CLASS)}$"):
-        oracle.oracle_report(2, 1, 3)
+    assert witnesses(oracle.oracle_report(2, 1, 3)) == {"regular_rep_inner": GL2_F3_NEW_CLASS}
 
 
 def test_classes_of_one_jordan_type_fail(inject):
@@ -1021,7 +1081,7 @@ def identity_inverse(F, A):
 GL2_F3_WRONG_INVERSE = "GL2(F3): ((1, 0), (0, 1)) is not the inverse of ((0, 1), (1, 0))"
 IDENTITY_INVERSE = Fault(
     "oracle.mat_inv = identity_inverse", (identity_inverse,),
-    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_WRONG_INVERSE),
+    oracle_csv(2, 3), out=split_failed(2, GL2_F3_WRONG_INVERSE),
 )
 
 
@@ -1065,7 +1125,7 @@ GL2_F3_IRRATIONAL = (
 )
 MERGE_EXPONENTS = Fault(
     "oracle.kawanaka_datum = merge_exponents(oracle.kawanaka_datum)", (merge_exponents,),
-    "main(['oracle', '--n', '2', '--q', '3'])", err=failed(GL2_F3_IRRATIONAL),
+    oracle_csv(2, 3), out=witnessed(GL2_F3_IRRATIONAL, "gelfand_graev_inner"),
 )
 
 
@@ -1099,17 +1159,24 @@ def shift_last_exponent(kawanaka_datum):
     return shifted
 
 
+GROWN_DATUM = "GL3(F2): induced inner product 168 / 9 left remainder 6"
+
 #: A fault in Kawanaka's datum makes the per-mu check of the GL3(2) report
-#: fail, as a mismatch or as a failed check of the class sum.
+#: fail, as a mismatch or as a failed check of the class sum; the other
+#: checks still run and pass.  ``grown_datum`` gives the datum of (2, 1) a
+#: third element, in the class of type (2, 1) with psi trivial on it, so the
+#: class sums give 168 over |H|^2 = 9.
 DATUM_FAULTS = {
-    fault.__name__: Fault(
-        f"oracle.kawanaka_datum = {fault.__name__}(oracle.kawanaka_datum)", (fault,),
-        "main(['oracle', '--n', '3', '--q', '2', '--format', 'csv'])", out=rows, err=err,
-    )
-    for fault, rows, err in [
-        (drop_dim_g1, ["gggr_inner_2_1,11,44,False\n"], ""),
-        (shift_last_exponent, [],
-         failed("GL3(F2): induced inner product 240 / 64 left remainder 48")),
+    name: Fault(f"oracle.kawanaka_datum = {patch}", (fault,), oracle_csv(3, 2), out=rows)
+    for name, fault, patch, rows in [
+        ("drop_dim_g1", drop_dim_g1, "drop_dim_g1(oracle.kawanaka_datum)",
+         ["gggr_inner_2_1,11,44,False\n"]),
+        ("shift_last_exponent", shift_last_exponent, "shift_last_exponent(oracle.kawanaka_datum)",
+         witnessed("GL3(F2): induced inner product 240 / 64 left remainder 48",
+                   "gelfand_graev_inner")),
+        ("grown_datum", add_to_datum,
+         "add_to_datum(oracle.kawanaka_datum, (2, 1), ((1, 0, 0), (0, 1, 1), (0, 0, 1)))",
+         witnessed(GROWN_DATUM, "gggr_inner_2_1")),
     ]
 }
 
@@ -1117,6 +1184,32 @@ DATUM_FAULTS = {
 @pytest.mark.parametrize("fault", DATUM_FAULTS.values(), ids=list(DATUM_FAULTS))
 def test_datum_fault_fails_gggr_inner_check(check, fault):
     check(fault)
+
+
+def test_datum_fault_keeps_every_other_check(check, capsys):
+    """The report of GL3(2) with the datum of (2, 1) grown by one element
+    fails that check alone, with its witness in every format, prints every
+    other check as it passes, and exits 1 with no traceback."""
+    check(DATUM_FAULTS["grown_datum"])
+    report = oracle.oracle_report(3, 1, 2)
+    assert witnesses(report) == {"gggr_inner_2_1": GROWN_DATUM}
+    assert [c["check"] for c in report["checks"]] == ["group_order", *split_checks(3)]
+    assert [c["ok"] for c in report["checks"]] == [c["check"] != "gggr_inner_2_1"
+                                                   for c in report["checks"]]
+    failing = {"check": "gggr_inner_2_1", "expected": None, "actual": None, "ok": False,
+               "witness": GROWN_DATUM}
+    assert failing in report["checks"] and not report["pass"]
+    for fmt in ("json", "pretty"):
+        assert main(["oracle", "--n", "3", "--q", "2", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out) == report
+        else:
+            lines = out.splitlines()
+            assert lines[8:] == [f"FAIL gggr_inner_2_1: {GROWN_DATUM}",
+                                 "ok regular_rep_inner: expected 168, got 168", "RESULT: FAIL"]
+            assert lines[1] == "ok group_order: expected 168, got 168"
 
 
 @pytest.mark.parametrize(
@@ -1155,9 +1248,10 @@ def test_empty_datum_fails_as_a_check(inject, capsys):
     # not a ZeroDivisionError
     datum = oracle.kawanaka_datum
     inject(oracle, "kawanaka_datum", lambda G, mu: datum(G, mu) if len(mu) == 1 else ({}, 0))
-    assert main(["oracle", "--n", "2", "--q", "3"]) == 1
+    assert main(["oracle", "--n", "2", "--q", "3", "--format", "csv"]) == 1
     message = "GL2(F3): induced inner product 0 / 0 divides by zero"
-    assert capsys.readouterr() == ("", failed(message))
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("".join(witnessed(message, "regular_rep_inner")))
 
 
 # -- the Hall-Littlewood route -------------------------------------------------
@@ -1188,39 +1282,44 @@ def test_monomial_count_off_by_one_fails_the_certificate(inject):
     hl_fails(4, certificate_fails_at((4,), (3, 1)))
 
 
-def changed_z(weyl_centralizer_order, rho, z):
-    """``weyl_centralizer_order`` with z_rho = z for the one rho."""
-    return lambda sigma: z if sigma == rho else weyl_centralizer_order(sigma)
-
-
 @pytest.mark.parametrize(
-    "z, message",
-    [(4, certificate_fails_at((4,), (4,))), (16, "4! / z_rho of (2, 2) left remainder 8")],
-    ids=["4", "16"],
+    "z, message", [(4, certificate_fails_at((4,), (4,))), (16, W_RHO)], ids=["4", "16"]
 )
 def test_changed_z_rho_fails(inject, z, message):
-    assert symfunc.weyl_centralizer_order(P((2, 2))) == 8
-    inject(symfunc, "weyl_centralizer_order", changed_z(symfunc.weyl_centralizer_order, (2, 2), z))
+    # z_rho is read where the weights n!/z_rho(t) are built, once for both
+    # the certificate and the Kawanaka product
+    assert partitions.weyl_centralizer_order(P((2, 2))) == 8
+    z_rho = partitions.weyl_centralizer_order
+    inject(partitions, "weyl_centralizer_order", changed_z(z_rho, (2, 2), z))
     hl_fails(4, message)
+    assert not any(r.passed for r in verify_theorem(4, 1).results)
 
 
 def test_changed_z_rho_fails_the_certificate_and_orthogonality(inject):
-    """Both checks read z_rho = |W_rho|: they hold unchanged for n <= 6, and
-    z_(2,2) = 4 for 8, read wherever the package reads
-    ``partitions.weyl_centralizer_order``, fails both at n = 4."""
+    """The certificate and the Kawanaka product read z_rho = |W_rho| through
+    the one weight n!/z_rho(t) of ``partitions.z_weights``, and orthogonality
+    reads |W_rho| itself: all hold unchanged for n <= 6, and z_(2,2) = 4 for
+    8, read wherever the package reads ``partitions.weyl_centralizer_order``,
+    fails all three at n = 4."""
     for n in range(1, 7):
         assert symfunc._hl_factor(n) == symfunc.x_matrix(n)
         assert green.verify_orthogonality(n, 1).ok and green.verify_orthogonality(n, -1).ok
+        assert verify_theorem(n, 1).passed
     z_rho = partitions.weyl_centralizer_order
     modules = (partitions, symfunc, green, kawanaka)
-    readers = [m for m in modules if m.weyl_centralizer_order is z_rho]
-    assert readers == list(modules)
+    readers = [m for m in modules if getattr(m, "weyl_centralizer_order", None) is z_rho]
+    assert readers == [partitions, green]
+    weights = partitions.z_weights
+    assert [m for m in modules if getattr(m, "z_weights", None) is weights] == [
+        partitions, symfunc, kawanaka
+    ]
     for module in readers:
         inject(module, "weyl_centralizer_order", changed_z(z_rho, (2, 2), 4))
     hl_fails(4, certificate_fails_at((4,), (4,)))
     for eps in (1, -1):
         result = green.verify_orthogonality(4, eps)
         assert not result.ok and result.witness[:2] == (P((2, 2)), P((2, 2)))
+        assert not any(r.passed for r in verify_theorem(4, eps).results)
 
 
 def perturbed_b(b):
@@ -1314,8 +1413,8 @@ HALL_LITTLEWOOD_FAULTS = {
     "unitriangular": DIAGONAL_NOT_ONE,
     "b": PERTURBED_PIVOT,
     "z_rho": Fault(
-        "symfunc.weyl_centralizer_order ="
-        " changed_z(symfunc.weyl_centralizer_order, (2, 2), 4)",
+        "partitions.weyl_centralizer_order ="
+        " changed_z(partitions.weyl_centralizer_order, (2, 2), 4)",
         (changed_z,), "symfunc.hall_littlewood_expand(P((4,)))",
         out=f"{certificate_fails_at((4,), (4,))}\n",
     ),

@@ -1,8 +1,11 @@
+import math
 from functools import reduce
 
 import pytest
 
+import gggr.symfunc as symfunc
 from gggr.grouporders import (
+    _centralizer,
     centralizer_dim,
     check_eps,
     class_size,
@@ -10,9 +13,20 @@ from gggr.grouporders import (
     group_order,
     sgn_eps,
     torus_order,
+    torus_order_coeffs,
     unipotent_centralizer_order,
 )
-from gggr.partitions import Partition, n_stat, partitions_of
+from gggr.intpoly import scale
+from gggr.partitions import (
+    Partition,
+    b_exponents,
+    conjugate,
+    multiplicities,
+    n_stat,
+    partitions_of,
+    weyl_centralizer_order,
+    z_weights,
+)
 from gggr.polyring import RationalPoly
 from test_intpoly import add, schoolbook
 
@@ -26,6 +40,11 @@ def Q(*coeffs):
 def binomial(k, c):
     """x^k - c."""
     return (-c,) + (0,) * (k - 1) + (1,)
+
+
+def one_minus(k):
+    """1 - t^k."""
+    return (1,) + (0,) * (k - 1) + (-1,)
 
 
 def test_group_order_small():
@@ -171,3 +190,36 @@ def test_group_order_refuses_an_n_that_is_no_int(n):
     with pytest.raises(ValueError) as info:
         group_order(n, 1)
     assert str(info.value) == f"n must be an integer, got {n}"
+
+
+def test_z_weights_are_kawanaka_torus_weights():
+    """(-1)^n n!/z_rho(q) = sgn(rho) (n!/|W_rho|) |T_rho(q)| for every rho |- n
+    <= 10, and n!/z_rho(t) = (n!/z_rho) prod_i (1 - t^{rho_i}), whose constant
+    terms sum over rho to n!, the order of S_n."""
+    for n in range(1, 11):
+        weights = z_weights(n)
+        assert len(weights) == len(partitions_of(n))
+        assert sum(w[0] for w in weights) == math.factorial(n)
+        for rho, w in zip(partitions_of(n), weights):
+            c = math.factorial(n) // weyl_centralizer_order(rho)
+            kawanaka = scale(torus_order_coeffs(rho, 1), sgn_eps(rho, 1) * c)
+            assert scale(w, (-1) ** n) == kawanaka, rho
+            assert w == reduce(schoolbook, [one_minus(k) for k in rho], (c,)), rho
+
+
+def test_b_exponents_rebuild_centralizers_and_b():
+    """b_exponents(la) has one k per part of la, k = 1..m_i(la) for each part
+    size i, and it rebuilds the centralizer orders
+    q^{sum (la'_j)^2 - sum k} prod_k (q^k - eps^k) and b_la(t) = prod_k (1 - t^k)
+    for every la |- n <= 10."""
+    for n in range(1, 11):
+        for la in partitions_of(n):
+            exps = b_exponents(la)
+            assert len(exps) == len(la)
+            assert sum(exps) == sum(m * (m + 1) // 2 for m in multiplicities(la).values())
+            shift = sum(c * c for c in conjugate(la)) - sum(exps)
+            for eps in (1, -1):
+                factors = [binomial(k, eps**k) for k in exps]
+                assert _centralizer(la, eps) == reduce(schoolbook, factors, (0,) * shift + (1,))
+            b = reduce(schoolbook, [one_minus(k) for k in exps], (1,))
+            assert symfunc._b(la) == b, la

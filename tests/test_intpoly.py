@@ -159,14 +159,18 @@ def test_signed_and_evaluate():
 
 
 def test_times_binomials_matches_schoolbook():
+    # f of every kind: zero, a power q^shift, and a polynomial of several
+    # terms with any leading coefficient, times binomials of either sign
     rng = random.Random(2010)
-    for _ in range(50):
+    for case in range(60):
         shift, eps = rng.randrange(4), rng.choice((1, -1))
         exps = [rng.randrange(1, 6) for _ in range(rng.randrange(5))]
-        expect = (0,) * shift + (1,)
+        body = [rng.randrange(-9, 10) for _ in range(rng.randrange(4))] + [rng.choice((-3, 1, 2))]
+        f = [(), (0,) * shift + (1,), (0,) * shift + tuple(body)][case % 3]
+        expect = f
         for k in exps:
             expect = schoolbook(expect, (-(eps**k),) + (0,) * (k - 1) + (1,))
-        assert times_binomials(shift, exps, eps) == expect
+        assert times_binomials(f, exps, eps) == expect
 
 
 @pytest.mark.parametrize("width", range(1, 11))

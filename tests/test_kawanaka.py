@@ -293,16 +293,14 @@ def test_gamma_support_is_checked_once_per_entry_for_both_families(cleared, monk
 
 
 def test_gamma_product_reads_the_split_tables_only(cleared, monkeypatch):
-    # the unitary rows are the split product read at -q: the torus orders and
-    # signs are the split ones, and only gamma entries are signed, never an
-    # X or a Q table
-    signed, tori, signs = (
-        recorded(monkeypatch, name) for name in ("signed", "torus_order_coeffs", "sgn_eps")
-    )
+    # the unitary rows are the split product read at -q: the torus weights
+    # n!/z_rho(t) have no eps and are built once per n for both families,
+    # and only gamma entries are signed, never an X or a Q table
+    signed, weights = (recorded(monkeypatch, name) for name in ("signed", "z_weights"))
     for n in range(1, 7):
         for eps in (1, -1):
             assert verify_theorem(n, eps).passed
-    assert tori and signs and {eps for _, eps in tori + signs} == {1}
+    assert weights == [(n,) for n in range(1, 7)]
     gamma = {id(g) for n in range(1, 7) for row in kawanaka._gamma_matrix(n) for g in row}
     assert signed and all(id(g) in gamma for g, _ in signed)
 

@@ -535,7 +535,6 @@ CHARACTER_ROUTE = (
 )
 HALL_LITTLEWOOD_ROUTE = (
     "_monomial_count",
-    "_one_minus",
     "_b",
     "_strips",
     "_hl_monomials",
@@ -598,7 +597,8 @@ def test_hall_littlewood_factor_is_one_solve(monkeypatch):
     assert len(weights) == len(parts) == 11
     assert weights[:-1] == [[(1,)] * (k + 1) for k in known[1:]]
     z = [math.factorial(6) // weyl_centralizer_order(rho) for rho in parts]
-    assert weights[-1] == [symfunc._one_minus((c,), rho) for c, rho in zip(z, parts)]
+    one_minus = [[(1,) + (0,) * (k - 1) + (-1,) for k in rho] for rho in parts]
+    assert weights[-1] == [reduce(schoolbook, f, (c,)) for c, f in zip(z, one_minus)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 6])
